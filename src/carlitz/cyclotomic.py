@@ -14,15 +14,20 @@ all the bookkeeping.
 
 from __future__ import annotations
 
-from .core import carlitz_act, carlitz_poly, exp_eval
+from .core import _embed_poly, carlitz_act, carlitz_poly, exp_eval
 from .fields import residue_field
 from .laurent import LaurentSeries, RamifiedElem, pi_bar
-from .padics import PadicContext, CycPadicRing, embed_tensor_to_padic
-from .polynomials import Poly, RatFunc
+from .padics import (PadicContext, CycPadicRing, embed_tensor_to_padic,
+                     lambda_power_rows, teichmuller_lift)
+from .polynomials import Poly, RatFunc, monic_irreducibles
 
 
 class CycField:
-    """Precomputed data for one cyclotomic field K = k(lambda_P)."""
+    """Precomputed data for one cyclotomic field K = k(lambda_P).
+
+    One instance per P in a process; it owns every table derived from P
+    and builds each on first use, once per key.
+    """
 
     _instances = {}
 
@@ -51,38 +56,54 @@ class CycField:
         for i, c in enumerate(phi.coeffs):
             psi[q ** i - 1] = c
         self.psi = psi
-        assert psi[0] == P and psi[-1].is_one()
-        for i in range(1, d):
-            assert (phi.coeffs[i] % P).is_zero(), "psi_P not Eisenstein"
+        if psi[0] != P or not psi[-1].is_one():
+            raise ValueError("psi_P must be monic with constant term P")
+        if any(not (phi.coeffs[i] % P).is_zero() for i in range(1, d)):
+            raise ValueError("psi_P not Eisenstein at P")
 
         # reduction rows: coords of lambda^k for k = L .. hi, over A
-        hi = max(2 * self.L - 2, q * (self.L - 1))
-        neg_tail = [-c for c in psi[:-1]]
-        rows = []
-        cur = list(neg_tail)
-        rows.append(tuple(cur))
-        for _ in range(self.L + 1, hi + 1):
-            nxt = [Poly.zero(Fq)] + cur[:-1]
-            top = cur[-1]
-            if not top.is_zero():
-                nxt = [a + top * b for a, b in zip(nxt, neg_tail)]
-            cur = nxt
-            rows.append(tuple(cur))
-        self.rows = rows
+        self.rows = lambda_power_rows(psi)
+        self._cache = {}
 
-        # bound for torsion denominators: P, except q = 2 needs the
-        # degree <= 1 torsion too
-        if q == 2:
-            extra = Poly(Fq, (0, 1, 1))  # T^2 + T
-            g = P.gcd(extra)
-            self.Q_tors = P * (extra // g)
-        else:
-            self.Q_tors = P
+    def _memo(self, key, build):
+        """The value stored under `key`, calling build() on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
-        self._sig_pows = {}
-        self._sig_pow_ext = {}
-        self._gauss_cache = {}
-        self._padic_rings = {}
+    # -- tables derived from P, each built once per key -----------------------
+
+    def class_table(self, depth):
+        """Infinity-adic class sums certified to `depth`."""
+        from .lvalues import ClassSumTable  # lvalues builds on this module
+        return self._memo(("class_table", depth),
+                          lambda: ClassSumTable(self.P, depth))
+
+    def padic_table(self, N):
+        """P-adic class sums mod P^N."""
+        from .lvalues import PadicClassSumTable
+        return self._memo(("padic_table", N),
+                          lambda: PadicClassSumTable(self.P, N))
+
+    def infty_embedding(self, field, prec):
+        """Embedding of `field` tensor K at the places above infinity."""
+        return self._memo(("infty_embedding", field, prec),
+                          lambda: InftyEmbedding(self, field, prec))
+
+    def padic_ring(self, N):
+        """A_P[lambda] mod P^N."""
+        return self._memo(("padic_ring", N), lambda: CycPadicRing(
+            PadicContext(self.P, N), self.psi))
+
+    def teichmuller(self, c, N):
+        """Teichmuller lift to A_P mod P^N of c in F = A/PA."""
+        return self._memo(("teichmuller", c, N),
+                          lambda: teichmuller_lift(c, self.padic_ring(N).ctx))
+
+    def irreducibles(self, max_deg):
+        """Monic irreducibles of F_q[T] of degree 1..max_deg, ascending."""
+        return self._memo(("irreducibles", max_deg),
+                          lambda: tuple(monic_irreducibles(self.Fq, max_deg)))
 
     # -- exact coordinate arithmetic over A ----------------------------------
 
@@ -109,13 +130,6 @@ class CycField:
                     conv[i + j] = conv[i + j] + a * b
         return self.reduce_coords_A(conv)
 
-    def lambda_coords_A(self):
-        c = [Poly.zero(self.Fq)] * self.L
-        if self.L == 1:
-            return self.reduce_coords_A([Poly.zero(self.Fq), Poly.one(self.Fq)])
-        c[1] = Poly.one(self.Fq)
-        return c
-
     def unit_rep_poly(self, b):
         """Canonical polynomial representative (degree < d) of b in Delta."""
         digs = []
@@ -125,34 +139,30 @@ class CycField:
             x //= self.q
         return Poly(self.Fq, digs)
 
+    def sigma_lambda(self, b):
+        """Coords over A of sigma_b(lambda) = phi_b(lambda)."""
+        def build():
+            lam = self.reduce_coords_A([Poly.zero(self.Fq), Poly.one(self.Fq)])
+            return tuple(carlitz_act(self.unit_rep_poly(b),
+                                     _AElem(self, lam)).coords)
+        return self._memo(("sigma_lambda", b), build)
+
     def sigma_powers(self, b):
         """Coords over A of (sigma_b lambda)^i for i = 0..L-1."""
-        if b not in self._sig_pows:
-            lam = _AElem(self, self.lambda_coords_A())
-            slam = carlitz_act(self.unit_rep_poly(b), lam)
-            pows = [[Poly.one(self.Fq)] + [Poly.zero(self.Fq)] * (self.L - 1)]
-            cur = pows[0]
+        def build():
+            slam = self.sigma_lambda(b)
+            pows = [(Poly.one(self.Fq),) + (Poly.zero(self.Fq),) * (self.L - 1)]
             for _ in range(self.L - 1):
-                cur = self.mul_coords_A(cur, slam.coords)
-                pows.append(cur)
-            self._sig_pows[b] = [tuple(r) for r in pows]
-        return self._sig_pows[b]
+                pows.append(tuple(self.mul_coords_A(pows[-1], slam)))
+            return pows
+        return self._memo(("sigma_powers", b), build)
 
     def sigma_power(self, b, m):
         """Coords over A of (sigma_b lambda)^m, any m >= 0."""
-        pows = self.sigma_powers(b)
         if m < self.L:
-            return pows[m]
-        cache = self._sig_pow_ext.setdefault(b, {})
-        if m not in cache:
-            lam = _AElem(self, self.lambda_coords_A())
-            slam = carlitz_act(self.unit_rep_poly(b), lam).coords
-            start = max(cache, default=self.L - 1)
-            cur = list(cache.get(start, pows[self.L - 1]))
-            for i in range(start + 1, m + 1):
-                cur = self.mul_coords_A(cur, slam)
-                cache[i] = tuple(cur)
-        return cache[m]
+            return self.sigma_powers(b)[m]
+        return self._memo(("sigma_power", b, m), lambda: tuple(
+            self.mul_coords_A(self.sigma_power(b, m - 1), self.sigma_lambda(b))))
 
     def units(self):
         return range(1, self.L + 1)
@@ -168,12 +178,6 @@ class CycField:
             for c in range(1, self.q):
                 seen.add(self.F.mul(c, b))
         return reps
-
-    def padic_ring(self, N):
-        if N not in self._padic_rings:
-            ctx = PadicContext(self.P, N)
-            self._padic_rings[N] = CycPadicRing(ctx, self.psi)
-        return self._padic_rings[N]
 
 
 class _AElem:
@@ -291,23 +295,12 @@ class CycElem:
     def coeff_frob(self):
         """Frobenius on the coefficient leg only: c tensor x -> c^q tensor x.
         Coefficients of the rational functions move, T stays."""
-        F = self.field
         q = self.cyc.q
-
-        def fr(r):
-            return RatFunc(Poly(F, [F.pow(c, q) for c in r.num.coeffs]),
-                           Poly(F, [F.pow(c, q) for c in r.den.coeffs]),
-                           reduce=False)
-        return CycElem(self.cyc, F, [fr(c) for c in self.coords])
+        return CycElem(self.cyc, self.field,
+                       [c.coeff_frob(q) for c in self.coords])
 
     def __repr__(self):
         return "CycElem(%r)" % (list(self.coords),)
-
-
-def _embed_poly(p, field):
-    if p.field is field:
-        return p
-    return Poly(field, list(p.coeffs))
 
 
 def _reduce_coords(cyc, field, conv):
@@ -447,27 +440,22 @@ def gauss_thakur(chi):
     base-q digits of n.  tau(1) = 1.
     """
     cyc = chi.cyc
-    key = chi.n
-    if key in cyc._gauss_cache:
-        return cyc._gauss_cache[key]
-    F = cyc.F
-    if chi.n == 0:
-        out = CycElem.one(cyc, F)
-    else:
+
+    def build():
         digits = []
         n = chi.n
         for _ in range(cyc.d):
             digits.append(n % cyc.q)
             n //= cyc.q
-        out = CycElem.one(cyc, F)
+        out = CycElem.one(cyc, cyc.F)
         for i, s in enumerate(digits):
             if s == 0:
                 continue
             basic = _basic_gauss(cyc, i)
             for _ in range(s):
                 out = out * basic
-    cyc._gauss_cache[key] = out
-    return out
+        return out
+    return cyc._memo(("gauss_thakur", chi.n), build)
 
 
 def _basic_gauss(cyc, i):
@@ -476,9 +464,7 @@ def _basic_gauss(cyc, i):
     acc = [RatFunc.zero(F)] * cyc.L
     for b in cyc.units():
         w = F.inv(F.pow(b, qi))
-        slam = cyc.sigma_powers(b)[1] if cyc.L > 1 else \
-            tuple(cyc.reduce_coords_A([Poly.zero(cyc.Fq), Poly.one(cyc.Fq)]))
-        for j, m in enumerate(slam):
+        for j, m in enumerate(cyc.sigma_lambda(b)):
             if not m.is_zero():
                 acc[j] = acc[j] + RatFunc.from_poly(_embed_poly(m, F)).scale(w)
     return CycElem(cyc, F, [-c for c in acc])
@@ -502,29 +488,38 @@ def lambda_inverse_coords(cyc, field):
     return out
 
 
-def b1(chi):
-    """B_{1,chi}: the scalar with e_chi(1 tensor 1/lambda) = B tau(chi).
-
-    Returns a RatFunc over F.  Consistency across every coordinate is
-    asserted, which re-proves the defining property each time it runs.
-    """
-    cyc = chi.cyc
-    F = cyc.F
-    lam_inv = CycElem(cyc, F, lambda_inverse_coords(cyc, F))
-    lhs = idempotent_project(chi, lam_inv)
-    tau = gauss_thakur(chi)
+def exact_ratio_to_tau(proj, tau):
+    """c with proj = c * tau, or None when proj = 0; raises when proj is
+    not proportional to tau."""
     ratio = None
-    for a, t in zip(lhs.coords, tau.coords):
+    for a, t in zip(proj.coords, tau.coords):
         if t.is_zero():
-            assert a.is_zero(), "e_chi(1/lambda) not proportional to tau(chi)"
+            if not a.is_zero():
+                raise ArithmeticError("projection not proportional to the "
+                                      "Gauss-Thakur generator")
             continue
         r = a / t
         if ratio is None:
             ratio = r
-        else:
-            assert r == ratio, "inconsistent B_1 ratio across coordinates"
-    assert ratio is not None
+        elif r != ratio:
+            raise ArithmeticError("inconsistent ratio across coordinates")
+    if ratio is None or ratio.is_zero():
+        return None
     return ratio
+
+
+def b1(chi):
+    """B_{1,chi}: the scalar with e_chi(1 tensor 1/lambda) = B tau(chi).
+
+    Returns a RatFunc over F.  Consistency across every coordinate is
+    checked, which re-proves the defining property each time it runs.
+    """
+    cyc = chi.cyc
+    F = cyc.F
+    lam_inv = CycElem(cyc, F, lambda_inverse_coords(cyc, F))
+    ratio = exact_ratio_to_tau(idempotent_project(chi, lam_inv),
+                               gauss_thakur(chi))
+    return RatFunc.zero(F) if ratio is None else ratio
 
 
 def normal_basis_eta(cyc):
@@ -643,8 +638,7 @@ class InftyEmbedding:
 def embed_infty(x, prec, places=None):
     """Images of a CycElem at the infinite places (all coset reps by
     default).  Returns dict place-rep -> RamifiedElem."""
-    cyc = x.cyc
-    emb = InftyEmbedding(cyc, x.field, prec)
+    emb = x.cyc.infty_embedding(x.field, prec)
     reps = places if places is not None else emb.reps
     return {b: emb.embed(x, b) for b in reps}
 
@@ -654,11 +648,8 @@ def embed_padic(x, N):
     the Teichmuller section on the coefficient leg."""
     cyc = x.cyc
     ring = cyc.padic_ring(N)
-    ctx = ring.ctx
-    cache = getattr(cyc, "_teich_cache_%d" % N, None)
-    if cache is None:
-        cache = {}
-        setattr(cyc, "_teich_cache_%d" % N, cache)
-    vals = [embed_tensor_to_padic(c, ctx, cache) for c in x.coords]
+    vals = [embed_tensor_to_padic(c, ring.ctx,
+                                  lambda a: cyc.teichmuller(a, N))
+            for c in x.coords]
     prec = min(v.prec for v in vals)
     return ring.elem([v.value for v in vals], prec)

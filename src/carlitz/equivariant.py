@@ -9,7 +9,7 @@ computed through Smith normal form (F_i[T] is Euclidean).
 
 from __future__ import annotations
 
-from .polynomials import Poly, RatFunc
+from .polynomials import Poly
 
 
 class EquivariantElem:
@@ -25,9 +25,7 @@ class EquivariantElem:
         F = self.cyc.F
         q = self.cyc.q
         if self.kind == "ratfunc":
-            return RatFunc(Poly(F, [F.pow(c, q) for c in v.num.coeffs]),
-                           Poly(F, [F.pow(c, q) for c in v.den.coeffs]),
-                           reduce=False)
+            return v.coeff_frob(q)
         if self.kind == "laurent":
             return v.map_coeffs(F, lambda c: F.pow(c, q))
         raise ValueError("unknown kind %r" % self.kind)

@@ -23,8 +23,8 @@ from .cyclotomic import Character, all_characters
 from .equivariant import EquivariantElem
 from .fields import residue_field
 from .laurent import LaurentSeries
-from .padics import PadicContext, PadicElem, teichmuller_lift
-from .polynomials import Poly, RatFunc, monic_irreducibles
+from .padics import PadicContext, PadicElem
+from .polynomials import Poly, RatFunc
 
 
 class ClassSumTable:
@@ -252,7 +252,7 @@ def euler_product(cyc, chi, max_deg_f, prec):
     the inclusive series convention of l_inf."""
     F = cyc.F
     acc = LaurentSeries.const(F, 1, prec)
-    for f in monic_irreducibles(cyc.Fq, max_deg_f):
+    for f in cyc.irreducibles(max_deg_f):
         r = f.evaluate(cyc.F.theta, target=F)
         c = chi(r)
         if c == 0:
@@ -271,10 +271,6 @@ def l_padic(cyc, chi, table):
     monic a coprime to P; blocks beyond N*d vanish mod P^N."""
     ctx = table.ctx
     PN = ctx.P_pow(table.N)
-    cache = getattr(cyc, "_teich_cache_%d" % table.N, None)
-    if cache is None:
-        cache = {}
-        setattr(cyc, "_teich_cache_%d" % table.N, cache)
     acc = Poly.zero(cyc.Fq)
     for sigma in cyc.units():
         s = table.unit_class_total(sigma)
@@ -283,9 +279,7 @@ def l_padic(cyc, chi, table):
         c = chi(sigma)
         if c == 0:
             continue
-        if c not in cache:
-            cache[c] = teichmuller_lift(c, ctx)
-        acc = (acc + s * cache[c].value) % PN
+        acc = (acc + s * cyc.teichmuller(c, table.N).value) % PN
     return PadicElem(ctx, acc, table.N)
 
 

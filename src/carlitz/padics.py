@@ -178,32 +178,49 @@ def _residue_digits(c, ctx):
         c //= q
 
 
-def embed_tensor_to_padic(r, ctx, teich_cache=None):
+def embed_tensor_to_padic(r, ctx, lift=None):
     """Image in k_P of an element of F tensor k (or of k itself).
 
-    F-coefficients go through the Teichmuller section A/PA -> A_P; the
-    rational-function variable stays T.  `r` is a RatFunc whose
-    coefficients live either in F_q (ints < q, fixed by the section) or
-    in residue_field(P).  Raises ZeroDivisionError when the image is not
-    P-integral.
+    F-coefficients go through the Teichmuller section A/PA -> A_P, taken
+    from `lift` (c -> PadicElem) when given; the rational-function
+    variable stays T.  `r` is a RatFunc whose coefficients live either
+    in F_q (ints < q, fixed by the section) or in residue_field(P).
+    Raises ZeroDivisionError when the image is not P-integral.
     """
-    num = _poly_tensor_image(r.num, ctx, teich_cache)
-    den = _poly_tensor_image(r.den, ctx, teich_cache)
+    num = _poly_tensor_image(r.num, ctx, lift)
+    den = _poly_tensor_image(r.den, ctx, lift)
     return num.div(den)
 
 
-def _poly_tensor_image(p, ctx, teich_cache):
+def _poly_tensor_image(p, ctx, lift=None):
+    lift = lift or (lambda c: teichmuller_lift(c, ctx))
     acc = ctx.zero()
     t_elem = ctx.elem(Poly.x(ctx.field))
     for c in reversed(p.coeffs):
-        if teich_cache is not None:
-            if c not in teich_cache:
-                teich_cache[c] = teichmuller_lift(c, ctx)
-            lift = teich_cache[c]
-        else:
-            lift = teichmuller_lift(c, ctx)
-        acc = acc * t_elem + lift
+        acc = acc * t_elem + lift(c)
     return acc
+
+
+def lambda_power_rows(psi):
+    """Exact coordinates over A of lambda^k for k = L .. max(2L - 2,
+    q(L - 1)), lambda a root of psi (monic of degree L, coefficients in
+    A, constant term first): enough to reduce products and q-th powers
+    of reduced elements back to the basis lambda^0 .. lambda^{L-1}."""
+    L = len(psi) - 1
+    zero = Poly.zero(psi[-1].field)
+    hi = max(2 * L - 2, psi[-1].field.order * (L - 1))
+    # lambda^L = -(psi - X^L)(lambda)
+    neg_tail = [-c for c in psi[:-1]]
+    cur = list(neg_tail)
+    rows = [tuple(cur)]
+    for _ in range(L + 1, hi + 1):
+        nxt = [zero] + cur[:-1]
+        top = cur[-1]
+        if not top.is_zero():
+            nxt = [a + top * b for a, b in zip(nxt, neg_tail)]
+        cur = nxt
+        rows.append(tuple(cur))
+    return rows
 
 
 class CycPadicRing:
@@ -218,24 +235,9 @@ class CycPadicRing:
     def __init__(self, ctx, psi_coeffs):
         self.ctx = ctx
         self.L = len(psi_coeffs) - 1
-        L = self.L
-        hi = max(2 * L - 2, ctx.q * (L - 1))
-        # lambda^L = -(psi - X^L)(lambda); rows are kept EXACT so that
-        # callers may run the ring at padded precision beyond ctx.N
-        neg_tail = [-c for c in psi_coeffs[:-1]]
-        rows = []
-        cur = [Poly.zero(ctx.field)] * L
-        if L > 0:
-            cur = list(neg_tail)
-        rows.append(tuple(cur))  # lambda^L
-        for _ in range(L + 1, hi + 1):
-            nxt = [Poly.zero(ctx.field)] + cur[:-1]
-            top = cur[-1]
-            if not top.is_zero():
-                nxt = [a + top * b for a, b in zip(nxt, neg_tail)]
-            cur = nxt
-            rows.append(tuple(cur))
-        self._rows = rows  # rows[i] = coords of lambda^{L+i}
+        # rows are kept EXACT so that callers may run the ring at padded
+        # precision beyond ctx.N
+        self._rows = lambda_power_rows(psi_coeffs)  # coords of lambda^{L+i}
 
     def elem(self, coords, prec=None):
         prec = self.ctx.N if prec is None else prec

@@ -344,6 +344,15 @@ class RatFunc:
         return RatFunc(self.num.frob_power(q), self.den.frob_power(q),
                        reduce=False)
 
+    def coeff_frob(self, q):
+        """c -> c^q on the coefficients, T fixed: the Frobenius of the
+        coefficient leg of F tensor k."""
+        F = self.field
+
+        def fr(p):
+            return Poly(F, [F.pow(c, q) for c in p.coeffs])
+        return RatFunc(fr(self.num), fr(self.den), reduce=False)
+
     def __repr__(self):
         if self.is_poly():
             return "RatFunc(%s)" % format_poly(self.num)

@@ -24,14 +24,14 @@ import random
 
 from .core import (CarlitzTables, bc_exact, bc_stream_mod_P, carlitz_act,
                    exp_eval, padic_exp)
-from .cyclotomic import (Character, CycElem, InftyEmbedding, all_characters,
-                         b1, embed_padic, gauss_thakur, idempotent_project,
+from .cyclotomic import (Character, CycElem, all_characters, b1, embed_padic,
+                         exact_ratio_to_tau, gauss_thakur, idempotent_project,
                          project_vector)
 from .equivariant import EquivariantElem, lattice_index
 from .fields import residue_field
 from .laurent import LaurentSeries, RamifiedElem
-from .lvalues import ClassSumTable, PadicClassSumTable, l_inf, l_padic
-from .padics import PadicContext, _poly_tensor_image
+from .lvalues import l_inf, l_padic
+from .padics import _poly_tensor_image
 from .polynomials import Poly, RatFunc, format_poly, rat_reduce_mod_P
 
 
@@ -93,12 +93,10 @@ class SpecialPointPadic:
     truncation_blocks: int
 
 
-def special_point_inf(cyc, m, depth, emb=None, table=None):
+def special_point_inf(cyc, m, depth):
     """L_m at every infinite place, certified to the table depth."""
-    if table is None:
-        table = ClassSumTable(cyc.P, depth)
-    if emb is None:
-        emb = InftyEmbedding(cyc, cyc.Fq, depth)
+    table = cyc.class_table(depth)
+    emb = cyc.infty_embedding(cyc.Fq, depth)
     values = {}
     for bplace in emb.reps:
         acc = None
@@ -115,10 +113,9 @@ def special_point_inf(cyc, m, depth, emb=None, table=None):
     return SpecialPointInf(m, depth, values)
 
 
-def special_point_padic(cyc, m, N, table=None):
+def special_point_padic(cyc, m, N):
     """L_{m,P} mod P^N; membership in m^2 is asserted, not assumed."""
-    if table is None:
-        table = PadicClassSumTable(cyc.P, N)
+    table = cyc.padic_table(N)
     ring = cyc.padic_ring(N)
     PN = table.ctx.P_pow(N)
     coords = [Poly.zero(cyc.Fq) for _ in range(cyc.L)]
@@ -193,7 +190,11 @@ def recognize_integral(cyc, values, emb, guard=6):
 # -- verification suites ----------------------------------------------------------
 
 
-def verify_anderson(cyc, m, N, depth, guard=6, max_attempts=3):
+# recognition retries of verify_anderson, doubling the depth each time
+ANDERSON_ATTEMPTS = 3
+
+
+def verify_anderson(cyc, m, N, depth, guard=6):
     """exp_{C,P} L_{m,P} = exp_C L_m, compared through the recognized
     integral point; m = 1 goes through the phi_P-multiplied variant."""
     if m < 1:
@@ -203,13 +204,13 @@ def verify_anderson(cyc, m, N, depth, guard=6, max_attempts=3):
     q = cyc.q
     u = None
     attempt_depth = depth
-    for _ in range(max_attempts):
+    for _ in range(ANDERSON_ATTEMPTS):
         try:
-            table = ClassSumTable(cyc.P, attempt_depth)
-            emb = InftyEmbedding(cyc, cyc.Fq, attempt_depth)
-            sp = special_point_inf(cyc, m, attempt_depth, emb=emb, table=table)
+            sp = special_point_inf(cyc, m, attempt_depth)
             exps = {b: exp_eval(v, v.wprec()) for b, v in sp.values.items()}
-            u = recognize_integral(cyc, exps, emb, guard=guard)
+            u = recognize_integral(
+                cyc, exps, cyc.infty_embedding(cyc.Fq, attempt_depth),
+                guard=guard)
             break
         except ValueError as exc:
             last_error = exc
@@ -246,26 +247,6 @@ def verify_anderson(cyc, m, N, depth, guard=6, max_attempts=3):
     return report
 
 
-def _exact_ratio_to_tau(proj, tau):
-    """c with proj = c * tau, or None when proj = 0; raises when proj is
-    not proportional to tau."""
-    ratio = None
-    for a, t in zip(proj.coords, tau.coords):
-        if t.is_zero():
-            if not a.is_zero():
-                raise ArithmeticError("projection not proportional to the "
-                                      "Gauss-Thakur generator")
-            continue
-        r = a / t
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            raise ArithmeticError("inconsistent ratio across coordinates")
-    if ratio is None or ratio.is_zero():
-        return None
-    return ratio
-
-
 def lambda_power_ratio(cyc, chi, m):
     """c_{m,chi} in F[T] with e_chi(1 (x) lambda^m) = c_{m,chi} tau(chi)."""
     F = cyc.F
@@ -273,13 +254,7 @@ def lambda_power_ratio(cyc, chi, m):
     coords = coords[:m] + [Poly.one(cyc.Fq)] + coords[m + 1:]
     lam_m = CycElem.from_A_coords(cyc, F, coords)
     proj = idempotent_project(chi, lam_m)
-    return _exact_ratio_to_tau(proj, gauss_thakur(chi))
-
-
-def _poly_gcd(a, b):
-    while not b.is_zero():
-        a, b = b, divmod(a, b)[1]
-    return a.monic() if not a.is_zero() else a
+    return exact_ratio_to_tau(proj, gauss_thakur(chi))
 
 
 def _special_point_coords(cyc, m, table, field):
@@ -302,7 +277,7 @@ def _special_point_coords(cyc, m, table, field):
 
 
 def _laurent_ratio_to_tau(cyc, coords, tau, prec):
-    """Analytic counterpart of _exact_ratio_to_tau: Laurent coords
+    """Analytic counterpart of exact_ratio_to_tau: Laurent coords
     against the exact tau coords, consistency across coordinates."""
     F = cyc.F
     ratio = None
@@ -343,7 +318,7 @@ def verify_cnf(cyc, depth, min_coeffs=10):
     report = VerificationReport("cnf", {"q": cyc.q, "P": format_poly(cyc.P),
                                         "depth": depth})
     F = cyc.F
-    table = ClassSumTable(cyc.P, depth)
+    table = cyc.class_table(depth)
     index_family = {}
     for chi in all_characters(cyc):
         tau = gauss_thakur(chi)
@@ -363,7 +338,7 @@ def verify_cnf(cyc, depth, min_coeffs=10):
         if ok_poly and cs:
             g = cs[0]
             for c in cs[1:]:
-                g = _poly_gcd(g, c)
+                g = g.gcd(c)
         gcd_unit = g is not None and int(g.degree) == 0
         report.add("content-gcd chi=%d" % chi.n, ok_poly and gcd_unit,
                    gcd=g)
@@ -410,10 +385,9 @@ def verify_b1_formula(cyc, chi, depth, min_coeffs=12):
     q = cyc.q
     report = VerificationReport("b1-formula", {"q": q, "P": format_poly(cyc.P),
                                                "chi": chi.n, "depth": depth})
-    table = ClassSumTable(cyc.P, depth)
-    lhs_scalar = l_inf(cyc, chi, table)
+    lhs_scalar = l_inf(cyc, chi, cyc.class_table(depth))
     lhs = RamifiedElem.from_laurent(lhs_scalar, q)
-    emb = InftyEmbedding(cyc, F, depth)
+    emb = cyc.infty_embedding(F, depth)
     if chi.is_trivial():
         # only odd when q = 2; inclusive L-value has the closed form
         den = Poly(cyc.Fq, [0, 1]) * Poly(cyc.Fq, [1, 1])  # T^2 + T
@@ -554,8 +528,10 @@ def odd_fitting_report(cyc, N=8):
     I = (B_{1,chi^{-1}}).  Length = v_P(B_{1,chi^{-1}}) + [chi = omega].
     """
     F = cyc.F
-    ctx = PadicContext(cyc.P, N)
-    cache = {}
+    ctx = cyc.padic_ring(N).ctx
+
+    def lift(c):
+        return cyc.teichmuller(c, N)
     rows = []
     for chi in all_characters(cyc):
         if not chi.is_odd():
@@ -577,8 +553,8 @@ def odd_fitting_report(cyc, N=8):
             case = "generic"
         # B_1 may have a pole at P (the chi = omega case), so take the
         # valuation as v_P(num) - v_P(den) rather than dividing
-        vn = _poly_tensor_image(bval.num, ctx, cache).valuation()
-        vd = _poly_tensor_image(bval.den, ctx, cache).valuation()
+        vn = _poly_tensor_image(bval.num, ctx, lift).valuation()
+        vd = _poly_tensor_image(bval.den, ctx, lift).valuation()
         if vn is None or vd is None:
             raise ValueError("v_P(B_1) undetermined for chi=omega^%d: raise N"
                              % chi.n)
@@ -588,12 +564,11 @@ def odd_fitting_report(cyc, N=8):
     return rows
 
 
-def padic_ledger(cyc, N, table=None):
+def padic_ledger(cyc, N):
     """v_P(L_P(1,chi)) for even chi.  Each value is the sum of the two
     P-adic lengths in the even-part class number formula; the summands
     are not separated by this computation."""
-    if table is None:
-        table = PadicClassSumTable(cyc.P, N)
+    table = cyc.padic_table(N)
     rows = []
     for chi in all_characters(cyc):
         if chi.is_odd():

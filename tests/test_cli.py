@@ -5,6 +5,8 @@ import json
 import pytest
 
 from carlitz.cli import build_parser, main, make_config
+from carlitz.cyclotomic import CycField, InftyEmbedding
+from carlitz.lvalues import ClassSumTable
 
 
 def _run(capsys, *argv):
@@ -66,21 +68,41 @@ def test_verify_selected_suites_exit_zero(capsys):
                for r in doc["suite_results"] for c in r["checks"])
 
 
-def test_verify_unknown_suite_rejected():
-    with pytest.raises(SystemExit):
+def test_verify_unknown_suite_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "--q", "2", "--P", "T^2+T+1", "--suites", "bogus"])
+    assert exc.value.code == 2
+    assert "bogus" in capsys.readouterr().err
 
 
-def test_verify_threads_match_serial(capsys):
-    code1, out1 = _run(capsys, "verify", "--q", "3", "--P", "T+1",
-                       "--suites", "cong,charpoly", "--format", "json",
-                       "--threads", "4")
-    code2, out2 = _run(capsys, "verify", "--q", "3", "--P", "T+1",
-                       "--suites", "cong,charpoly", "--format", "json",
-                       "--threads", "1")
-    d1, d2 = json.loads(out1), json.loads(out2)
-    assert code1 == code2 == 0
-    assert d1["suite_results"] == d2["suite_results"]
+@pytest.mark.parametrize("q, P, why", [
+    ("6", "T+1", "p must be prime"),
+    ("3", "T^2+2", "P must be irreducible"),
+    ("3", "2*T^2+1", "P must be monic"),
+    ("3", "T^^2", "cannot parse"),
+])
+def test_bad_field_input_exits_2(capsys, q, P, why):
+    with pytest.raises(SystemExit) as exc:
+        main(["bc-scan", "--q", q, "--P", P])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert why in err and err.count("\n") == 1
+
+
+def test_verify_builds_each_table_once(capsys, monkeypatch):
+    # depth 10: cnf and b1 share the depth-10 class sums, euler uses its
+    # own window of 8
+    built = {ClassSumTable: 0, InftyEmbedding: 0}
+    for cls in built:
+        def counting(self, *a, _cls=cls, _init=cls.__init__, **k):
+            built[_cls] += 1
+            _init(self, *a, **k)
+        monkeypatch.setattr(cls, "__init__", counting)
+    monkeypatch.setattr(CycField, "_instances", {})
+    _run(capsys, "verify", "--q", "3", "--P", "T^2+1", "--depth", "10",
+         "--suites", "cnf,b1,euler", "--format", "json")
+    assert built[ClassSumTable] == 2
+    assert built[InftyEmbedding] <= 1
 
 
 def test_fitting_report(capsys):
@@ -130,5 +152,6 @@ def test_flag_overrides_config_file(tmp_path):
 
 def test_missing_required_flags():
     args = build_parser().parse_args(["bc-scan"])
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         make_config(args)
+    assert exc.value.code == 2

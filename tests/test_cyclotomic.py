@@ -5,6 +5,7 @@ from carlitz.cyclotomic import (Character, CycElem, CycField, all_characters,
                                 idempotent_project, lambda_inverse_coords,
                                 normal_basis_eta, sigma_act, InftyEmbedding)
 from carlitz.fields import make_field
+from carlitz.lvalues import PadicClassSumTable, l_padic
 from carlitz.polynomials import Poly, RatFunc, parse_poly
 
 F2 = make_field(2)
@@ -255,3 +256,15 @@ def test_embed_padic_lambda_valuation():
     assert img.vm() == 1
     imgP = embed_padic(CycElem.one(cyc, cyc.F).mul_scalar_poly(cyc.P), 4)
     assert imgP.vm() == cyc.L
+
+
+def test_context_owns_one_class_table_per_depth():
+    assert cyc_of("T^2+1", F3).class_table(6) is \
+        cyc_of("T^2+1", F3).class_table(6)
+
+
+def test_teichmuller_lifts_hang_off_no_attribute():
+    cyc = cyc_of("T+1", F3)
+    l_padic(cyc, Character(cyc, 0), PadicClassSumTable(cyc.P, 4))
+    embed_padic(lam(cyc, cyc.F).scale_coeff(cyc.F.theta), 4)
+    assert not [a for a in vars(cyc) if a.startswith("_teich_cache")]

@@ -79,10 +79,9 @@ def test_embed_tensor_residue_coeffs_multiplicative():
     theta = F.theta
     a = RatFunc(Poly(F, [theta, 1]), Poly.one(F))          # T + theta
     b = RatFunc(Poly(F, [F.mul(theta, theta), 2]), Poly.one(F))
-    cache = {}
-    ia = embed_tensor_to_padic(a, ctx, cache)
-    ib = embed_tensor_to_padic(b, ctx, cache)
-    iab = embed_tensor_to_padic(a * b, ctx, cache)
+    ia = embed_tensor_to_padic(a, ctx)
+    ib = embed_tensor_to_padic(b, ctx)
+    iab = embed_tensor_to_padic(a * b, ctx)
     assert (ia * ib).agrees_with(iab)
 
 

@@ -90,9 +90,8 @@ def test_exp_of_special_point_is_integral():
     # full pipeline: class sums -> L_2 -> exp -> exact O_K element
     cyc = _cyc("T^2+T+1", F2)
     depth = 20
-    table = ClassSumTable(cyc.P, depth)
-    emb = InftyEmbedding(cyc, F2, depth)
-    sp = special_point_inf(cyc, 2, depth, emb=emb, table=table)
+    emb = cyc.infty_embedding(F2, depth)
+    sp = special_point_inf(cyc, 2, depth)
     exps = {b: exp_eval(v, v.wprec()) for b, v in sp.values.items()}
     u = recognize_integral(cyc, exps, emb)
     assert all(c.is_poly() for c in u.coords)
