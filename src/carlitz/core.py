@@ -176,7 +176,8 @@ def _base_field_of(z):
     # or a residue field extending it
     if z.field.order == z.q:
         return z.field
-    assert z.field.base is not None and z.field.base.order == z.q
+    if z.field.base is None or z.field.base.order != z.q:
+        raise ValueError("coefficient field does not extend F_%d" % z.q)
     return z.field.base
 
 

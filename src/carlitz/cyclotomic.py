@@ -532,11 +532,13 @@ def normal_basis_eta(cyc):
         acc = acc + gauss_thakur(Character(cyc, n))
     coords_A = []
     for c in acc.coords:
-        assert c.is_poly(), "eta coordinate not integral"
+        if not c.is_poly():
+            raise ArithmeticError("eta coordinate not integral")
         # coefficients must lie in F_q inside F
         cs = []
         for coef in c.num.coeffs:
-            assert coef < cyc.q, "eta coordinate does not descend to A"
+            if coef >= cyc.q:
+                raise ArithmeticError("eta coordinate does not descend to A")
             cs.append(coef)
         coords_A.append(Poly(cyc.Fq, cs))
     rows = []
@@ -544,8 +546,8 @@ def normal_basis_eta(cyc):
         img = sigma_act(cyc, b, CycElem.from_A_coords(cyc, cyc.Fq, coords_A))
         rows.append([c for c in img.coords])
     det = _det_ratfunc(rows, cyc.Fq)
-    assert det.is_poly() and det.num.degree == 0 and not det.is_zero(), \
-        "eta is not a normal integral basis"
+    if not (det.is_poly() and det.num.degree == 0):
+        raise ArithmeticError("eta is not a normal integral basis")
     return coords_A, det
 
 

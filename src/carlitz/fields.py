@@ -208,7 +208,8 @@ class FiniteField:
             if all(self._pow_slow(cand, (n - 1) // f) != 1 for f in fac):
                 g = cand
                 break
-        assert g is not None, "no generator found"
+        if g is None:
+            raise ArithmeticError("no generator of GF(%d)^*" % n)
         exp = [0] * (n - 1)
         log = [None] * n
         x = 1
@@ -274,43 +275,6 @@ class FiniteField:
 # ---------------------------------------------------------------------------
 
 
-def _poly_irreducible_over_prime(p, coeffs):
-    """Irreducibility over GF(p) by trial division, degree <= deg/2 divisors."""
-    deg = len(coeffs) - 1
-    if deg == 1:
-        return True
-
-    def pdiv(num, den):
-        # remainder of num by monic den over GF(p)
-        num = list(num)
-        dd = len(den) - 1
-        for k in range(len(num) - 1, dd - 1, -1):
-            c = num[k]
-            if c:
-                num[k] = 0
-                for j in range(dd):
-                    num[k - dd + j] = (num[k - dd + j] - c * den[j]) % p
-        while num and num[-1] == 0:
-            num.pop()
-        return num
-
-    # all monic polys of degree up to deg // 2, filtered to irreducibles
-    irreds = []
-    for d in range(1, deg // 2 + 1):
-        for code in range(p ** d):
-            cand, x = [], code
-            for _ in range(d):
-                cand.append(x % p)
-                x //= p
-            cand.append(1)
-            if any(not pdiv(cand, f) for f in irreds if len(f) - 1 <= d // 2):
-                continue
-            if not pdiv(coeffs, cand):
-                return False
-            irreds.append(cand)
-    return True
-
-
 @functools.cache
 def make_field(p, e=1):
     """GF(p^e) with the lexicographically least monic irreducible modulus.
@@ -320,15 +284,11 @@ def make_field(p, e=1):
     """
     if e == 1:
         return FiniteField(p)
+    from .polynomials import monic_polys
     prime = make_field(p)
-    for code in range(p ** e):
-        cand, x = [], code
-        for _ in range(e):
-            cand.append(x % p)
-            x //= p
-        cand.append(1)
-        if _poly_irreducible_over_prime(p, cand):
-            return FiniteField.extension(prime, tuple(cand))
+    for cand in monic_polys(prime, e):
+        if cand.is_irreducible():
+            return FiniteField.extension(prime, cand.coeffs)
     raise AssertionError("unreachable: no irreducible of degree %d" % e)
 
 

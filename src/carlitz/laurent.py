@@ -287,7 +287,8 @@ class RamifiedElem:
     __slots__ = ("q", "field", "comps")
 
     def __init__(self, q, field, comps):
-        assert len(comps) == q - 1
+        if len(comps) != q - 1:
+            raise ValueError("RamifiedElem needs q - 1 components")
         self.q = q
         self.field = field
         self.comps = tuple(comps)

@@ -13,6 +13,10 @@ depth B.  The same count without the class condition gives valuation
 2n for full blocks.  P-adically, blocks of degree n > N*d vanish mod
 P^N; the library validates that lemma empirically on the next d blocks
 when asked.
+
+The Euler product is taken as prod f / prod (f - chi(f)): both products
+are exact polynomials kept in a relative window of the target depth, so
+one Laurent inverse per character certifies the whole window.
 """
 
 from __future__ import annotations
@@ -245,25 +249,30 @@ def l_inf_equivariant(cyc, table):
 
 def euler_product(cyc, chi, max_deg_f, prec):
     """prod over monic irreducible f of deg <= max_deg_f of
-    (1 - chi(f)/f)^{-1} over F tensor k_inf.
+    (1 - chi(f)/f)^{-1} over F tensor k_inf, certified to T^{-prec}.
 
     chi(f) is chi at the residue of f; for the trivial character the
     power convention chi(0) = 1 keeps the factor at P itself, matching
-    the inclusive series convention of l_inf."""
+    the inclusive series convention of l_inf.
+
+    Each factor is f / (f - c), c = chi(f): the product is prod f over
+    prod (f - c), one inverse per character.  f and f - c are exact and
+    monic, entered with val -deg f and prec prec - deg f; products keep
+    that relative window of prec, so the monic quotient has val 0 and a
+    certified prec.
+    """
     F = cyc.F
-    acc = LaurentSeries.const(F, 1, prec)
+    num = den = LaurentSeries.const(F, 1, prec)
     for f in cyc.irreducibles(max_deg_f):
-        r = f.evaluate(cyc.F.theta, target=F)
-        c = chi(r)
+        c = chi(f.evaluate(F.theta, target=F))
         if c == 0:
             continue
-        finv = LaurentSeries.from_ratfunc(
-            RatFunc(Poly.one(cyc.Fq), f), prec + int(f.degree) + 1,
-            field=F, embed=lambda x: x)
-        factor = (LaurentSeries.const(F, 1, prec + 1)
-                  - finv.scale(c)).inv().truncate(prec)
-        acc = acc * factor
-    return acc.truncate(prec)
+        deg = int(f.degree)
+        cs = list(reversed(f.coeffs))
+        num = num * LaurentSeries(F, -deg, cs, prec - deg)
+        cs[deg] = F.sub(cs[deg], c)
+        den = den * LaurentSeries(F, -deg, cs, prec - deg)
+    return (num * den.inv()).truncate(prec)
 
 
 def l_padic(cyc, chi, table):
@@ -429,7 +438,8 @@ def _restrict(op, img, F):
             coeffs[t] = c
             if c:
                 w = [F.sub(a, F.mul(c, b)) for a, b in zip(w, bv)]
-        assert all(x == 0 for x in w), "operator does not preserve e_chi image"
+        if any(w):
+            raise ArithmeticError("operator does not preserve e_chi image")
         for t in range(n):
             out[t][jcol] = coeffs[t]
     return out

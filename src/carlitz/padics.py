@@ -108,7 +108,8 @@ class PadicElem:
             raise ZeroDivisionError("inverse has negative valuation")
         m = self.ctx.P_pow(self.prec)
         g, s, _ = unit.xgcd(m)
-        assert g.is_one(), "non-unit inverse"
+        if not g.is_one():
+            raise ArithmeticError("non-unit inverse")
         return self.ctx.elem(s, self.prec)
 
     def div(self, other):
@@ -124,7 +125,8 @@ class PadicElem:
         prec = min(self.prec, other.prec) - v
         m = self.ctx.P_pow(prec)
         g, s, _ = unit.xgcd(m)
-        assert g.is_one()
+        if not g.is_one():
+            raise ArithmeticError("non-unit divisor")
         return self.ctx.elem(num * s, prec)
 
     def frob_power(self, q):
@@ -349,7 +351,8 @@ class PadicCycElem:
             raise ZeroDivisionError("precision exhausted by division")
         m = self.ctx.P_pow(prec)
         g, s, _ = unit.xgcd(m)
-        assert g.is_one()
+        if not g.is_one():
+            raise ArithmeticError("non-unit divisor")
         out = []
         for c in self.coords:
             if v:

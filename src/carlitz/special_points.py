@@ -114,7 +114,7 @@ def special_point_inf(cyc, m, depth):
 
 
 def special_point_padic(cyc, m, N):
-    """L_{m,P} mod P^N; membership in m^2 is asserted, not assumed."""
+    """L_{m,P} mod P^N; membership in m^2 is checked, not assumed."""
     table = cyc.padic_table(N)
     ring = cyc.padic_ring(N)
     PN = table.ctx.P_pow(N)
@@ -128,8 +128,9 @@ def special_point_padic(cyc, m, N):
                 coords[i] = (coords[i] + p * s) % PN
     value = ring.elem(coords, N)
     vm = value.vm()
-    assert vm is None or vm >= 2, \
-        "L_{%d,P} escapes m^2 (v_m = %r): class table is wrong" % (m, vm)
+    if vm is not None and vm < 2:
+        raise ArithmeticError(
+            "L_{%d,P} escapes m^2 (v_m = %r): class table is wrong" % (m, vm))
     return SpecialPointPadic(m, N, value, table.n_max)
 
 

@@ -15,6 +15,22 @@ def test_make_field_prime():
     assert F.inv(2) == 3
 
 
+# lexicographically least moduli, pinned from the trial-division search
+# that make_field used before it called Poly.is_irreducible
+MODULI = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1), (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1),
+}
+
+
+@pytest.mark.parametrize("p,e", sorted(MODULI))
+def test_make_field_moduli_unchanged(p, e):
+    assert make_field(p, e).modulus == MODULI[(p, e)]
+
+
 def test_make_field_f9_lex_least_modulus():
     # oracle: enumerate monic quadratics over F_3 in code order, first
     # irreducible is x^2 + 1 (x^2 and x^2 + x + variants with roots come first)

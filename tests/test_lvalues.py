@@ -1,10 +1,14 @@
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from carlitz.cyclotomic import Character, CycField, all_characters
 from carlitz.fields import make_field, residue_field
 from carlitz.laurent import LaurentSeries
 from carlitz.lvalues import (ClassSumTable, PadicClassSumTable,
                              euler_factor_charpoly, euler_product, l_inf,
                              l_inf_equivariant, l_padic)
-from carlitz.polynomials import Poly, monic_irreducibles, monic_polys, parse_poly
+from carlitz.polynomials import (Poly, RatFunc, monic_irreducibles, monic_polys,
+                                 parse_poly)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -104,6 +108,50 @@ def test_euler_product_matches_l_inf():
             direct = l_inf(cyc, chi, table)
             euler = euler_product(cyc, chi, B, B + 1)
             assert euler.agrees_with(direct, upto=B + 1), (Pstr, chi.n)
+
+
+def _euler_product_per_factor(cyc, chi, max_deg_f, prec):
+    """Slow oracle: invert every factor 1 - chi(f)/f on its own, over
+    primes found by trial division."""
+    F = cyc.F
+    acc = LaurentSeries.const(F, 1, prec)
+    for d in range(1, max_deg_f + 1):
+        for f in monic_polys(cyc.Fq, d):
+            c = chi(f.evaluate(F.theta, target=F))
+            if c == 0 or not f.is_irreducible():
+                continue
+            finv = LaurentSeries.from_ratfunc(
+                RatFunc(Poly.one(cyc.Fq), f), prec + int(f.degree) + 1,
+                field=F, embed=lambda x: x)
+            factor = (LaurentSeries.const(F, 1, prec + 1)
+                      - finv.scale(c)).inv().truncate(prec)
+            acc = acc * factor
+    return acc.truncate(prec)
+
+
+@pytest.mark.parametrize("q,Pstr,B", [(2, "T^2+T+1", 8), (3, "T^2+1", 5),
+                                      (5, "T+2", 4)])
+def test_euler_product_matches_per_factor_oracle(q, Pstr, B):
+    cyc = CycField(parse_poly(Pstr, make_field(q)))
+    for chi in all_characters(cyc):
+        for prec in (B + 1, 3):
+            got = euler_product(cyc, chi, B, prec)
+            want = _euler_product_per_factor(cyc, chi, B, prec)
+            assert (got.val, got.coeffs, got.prec) == \
+                (want.val, want.coeffs, want.prec), (q, Pstr, chi.n, prec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([(2, "T+1"), (2, "T^2+T+1"), (3, "T+1"),
+                        (3, "T^2+1"), (5, "T+2")]),
+       st.integers(0, 7), st.integers(1, 4), st.integers(2, 8))
+def test_euler_product_precision_sound(qP, n, max_deg_f, p):
+    # the window claimed at precision p is exactly the 2p value, cut to p
+    cyc = CycField(parse_poly(qP[1], make_field(qP[0])))
+    chi = Character(cyc, n)  # n is reduced mod L
+    low = euler_product(cyc, chi, max_deg_f, p)
+    assert low.prec == p
+    assert low == euler_product(cyc, chi, max_deg_f, 2 * p).truncate(p)
 
 
 def test_euler_factor_charpoly_identity():

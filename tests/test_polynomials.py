@@ -101,6 +101,39 @@ def test_monic_irreducibles_count():
     assert [len(by_deg[d]) for d in (1, 2, 3, 4)] == [2, 1, 2, 3]
 
 
+@pytest.mark.parametrize("q,max_deg", [(2, 10), (3, 6), (5, 4)])
+def test_monic_irreducibles_sieve_matches_trial_division(q, max_deg):
+    # slow oracle: filter every monic by Poly.is_irreducible
+    Fq = make_field(q)
+    want = [f for d in range(1, max_deg + 1) for f in monic_polys(Fq, d)
+            if f.is_irreducible()]
+    assert list(monic_irreducibles(Fq, max_deg)) == want
+
+
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 10), (3, 6), (5, 4)])
+def test_monic_irreducibles_necklace_counts(q, max_deg):
+    # (1/n) sum_{e | n} mu(e) q^{n/e} monic irreducibles of degree n
+    counts = [0] * (max_deg + 1)
+    for f in monic_irreducibles(make_field(q), max_deg):
+        counts[int(f.degree)] += 1
+    for n in range(1, max_deg + 1):
+        total = sum(_mobius(e) * q ** (n // e)
+                    for e in range(1, n + 1) if n % e == 0)
+        assert counts[n] * n == total, (q, n)
+
+
 def test_is_irreducible_degree9():
     p = parse_poly("T^9+2*T^6+2*T^4+2*T^3+2*T^2+1", F3)
     assert p.is_irreducible()
