@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import residue_field
-from .laurent import LaurentSeries, RamifiedElem
+from .laurent import LaurentSeries
 from .padics import PadicCycElem
-from .polynomials import MINUS_INF, Poly, RatFunc
+from .polynomials import Poly, RatFunc
 
 
 class CarlitzTables:
@@ -371,16 +371,7 @@ def bc_stream_mod_P(P, n_max):
     d = int(P.degree)
     if n_max > q ** d - 2:
         raise ValueError("streaming recurrence needs n_max <= q^d - 2")
-    # D_i mod P = prod_{j<i} (theta^{q^i} - theta^{q^j})
-    theta_pows = [F.theta]
-    for _ in range(d):
-        theta_pows.append(F.pow(theta_pows[-1], q))
-    dinv = [1]
-    for i in range(1, d):
-        val = 1
-        for j in range(i):
-            val = F.mul(val, F.sub(theta_pows[i], theta_pows[j]))
-        dinv.append(F.inv(val))
+    dinv = d_inverses_mod_P(P)
     out = [1]  # BC'_0
     qpow = [q ** i for i in range(d)]
     for N in range(2, n_max + 2):
@@ -395,6 +386,19 @@ def bc_stream_mod_P(P, n_max):
     return out
 
 
-def bc_is_zero_index(n, q):
-    """(q-1) | n fails exactly when BC_n = 0 (n > 0)."""
-    return n > 0 and n % (q - 1) != 0
+def d_inverses_mod_P(P):
+    """1/D_i in A/PA for i < d = deg P, where D_i is a P-unit:
+    D_i mod P = prod_{j<i} (theta^{q^i} - theta^{q^j})."""
+    F = residue_field(P)
+    q = P.field.order
+    d = int(P.degree)
+    theta_pows = [F.theta]
+    for _ in range(d):
+        theta_pows.append(F.pow(theta_pows[-1], q))
+    dinv = [1]
+    for i in range(1, d):
+        val = 1
+        for j in range(i):
+            val = F.mul(val, F.sub(theta_pows[i], theta_pows[j]))
+        dinv.append(F.inv(val))
+    return dinv

@@ -14,12 +14,24 @@ all the bookkeeping.
 
 from __future__ import annotations
 
-from .core import _embed_poly, carlitz_act, carlitz_poly, exp_eval
+from .core import _embed_poly, carlitz_poly, exp_eval
 from .fields import residue_field
 from .laurent import LaurentSeries, RamifiedElem, pi_bar
 from .padics import (PadicContext, CycPadicRing, embed_tensor_to_padic,
-                     lambda_power_rows, teichmuller_lift)
+                     fold_powers, frob_coords, lambda_power_rows, mul_coords,
+                     teichmuller_lift)
 from .polynomials import Poly, RatFunc, monic_irreducibles
+
+
+def torsion_poly(P):
+    """psi_P(X) = phi_P(X)/X as its A-coefficients, constant term first:
+    monic of degree q^d - 1, Eisenstein at P."""
+    Fq = P.field
+    phi = carlitz_poly(P)
+    psi = [Poly.zero(Fq)] * Fq.order ** int(P.degree)
+    for i, c in enumerate(phi.coeffs):
+        psi[Fq.order ** i - 1] = c
+    return psi
 
 
 class CycField:
@@ -49,23 +61,19 @@ class CycField:
         self.L = q ** d - 1
         self.F = residue_field(P)
 
-        phi = carlitz_poly(P)
-        self.phi_coeffs = list(phi.coeffs)
-        # psi_P(X) = phi_P(X)/X: monic degree L, Eisenstein at P
-        psi = [Poly.zero(Fq)] * (self.L + 1)
-        for i, c in enumerate(phi.coeffs):
-            psi[q ** i - 1] = c
-        self.psi = psi
+        self.phi_coeffs = list(carlitz_poly(P).coeffs)
+        psi = torsion_poly(P)
         if psi[0] != P or not psi[-1].is_one():
             raise ValueError("psi_P must be monic with constant term P")
-        if any(not (phi.coeffs[i] % P).is_zero() for i in range(1, d)):
+        if any(not (self.phi_coeffs[i] % P).is_zero() for i in range(1, d)):
             raise ValueError("psi_P not Eisenstein at P")
 
-        # reduction rows: coords of lambda^k for k = L .. hi, over A
+        # reduction rows: coords of lambda^k for k = L .. hi, over A; the
+        # only copy, shared by every coefficient ring (padic_ring included)
         self.rows = lambda_power_rows(psi)
         self._cache = {}
 
-    def _memo(self, key, build):
+    def memo(self, key, build):
         """The value stored under `key`, calling build() on first use."""
         if key not in self._cache:
             self._cache[key] = build()
@@ -76,59 +84,39 @@ class CycField:
     def class_table(self, depth):
         """Infinity-adic class sums certified to `depth`."""
         from .lvalues import ClassSumTable  # lvalues builds on this module
-        return self._memo(("class_table", depth),
+        return self.memo(("class_table", depth),
                           lambda: ClassSumTable(self.P, depth))
 
     def padic_table(self, N):
         """P-adic class sums mod P^N."""
         from .lvalues import PadicClassSumTable
-        return self._memo(("padic_table", N),
+        return self.memo(("padic_table", N),
                           lambda: PadicClassSumTable(self.P, N))
 
     def infty_embedding(self, field, prec):
         """Embedding of `field` tensor K at the places above infinity."""
-        return self._memo(("infty_embedding", field, prec),
+        return self.memo(("infty_embedding", field, prec),
                           lambda: InftyEmbedding(self, field, prec))
 
     def padic_ring(self, N):
         """A_P[lambda] mod P^N."""
-        return self._memo(("padic_ring", N), lambda: CycPadicRing(
-            PadicContext(self.P, N), self.psi))
+        return self.memo(("padic_ring", N), lambda: CycPadicRing(
+            PadicContext(self.P, N), self.rows))
 
     def teichmuller(self, c, N):
         """Teichmuller lift to A_P mod P^N of c in F = A/PA."""
-        return self._memo(("teichmuller", c, N),
+        return self.memo(("teichmuller", c, N),
                           lambda: teichmuller_lift(c, self.padic_ring(N).ctx))
 
     def irreducibles(self, max_deg):
         """Monic irreducibles of F_q[T] of degree 1..max_deg, ascending."""
-        return self._memo(("irreducibles", max_deg),
+        return self.memo(("irreducibles", max_deg),
                           lambda: tuple(monic_irreducibles(self.Fq, max_deg)))
 
     # -- exact coordinate arithmetic over A ----------------------------------
 
-    def reduce_coords_A(self, conv):
-        """Reduce a power-basis convolution (length <= hi+1) to L coords."""
-        L = self.L
-        out = list(conv[:L]) + [Poly.zero(self.Fq)] * max(L - len(conv), 0)
-        for k in range(L, len(conv)):
-            c = conv[k]
-            if not c.is_zero():
-                for j, r in enumerate(self.rows[k - L]):
-                    if not r.is_zero():
-                        out[j] = out[j] + c * r
-        return out
-
     def mul_coords_A(self, u, v):
-        L = self.L
-        conv = [Poly.zero(self.Fq)] * (2 * L - 1)
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if not b.is_zero():
-                    conv[i + j] = conv[i + j] + a * b
-        return self.reduce_coords_A(conv)
+        return mul_coords(self.rows, u, v, Poly.zero(self.Fq))
 
     def unit_rep_poly(self, b):
         """Canonical polynomial representative (degree < d) of b in Delta."""
@@ -140,12 +128,15 @@ class CycField:
         return Poly(self.Fq, digs)
 
     def sigma_lambda(self, b):
-        """Coords over A of sigma_b(lambda) = phi_b(lambda)."""
+        """Coords over A of sigma_b(lambda) = phi_b(lambda): with phi_b =
+        sum c_i tau^i that is sum c_i lambda^{q^i}, and deg b < d keeps
+        q^i <= L, inside the reduction rows (lambda^L folds when L = 1)."""
         def build():
-            lam = self.reduce_coords_A([Poly.zero(self.Fq), Poly.one(self.Fq)])
-            return tuple(carlitz_act(self.unit_rep_poly(b),
-                                     _AElem(self, lam)).coords)
-        return self._memo(("sigma_lambda", b), build)
+            phi = carlitz_poly(self.unit_rep_poly(b))
+            return tuple(fold_powers(
+                self.rows, [(self.q ** i, c) for i, c in enumerate(phi.coeffs)],
+                Poly.zero(self.Fq)))
+        return self.memo(("sigma_lambda", b), build)
 
     def sigma_powers(self, b):
         """Coords over A of (sigma_b lambda)^i for i = 0..L-1."""
@@ -155,13 +146,13 @@ class CycField:
             for _ in range(self.L - 1):
                 pows.append(tuple(self.mul_coords_A(pows[-1], slam)))
             return pows
-        return self._memo(("sigma_powers", b), build)
+        return self.memo(("sigma_powers", b), build)
 
     def sigma_power(self, b, m):
         """Coords over A of (sigma_b lambda)^m, any m >= 0."""
         if m < self.L:
             return self.sigma_powers(b)[m]
-        return self._memo(("sigma_power", b, m), lambda: tuple(
+        return self.memo(("sigma_power", b, m), lambda: tuple(
             self.mul_coords_A(self.sigma_power(b, m - 1), self.sigma_lambda(b))))
 
     def units(self):
@@ -178,31 +169,6 @@ class CycField:
             for c in range(1, self.q):
                 seen.add(self.F.mul(c, b))
         return reps
-
-
-class _AElem:
-    """Internal: O_K element with A-coordinates, just enough protocol for
-    carlitz_act."""
-
-    __slots__ = ("cyc", "coords")
-
-    def __init__(self, cyc, coords):
-        self.cyc = cyc
-        self.coords = list(coords)
-
-    def __add__(self, other):
-        return _AElem(self.cyc, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def mul_scalar_poly(self, p):
-        return _AElem(self.cyc, [c * p for c in self.coords])
-
-    def frobq(self):
-        q = self.cyc.q
-        conv = [Poly.zero(self.cyc.Fq)] * (q * (self.cyc.L - 1) + 1)
-        for i, c in enumerate(self.coords):
-            if not c.is_zero():
-                conv[q * i] = c.frob_power(q)
-        return _AElem(self.cyc, self.cyc.reduce_coords_A(conv))
 
 
 # -- elements of F tensor K ----------------------------------------------------
@@ -259,16 +225,10 @@ class CycElem:
         return self + (-other)
 
     def __mul__(self, other):
-        cyc, F = self.cyc, self.field
-        L = cyc.L
-        conv = [RatFunc.zero(F)] * (2 * L - 1)
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coords):
-                if not b.is_zero():
-                    conv[i + j] = conv[i + j] + a * b
-        return CycElem(cyc, F, _reduce_coords(cyc, F, conv))
+        F = self.field
+        return CycElem(self.cyc, F, mul_coords(
+            self.cyc.rows, self.coords, other.coords, RatFunc.zero(F),
+            _ratfunc_lift(F)))
 
     def scale(self, r):
         """Multiply by a scalar rational function (the F tensor k leg)."""
@@ -284,13 +244,10 @@ class CycElem:
         return self.scale(r)
 
     def frobq(self):
-        cyc, F = self.cyc, self.field
-        q = cyc.q
-        conv = [RatFunc.zero(F)] * (q * (cyc.L - 1) + 1)
-        for i, c in enumerate(self.coords):
-            if not c.is_zero():
-                conv[q * i] = c.frob_power(q)
-        return CycElem(cyc, F, _reduce_coords(cyc, F, conv))
+        F = self.field
+        return CycElem(self.cyc, F, frob_coords(
+            self.cyc.rows, self.coords, self.cyc.q, RatFunc.zero(F),
+            _ratfunc_lift(F)))
 
     def coeff_frob(self):
         """Frobenius on the coefficient leg only: c tensor x -> c^q tensor x.
@@ -303,31 +260,44 @@ class CycElem:
         return "CycElem(%r)" % (list(self.coords),)
 
 
-def _reduce_coords(cyc, field, conv):
-    L = cyc.L
-    out = list(conv[:L]) + [RatFunc.zero(field)] * max(L - len(conv), 0)
-    for k in range(L, len(conv)):
-        c = conv[k]
-        if c.is_zero():
+def _ratfunc_lift(F):
+    """A -> F(T): a row or sigma-power entry as a coordinate over F(T)."""
+    return lambda p: RatFunc.from_poly(_embed_poly(p, F))
+
+
+def _sigma_coords(cyc, b, coords, mul_poly):
+    """sigma_b on lambda-coordinates: coordinate i moves along the
+    A-coordinates of (sigma_b lambda)^i, mul_poly(v, p) multiplying a
+    value by an element of A.  None stands for zero, in and out, so a
+    series that is only zero to precision is never skipped."""
+    moved = [None] * cyc.L
+    for i, v in enumerate(coords):
+        if v is None:
             continue
-        for j, r in enumerate(cyc.rows[k - L]):
-            if not r.is_zero():
-                out[j] = out[j] + c * RatFunc.from_poly(_embed_poly(r, field))
-    return out
+        for j, m in enumerate(cyc.sigma_powers(b)[i]):
+            if not m.is_zero():
+                term = mul_poly(v, m)
+                moved[j] = term if moved[j] is None else moved[j] + term
+    return moved
+
+
+def _sparse(x):
+    """A CycElem's coordinates with None for zero, and the F(T) product
+    by an element of A: the arguments of _sigma_coords and project_vector."""
+    lift = _ratfunc_lift(x.field)
+    return ([None if c.is_zero() else c for c in x.coords],
+            lambda v, m: v * lift(m))
+
+
+def _dense(x, coords):
+    F = x.field
+    return CycElem(x.cyc, F, [RatFunc.zero(F) if v is None else v
+                              for v in coords])
 
 
 def sigma_act(cyc, b, x):
     """Galois action sigma_b on a CycElem (acts on the K leg only)."""
-    pows = cyc.sigma_powers(b)
-    F = x.field
-    out = [RatFunc.zero(F)] * cyc.L
-    for i, c in enumerate(x.coords):
-        if c.is_zero():
-            continue
-        for j, m in enumerate(pows[i]):
-            if not m.is_zero():
-                out[j] = out[j] + c * RatFunc.from_poly(_embed_poly(m, F))
-    return CycElem(cyc, F, out)
+    return _dense(x, _sigma_coords(cyc, b, *_sparse(x)))
 
 
 # -- characters -----------------------------------------------------------------
@@ -346,19 +316,12 @@ class Character:
     def inv(self):
         return Character(self.cyc, -self.n)
 
-    def pow_frob(self, j=1):
-        return Character(self.cyc, self.n * self.cyc.q ** j)
-
     def is_trivial(self):
         return self.n == 0
 
     def is_odd(self):
         """chi restricted to F_q^* is the identity embedding."""
         return self.n % (self.cyc.q - 1) == 1 % (self.cyc.q - 1)
-
-    def orbit_rep(self):
-        n, L, q = self.n, self.cyc.L, self.cyc.q
-        return min((n * q ** j) % L for j in range(self.cyc.d))
 
     def ring_hom_power(self):
         """j if chi = omega^{q^j} (the characters extending to ring maps
@@ -390,37 +353,22 @@ def idempotent_project(chi, x):
     The minus sign is |Delta| = q^d - 1 = -1 in characteristic p, making
     e_chi idempotent without a division.
     """
-    cyc = chi.cyc
-    F = x.field
-    acc = CycElem.zero(cyc, F)
-    for b in cyc.units():
-        acc = acc + sigma_act(cyc, b, x).scale_coeff(chi.inv()(b))
-    return -acc
+    return _dense(x, project_vector(chi, *_sparse(x), lambda v, c: v.scale(c)))
 
 
 def project_vector(chi, coords, mul_poly, scale):
     """e_chi on a coordinate vector with caller-supplied value ops.
 
     `coords` has length L over any module where mul_poly(v, p) multiplies
-    by an exact A-polynomial and scale(v, c) by an F-constant.  Used for
-    analytic (Laurent-coordinate) elements; CycElem has its own path.
+    by an exact A-polynomial and scale(v, c) by an F-constant; None
+    entries are zero, in and out.
     """
     cyc = chi.cyc
     out = None
     for b in cyc.units():
-        pows = cyc.sigma_powers(b)
         c = chi.inv()(b)
-        if c == 0:
-            continue
-        moved = [None] * cyc.L
-        for i, v in enumerate(coords):
-            if v is None:
-                continue
-            for j, m in enumerate(pows[i]):
-                if not m.is_zero():
-                    term = mul_poly(v, m)
-                    moved[j] = term if moved[j] is None else moved[j] + term
-        scaled = [None if v is None else scale(v, c) for v in moved]
+        scaled = [None if v is None else scale(v, c)
+                  for v in _sigma_coords(cyc, b, coords, mul_poly)]
         if out is None:
             out = scaled
         else:
@@ -455,7 +403,7 @@ def gauss_thakur(chi):
             for _ in range(s):
                 out = out * basic
         return out
-    return cyc._memo(("gauss_thakur", chi.n), build)
+    return cyc.memo(("gauss_thakur", chi.n), build)
 
 
 def _basic_gauss(cyc, i):
@@ -475,16 +423,11 @@ def lambda_inverse_coords(cyc, field):
     lambda^{-1} = -(1/P) sum_{i>=1} c_i lambda^{q^i - 2}."""
     P = RatFunc.from_poly(_embed_poly(cyc.P, field))
     out = [RatFunc.zero(field)] * cyc.L
-    conv = [RatFunc.zero(field)] * (cyc.q ** cyc.d)
+    # q^i - 2 < L: no term needs folding
     for i in range(1, cyc.d + 1):
         c = cyc.phi_coeffs[i]
         if not c.is_zero():
-            k = cyc.q ** i - 2
-            conv[k] = conv[k] + RatFunc.from_poly(_embed_poly(c, field))
-    red = _reduce_coords(cyc, field, conv)
-    for j, c in enumerate(red):
-        if not c.is_zero():
-            out[j] = -(c / P)
+            out[cyc.q ** i - 2] = -(RatFunc.from_poly(_embed_poly(c, field)) / P)
     return out
 
 

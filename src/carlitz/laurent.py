@@ -88,9 +88,6 @@ class LaurentSeries:
         i = n - self.val
         return self.coeffs[i] if i < len(self.coeffs) else 0
 
-    def coeff_window(self, lo, hi):
-        return [self.coeff(n) for n in range(lo, hi)]
-
     def leading(self):
         if not self.coeffs:
             raise ValueError("zero series has no leading coefficient")
@@ -185,9 +182,6 @@ class LaurentSeries:
                     acc = F.add(acc, F.mul(cs[j], out[k - j]))
             out[k] = F.neg(F.mul(c0inv, acc))
         return LaurentSeries(F, -self.val, out, self.prec - 2 * self.val)
-
-    def truediv(self, other):
-        return self * other.inv()
 
     def frobq(self, q):
         """q-power map; exact on coefficients since char divides q."""

@@ -21,13 +21,11 @@ one Laurent inverse per character certifies the whole window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
-from .cyclotomic import Character, all_characters
+from .cyclotomic import all_characters
 from .equivariant import EquivariantElem
 from .fields import residue_field
 from .laurent import LaurentSeries
-from .padics import PadicContext, PadicElem
+from .padics import PadicContext, PadicElem, fold_powers
 from .polynomials import Poly, RatFunc
 
 
@@ -107,13 +105,6 @@ class ClassSumTable:
         for s in self.full:
             acc = acc + s
         return (pinv * acc).truncate(self.prec)
-
-    def full_total(self):
-        Fq = self.P.field
-        acc = LaurentSeries.zero(Fq, self.prec)
-        for s in self.full:
-            acc = acc + s
-        return acc
 
 
 def _inverse_window(digs, w, Fq):
@@ -214,15 +205,6 @@ def _newton_inverse(a, sigma, ctx):
 # -- L-values ---------------------------------------------------------------------
 
 
-@dataclass
-class LValueReport:
-    chi_n: int
-    kind: str                     # "inf" | "padic" | "euler"
-    value: object
-    precision: object
-    detail: dict = dc_field(default_factory=dict)
-
-
 def l_inf(cyc, chi, table):
     """L(1, chi) as a Laurent series over F, certified to the table's
     depth.  Trivial chi uses the inclusive convention: the sum runs over
@@ -259,20 +241,36 @@ def euler_product(cyc, chi, max_deg_f, prec):
     prod (f - c), one inverse per character.  f and f - c are exact and
     monic, entered with val -deg f and prec prec - deg f; products keep
     that relative window of prec, so the monic quotient has val 0 and a
-    certified prec.
+    certified prec.  Every nontrivial chi skips exactly f = P, so prod_{f
+    != P} f is built once per window and P joins it for the trivial chi.
     """
     F = cyc.F
-    num = den = LaurentSeries.const(F, 1, prec)
+
+    def numerator():
+        num = LaurentSeries.const(F, 1, prec)
+        for f in cyc.irreducibles(max_deg_f):
+            if f != cyc.P:
+                num = num * _monic_window(F, f, 0, prec)
+        return num
+    num = cyc.memo(("euler_numerator", max_deg_f, prec), numerator)
+    den = LaurentSeries.const(F, 1, prec)
     for f in cyc.irreducibles(max_deg_f):
         c = chi(f.evaluate(F.theta, target=F))
         if c == 0:
             continue
-        deg = int(f.degree)
-        cs = list(reversed(f.coeffs))
-        num = num * LaurentSeries(F, -deg, cs, prec - deg)
-        cs[deg] = F.sub(cs[deg], c)
-        den = den * LaurentSeries(F, -deg, cs, prec - deg)
+        if f == cyc.P:
+            num = num * _monic_window(F, f, 0, prec)
+        den = den * _monic_window(F, f, c, prec)
     return (num * den.inv()).truncate(prec)
+
+
+def _monic_window(F, f, c, prec):
+    """f - c for monic f in A, c in F, as a Laurent series of val -deg f
+    carrying `prec` coefficients."""
+    deg = int(f.degree)
+    cs = list(reversed(f.coeffs))
+    cs[deg] = F.sub(cs[deg], c)
+    return LaurentSeries(F, -deg, cs, prec - deg)
 
 
 def l_padic(cyc, chi, table):
@@ -306,7 +304,9 @@ def euler_factor_charpoly(cyc, chi, f):
     m = int(f.degree)
     dim = Lc * m
 
-    lam_pows = _lambda_power_coords(cyc, q * (Lc - 1))
+    zero, one = Poly.zero(Fq), Poly.one(Fq)
+    lam_pows = [fold_powers(cyc.rows, [(k, one)], zero)
+                for k in range(q * (Lc - 1) + 1)]
     maxdeg = 0
     for row in lam_pows:
         for r in row:
@@ -389,19 +389,6 @@ def _t_power_rows(f, hi):
     return rows
 
 
-def _lambda_power_coords(cyc, hi):
-    """A-coordinates of lambda^i for i = 0..hi."""
-    out = []
-    for i in range(hi + 1):
-        if i < cyc.L:
-            row = [Poly.zero(cyc.Fq)] * cyc.L
-            row[i] = Poly.one(cyc.Fq)
-        else:
-            row = list(cyc.rows[i - cyc.L])
-        out.append(row)
-    return out
-
-
 def _column_space(mat, F):
     dim = len(mat)
     cols = [[mat[r][c] for r in range(dim)] for c in range(dim)]
@@ -446,44 +433,41 @@ def _restrict(op, img, F):
 
 
 def _charpoly(mat, F):
-    """det(Z*I - mat) as F-coefficient list, constant term first."""
+    """det(Z*I - mat) as F-coefficient list, constant term first.
+
+    A similarity brings mat to upper Hessenberg form h; the leading
+    k x k blocks of Z - h then satisfy p_{k+1} = (Z - h_kk) p_k -
+    sum_{i<k} h_ik h_{i+1,i} ... h_{k,k-1} p_i.  O(n^3) field operations.
+    """
     n = len(mat)
-    # polynomial-in-Z entries: lists of F ints
-    def padd(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return out
-
-    def pmul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = F.add(out[i + j], F.mul(x, y))
-        return out
-
-    entries = [[[F.neg(mat[i][j])] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        entries[i][i] = padd(entries[i][i], [0, 1])
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return entries[rows[0]][cols[0]]
-        acc = [0]
-        r = rows[0]
-        for t, c in enumerate(cols):
-            minor = det(rows[1:], cols[:t] + cols[t + 1:])
-            term = pmul(entries[r][c], minor)
-            if t % 2 == 1:
-                term = [F.neg(x) for x in term]
-            acc = padd(acc, term)
-        return acc
-
-    out = det(list(range(n)), list(range(n)))
-    while len(out) < n + 1:
-        out.append(0)
-    return out
+    h = [list(row) for row in mat]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        for i in range(m + 1, n):
+            u = F.div(h[i][m - 1], h[m][m - 1])
+            if u:
+                # row_i -= u row_m, then column_m += u column_i
+                h[i] = [F.sub(a, F.mul(u, b)) for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = F.add(row[m], F.mul(u, row[i]))
+    p = [[1]]
+    for k in range(n):
+        nxt = [0] + p[k]
+        for j, c in enumerate(p[k]):
+            nxt[j] = F.sub(nxt[j], F.mul(h[k][k], c))
+        sub = 1
+        for i in range(k - 1, -1, -1):
+            sub = F.mul(sub, h[i + 1][i])
+            if not sub:
+                break
+            w = F.mul(h[i][k], sub)
+            for j, c in enumerate(p[i]):
+                nxt[j] = F.sub(nxt[j], F.mul(w, c))
+        p.append(nxt)
+    return p[n]

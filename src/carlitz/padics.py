@@ -225,21 +225,63 @@ def lambda_power_rows(psi):
     return rows
 
 
+# -- lambda-power coordinates over any coefficient ring ----------------------
+#
+# Coordinates are lists of length L = len(rows[0]) over A, A_P (Polys) or
+# F(T) (RatFuncs).  `zero` is the ring's zero and `lift` maps a row entry
+# (an element of A) into the ring; None means row entries are used as is.
+
+
+def fold_powers(rows, terms, zero, lift=None):
+    """Coordinates of sum c * lambda^k over the (k, c) pairs in `terms`,
+    k < L + len(rows): lambda^k for k >= L folds back along its row."""
+    L = len(rows[0])
+    out = [zero] * L
+    for k, c in terms:
+        if c.is_zero():
+            continue
+        if k < L:
+            # placed, not added to zero: a RatFunc sum runs a gcd
+            out[k] = c if out[k] is zero else out[k] + c
+            continue
+        for j, r in enumerate(rows[k - L]):
+            if not r.is_zero():
+                out[j] = out[j] + c * (r if lift is None else lift(r))
+    return out
+
+
+def mul_coords(rows, u, v, zero, lift=None):
+    """Coordinates of the product of two reduced elements."""
+    conv = [zero] * (2 * len(u) - 1)
+    for i, a in enumerate(u):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(v):
+            if not b.is_zero():
+                conv[i + j] = conv[i + j] + a * b
+    return fold_powers(rows, enumerate(conv), zero, lift)
+
+
+def frob_coords(rows, u, q, zero, lift=None):
+    """Coordinates of the q-th power of a reduced element: in
+    characteristic p it sends c * lambda^i to c^q * lambda^{qi}."""
+    return fold_powers(rows, ((q * i, c.frob_power(q))
+                              for i, c in enumerate(u) if not c.is_zero()),
+                       zero, lift)
+
+
 class CycPadicRing:
     """O_{K,P} = A_P[lambda] with lambda-power basis coordinates.
 
-    Built from the Carlitz P-torsion minimal polynomial psi (monic of
-    degree L = q^d - 1, coefficients in A); precomputes reductions of
-    lambda^i for i up to q*(L-1) so multiplication and Frobenius stay in
-    the basis.
+    `rows` are the exact reductions of lambda^k, k >= L, from
+    lambda_power_rows; kept exact so that callers may run the ring at
+    padded precision beyond ctx.N.
     """
 
-    def __init__(self, ctx, psi_coeffs):
+    def __init__(self, ctx, rows):
         self.ctx = ctx
-        self.L = len(psi_coeffs) - 1
-        # rows are kept EXACT so that callers may run the ring at padded
-        # precision beyond ctx.N
-        self._rows = lambda_power_rows(psi_coeffs)  # coords of lambda^{L+i}
+        self.rows = rows
+        self.L = len(rows[0])
 
     def elem(self, coords, prec=None):
         prec = self.ctx.N if prec is None else prec
@@ -248,22 +290,6 @@ class CycPadicRing:
 
     def zero(self, prec=None):
         return self.elem([Poly.zero(self.ctx.field)] * self.L, prec)
-
-    def reduce_power_sum(self, pairs, prec):
-        """Sum of c * lambda^i for (i, c) pairs, any i < len table + L."""
-        L = self.L
-        out = [Poly.zero(self.ctx.field)] * L
-        for i, c in pairs:
-            if c.is_zero():
-                continue
-            if i < L:
-                out[i] = out[i] + c
-            else:
-                for j, r in enumerate(self._rows[i - L]):
-                    if not r.is_zero():
-                        out[j] = out[j] + c * r
-        m = self.ctx.P_pow(prec)
-        return PadicCycElem(self, tuple(c % m for c in out), prec)
 
 
 class PadicCycElem:
@@ -312,22 +338,10 @@ class PadicCycElem:
         return self + (-other)
 
     def __mul__(self, other):
-        prec = min(self.prec, other.prec)
-        L = self.ring.L
-        conv = [Poly.zero(self.ctx.field)] * (2 * L - 1)
-        for i, a in enumerate(self.coords):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coords):
-                if not b.is_zero():
-                    conv[i + j] = conv[i + j] + a * b
-        return self.ring.reduce_power_sum(enumerate(conv), prec)
-
-    def scale_padic(self, c):
-        prec = min(self.prec, c.prec)
-        m = self.ctx.P_pow(prec)
-        return PadicCycElem(self.ring,
-                            tuple((a * c.value) % m for a in self.coords), prec)
+        ring = self.ring
+        return ring.elem(mul_coords(ring.rows, self.coords, other.coords,
+                                    Poly.zero(self.ctx.field)),
+                         min(self.prec, other.prec))
 
     def mul_scalar_poly(self, a):
         """Multiply by an exact element of A."""
@@ -336,9 +350,9 @@ class PadicCycElem:
                             tuple((c * a) % m for c in self.coords), self.prec)
 
     def frobq(self):
-        q = self.ctx.q
-        pairs = [(i * q, c.frob_power(q)) for i, c in enumerate(self.coords)]
-        return self.ring.reduce_power_sum(pairs, self.prec)
+        ring = self.ring
+        return ring.elem(frob_coords(ring.rows, self.coords, self.ctx.q,
+                                     Poly.zero(self.ctx.field)), self.prec)
 
     def div_scalar_poly(self, a):
         """Divide by an exact nonzero element of A; precision drops by

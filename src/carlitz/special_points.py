@@ -23,11 +23,11 @@ from dataclasses import dataclass, field as dc_field
 import random
 
 from .core import (CarlitzTables, bc_exact, bc_stream_mod_P, carlitz_act,
-                   exp_eval, padic_exp)
+                   d_inverses_mod_P, exp_eval, padic_exp)
 from .cyclotomic import (Character, CycElem, all_characters, b1, embed_padic,
                          exact_ratio_to_tau, gauss_thakur, idempotent_project,
                          project_vector)
-from .equivariant import EquivariantElem, lattice_index
+from .equivariant import lattice_index
 from .fields import residue_field
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import l_inf, l_padic
@@ -477,16 +477,7 @@ def hr_dual_check(P, sample_frac=0.01, seed=2026, exact_cap=96):
     F = residue_field(P)
     stream = bc_stream_mod_P(P, L - 1)
     rng = random.Random(seed)
-
-    theta_pows = [F.theta]
-    for _ in range(d):
-        theta_pows.append(F.pow(theta_pows[-1], q))
-    dinv = [1]
-    for i in range(1, d):
-        val = 1
-        for j in range(i):
-            val = F.mul(val, F.sub(theta_pows[i], theta_pows[j]))
-        dinv.append(F.inv(val))
+    dinv = d_inverses_mod_P(P)
 
     pool = list(range(1, L))
     k = max(8, int(len(pool) * sample_frac))

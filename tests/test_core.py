@@ -7,7 +7,7 @@ from carlitz.core import (CarlitzTables, bc_exact, bc_stream_mod_P,
                           padic_log)
 from carlitz.fields import make_field, residue_field
 from carlitz.laurent import RamifiedElem, pi_bar
-from carlitz.padics import CycPadicRing, PadicContext
+from carlitz.padics import CycPadicRing, PadicContext, lambda_power_rows
 from carlitz.polynomials import Poly, RatFunc, parse_poly, rat_reduce_mod_P
 
 F2 = make_field(2)
@@ -154,7 +154,7 @@ def carlitz_cyc_ring(Pstr, Fq, N):
     psi = [Poly.zero(Fq)] * (L + 1)
     for i, c in enumerate(phi.coeffs):
         psi[q ** i - 1] = c
-    return CycPadicRing(ctx, psi)
+    return CycPadicRing(ctx, lambda_power_rows(psi))
 
 
 def rand_m2_elem(ring, rng):

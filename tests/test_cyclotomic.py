@@ -1,9 +1,11 @@
 import pytest
 
+from carlitz.core import carlitz_act
 from carlitz.cyclotomic import (Character, CycElem, CycField, all_characters,
                                 b1, embed_infty, embed_padic, gauss_thakur,
                                 idempotent_project, lambda_inverse_coords,
-                                normal_basis_eta, sigma_act, InftyEmbedding)
+                                normal_basis_eta, sigma_act, torsion_poly,
+                                InftyEmbedding)
 from carlitz.fields import make_field
 from carlitz.lvalues import PadicClassSumTable, l_padic
 from carlitz.polynomials import Poly, RatFunc, parse_poly
@@ -28,9 +30,10 @@ def lam(cyc, field=None):
 def test_psi_eisenstein_and_monic():
     for s, F in PAIRS:
         cyc = cyc_of(s, F)
-        assert cyc.psi[0] == cyc.P
-        assert cyc.psi[-1].is_one()
-        assert len(cyc.psi) == cyc.L + 1
+        psi = torsion_poly(cyc.P)
+        assert psi[0] == cyc.P
+        assert psi[-1].is_one()
+        assert len(psi) == cyc.L + 1
 
 
 def test_psi_annihilates_lambda():
@@ -39,11 +42,44 @@ def test_psi_annihilates_lambda():
         x = lam(cyc)
         acc = CycElem.zero(cyc, cyc.Fq)
         pw = CycElem.one(cyc, cyc.Fq)
-        for c in cyc.psi:
+        for c in torsion_poly(cyc.P):
             if not c.is_zero():
                 acc = acc + pw.mul_scalar_poly(c)
             pw = pw * x
         assert acc.is_zero()
+
+
+def test_reduction_rows_built_once_per_field(monkeypatch):
+    # the P-adic rings share the field's rows instead of rebuilding them
+    import carlitz.cyclotomic
+    import carlitz.padics
+    calls = []
+    real = carlitz.padics.lambda_power_rows
+
+    def counting(psi):
+        calls.append(len(psi))
+        return real(psi)
+    monkeypatch.setattr(carlitz.padics, "lambda_power_rows", counting)
+    monkeypatch.setattr(carlitz.cyclotomic, "lambda_power_rows", counting)
+    monkeypatch.setattr(CycField, "_instances", {})
+    cyc = cyc_of("T^2+1", F3)
+    cyc.padic_ring(3)
+    cyc.padic_ring(4)
+    assert len(calls) == 1
+    assert cyc.padic_ring(4).rows is cyc.rows
+
+
+@pytest.mark.parametrize("s,F", PAIRS + [("T+1", F2)])
+def test_sigma_lambda_is_carlitz_action(s, F):
+    # oracle: phi_b applied to lambda through CycElem's frobq and scalar
+    # products; (2, T+1) has L = 1, where lambda = -P is itself folded
+    cyc = cyc_of(s, F)
+    x = (CycElem.from_A_coords(cyc, cyc.Fq, [-cyc.P]) if cyc.L == 1
+         else lam(cyc))
+    for b in cyc.units():
+        want = carlitz_act(cyc.unit_rep_poly(b), x)
+        got = CycElem.from_A_coords(cyc, cyc.Fq, cyc.sigma_lambda(b))
+        assert got == want, (s, b)
 
 
 def test_sigma_is_group_action():
@@ -219,7 +255,7 @@ def test_embed_infty_kills_psi():
             acc = None
             cur = pows[0]
             k = 0
-            for c in cyc.psi:
+            for c in torsion_poly(cyc.P):
                 if not c.is_zero():
                     term = cur.mul_scalar_poly(c)
                     acc = term if acc is None else acc + term

@@ -1,10 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz.cyclotomic import Character, CycField, all_characters
 from carlitz.fields import make_field, residue_field
 from carlitz.laurent import LaurentSeries
-from carlitz.lvalues import (ClassSumTable, PadicClassSumTable,
+from carlitz.lvalues import (ClassSumTable, PadicClassSumTable, _charpoly,
                              euler_factor_charpoly, euler_product, l_inf,
                              l_inf_equivariant, l_padic)
 from carlitz.polynomials import (Poly, RatFunc, monic_irreducibles, monic_polys,
@@ -166,6 +168,58 @@ def test_euler_factor_charpoly_identity():
                 want = [c for c in f.coeffs]
                 want[0] = F.sub(want[0], chi(fbar))
                 assert got == want, (Pstr, chi.n, f)
+
+
+def _charpoly_cofactor(mat, F):
+    """Slow oracle: det(Z*I - mat) by cofactor expansion, O(n!)."""
+    n = len(mat)
+
+    def padd(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = F.add(out[i], c)
+        return out
+
+    def pmul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = F.add(out[i + j], F.mul(x, y))
+        return out
+
+    entries = [[[F.neg(mat[i][j])] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        entries[i][i] = padd(entries[i][i], [0, 1])
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return entries[rows[0]][cols[0]]
+        acc = [0]
+        for t, c in enumerate(cols):
+            term = pmul(entries[rows[0]][c],
+                        det(rows[1:], cols[:t] + cols[t + 1:]))
+            if t % 2 == 1:
+                term = [F.neg(x) for x in term]
+            acc = padd(acc, term)
+        return acc
+
+    out = det(list(range(n)), list(range(n)))
+    return out + [0] * (n + 1 - len(out))
+
+
+@pytest.mark.parametrize("q,Pstr", [(3, "T^2+1"), (2, "T^3+T+1")])
+def test_charpoly_matches_cofactor_oracle(q, Pstr):
+    # random matrices over F_9 and F_8, half the entries zero so the
+    # Hessenberg reduction also meets columns with no pivot
+    F = residue_field(parse_poly(Pstr, make_field(q)))
+    rng = random.Random(q)
+    for m in range(1, 7):
+        for _ in range(4):
+            mat = [[rng.randrange(F.order) if rng.random() < 0.5 else 0
+                    for _ in range(m)] for _ in range(m)]
+            assert _charpoly(mat, F) == _charpoly_cofactor(mat, F), mat
 
 
 def test_padic_class_sums_consistent_across_N():
