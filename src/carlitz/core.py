@@ -191,7 +191,7 @@ def _embed_poly(p, field):
 # -- P-adic exponential and logarithm ------------------------------------------
 
 
-def padic_exp(z, tables=None):
+def padic_exp(z):
     """exp_{C,P}(z) for z in m^2 inside the completed cyclotomic ring.
 
     The result is certified modulo P^prec for the input's coordinate
@@ -200,20 +200,20 @@ def padic_exp(z, tables=None):
     valuation.  Internally the terms are computed with padded precision
     to absorb the D_i divisions.
     """
-    return _padic_orbit_sum(z, kind="exp", tables=tables)
+    return _padic_orbit_sum(z, kind="exp")
 
 
-def padic_log(z, tables=None):
+def padic_log(z):
     """log_{C,P}(z) = sum (-1)^i z^{q^i} / L_i on m^2; same convergence
     and certification story as padic_exp (v_P(L_i) = floor(i/d))."""
-    return _padic_orbit_sum(z, kind="log", tables=tables)
+    return _padic_orbit_sum(z, kind="log")
 
 
-def _padic_orbit_sum(z, kind, tables=None):
+def _padic_orbit_sum(z, kind):
     ring = z.ring
     ctx = ring.ctx
     q, d, L = ctx.q, ctx.d, ring.L
-    tab = tables or CarlitzTables(ctx.field)
+    tab = CarlitzTables(ctx.field)
     vz = z.vm()
     if vz is None:
         return z
@@ -347,12 +347,12 @@ def _bc_stream_for(field):
     return _bc_streams[field]
 
 
-def bc_exact(n, field, work_limit=512):
+def bc_exact(n, field):
     """BCValue at index n by the exact recurrence from exp_C's defining
-    identity.  Coefficient growth is unchecked; work_limit guards the
-    index rather than the arithmetic."""
-    if n > work_limit:
-        raise ValueError("index %d beyond work limit %d" % (n, work_limit))
+    identity.  Coefficient growth is unchecked; a work limit of 512
+    guards the index rather than the arithmetic."""
+    if n > 512:
+        raise ValueError("index %d beyond work limit 512" % n)
     stream = _bc_stream_for(field)
     bcp = stream.ratfunc(n)
     pi_n = CarlitzTables(field).factorial(n)

@@ -15,7 +15,7 @@ all the bookkeeping.
 from __future__ import annotations
 
 from .core import _embed_poly, carlitz_poly, exp_eval
-from .fields import residue_field
+from .fields import OBJECT_OPS, residue_field, row_reduce
 from .laurent import LaurentSeries, RamifiedElem, pi_bar
 from .padics import (PadicContext, CycPadicRing, embed_tensor_to_padic,
                      fold_powers, frob_coords, lambda_power_rows, mul_coords,
@@ -484,37 +484,12 @@ def normal_basis_eta(cyc):
                 raise ArithmeticError("eta coordinate does not descend to A")
             cs.append(coef)
         coords_A.append(Poly(cyc.Fq, cs))
-    rows = []
-    for b in cyc.units():
-        img = sigma_act(cyc, b, CycElem.from_A_coords(cyc, cyc.Fq, coords_A))
-        rows.append([c for c in img.coords])
-    det = _det_ratfunc(rows, cyc.Fq)
-    if not (det.is_poly() and det.num.degree == 0):
+    eta = CycElem.from_A_coords(cyc, cyc.Fq, coords_A)
+    rows = [list(sigma_act(cyc, b, eta).coords) for b in cyc.units()]
+    _, det = row_reduce(rows, OBJECT_OPS)
+    if det is None or not (det.is_poly() and det.num.degree == 0):
         raise ArithmeticError("eta is not a normal integral basis")
     return coords_A, det
-
-
-def _det_ratfunc(rows, field):
-    # fraction-free enough at these sizes: plain Gaussian elimination
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = RatFunc.one(field)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
-        if piv is None:
-            return RatFunc.zero(field)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inv()
-        for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
-            f = m[r][col] * inv
-            for c2 in range(col, n):
-                m[r][c2] = m[r][c2] - f * m[col][c2]
-    return det
 
 
 # -- embeddings -------------------------------------------------------------------
@@ -580,12 +555,11 @@ class InftyEmbedding:
         return self.embed_coords(x.coords, b)
 
 
-def embed_infty(x, prec, places=None):
-    """Images of a CycElem at the infinite places (all coset reps by
-    default).  Returns dict place-rep -> RamifiedElem."""
+def embed_infty(x, prec):
+    """Images of a CycElem at the infinite places.  Returns dict
+    place-rep -> RamifiedElem."""
     emb = x.cyc.infty_embedding(x.field, prec)
-    reps = places if places is not None else emb.reps
-    return {b: emb.embed(x, b) for b in reps}
+    return {b: emb.embed(x, b) for b in emb.reps}
 
 
 def embed_padic(x, N):

@@ -10,6 +10,8 @@ multiplication and inversion are table lookups.
 from __future__ import annotations
 
 import functools
+import operator
+from types import SimpleNamespace
 
 TABLE_LIMIT = 1 << 20
 
@@ -135,6 +137,9 @@ class FiniteField:
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
+
+    def is_zero(self, a):
+        return a == 0
 
     def mul(self, a, b):
         if a == 0 or b == 0:
@@ -289,7 +294,8 @@ def make_field(p, e=1):
     for cand in monic_polys(prime, e):
         if cand.is_irreducible():
             return FiniteField.extension(prime, cand.coeffs)
-    raise AssertionError("unreachable: no irreducible of degree %d" % e)
+    raise ArithmeticError("no monic irreducible of degree %d over GF(%d)"
+                          % (e, p))
 
 
 @functools.cache
@@ -312,6 +318,55 @@ def residue_field(P):
     F.theta = P.field.order if d > 1 else F.neg(P.coeffs[0])
     F.P = P
     return F
+
+
+# entries of RatFunc or LaurentSeries: field operations are their operators
+OBJECT_OPS = SimpleNamespace(neg=operator.neg, sub=operator.sub,
+                             mul=operator.mul, inv=operator.methodcaller("inv"),
+                             is_zero=operator.methodcaller("is_zero"))
+
+
+def row_reduce(rows, ops, key=None):
+    """Gauss-Jordan elimination of a list of rows over a field, in place.
+
+    `ops` supplies neg, sub, mul, inv and is_zero on the entries: a
+    FiniteField for int entries, OBJECT_OPS for RatFunc and LaurentSeries.
+    Each column's pivot is the row minimising `key(entry)` among those
+    still free with a nonzero entry there; by default the first such row.
+    Afterwards rows[:len(pivots)] are in reduced row echelon form (pivot
+    entries 1, pivot columns zero elsewhere) and the remaining rows are
+    zero.  Returns (pivots, det): det is the determinant of a square
+    nonsingular input, None for a singular or non-square one.
+    """
+    n = len(rows)
+    width = len(rows[0]) if rows else 0
+    pivots, det, flips = [], None, False
+    for c in range(width):
+        r = len(pivots)
+        if r == n:
+            break
+        free = [i for i in range(r, n) if not ops.is_zero(rows[i][c])]
+        if not free:
+            continue
+        i = free[0] if key is None else min(free, key=lambda i: key(rows[i][c]))
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            flips = not flips
+        piv = rows[r][c]
+        det = piv if det is None else ops.mul(det, piv)
+        inv = ops.inv(piv)
+        # columns left of c are zero in the pivot row
+        prow = [ops.mul(x, inv) for x in rows[r][c:]]
+        rows[r][c:] = prow
+        for j in range(n):
+            f = rows[j][c]
+            if j != r and not ops.is_zero(f):
+                rows[j][c:] = [ops.sub(a, ops.mul(f, b))
+                               for a, b in zip(rows[j][c:], prow)]
+        pivots.append(c)
+    if len(pivots) < n or n != width:
+        return pivots, None
+    return pivots, ops.neg(det) if flips else det
 
 
 def frobenius_orbits(q, d):

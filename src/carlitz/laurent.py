@@ -13,7 +13,7 @@ w(Y) = -1 and everything stays integral.
 
 from __future__ import annotations
 
-from .polynomials import Poly, RatFunc
+from .polynomials import Poly
 
 
 class LaurentSeries:
@@ -221,52 +221,6 @@ class LaurentSeries:
                 terms.append("%s*T^%d" % (self.field.fmt(c), -n))
         more = "+..." if len(self.coeffs) > 8 else ""
         return "+".join(terms) + more + " + O(T^-%d)" % self.prec
-
-
-def pade_recognize(s, deg_num, deg_den):
-    """Recover a rational function from its Laurent expansion at infinity.
-
-    Runs the extended-Euclid rational approximation scheme in t = 1/T and
-    re-checks the candidate against every known coefficient of s.  Returns
-    a RatFunc, or None when no function within the degree bounds matches.
-    """
-    F = s.field
-    if s.is_zero():
-        return RatFunc.zero(F)
-    if s.val < -deg_num:
-        return None  # valuation below what the numerator bound allows
-    M = s.prec + deg_num
-    if M < deg_num + 2 * deg_den + 1:
-        return None  # not enough certified coefficients
-    # S(t) = t^deg_num * s, a polynomial in t known mod t^M
-    stilde = [0] * M
-    for i, c in enumerate(s.coeffs):
-        k = s.val + i + deg_num
-        if 0 <= k < M:
-            stilde[k] = c
-    r0, r1 = Poly.monomial(F, 1, M), Poly(F, stilde)
-    t0, t1 = Poly.zero(F), Poly.one(F)
-    while not r1.is_zero() and r1.degree > deg_num + deg_den:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 - q * t1
-    if r1.is_zero() or t1.is_zero():
-        return None
-    p, qq = r1, t1
-    if p.degree > deg_num + deg_den or qq.degree > deg_den:
-        return None
-    # back to T: reversals w.r.t. the degree bounds
-    a = Poly(F, [p.coeff(deg_num + deg_den - i) for i in range(deg_num + deg_den + 1)])
-    b = Poly(F, [qq.coeff(deg_den - j) for j in range(deg_den + 1)])
-    if b.is_zero():
-        return None
-    cand = RatFunc(a, b)
-    if cand.num.degree > deg_num or cand.den.degree > deg_den:
-        return None
-    check = LaurentSeries.from_ratfunc(cand, s.prec, field=F)
-    if not check.agrees_with(s):
-        return None
-    return cand
 
 
 class RamifiedElem:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from .cyclotomic import all_characters
 from .equivariant import EquivariantElem
-from .fields import residue_field
+from .fields import residue_field, row_reduce
 from .laurent import LaurentSeries
 from .padics import PadicContext, PadicElem, fold_powers
 from .polynomials import Poly, RatFunc
@@ -305,71 +305,63 @@ def euler_factor_charpoly(cyc, chi, f):
     dim = Lc * m
 
     zero, one = Poly.zero(Fq), Poly.one(Fq)
-    lam_pows = [fold_powers(cyc.rows, [(k, one)], zero)
-                for k in range(q * (Lc - 1) + 1)]
-    maxdeg = 0
-    for row in lam_pows:
-        for r in row:
-            maxdeg = max(maxdeg, int(r.degree) if r.coeffs else 0)
-    for b in cyc.units():
-        for r_row in cyc.sigma_powers(b):
-            for r in r_row:
-                maxdeg = max(maxdeg, int(r.degree) if r.coeffs else 0)
-    tred = _t_power_rows(f, q * (m - 1) + maxdeg + m + 2)
+    ident = [[one if k == i else zero for k in range(Lc)] for i in range(Lc)]
+    frob = [fold_powers(cyc.rows, [(i * q, one)], zero) for i in range(Lc)]
+    sigmas = [(b, cyc.sigma_powers(b)) for b in cyc.units()]
+    maxdeg = max(int(r.degree) for images in [frob] + [p for _, p in sigmas]
+                 for row in images for r in row if r.coeffs)
+    tred = _t_power_rows(f, q * (m - 1) + maxdeg + 1)
 
-    def basis(i, j):
-        return i * m + j
-
-    # multiplication by T
-    Mt = [[0] * dim for _ in range(dim)]
-    for i in range(Lc):
-        for j in range(m):
-            if j + 1 < m:
-                Mt[basis(i, j + 1)][basis(i, j)] = 1
-            else:
-                for jj, c in enumerate(tred[m]):
-                    if c:
-                        Mt[basis(i, jj)][basis(i, j)] = c
-
-    # tau: lambda^i T^j -> lambda^{iq} T^{jq}, K-leg only so F-linear
-    Mtau = [[0] * dim for _ in range(dim)]
-    for i in range(Lc):
-        for j in range(m):
-            col = basis(i, j)
-            for k, r in enumerate(lam_pows[i * q]):
-                for e, ce in enumerate(r.coeffs):
-                    if ce == 0:
-                        continue
-                    for jj, c2 in enumerate(tred[j * q + e]):
-                        if c2:
-                            Mtau[basis(k, jj)][col] = F.add(
-                                Mtau[basis(k, jj)][col], F.mul(ce, c2))
-
-    # projector e_chi = -sum chi^{-1}(b) sigma_b
-    Pr = [[0] * dim for _ in range(dim)]
-    for b in cyc.units():
-        w = chi.inv()(b)
-        if w == 0:
-            continue
-        pows = cyc.sigma_powers(b)
+    def add_matrix(mat, images, t, w):
+        """mat += w * (matrix of lambda^i T^j -> sum_k images[i][k](T)
+        lambda^k T^t(j) mod f), basis lambda^i T^j at index i*m + j."""
         for i in range(Lc):
             for j in range(m):
-                col = basis(i, j)
-                for k, r in enumerate(pows[i]):
+                col = i * m + j
+                for k, r in enumerate(images[i]):
                     for e, ce in enumerate(r.coeffs):
                         if ce == 0:
                             continue
-                        for jj, c2 in enumerate(tred[j + e]):
+                        wc = F.mul(w, ce)
+                        for jj, c2 in enumerate(tred[t(j) + e]):
                             if c2:
-                                Pr[basis(k, jj)][col] = F.add(
-                                    Pr[basis(k, jj)][col],
-                                    F.mul(w, F.mul(ce, c2)))
-    neg = F.neg(1)
-    Pr = [[F.mul(neg, x) for x in row] for row in Pr]
+                                row = mat[k * m + jj]
+                                row[col] = F.add(row[col], F.mul(wc, c2))
 
-    img = _column_space(Pr, F)
-    op = [[F.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(Mt, Mtau)]
-    restricted = _restrict(op, img, F)
+    # T + tau; tau sends lambda^i T^j to lambda^{iq} T^{jq} (K-leg only,
+    # so F-linear)
+    op = [[0] * dim for _ in range(dim)]
+    add_matrix(op, ident, lambda j: j + 1, 1)
+    add_matrix(op, frob, lambda j: j * q, 1)
+    # projector e_chi = -sum chi^{-1}(b) sigma_b
+    proj = [[0] * dim for _ in range(dim)]
+    chi_inv = chi.inv()
+    for b, pows in sigmas:
+        w = chi_inv(b)
+        if w:
+            add_matrix(proj, pows, lambda j: j, F.neg(w))
+
+    # image of e_chi: the reduced rows of its transpose; a vector in it
+    # has its entries at the pivots as coordinates
+    basis = [list(col) for col in zip(*proj)]
+    pivots, _ = row_reduce(basis, F)
+    basis = basis[:len(pivots)]
+    n = len(basis)
+    restricted = [[0] * n for _ in range(n)]
+    for jcol, bvec in enumerate(basis):
+        w = [0] * dim
+        for i, x in enumerate(bvec):
+            if x:
+                for r in range(dim):
+                    if op[r][i]:
+                        w[r] = F.add(w[r], F.mul(op[r][i], x))
+        for irow, (bv, p) in enumerate(zip(basis, pivots)):
+            c = w[p]
+            restricted[irow][jcol] = c
+            if c:
+                w = [F.sub(a, F.mul(c, y)) for a, y in zip(w, bv)]
+        if any(w):
+            raise ArithmeticError("operator does not preserve e_chi image")
     return _charpoly(restricted, F)
 
 
@@ -387,49 +379,6 @@ def _t_power_rows(f, hi):
             for j in range(m):
                 cur[j] = Fq.sub(cur[j], Fq.mul(top, f.coeffs[j]))
     return rows
-
-
-def _column_space(mat, F):
-    dim = len(mat)
-    cols = [[mat[r][c] for r in range(dim)] for c in range(dim)]
-    basis = []
-    pivots = []
-    for col in cols:
-        v = col[:]
-        for bvec, p in zip(basis, pivots):
-            if v[p]:
-                w = F.div(v[p], bvec[p])
-                v = [F.sub(a, F.mul(w, b)) for a, b in zip(v, bvec)]
-        p = next((i for i, x in enumerate(v) if x), None)
-        if p is not None:
-            basis.append(v)
-            pivots.append(p)
-    return basis, pivots
-
-
-def _restrict(op, img, F):
-    basis, pivots = img
-    n = len(basis)
-    out = [[0] * n for _ in range(n)]
-    for jcol, bvec in enumerate(basis):
-        w = [0] * len(bvec)
-        for i in range(len(bvec)):
-            if bvec[i]:
-                for r in range(len(bvec)):
-                    if op[r][i]:
-                        w[r] = F.add(w[r], F.mul(op[r][i], bvec[i]))
-        # solve in the triangular-by-pivot basis
-        coeffs = [0] * n
-        for t, (bv, p) in enumerate(zip(basis, pivots)):
-            c = F.div(w[p], bv[p])
-            coeffs[t] = c
-            if c:
-                w = [F.sub(a, F.mul(c, b)) for a, b in zip(w, bv)]
-        if any(w):
-            raise ArithmeticError("operator does not preserve e_chi image")
-        for t in range(n):
-            out[t][jcol] = coeffs[t]
-    return out
 
 
 def _charpoly(mat, F):

@@ -27,11 +27,23 @@ class PadicContext:
         self._powers = [Poly.one(P.field)]
         while len(self._powers) <= N:
             self._powers.append(self._powers[-1] * P)
+        self._unit_invs = {}
 
     def P_pow(self, k):
         while len(self._powers) <= k:
             self._powers.append(self._powers[-1] * self.P)
         return self._powers[k]
+
+    def unit_inv(self, unit, prec):
+        """Inverse mod P^prec of a polynomial prime to P; memoised, since
+        exp and log divide by the same few D_i and L_i over and over."""
+        key = (unit, prec)
+        if key not in self._unit_invs:
+            g, s, _ = unit.xgcd(self.P_pow(prec))
+            if not g.is_one():
+                raise ArithmeticError("non-unit divisor")
+            self._unit_invs[key] = s
+        return self._unit_invs[key]
 
     def reduce(self, poly, prec=None):
         return poly % self.P_pow(self.N if prec is None else prec)
@@ -106,11 +118,7 @@ class PadicElem:
         unit, v = self.unit_and_val()
         if v > 0:
             raise ZeroDivisionError("inverse has negative valuation")
-        m = self.ctx.P_pow(self.prec)
-        g, s, _ = unit.xgcd(m)
-        if not g.is_one():
-            raise ArithmeticError("non-unit inverse")
-        return self.ctx.elem(s, self.prec)
+        return self.ctx.elem(self.ctx.unit_inv(unit, self.prec), self.prec)
 
     def div(self, other):
         """Division; loses v_P(other) digits of precision."""
@@ -123,11 +131,7 @@ class PadicElem:
                 raise ZeroDivisionError("insufficient precision to divide")
         num = self.value // self.ctx.P_pow(v) if v else self.value
         prec = min(self.prec, other.prec) - v
-        m = self.ctx.P_pow(prec)
-        g, s, _ = unit.xgcd(m)
-        if not g.is_one():
-            raise ArithmeticError("non-unit divisor")
-        return self.ctx.elem(num * s, prec)
+        return self.ctx.elem(num * self.ctx.unit_inv(unit, prec), prec)
 
     def frob_power(self, q):
         # q-power is additive in char p, so acts exponentwise on the rep
@@ -169,7 +173,7 @@ def teichmuller_lift(c, ctx):
             break
         y = z
     else:
-        raise AssertionError("Teichmuller iteration did not stabilize")
+        raise ArithmeticError("Teichmuller iteration did not stabilize")
     return ctx.elem(y)
 
 
@@ -364,9 +368,7 @@ class PadicCycElem:
         if prec <= 0:
             raise ZeroDivisionError("precision exhausted by division")
         m = self.ctx.P_pow(prec)
-        g, s, _ = unit.xgcd(m)
-        if not g.is_one():
-            raise ArithmeticError("non-unit divisor")
+        s = self.ctx.unit_inv(unit, prec)
         out = []
         for c in self.coords:
             if v:

@@ -28,7 +28,7 @@ from .cyclotomic import (Character, CycElem, all_characters, b1, embed_padic,
                          exact_ratio_to_tau, gauss_thakur, idempotent_project,
                          project_vector)
 from .equivariant import lattice_index
-from .fields import residue_field
+from .fields import OBJECT_OPS, residue_field, row_reduce
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import l_inf, l_padic
 from .padics import _poly_tensor_image
@@ -143,8 +143,8 @@ def recognize_integral(cyc, values, emb, guard=6):
     Solves the square k_inf-linear system over the embedded basis
     lambda^i (one scalar equation per place and Y-component), rounds
     each coordinate to its polynomial part and certifies by residual
-    valuation >= guard.  Raises ValueError when the residual is too
-    large; callers retry at higher depth.
+    valuation >= guard.  Raises ValueError when the system is singular
+    or the residual too large; callers retry at higher depth.
     """
     q, L = cyc.q, cyc.L
     rows = []
@@ -156,26 +156,12 @@ def recognize_integral(cyc, values, emb, guard=6):
     if len(rows) != L:
         raise ValueError("need exactly %d scalar equations, got %d"
                          % (L, len(rows)))
-    # Gauss-Jordan over F_q((1/T)); pivot by least valuation for stability
-    for col in range(L):
-        piv, pv = None, None
-        for i in range(col, L):
-            v = rows[i][col].valuation()
-            if v is not None and (pv is None or v < pv):
-                piv, pv = i, v
-        if piv is None:
-            raise ValueError("singular place-embedding matrix at column %d"
-                             % col)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = rows[col][col].inv()
-        rows[col] = [e * inv for e in rows[col]]
-        for i in range(L):
-            if i == col:
-                continue
-            f = rows[i][col]
-            if f.is_zero():
-                continue
-            rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    # pivot by least valuation: dividing by the largest entry loses
+    # the least precision
+    pivots, _ = row_reduce(rows, OBJECT_OPS, key=LaurentSeries.valuation)
+    col = next((c for c in range(L) if c not in pivots), None)
+    if col is not None:
+        raise ValueError("singular place-embedding matrix at column %d" % col)
     coords = [rows[i][L].polynomial_part(cyc.Fq) for i in range(L)]
     coords_rf = [RatFunc.from_poly(p) for p in coords]
     wguard = (q - 1) * guard
@@ -440,7 +426,7 @@ def verify_congruence(cyc):
     return report
 
 
-def hr_scan(P, mode="streaming", work_limit=512):
+def hr_scan(P, mode="streaming"):
     """Irregular indices: n with (q-1) | n, 1 < n < q^d - 1 and
     v_P(BC'_n) > 0; each flags a nontrivial omega^{1-n} eigenspace of
     the class module mod P."""
@@ -455,20 +441,21 @@ def hr_scan(P, mode="streaming", work_limit=512):
         F = residue_field(P)
         out = []
         for n in ns:
-            bcp = bc_exact(n, Fq, work_limit=work_limit).bc_prime
+            bcp = bc_exact(n, Fq).bc_prime
             if bcp.is_zero() or rat_reduce_mod_P(bcp, F) == 0:
                 out.append(n)
         return out
     raise ValueError("unknown scan mode %r" % mode)
 
 
-def hr_dual_check(P, sample_frac=0.01, seed=2026, exact_cap=96):
+def hr_dual_check(P):
     """Cross-checks of the streaming residues.
 
     Two independent validations: the defining series identity
-    exp_C(X) (X / exp_C X) = X at a random sample of coefficients
-    (catches indexing slips across the whole range), and the exact
-    rational oracle on a sample inside its feasible window.
+    exp_C(X) (X / exp_C X) = X at a random 1% sample of coefficients
+    (at least 8; catches indexing slips across the whole range), and
+    the exact rational oracle at 4 indices of its feasible window
+    n <= 96.  The samples are seeded, so reproducible.
     """
     Fq = P.field
     q = Fq.order
@@ -476,11 +463,11 @@ def hr_dual_check(P, sample_frac=0.01, seed=2026, exact_cap=96):
     L = q ** d - 1
     F = residue_field(P)
     stream = bc_stream_mod_P(P, L - 1)
-    rng = random.Random(seed)
+    rng = random.Random(2026)
     dinv = d_inverses_mod_P(P)
 
     pool = list(range(1, L))
-    k = max(8, int(len(pool) * sample_frac))
+    k = max(8, int(len(pool) * 0.01))
     sample = sorted(rng.sample(pool, min(k, len(pool))))
     identity_ok = True
     for n in sample:
@@ -493,9 +480,8 @@ def hr_dual_check(P, sample_frac=0.01, seed=2026, exact_cap=96):
             identity_ok = False
             break
 
-    window = [n for n in range(2, min(exact_cap, L - 1) + 1)]
-    wk = max(4, int(len(window) * sample_frac * 4))
-    wsample = sorted(rng.sample(window, min(wk, len(window))))
+    window = list(range(2, min(96, L - 1) + 1))
+    wsample = sorted(rng.sample(window, min(4, len(window))))
     exact_ok = True
     for n in wsample:
         bcp = bc_exact(n, Fq).bc_prime

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlitz.fields import FiniteField, make_field, residue_field, frobenius_orbits
-from carlitz.polynomials import Poly, parse_poly
+from carlitz.fields import (OBJECT_OPS, FiniteField, make_field, residue_field,
+                            frobenius_orbits, row_reduce)
+from carlitz.laurent import LaurentSeries
+from carlitz.polynomials import Poly, RatFunc, parse_poly
 
 
 def test_make_field_prime():
@@ -140,3 +143,115 @@ def test_frobq_fixes_base_field():
     # x -> x^q is a field automorphism of order d
     for x in F.elements():
         assert F.pow(F.pow(x, 3), 3) == x
+
+
+# -- row_reduce ------------------------------------------------------------
+
+
+def _leibniz_det(mat, ops, zero, one):
+    """Slow oracle: the determinant as a signed sum over permutations."""
+    n = len(mat)
+    det = zero
+    for perm in itertools.permutations(range(n)):
+        term = one
+        for i, j in enumerate(perm):
+            term = ops.mul(term, mat[i][j])
+        odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        det = ops.sub(det, term) if odd else ops.sub(det, ops.neg(term))
+    return det
+
+
+def _random_matrices(F, rng):
+    """Random n x n matrices, n <= 5, about half the entries zero; every
+    third one made singular by a repeated combination of two rows."""
+    out = []
+    for n in range(1, 6):
+        for k in range(6):
+            mat = [[rng.randrange(F.order) if rng.random() < 0.5 else 0
+                    for _ in range(n)] for _ in range(n)]
+            if k % 3 == 2 and n > 1:
+                c = rng.randrange(1, F.order)
+                mat[-1] = [F.add(a, F.mul(c, b))
+                           for a, b in zip(mat[0], mat[1 % (n - 1)])]
+            out.append(mat)
+    return out
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (2, 3)])
+def test_row_reduce_det_matches_leibniz(p, e):
+    F = make_field(p, e)
+    rng = random.Random(p * 10 + e)
+    singular = 0
+    for mat in _random_matrices(F, rng):
+        want = _leibniz_det(mat, F, 0, 1)
+        rows = [list(r) for r in mat]
+        _, det = row_reduce(rows, F)
+        assert (0 if det is None else det) == want, mat
+        assert det != 0
+        singular += want == 0
+    assert singular >= 8
+
+
+def test_row_reduce_det_ratfunc_matches_leibniz():
+    rng = random.Random(7)
+    F3 = make_field(3)
+
+    def entry():
+        num = Poly(F3, [rng.randrange(3) for _ in range(rng.randrange(3))]
+                   + [rng.randrange(1, 3)])
+        den = Poly(F3, [rng.randrange(3) for _ in range(2)] + [1])
+        return RatFunc(num, den)
+
+    for k in range(6):
+        mat = [[entry() for _ in range(3)] for _ in range(3)]
+        if k == 5:
+            mat[2] = [a + b for a, b in zip(mat[0], mat[1])]
+        want = _leibniz_det(mat, OBJECT_OPS, RatFunc.zero(F3), RatFunc.one(F3))
+        _, det = row_reduce([list(r) for r in mat], OBJECT_OPS)
+        assert (RatFunc.zero(F3) if det is None else det) == want, k
+        assert (det is None) == (k == 5)
+
+
+@pytest.mark.parametrize("p,e", [(3, 2), (2, 3)])
+def test_row_reduce_is_rref_of_the_row_space(p, e):
+    F = make_field(p, e)
+    rng = random.Random(p + e)
+    for shape in [(3, 5), (4, 4), (5, 3), (4, 6)]:
+        for _ in range(5):
+            nr, nc = shape
+            mat = [[rng.randrange(F.order) if rng.random() < 0.4 else 0
+                    for _ in range(nc)] for _ in range(nr)]
+            rows = [list(r) for r in mat]
+            pivots, _ = row_reduce(rows, F)
+            assert pivots == sorted(set(pivots))
+            for t, pc in enumerate(pivots):
+                assert rows[t][pc] == 1
+                assert all(x == 0 for x in rows[t][:pc])
+                assert all(rows[s][pc] == 0 for s in range(nr) if s != t)
+            assert all(x == 0 for r in rows[len(pivots):] for x in r)
+            # every input row lies in the span of the output rows
+            for v in mat:
+                for t, pc in enumerate(pivots):
+                    c = v[pc]
+                    v = [F.sub(a, F.mul(c, b)) for a, b in zip(v, rows[t])]
+                assert not any(v), mat
+
+
+def test_row_reduce_key_picks_the_pivot_row():
+    # column 0 holds T^-3 in row 0 and 1 in row 1: the first nonzero
+    # entry is the small one, the least valuation the large one, and
+    # dividing by the large one keeps the solution's precision
+    F3 = make_field(3)
+
+    def system():
+        return [[LaurentSeries(F3, 3, [1], 8), LaurentSeries(F3, 0, [1], 8),
+                 LaurentSeries(F3, 0, [2], 8)],
+                [LaurentSeries(F3, 0, [1], 8), LaurentSeries(F3, 0, [2, 1], 8),
+                 LaurentSeries(F3, 0, [1], 8)]]
+
+    first, least = system(), system()
+    assert row_reduce(first, OBJECT_OPS)[0] == [0, 1]
+    assert row_reduce(least, OBJECT_OPS, key=LaurentSeries.valuation)[0] == [0, 1]
+    assert [r[2].prec for r in least] == [8, 8]
+    assert max(r[2].prec for r in first) < 8
+    assert all(a[2].agrees_with(b[2]) for a, b in zip(first, least))

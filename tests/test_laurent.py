@@ -1,7 +1,6 @@
-from hypothesis import given, settings, strategies as st
 
 from carlitz.fields import make_field, residue_field
-from carlitz.laurent import LaurentSeries, RamifiedElem, pade_recognize, pi_bar
+from carlitz.laurent import LaurentSeries, RamifiedElem, pi_bar
 from carlitz.polynomials import Poly, RatFunc, parse_poly
 
 F2 = make_field(2)
@@ -41,33 +40,6 @@ def test_frobq_char3():
     cube = s * s * s
     fr = s.frobq(3)
     assert fr.agrees_with(cube)
-
-
-@settings(max_examples=40)
-@given(st.lists(st.integers(0, 2), min_size=0, max_size=3),
-       st.lists(st.integers(0, 2), min_size=1, max_size=4))
-def test_pade_roundtrip(ncs, dcs):
-    num = Poly(F3, ncs)
-    den = Poly(F3, dcs)
-    if den.is_zero():
-        return
-    r = RatFunc(num, den)
-    s = expand(r, 12)
-    got = pade_recognize(s, 3, 3)
-    assert got == r
-
-
-def test_pade_rejects_wrong_bounds():
-    r = RatFunc(Poly.one(F3), parse_poly("T^4+T+1", F3))
-    s = expand(r, 12)
-    assert pade_recognize(s, 0, 3) is None
-    assert pade_recognize(s, 0, 4) == r
-
-
-def test_pade_insufficient_precision():
-    r = RatFunc(Poly.one(F3), parse_poly("T^2+1", F3))
-    s = expand(r, 3)
-    assert pade_recognize(s, 2, 2) is None  # needs 2*2+1 certified coeffs
 
 
 def test_ramified_y_relation():

@@ -170,6 +170,18 @@ def test_euler_factor_charpoly_identity():
                 assert got == want, (Pstr, chi.n, f)
 
 
+def test_euler_factor_charpoly_rejects_a_non_invariant_image(monkeypatch):
+    # every sigma_b replaced by lambda^0 -> lambda^1, the rest -> 0: the
+    # "projector" of the trivial character then has image lambda (x) F[T]/f,
+    # which tau moves to lambda^q (x) F[T]/f
+    cyc = CycField(parse_poly("T^2+1", F3))
+    zero, one = Poly.zero(F3), Poly.one(F3)
+    images = [[zero, one] + [zero] * (cyc.L - 2)] + [[zero] * cyc.L] * (cyc.L - 1)
+    monkeypatch.setattr(cyc, "sigma_powers", lambda b: images)
+    with pytest.raises(ArithmeticError, match="does not preserve"):
+        euler_factor_charpoly(cyc, Character(cyc, 0), parse_poly("T+1", F3))
+
+
 def _charpoly_cofactor(mat, F):
     """Slow oracle: det(Z*I - mat) by cofactor expansion, O(n!)."""
     n = len(mat)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlitz.fields import make_field, residue_field
 from carlitz.padics import (CycPadicRing, PadicContext, embed_tensor_to_padic,
@@ -154,3 +155,53 @@ def test_div_scalar_poly():
     y = x.div_scalar_poly(ctx.P.scale(2))
     assert y.prec == ctx.N - 1
     assert y.coords[0] % ctx.P_pow(y.prec) == parse_poly("2*T^2+2*T+2", F3)
+
+
+# -- precision soundness of division -----------------------------------------
+
+
+def _poly(F, cs):
+    return Poly(F, list(cs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2), max_size=6),
+       st.lists(st.integers(0, 2), min_size=1, max_size=4),
+       st.integers(0, 2), st.integers(3, 6))
+def test_padic_div_digits_survive_higher_precision(ncs, ucs, v, prec):
+    # dividing at prec and at 2 prec must agree on the digits the
+    # low-precision quotient claims
+    ctx = ctx3(2 * prec)
+    P = ctx.P
+    unit = _poly(F3, ucs)
+    if (unit % P).is_zero():
+        unit = unit + Poly.one(F3)
+    den = unit * ctx.P_pow(v)
+    num = _poly(F3, ncs) * ctx.P_pow(v)
+    low = ctx.elem(num, prec).div(ctx.elem(den, prec))
+    high = ctx.elem(num, 2 * prec).div(ctx.elem(den, 2 * prec))
+    assert low.prec == prec - v
+    assert low == high.truncate(low.prec)
+    # and the high quotient holds every digit it claims
+    assert ((high.value * unit - _poly(F3, ncs)) % ctx.P_pow(high.prec)).is_zero()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2), max_size=5), min_size=8, max_size=8),
+       st.lists(st.integers(0, 2), min_size=1, max_size=4),
+       st.integers(0, 2), st.integers(3, 5))
+def test_div_scalar_poly_digits_survive_higher_precision(coeffs, ucs, v, prec):
+    ring = simple_cyc_ring(2 * prec)
+    P = ring.ctx.P
+    unit = _poly(F3, ucs)
+    if (unit % P).is_zero():
+        unit = unit + Poly.one(F3)
+    a = unit * ring.ctx.P_pow(v)
+    coords = [_poly(F3, cs) * ring.ctx.P_pow(v) for cs in coeffs]
+    low = ring.elem(coords, prec).div_scalar_poly(a)
+    high = ring.elem(coords, 2 * prec).div_scalar_poly(a)
+    assert low.prec == prec - v
+    assert low.coords == high.truncate(low.prec).coords
+    m = ring.ctx.P_pow(high.prec)
+    assert all(((c * unit - _poly(F3, cs)) % m).is_zero()
+               for c, cs in zip(high.coords, coeffs))

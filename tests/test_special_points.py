@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from carlitz.core import exp_eval
@@ -84,6 +86,19 @@ def test_recognize_rejects_perturbed_input():
     vals[b0] = vals[b0].mul_laurent(LaurentSeries.const(F2, 1, 15) + noise)
     with pytest.raises(ValueError):
         recognize_integral(cyc, vals, emb)
+
+
+def test_recognize_rejects_singular_system():
+    # a stub embedding whose places all repeat the lambda-powers of the
+    # first one: the L scalar equations have rank 1
+    cyc = _cyc("T^3+T+1", F2)
+    emb = InftyEmbedding(cyc, F2, 14)
+    coords = [RatFunc.one(F2)] + [RatFunc.zero(F2)] * (cyc.L - 1)
+    vals = {b: emb.embed_coords(coords, b) for b in emb.reps}
+    pows = emb.lambda_powers(emb.reps[0])
+    stub = SimpleNamespace(reps=emb.reps, lambda_powers=lambda b: pows)
+    with pytest.raises(ValueError, match="singular place-embedding matrix at column 1"):
+        recognize_integral(cyc, vals, stub)
 
 
 def test_exp_of_special_point_is_integral():
