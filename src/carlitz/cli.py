@@ -323,7 +323,7 @@ def cmd_fitting(cfg):
     for r in padic_ledger(cyc, cfg.N):
         rep.add("even chi=%d" % r["chi_n"], not r["indeterminate"],
                 indeterminate=r["indeterminate"], vP_LP=r["vP"],
-                note=r["note"])
+                note=r["note"], reason="L_P(1,chi) vanishes mod P^N")
     return [rep], (0 if rep.passed() else 1)
 
 

@@ -3,16 +3,22 @@
 The workhorse is the class-sum table: for each degree n and residue
 class sigma mod P, the sum of 1/a over monic a of degree n in the class.
 
-Truncation is certified, not heuristic.  For the class sum over degree
-n, the coefficient of T^{-(n+j)} in each 1/a depends only on the top j
-coefficients of a; with those fixed, the class condition leaves exactly
-q^{n-j-d} polynomials whenever n - j > d, a multiple of p, so the
-coefficient dies in characteristic p.  Hence the block has valuation at
-least 2n - d and degrees n > (B + d) // 2 cannot touch a window of
-depth B.  The same count without the class condition gives valuation
-2n for full blocks.  P-adically, blocks of degree n > N*d vanish mod
-P^N; the library validates that lemma empirically on the next d blocks
-when asked.
+Truncation is certified by Carlitz's closed form for these sums
+(Carlitz 1935; Goss, Basic Structures of Function Field Arithmetic,
+section 3.1).  Write n = d + m.  The sum of 1/a over monic a of degree
+n with a = a0 mod P is (1/P) (-1)^m (D_m/L_m) / (D_m + e_m(a0/P)),
+where e_m(x) = prod over b in A of degree < m of (x - b).  Every
+nonzero block therefore has an exact valuation:
+
+- at infinity, d + deg L_m with deg L_m = q (q^m - 1) / (q - 1), since
+  e_m(a0/P) has lower degree than D_m; the full zeta block over all
+  monic a of degree m is (-1)^m / L_m, of valuation deg L_m;
+- at P, v_P(D_m) - v_P(L_m) + q^m - 1: clearing P^{q^m} leaves a
+  denominator congruent to a0^{q^m} mod P, a unit.
+
+Blocks of degree n < d hold one monic polynomial each, of valuation n
+at infinity and 0 at P.  Both valuations grow with n, so each table
+stops at the last degree whose valuation still reaches its window.
 
 The Euler product is taken as prod f / prod (f - chi(f)): both products
 are exact polynomials kept in a relative window of the target depth, so
@@ -21,6 +27,7 @@ one Laurent inverse per character certifies the whole window.
 
 from __future__ import annotations
 
+from .core import CarlitzTables
 from .cyclotomic import all_characters
 from .equivariant import EquivariantElem
 from .fields import residue_field, row_reduce
@@ -29,11 +36,39 @@ from .padics import PadicContext, PadicElem, fold_powers
 from .polynomials import Poly, RatFunc
 
 
+def deg_L(q, m):
+    """deg L_m = q + q^2 + ... + q^m."""
+    return q * (q ** m - 1) // (q - 1)
+
+
+def inf_block_valuation(q, d, n):
+    """Valuation at infinity of every nonzero class block of degree n."""
+    return n if n < d else d + deg_L(q, n - d)
+
+
+def padic_block_valuation(Fq, d, n):
+    """v_P of every nonzero class block of degree n."""
+    if n < d:
+        return 0
+    tab, m = CarlitzTables(Fq), n - d
+    return tab.vP_D(m, d) - tab.vP_L(m, d) + Fq.order ** m - 1
+
+
+def _last(keep):
+    """Largest k >= 0 with keep(k), for keep decreasing in k; -1 if none."""
+    k = -1
+    while keep(k + 1):
+        k += 1
+    return k
+
+
 class ClassSumTable:
     """Infinity-adic class sums for one P, certified to depth `depth`:
     the Laurent data below carries every coefficient of T^{-j}, j <=
-    depth.  rows[n][sigma] covers units sigma; class 0 is derived from
-    the full-block sums (a = P*b)."""
+    depth.  rows[n][sigma] covers units sigma for every degree n whose
+    block valuation is at most depth (rows past n_full vanish to this
+    precision); class 0 is derived from the full zeta blocks (a = P*b),
+    kept for deg L_m <= depth."""
 
     def __init__(self, P, depth):
         Fq = P.field
@@ -43,7 +78,7 @@ class ClassSumTable:
         self.depth = depth
         self.prec = depth + 1
         self.F = residue_field(P)
-        self.n_full = (depth + d) // 2
+        self.n_full = _last(lambda n: inf_block_valuation(q, d, n) <= depth)
         F = self.F
         theta_pow = [1]
         for _ in range(self.n_full + 1):
@@ -73,9 +108,9 @@ class ClassSumTable:
             self.rows.append({s: LaurentSeries(Fq, n, cs, self.prec)
                               for s, cs in acc.items()})
 
-        # full-block sums for degree m <= depth // 2 (valuation >= 2m)
+        # zeta blocks: all monic a of degree m, valuation deg L_m
         self.full = []
-        for m in range(depth // 2 + 1):
+        for m in range(_last(lambda m: deg_L(q, m) <= depth) + 1):
             w = self.prec - m
             acc = [0] * w
             for code in range(q ** m):
@@ -127,8 +162,10 @@ def _inverse_window(digs, w, Fq):
 
 
 class PadicClassSumTable:
-    """P-adic class sums mod P^N over unit classes, blocks n <= N*d plus
-    `extra_blocks` validation blocks (lemma: those vanish mod P^N)."""
+    """P-adic class sums mod P^N over unit classes, blocks n <= n_max,
+    the last degree whose block valuation is below N, plus
+    `extra_blocks` validation blocks past the cut, which the closed form
+    says vanish mod P^N."""
 
     def __init__(self, P, N, extra_blocks=0):
         Fq = P.field
@@ -138,7 +175,7 @@ class PadicClassSumTable:
         self.N = N
         self.ctx = PadicContext(P, N)
         self.F = residue_field(P)
-        self.n_max = N * d
+        self.n_max = _last(lambda n: padic_block_valuation(Fq, d, n) < N)
         self.extra_blocks = extra_blocks
         F = self.F
         PN = self.ctx.P_pow(N)
@@ -177,7 +214,7 @@ class PadicClassSumTable:
         return acc
 
     def validation_blocks_vanish(self):
-        """Empirical check of the truncation lemma on the extra blocks."""
+        """Enumerated check that the extra blocks past the cut vanish."""
         return all(v.is_zero() for row in self.validation_rows
                    for v in row.values())
 
@@ -275,7 +312,7 @@ def _monic_window(F, f, c, prec):
 
 def l_padic(cyc, chi, table):
     """L_P(1, chi) in A_P mod P^N, Teichmuller-valued character, sum over
-    monic a coprime to P; blocks beyond N*d vanish mod P^N."""
+    monic a coprime to P; the table's blocks past n_max vanish mod P^N."""
     ctx = table.ctx
     PN = ctx.P_pow(table.N)
     acc = Poly.zero(cyc.Fq)

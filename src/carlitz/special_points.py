@@ -60,9 +60,15 @@ class VerificationReport:
     checks: list = dc_field(default_factory=list)
 
     def add(self, check_id, ok, lhs_prec=None, rhs_prec=None,
-            indeterminate=False, **detail):
+            indeterminate=False, reason=None, **detail):
+        """Record one check; `reason` says why it did not pass and is
+        kept only when it did not.  An indeterminate check needs one."""
         status = "indeterminate" if indeterminate else \
             ("pass" if ok else "fail")
+        if indeterminate and reason is None:
+            raise ValueError("indeterminate check %r has no reason" % check_id)
+        if status != "pass" and reason is not None:
+            detail["reason"] = reason
         self.checks.append(CheckResult(check_id, status, lhs_prec,
                                        rhs_prec, detail))
 
@@ -220,7 +226,8 @@ def verify_anderson(cyc, m, N, depth, guard=6):
     prec = min(lhs.prec, rhs.prec)
     if prec < 1:
         report.add(check_id, False, indeterminate=True,
-                   lhs_prec=lhs.prec, rhs_prec=rhs.prec)
+                   lhs_prec=lhs.prec, rhs_prec=rhs.prec,
+                   reason="no P-adic digit certified on both sides")
         return report
     ok = lhs.agrees_with(rhs)
     detail = {}
@@ -331,7 +338,7 @@ def verify_cnf(cyc, depth, min_coeffs=10):
                    gcd=g)
         if mstar is None:
             report.add("index chi=%d" % chi.n, False,
-                       detail_reason="no nonzero c_{m,chi}")
+                       reason="no nonzero c_{m,chi}")
             continue
 
         coords = _special_point_coords(cyc, mstar, table, F)
@@ -351,14 +358,17 @@ def verify_cnf(cyc, depth, min_coeffs=10):
         agree = (index - target).is_zero()
         report.add("index chi=%d" % chi.n, agree and overlap >= min_coeffs,
                    lhs_prec=index.prec, rhs_prec=target.prec,
-                   indeterminate=agree and overlap < min_coeffs)
+                   indeterminate=agree and overlap < min_coeffs,
+                   reason=_overlap_reason(agree, overlap, min_coeffs))
         index_family[chi.n] = index
     if len(index_family) == cyc.L:
         one = LaurentSeries.const(F, 1, depth + 1)
         fam = lattice_index(cyc, {n: one for n in index_family}, index_family)
         report.add("index-descends", fam.descends())
     else:
-        report.add("index-descends", False, indeterminate=True)
+        report.add("index-descends", False, indeterminate=True,
+                   reason="index known for %d of %d characters"
+                   % (len(index_family), cyc.L))
     return report
 
 
@@ -397,8 +407,16 @@ def verify_b1_formula(cyc, chi, depth, min_coeffs=12):
     agree = wv is None or wv >= overlap
     report.add(check_id, agree and overlap >= wneed,
                lhs_prec=lhs.wprec(), rhs_prec=rhs.wprec(),
-               indeterminate=agree and overlap < wneed)
+               indeterminate=agree and overlap < wneed,
+               reason=_overlap_reason(agree, overlap, wneed))
     return report
+
+
+def _overlap_reason(agree, overlap, need):
+    """Why an overlap comparison did not pass."""
+    if not agree:
+        return "the sides differ below their common precision %d" % overlap
+    return "the sides agree to precision %d, %d needed" % (overlap, need)
 
 
 # -- congruences and scans --------------------------------------------------------

@@ -7,8 +7,10 @@ from carlitz.cyclotomic import Character, CycField, all_characters
 from carlitz.fields import make_field, residue_field
 from carlitz.laurent import LaurentSeries
 from carlitz.lvalues import (ClassSumTable, PadicClassSumTable, _charpoly,
-                             euler_factor_charpoly, euler_product, l_inf,
-                             l_inf_equivariant, l_padic)
+                             deg_L, euler_factor_charpoly, euler_product,
+                             inf_block_valuation, l_inf, l_inf_equivariant,
+                             l_padic, padic_block_valuation)
+from carlitz.padics import PadicContext
 from carlitz.polynomials import (Poly, RatFunc, monic_irreducibles, monic_polys,
                                  parse_poly)
 
@@ -17,12 +19,16 @@ F3 = make_field(3)
 
 
 def test_class_sums_match_brute_force():
-    # oracle: accumulate 1/a directly as Laurent series, no truncation lemma
+    # oracle: accumulate 1/a directly as Laurent series, no truncation
+    # lemma, over every degree the old 2n - d bound kept; rows past the
+    # table's cut must be zero to precision
     P = parse_poly("T^2+1", F3)
     depth = 8
     table = ClassSumTable(P, depth)
     F = residue_field(P)
-    for n in range(table.n_full + 1):
+    zero = LaurentSeries.zero(F3, depth + 1)
+    for n in range((depth + int(P.degree)) // 2 + 1):
+        row = table.rows[n] if n <= table.n_full else {}
         brute = {}
         for a in monic_polys(F3, n):
             sigma = a.evaluate(F.theta, target=F)
@@ -31,13 +37,12 @@ def test_class_sums_match_brute_force():
         for sigma, want in brute.items():
             if sigma == 0:
                 continue
-            got = table.rows[n].get(sigma, LaurentSeries.zero(F3, depth + 1))
-            assert got.agrees_with(want), (n, sigma)
+            assert row.get(sigma, zero).agrees_with(want), (n, sigma)
 
 
 def test_truncation_lemma_blocks_vanish():
-    # the certified bound: class blocks of degree n > (depth+d)//2 are
-    # O(T^{-(depth+1)}); verify by brute force just past the cutoff
+    # the older, weaker bound: class blocks of degree n > (depth+d)//2
+    # are O(T^{-(depth+1)}); verify by brute force just past that cutoff
     for Pstr, Fq, depth in [("T^2+1", F3, 6), ("T^2+T+1", F2, 8), ("T^3+T+1", F2, 7)]:
         P = parse_poly(Pstr, Fq)
         F = residue_field(P)
@@ -56,11 +61,13 @@ def test_truncation_lemma_blocks_vanish():
 
 
 def test_full_blocks_valuation():
+    # the zeta block of degree m is (-1)^m / L_m: valuation exactly
+    # deg L_m = 0, 3, 12, 39 over F_3, all four inside depth 40
     P = parse_poly("T^2+1", F3)
-    table = ClassSumTable(P, 10)
-    for m, s in enumerate(table.full):
-        v = s.valuation()
-        assert v is None or v >= 2 * m
+    table = ClassSumTable(P, 40)
+    assert len(table.full) == 4
+    for m in range(4):
+        assert table.full[m].valuation() == deg_L(3, m), m
 
 
 def test_block_row_sums_match_full():
@@ -69,9 +76,9 @@ def test_block_row_sums_match_full():
     depth = 8
     table = ClassSumTable(P, depth)
     F = residue_field(P)
-    for n in range(2, table.n_full + 1):
+    for n in range(2, (depth + int(P.degree)) // 2 + 1):
         total = LaurentSeries.zero(F3, table.prec)
-        for s in table.rows[n].values():
+        for s in (table.rows[n] if n <= table.n_full else {}).values():
             total = total + s
         # P-divisible classes, brute force (the table derives them instead)
         brute = LaurentSeries.zero(F3, table.prec)
@@ -251,6 +258,97 @@ def test_padic_validation_blocks_vanish():
         P = parse_poly(Pstr, Fq)
         t = PadicClassSumTable(P, N, extra_blocks=int(P.degree))
         assert t.validation_blocks_vanish(), (Pstr, N)
+
+
+def _brute_blocks_inf(P, n, prec):
+    """Class blocks of degree n at infinity, keyed by residue, from 1/a."""
+    F = residue_field(P)
+    blocks = {}
+    for a in monic_polys(P.field, n):
+        sigma = a.evaluate(F.theta, target=F)
+        inv = LaurentSeries.from_poly(a, prec + n).inv().truncate(prec)
+        blocks[sigma] = blocks.get(sigma, LaurentSeries.zero(P.field, prec)) + inv
+    return blocks
+
+
+@pytest.mark.parametrize("q,Pstr,n_top", [(3, "T^2+1", 4), (2, "T^3+T+1", 6),
+                                          (3, "T+1", 3)])
+def test_block_valuation_exact_at_infinity(q, Pstr, n_top):
+    # every unit-class block of degree d + m has valuation d + deg L_m,
+    # and every zeta block (all monic a of degree m) has deg L_m; a
+    # valuation past the window shows as a block that is zero to it
+    P = parse_poly(Pstr, make_field(q))
+    d = int(P.degree)
+    prec = inf_block_valuation(q, d, n_top) + 2
+
+    def seen(v):
+        return v if v < prec else None
+    for n in range(n_top + 1):
+        blocks = _brute_blocks_inf(P, n, prec)
+        zeta = LaurentSeries.zero(P.field, prec)
+        for sigma, s in blocks.items():
+            zeta = zeta + s
+            if sigma:
+                assert s.valuation() == inf_block_valuation(q, d, n), (n, sigma)
+        assert zeta.valuation() == seen(deg_L(q, n)), n
+
+
+@pytest.mark.parametrize("q,Pstr,N,n_top", [(3, "T^2+1", 9, 4),
+                                            (2, "T^3+T+1", 8, 6),
+                                            (3, "T+1", 11, 3)])
+def test_block_valuation_exact_at_P(q, Pstr, N, n_top):
+    # v_P of every unit-class block of degree d + m is
+    # v_P(D_m) - v_P(L_m) + q^m - 1; inverses by xgcd, not the table's
+    Fq = make_field(q)
+    P = parse_poly(Pstr, Fq)
+    ctx = PadicContext(P, N)
+    PN = ctx.P_pow(N)
+    F = residue_field(P)
+    d = int(P.degree)
+    assert padic_block_valuation(Fq, d, n_top) < N
+    for n in range(n_top + 1):
+        blocks = {}
+        for a in monic_polys(Fq, n):
+            sigma = a.evaluate(F.theta, target=F)
+            if sigma:
+                _, inv, _ = a.xgcd(PN)
+                blocks[sigma] = (blocks.get(sigma, Poly.zero(Fq)) + inv) % PN
+        for sigma, s in blocks.items():
+            assert ctx.vP(s, N) == padic_block_valuation(Fq, d, n), (n, sigma)
+
+
+def test_deep_window_cuts():
+    # the exact cuts keep depth 64 and N 12 to a few hundred polynomials
+    P = parse_poly("T^2+1", F3)
+    assert ClassSumTable(P, 64).n_full == 5
+    assert PadicClassSumTable(P, 12).n_max == 4
+
+
+DESK = [(2, "T+1"), (2, "T^2+T+1"), (2, "T^3+T+1"), (2, "T^3+T^2+1"),
+        (3, "T+1"), (3, "T^2+1")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(DESK), st.integers(1, 12))
+def test_l_inf_precision_sound(qP, B):
+    # a wrong cut drops a block the doubled window keeps
+    cyc = CycField(parse_poly(qP[1], make_field(qP[0])))
+    low, high = ClassSumTable(cyc.P, B), ClassSumTable(cyc.P, 2 * B)
+    for chi in all_characters(cyc):
+        assert l_inf(cyc, chi, low) == \
+            l_inf(cyc, chi, high).truncate(B + 1), (qP, B, chi.n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(DESK), st.integers(1, 5))
+def test_l_padic_precision_sound(qP, N):
+    cyc = CycField(parse_poly(qP[1], make_field(qP[0])))
+    low, high = PadicClassSumTable(cyc.P, N), PadicClassSumTable(cyc.P, 2 * N)
+    PN = low.ctx.P_pow(N)
+    for chi in all_characters(cyc):
+        got = l_padic(cyc, chi, low)
+        assert got.prec == N
+        assert got.value == l_padic(cyc, chi, high).value % PN, (qP, N, chi.n)
 
 
 def test_l_padic_parity_small():

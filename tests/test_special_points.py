@@ -8,7 +8,8 @@ from carlitz.cyclotomic import (Character, CycField, InftyEmbedding,
                                 project_vector)
 from carlitz.fields import make_field
 from carlitz.laurent import LaurentSeries
-from carlitz.lvalues import ClassSumTable
+from carlitz.lvalues import (ClassSumTable, PadicClassSumTable,
+                             padic_block_valuation)
 from carlitz.polynomials import Poly, RatFunc, parse_poly
 from carlitz.special_points import (_laurent_ratio_to_tau,
                                     _special_point_coords, coprime_l_inf,
@@ -17,7 +18,8 @@ from carlitz.special_points import (_laurent_ratio_to_tau,
                                     padic_ledger, recognize_integral,
                                     special_point_inf, special_point_padic,
                                     verify_anderson, verify_b1_formula,
-                                    verify_cnf, verify_congruence)
+                                    VerificationReport, verify_cnf,
+                                    verify_congruence)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -148,11 +150,18 @@ def test_special_point_identity_all_characters_all_powers():
 def test_padic_special_point_in_m_squared():
     for Pstr, Fq, N in [("T^2+T+1", F2, 4), ("T^2+1", F3, 3)]:
         cyc = _cyc(Pstr, Fq)
+        d = cyc.d
+        cut = max(n for n in range(N * d + 1)
+                  if padic_block_valuation(Fq, d, n) < N)
         for m in (1, 2, 3):
             sp = special_point_padic(cyc, m, N)
             vm = sp.value.vm()
             assert vm is None or vm >= 2
-            assert sp.truncation_blocks == N * cyc.d
+            assert sp.truncation_blocks == cut
+        # the old bound kept every block up to N*d: by enumeration, the
+        # ones past the new cut vanish mod P^N
+        vtab = PadicClassSumTable(cyc.P, N, extra_blocks=N * d - cut)
+        assert vtab.n_max == cut and vtab.validation_blocks_vanish()
 
 
 def test_padic_odd_part_collapse_mod_P():
@@ -221,6 +230,20 @@ def test_b1_formula_rejects_even_character():
     cyc = _cyc("T^2+1", F3)
     with pytest.raises(ValueError):
         verify_b1_formula(cyc, Character(cyc, 2), 12)
+
+
+def test_indeterminate_check_states_its_reason():
+    # depth 8 certifies fewer coefficients than the 40 asked for
+    cyc = _cyc("T^2+1", F3)
+    chi = next(c for c in all_characters(cyc) if c.is_odd())
+    (check,) = verify_b1_formula(cyc, chi, 8, min_coeffs=40).checks
+    assert check.status == "indeterminate"
+    assert "needed" in check.as_dict()["detail"]["reason"]
+    rep = VerificationReport("s", {})
+    with pytest.raises(ValueError, match="no reason"):
+        rep.add("c", False, indeterminate=True)
+    rep.add("c", True, reason="unused")
+    assert rep.checks[-1].detail == {}
 
 
 def test_congruence_suite():
