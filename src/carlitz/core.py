@@ -30,6 +30,7 @@ class CarlitzTables:
             self.q = field.order
             self._D = [Poly.one(field)]
             self._L = [Poly.one(field)]
+            self._e = {}
             cls._instances[field] = self
         return cls._instances[field]
 
@@ -52,6 +53,17 @@ class CarlitzTables:
             k = len(self._L)
             self._L.append(self.tq_minus(k) * self._L[-1])
         return self._L[i]
+
+    def e_coeffs(self, m):
+        """c_0 .. c_m in A with e_m(x) = prod over b in A of degree < m of
+        (x - b) = sum c_i x^{q^i}:
+        c_i = (-1)^{m-i} D_m / (D_i L_{m-i}^{q^i})."""
+        if m not in self._e:
+            minus = self.field.neg(1)
+            self._e[m] = tuple(
+                (self.D(m) // (self.D(i) * self.L(m - i).frob_power(self.q ** i)))
+                .scale(minus if (m - i) % 2 else 1) for i in range(m + 1))
+        return self._e[m]
 
     def factorial(self, n):
         """Pi(n) for n >= 0."""

@@ -15,7 +15,7 @@ all the bookkeeping.
 from __future__ import annotations
 
 from .core import _embed_poly, carlitz_poly, exp_eval
-from .fields import OBJECT_OPS, residue_field, row_reduce
+from .fields import OBJECT_OPS, residue_field, residue_rep, row_reduce
 from .laurent import LaurentSeries, RamifiedElem, pi_bar
 from .padics import (PadicContext, CycPadicRing, embed_tensor_to_padic,
                      fold_powers, frob_coords, lambda_power_rows, mul_coords,
@@ -120,12 +120,7 @@ class CycField:
 
     def unit_rep_poly(self, b):
         """Canonical polynomial representative (degree < d) of b in Delta."""
-        digs = []
-        x = b
-        for _ in range(self.d):
-            digs.append(x % self.q)
-            x //= self.q
-        return Poly(self.Fq, digs)
+        return residue_rep(self.P, b)
 
     def sigma_lambda(self, b):
         """Coords over A of sigma_b(lambda) = phi_b(lambda): with phi_b =

@@ -47,13 +47,6 @@ class EquivariantElem:
                     return False
         return True
 
-    def orbit_values(self):
-        """One representative value per Frobenius orbit, keyed by the
-        least exponent."""
-        from .fields import frobenius_orbits
-        orbs = frobenius_orbits(self.cyc.q, self.cyc.d)
-        return {orb[0]: self.values[orb[0]] for orb in orbs}
-
     def normalized(self):
         """Scale each member so its leading coefficient is 1; Frobenius
         compatibility survives because leading coefficients transform

@@ -320,6 +320,13 @@ def residue_field(P):
     return F
 
 
+def residue_rep(P, x):
+    """The representative in F_q[T], of degree < deg P, of x in
+    residue_field(P)."""
+    from .polynomials import Poly
+    return Poly(P.field, residue_field(P).digits(x))
+
+
 # entries of RatFunc or LaurentSeries: field operations are their operators
 OBJECT_OPS = SimpleNamespace(neg=operator.neg, sub=operator.sub,
                              mul=operator.mul, inv=operator.methodcaller("inv"),

@@ -3,12 +3,18 @@
 The workhorse is the class-sum table: for each degree n and residue
 class sigma mod P, the sum of 1/a over monic a of degree n in the class.
 
-Truncation is certified by Carlitz's closed form for these sums
+Every block is computed from Carlitz's closed form for these sums
 (Carlitz 1935; Goss, Basic Structures of Function Field Arithmetic,
-section 3.1).  Write n = d + m.  The sum of 1/a over monic a of degree
-n with a = a0 mod P is (1/P) (-1)^m (D_m/L_m) / (D_m + e_m(a0/P)),
-where e_m(x) = prod over b in A of degree < m of (x - b).  Every
-nonzero block therefore has an exact valuation:
+section 3.1); enumerating monic polynomials survives only as a test
+oracle.  Write n = d + m.  The sum of 1/a over monic a of degree n with
+a = a0 mod P is (1/P) (-1)^m (D_m/L_m) / (D_m + e_m(a0/P)), where e_m(x)
+= prod over b in A of degree < m of (x - b).  class_blocks returns it as
+an exact pair (num, den) in A, for class 0 too, and both places read
+that pair: at infinity one Laurent quotient in a window of the width
+the block's valuation leaves, at P num times the inverse of den mod P^N.
+
+The same form certifies where each table stops.  Every nonzero block
+has an exact valuation:
 
 - at infinity, d + deg L_m with deg L_m = q (q^m - 1) / (q - 1), since
   e_m(a0/P) has lower degree than D_m; the full zeta block over all
@@ -28,12 +34,10 @@ one Laurent inverse per character certifies the whole window.
 from __future__ import annotations
 
 from .core import CarlitzTables
-from .cyclotomic import all_characters
-from .equivariant import EquivariantElem
-from .fields import residue_field, row_reduce
+from .fields import residue_field, residue_rep, row_reduce
 from .laurent import LaurentSeries
 from .padics import PadicContext, PadicElem, fold_powers
-from .polynomials import Poly, RatFunc
+from .polynomials import Poly
 
 
 def deg_L(q, m):
@@ -62,181 +66,127 @@ def _last(keep):
     return k
 
 
+def class_blocks(P, n, classes, modulus=None):
+    """For each sigma in `classes` (residues mod P), with a0 in A its
+    representative of degree < d = deg P, the sum of 1/a over monic a of
+    degree n with a = a0 mod P, as a pair (num, den) in A.
+
+    For n < d the class holds a0 alone when a0 is monic of degree n, and
+    nothing otherwise.  For n = d + m, a = a0 + P b with b monic of degree
+    m, and the closed form times P^{q^m} / P^{q^m} gives
+
+        num = (-1)^m (D_m/L_m) P^{q^m - 1} = c_0 P^{q^m - 1},
+        den = D_m P^{q^m} + sum_i c_i a0^{q^i} P^{q^m - q^i},
+
+    with e_m(x) = sum_i c_i x^{q^i}; a0 = 0 gives (-1)^m / (L_m P).  With
+    `modulus`, factors are reduced by it before they are raised to
+    powers, and the pairs hold mod `modulus` only.
+    """
+    Fq = P.field
+    m = n - int(P.degree)
+    reps = [residue_rep(P, sigma) for sigma in classes]
+    if m < 0:
+        return [(Poly.one(Fq), a0) if a0.degree == n and a0.is_monic()
+                else (Poly.zero(Fq), Poly.one(Fq)) for a0 in reps]
+    tab = CarlitzTables(Fq)
+    q, c = tab.q, tab.e_coeffs(m)
+
+    def red(f):
+        return f if modulus is None else f % modulus
+    pq = [Poly.one(Fq)]  # pq[k] = P^{q^k - 1} = pq[k-1]^q P^{q-1}
+    for _ in range(m):
+        pq.append(red(pq[-1].frob_power(q) * P ** (q - 1)))
+    num, den0 = red(c[0] * pq[m]), red(tab.D(m) * pq[m] * P)
+    pairs = []
+    for a0 in reps:
+        den = den0
+        if a0:
+            for i, ci in enumerate(c):
+                den = den + ci * red(a0 * pq[m - i]).frob_power(q ** i)
+        pairs.append((num, red(den)))
+    return pairs
+
+
 class ClassSumTable:
     """Infinity-adic class sums for one P, certified to depth `depth`:
-    the Laurent data below carries every coefficient of T^{-j}, j <=
-    depth.  rows[n][sigma] covers units sigma for every degree n whose
-    block valuation is at most depth (rows past n_full vanish to this
-    precision); class 0 is derived from the full zeta blocks (a = P*b),
-    kept for deg L_m <= depth."""
+    class_total(sigma) carries every coefficient of T^{-j}, j <= depth, of
+    the sum of 1/a over all monic a = sigma mod P, class 0 included.
+    Each block comes from the closed form; blocks past n_full, the last
+    degree whose block valuation is at most depth, vanish to this
+    precision."""
 
     def __init__(self, P, depth):
-        Fq = P.field
-        q = Fq.order
-        d = int(P.degree)
+        q = P.field.order
         self.P = P
         self.depth = depth
         self.prec = depth + 1
-        self.F = residue_field(P)
-        self.n_full = _last(lambda n: inf_block_valuation(q, d, n) <= depth)
-        F = self.F
-        theta_pow = [1]
-        for _ in range(self.n_full + 1):
-            theta_pow.append(F.mul(theta_pow[-1], F.theta))
-
-        self.rows = []
+        self.n_full = _last(
+            lambda n: inf_block_valuation(q, int(P.degree), n) <= depth)
+        self.totals = dict.fromkeys(residue_field(P).elements(),
+                                    LaurentSeries.zero(P.field, self.prec))
         for n in range(self.n_full + 1):
-            acc = {}
-            w = self.prec - n
-            for code in range(q ** n):
-                digs, x = [], code
-                for _ in range(n):
-                    digs.append(x % q)
-                    x //= q
-                sigma = theta_pow[n]
-                for i, dig in enumerate(digs):
-                    if dig:
-                        sigma = F.add(sigma, F.mul(dig, theta_pow[i]))
-                if sigma == 0:
-                    continue  # PA classes are (1/P) * full blocks, see below
-                inv = _inverse_window(digs, w, Fq)
-                row = acc.get(sigma)
-                if row is None:
-                    acc[sigma] = inv
-                else:
-                    acc[sigma] = [Fq.add(a, b) for a, b in zip(row, inv)]
-            self.rows.append({s: LaurentSeries(Fq, n, cs, self.prec)
-                              for s, cs in acc.items()})
+            for sigma, s in self.blocks(n).items():
+                self.totals[sigma] = self.totals[sigma] + s
 
-        # zeta blocks: all monic a of degree m, valuation deg L_m
-        self.full = []
-        for m in range(_last(lambda m: deg_L(q, m) <= depth) + 1):
-            w = self.prec - m
-            acc = [0] * w
-            for code in range(q ** m):
-                digs, x = [], code
-                for _ in range(m):
-                    digs.append(x % q)
-                    x //= q
-                inv = _inverse_window(digs, w, Fq)
-                acc = [Fq.add(a, b) for a, b in zip(acc, inv)]
-            self.full.append(LaurentSeries(Fq, m, acc, self.prec))
-
-    def unit_class_total(self, sigma):
-        """Sum over all degrees of the class sum at a unit class."""
+    def blocks(self, n):
+        """sigma -> the class block of degree n at sigma, to the table's
+        precision: num and den enter as windows of the width the block's
+        valuation leaves, so one inverse certifies each."""
         Fq = self.P.field
-        acc = LaurentSeries.zero(Fq, self.prec)
-        for row in self.rows:
-            if sigma in row:
-                acc = acc + row[sigma]
-        return acc
+        classes = residue_field(self.P).elements()
+        zero = LaurentSeries.zero(Fq, self.prec)
+        w = self.prec - inf_block_valuation(Fq.order, int(self.P.degree), n)
+        if w <= 0:
+            return dict.fromkeys(classes, zero)
+        pairs = class_blocks(self.P, n, classes)
+        return {sigma: _poly_window(Fq, num, 0, w)
+                * _poly_window(Fq, den, 0, w).inv() if num else zero
+                for sigma, (num, den) in zip(classes, pairs)}
 
-    def zero_class_total(self):
-        """Sum over PA: (1/P) times the full monic zeta block."""
-        Fq = self.P.field
-        pinv = LaurentSeries.from_ratfunc(
-            RatFunc(Poly.one(Fq), self.P), self.prec + int(self.P.degree))
-        acc = LaurentSeries.zero(Fq, self.prec + int(self.P.degree))
-        for s in self.full:
-            acc = acc + s
-        return (pinv * acc).truncate(self.prec)
-
-
-def _inverse_window(digs, w, Fq):
-    """First w coefficients of 1/a shifted by T^deg: a = T^n (1 + u)."""
-    n = len(digs)
-    inv = [0] * w
-    inv[0] = 1
-    if w == 1 or n == 0:
-        return inv
-    # u_j = digit_{n-j}
-    u = [0] + [digs[n - j] for j in range(1, min(n, w - 1) + 1)]
-    add, mul, neg = Fq.add, Fq.mul, Fq.neg
-    for k in range(1, w):
-        acc = 0
-        for j in range(1, min(k, len(u) - 1) + 1):
-            if u[j] and inv[k - j]:
-                acc = add(acc, mul(u[j], inv[k - j]))
-        inv[k] = neg(acc)
-    return inv
+    def class_total(self, sigma):
+        """Sum over all degrees of the class sums at sigma."""
+        return self.totals[sigma]
 
 
 class PadicClassSumTable:
-    """P-adic class sums mod P^N over unit classes, blocks n <= n_max,
-    the last degree whose block valuation is below N, plus
-    `extra_blocks` validation blocks past the cut, which the closed form
-    says vanish mod P^N."""
+    """P-adic class sums mod P^N over unit classes, from the closed form
+    for blocks n <= n_max, the last degree whose block valuation is below
+    N.  `extra_blocks` more degrees past the cut are kept for
+    validation_blocks_vanish."""
 
     def __init__(self, P, N, extra_blocks=0):
-        Fq = P.field
-        q = Fq.order
-        d = int(P.degree)
         self.P = P
         self.N = N
         self.ctx = PadicContext(P, N)
-        self.F = residue_field(P)
-        self.n_max = _last(lambda n: padic_block_valuation(Fq, d, n) < N)
+        self.n_max = _last(
+            lambda n: padic_block_valuation(P.field, int(P.degree), n) < N)
         self.extra_blocks = extra_blocks
-        F = self.F
         PN = self.ctx.P_pow(N)
-        theta_pow = [1]
-        for _ in range(self.n_max + extra_blocks + 1):
-            theta_pow.append(F.mul(theta_pow[-1], F.theta))
+        self.totals = dict.fromkeys(residue_field(P).units(),
+                                    Poly.zero(P.field))
+        for n in range(self.n_max + 1):
+            for sigma, s in self.blocks(n).items():
+                self.totals[sigma] = (self.totals[sigma] + s) % PN
 
-        self.rows = []
-        self.validation_rows = []
-        for n in range(self.n_max + extra_blocks + 1):
-            acc = {}
-            for code in range(q ** n):
-                digs, x = [], code
-                for _ in range(n):
-                    digs.append(x % q)
-                    x //= q
-                sigma = theta_pow[n]
-                for i, dig in enumerate(digs):
-                    if dig:
-                        sigma = F.add(sigma, F.mul(dig, theta_pow[i]))
-                if sigma == 0:
-                    continue
-                a = Poly(Fq, digs + [1])
-                inv = _newton_inverse(a, sigma, self.ctx)
-                row = acc.get(sigma)
-                acc[sigma] = inv if row is None else (row + inv) % PN
-            target = self.rows if n <= self.n_max else self.validation_rows
-            target.append(acc)
-
-    def unit_class_total(self, sigma):
+    def blocks(self, n):
+        """Unit sigma -> the class block of degree n at sigma, mod P^N."""
         PN = self.ctx.P_pow(self.N)
-        acc = Poly.zero(self.P.field)
-        for row in self.rows:
-            if sigma in row:
-                acc = (acc + row[sigma]) % PN
-        return acc
+        units = residue_field(self.P).units()
+        pairs = class_blocks(self.P, n, units, PN)
+        return {sigma: num * self.ctx.unit_inv(den, self.N) % PN
+                for sigma, (num, den) in zip(units, pairs)}
+
+    def class_total(self, sigma):
+        """Sum over all degrees of the class sums at a unit sigma."""
+        return self.totals[sigma]
 
     def validation_blocks_vanish(self):
-        """Enumerated check that the extra blocks past the cut vanish."""
-        return all(v.is_zero() for row in self.validation_rows
-                   for v in row.values())
-
-
-def _newton_inverse(a, sigma, ctx):
-    """1/a mod P^N starting from the residue-field inverse of sigma."""
-    F = ctx.field
-    Fres = residue_field(ctx.P)
-    inv_res = Fres.inv(sigma)
-    digs = []
-    x = inv_res
-    for _ in range(ctx.d):
-        digs.append(x % ctx.q)
-        x //= ctx.q
-    y = Poly(F, digs)
-    two = Poly.const(F, F.add(1, 1))
-    k = 1
-    while k < ctx.N:
-        k = min(2 * k, ctx.N)
-        mod = ctx.P_pow(k)
-        y = (y * (two - a * y)) % mod
-    return y % ctx.P_pow(ctx.N)
+        """The closed form's blocks of the extra_blocks degrees past the
+        cut are zero mod P^N."""
+        return all(s.is_zero()
+                   for n in range(self.n_max + 1,
+                                  self.n_max + self.extra_blocks + 1)
+                   for s in self.blocks(n).values())
 
 
 # -- L-values ---------------------------------------------------------------------
@@ -248,22 +198,12 @@ def l_inf(cyc, chi, table):
     all monic a, the PA part contributing (1/P) * zeta block."""
     F = cyc.F
     acc = LaurentSeries.zero(F, table.prec)
-    for sigma in cyc.units():
-        s = table.unit_class_total(sigma)
-        if s.is_zero():
-            continue
-        c = chi(sigma)
-        if c == 0:
-            continue
-        acc = acc + s.map_coeffs(F, lambda x: x).scale(c)
-    if chi.is_trivial():
-        acc = acc + table.zero_class_total().map_coeffs(F, lambda x: x)
+    for sigma in F.elements():
+        c = chi(sigma)  # chi(0) is 1 for trivial chi only
+        s = table.class_total(sigma)
+        if c and not s.is_zero():
+            acc = acc + s.map_coeffs(F, lambda x: x).scale(c)
     return acc
-
-
-def l_inf_equivariant(cyc, table):
-    vals = {chi.n: l_inf(cyc, chi, table) for chi in all_characters(cyc)}
-    return EquivariantElem(cyc, vals, "laurent")
 
 
 def euler_product(cyc, chi, max_deg_f, prec):
@@ -287,7 +227,7 @@ def euler_product(cyc, chi, max_deg_f, prec):
         num = LaurentSeries.const(F, 1, prec)
         for f in cyc.irreducibles(max_deg_f):
             if f != cyc.P:
-                num = num * _monic_window(F, f, 0, prec)
+                num = num * _poly_window(F, f, 0, prec)
         return num
     num = cyc.memo(("euler_numerator", max_deg_f, prec), numerator)
     den = LaurentSeries.const(F, 1, prec)
@@ -296,14 +236,14 @@ def euler_product(cyc, chi, max_deg_f, prec):
         if c == 0:
             continue
         if f == cyc.P:
-            num = num * _monic_window(F, f, 0, prec)
-        den = den * _monic_window(F, f, c, prec)
+            num = num * _poly_window(F, f, 0, prec)
+        den = den * _poly_window(F, f, c, prec)
     return (num * den.inv()).truncate(prec)
 
 
-def _monic_window(F, f, c, prec):
-    """f - c for monic f in A, c in F, as a Laurent series of val -deg f
-    carrying `prec` coefficients."""
+def _poly_window(F, f, c, prec):
+    """f - c for nonzero f in A and c in F, as a Laurent series of val
+    -deg f carrying `prec` coefficients."""
     deg = int(f.degree)
     cs = list(reversed(f.coeffs))
     cs[deg] = F.sub(cs[deg], c)
@@ -317,7 +257,7 @@ def l_padic(cyc, chi, table):
     PN = ctx.P_pow(table.N)
     acc = Poly.zero(cyc.Fq)
     for sigma in cyc.units():
-        s = table.unit_class_total(sigma)
+        s = table.class_total(sigma)
         if s.is_zero():
             continue
         c = chi(sigma)

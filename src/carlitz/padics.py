@@ -11,6 +11,7 @@ distinct residues mod q^d - 1.
 
 from __future__ import annotations
 
+from .fields import residue_rep
 from .polynomials import Poly
 
 
@@ -162,9 +163,7 @@ def teichmuller_lift(c, ctx):
     (quadratically convergent is not needed; N steps suffice at desk
     scale).  Returns a PadicElem at full context precision.
     """
-    F = ctx.field
-    # digits of the residue class are F_q ints: the obvious lift
-    y = Poly(F, list(_residue_digits(c, ctx)))
+    y = residue_rep(ctx.P, c)  # the obvious lift
     for _ in range(ctx.N + 2):
         z = y
         for _ in range(ctx.d):
@@ -175,13 +174,6 @@ def teichmuller_lift(c, ctx):
     else:
         raise ArithmeticError("Teichmuller iteration did not stabilize")
     return ctx.elem(y)
-
-
-def _residue_digits(c, ctx):
-    q = ctx.q
-    for _ in range(ctx.d):
-        yield c % q
-        c //= q
 
 
 def embed_tensor_to_padic(r, ctx, lift=None):

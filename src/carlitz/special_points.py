@@ -107,7 +107,7 @@ def special_point_inf(cyc, m, depth):
     for bplace in emb.reps:
         acc = None
         for sigma in cyc.units():
-            c = table.unit_class_total(sigma)
+            c = table.class_total(sigma)
             if c.is_zero():
                 continue
             row = [RatFunc.from_poly(p) for p in cyc.sigma_power(sigma, m)]
@@ -126,7 +126,7 @@ def special_point_padic(cyc, m, N):
     PN = table.ctx.P_pow(N)
     coords = [Poly.zero(cyc.Fq) for _ in range(cyc.L)]
     for sigma in cyc.units():
-        s = table.unit_class_total(sigma)
+        s = table.class_total(sigma)
         if s.is_zero():
             continue
         for i, p in enumerate(cyc.sigma_power(sigma, m)):
@@ -256,7 +256,7 @@ def _special_point_coords(cyc, m, table, field):
     prec = table.prec
     coords = [None] * cyc.L
     for sigma in cyc.units():
-        c = table.unit_class_total(sigma)
+        c = table.class_total(sigma)
         if c.is_zero():
             continue
         cF = c.map_coeffs(field, lambda x: x)
@@ -298,7 +298,7 @@ def coprime_l_inf(cyc, chi, table):
     is the value the special-point sums actually carry."""
     val = l_inf(cyc, chi, table)
     if chi.is_trivial():
-        val = val - table.zero_class_total().map_coeffs(cyc.F, lambda x: x)
+        val = val - table.class_total(0).map_coeffs(cyc.F, lambda x: x)
     return val
 
 

@@ -57,6 +57,25 @@ def test_vP_L_matches_true_valuation():
         assert (ctx.vP(tab.L(i), 40) or 0) == tab.vP_L(i, 2) == i // 2
 
 
+def test_e_coeffs_give_the_product():
+    # oracle: e_m(x) = prod over b of degree < m of (x - b) vanishes on
+    # every such b and takes T^m to D_m
+    for F in (F2, F3):
+        tab = CarlitzTables(F)
+        q = F.order
+        for m in range(4):
+            c = tab.e_coeffs(m)
+            assert len(c) == m + 1 and c[m].is_one()
+
+            def e(x):
+                return sum((ci * x ** (q ** i) for i, ci in enumerate(c)),
+                           Poly.zero(F))
+            for code in range(q ** m):
+                b = Poly(F, [code // q ** k % q for k in range(m)])
+                assert e(b).is_zero(), (q, m, b)
+            assert e(Poly.monomial(F, 1, m)) == tab.D(m), (q, m)
+
+
 def test_factorial():
     tab = CarlitzTables(F3)
     assert tab.factorial(0).is_one()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz.fields import (OBJECT_OPS, FiniteField, make_field, residue_field,
-                            frobenius_orbits, row_reduce)
+                            residue_rep, frobenius_orbits, row_reduce)
 from carlitz.laurent import LaurentSeries
 from carlitz.polynomials import Poly, RatFunc, parse_poly
 
@@ -96,6 +96,17 @@ def test_residue_field_degree_one():
     F = residue_field(parse_poly("T+1", Fq))
     assert F.order == 3
     assert F.theta == F.neg(1)  # T = -1
+
+
+def test_residue_rep_evaluates_back():
+    # every residue's representative has degree < d and reduces to it
+    for q, Pstr in [(2, "T^3+T+1"), (3, "T^2+1"), (3, "T+1")]:
+        P = parse_poly(Pstr, make_field(q))
+        F = residue_field(P)
+        for x in F.elements():
+            rep = residue_rep(P, x)
+            assert rep.is_zero() or rep.degree < P.degree, (Pstr, x)
+            assert rep.evaluate(F.theta, target=F) == x, (Pstr, x)
 
 
 def test_frobenius_orbits_q3_d2():

@@ -3,41 +3,61 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz.core import CarlitzTables
 from carlitz.cyclotomic import Character, CycField, all_characters
+from carlitz.equivariant import EquivariantElem
 from carlitz.fields import make_field, residue_field
 from carlitz.laurent import LaurentSeries
 from carlitz.lvalues import (ClassSumTable, PadicClassSumTable, _charpoly,
                              deg_L, euler_factor_charpoly, euler_product,
-                             inf_block_valuation, l_inf, l_inf_equivariant,
-                             l_padic, padic_block_valuation)
+                             inf_block_valuation, l_inf, l_padic,
+                             padic_block_valuation)
 from carlitz.padics import PadicContext
 from carlitz.polynomials import (Poly, RatFunc, monic_irreducibles, monic_polys,
                                  parse_poly)
+from enumeration import brute_blocks
 
 F2 = make_field(2)
 F3 = make_field(3)
 
 
 def test_class_sums_match_brute_force():
-    # oracle: accumulate 1/a directly as Laurent series, no truncation
-    # lemma, over every degree the old 2n - d bound kept; rows past the
-    # table's cut must be zero to precision
-    P = parse_poly("T^2+1", F3)
-    depth = 8
-    table = ClassSumTable(P, depth)
-    F = residue_field(P)
-    zero = LaurentSeries.zero(F3, depth + 1)
-    for n in range((depth + int(P.degree)) // 2 + 1):
-        row = table.rows[n] if n <= table.n_full else {}
-        brute = {}
-        for a in monic_polys(F3, n):
-            sigma = a.evaluate(F.theta, target=F)
-            inv = LaurentSeries.from_poly(a, depth + 1 + n).inv().truncate(depth + 1)
-            brute[sigma] = brute.get(sigma, LaurentSeries.zero(F3, depth + 1)) + inv
-        for sigma, want in brute.items():
-            if sigma == 0:
-                continue
-            assert row.get(sigma, zero).agrees_with(want), (n, sigma)
+    # every closed-form block, class 0 included, against enumeration over
+    # every degree the old 2n - d bound kept; past the cut both are zero
+    # to precision, and the totals are the sums of the enumerated blocks
+    for q, Pstr, depth in [(3, "T^2+1", 8), (2, "T^3+T+1", 10), (3, "T+1", 8),
+                           (2, "T^2+T+1", 9)]:
+        P = parse_poly(Pstr, make_field(q))
+        table = ClassSumTable(P, depth)
+        zero = LaurentSeries.zero(P.field, table.prec)
+        totals = dict.fromkeys(residue_field(P).elements(), zero)
+        for n in range((depth + int(P.degree)) // 2 + 1):
+            brute = brute_blocks(P, n, prec=table.prec)
+            for sigma in totals:
+                want = brute.get(sigma, zero)
+                assert table.blocks(n)[sigma] == want, (Pstr, n, sigma)
+                totals[sigma] = totals[sigma] + want
+        for sigma, want in totals.items():
+            assert table.class_total(sigma) == want, (Pstr, sigma)
+
+
+def test_padic_class_sums_match_brute_force():
+    # every closed-form unit-class block mod P^N against enumeration up
+    # to the old bound N*d, past the cut included
+    for q, Pstr, N in [(3, "T^2+1", 3), (2, "T^3+T+1", 3), (3, "T+1", 4),
+                       (2, "T^2+T+1", 4)]:
+        P = parse_poly(Pstr, make_field(q))
+        table = PadicClassSumTable(P, N)
+        zero = Poly.zero(P.field)
+        totals = dict.fromkeys(residue_field(P).units(), zero)
+        for n in range(N * int(P.degree) + 1):
+            brute = brute_blocks(P, n, N=N)
+            for sigma in totals:
+                want = brute.get(sigma, zero)
+                assert table.blocks(n)[sigma] == want, (Pstr, n, sigma)
+                totals[sigma] = (totals[sigma] + want) % P ** N
+        for sigma, want in totals.items():
+            assert table.class_total(sigma) == want, (Pstr, sigma)
 
 
 def test_truncation_lemma_blocks_vanish():
@@ -45,49 +65,59 @@ def test_truncation_lemma_blocks_vanish():
     # are O(T^{-(depth+1)}); verify by brute force just past that cutoff
     for Pstr, Fq, depth in [("T^2+1", F3, 6), ("T^2+T+1", F2, 8), ("T^3+T+1", F2, 7)]:
         P = parse_poly(Pstr, Fq)
-        F = residue_field(P)
         d = int(P.degree)
         n_full = (depth + d) // 2
         for n in range(n_full + 1, min(n_full + 3, depth + 1)):
-            brute = {}
-            for a in monic_polys(Fq, n):
-                sigma = a.evaluate(F.theta, target=F)
-                inv = LaurentSeries.from_poly(a, depth + 1 + n).inv().truncate(depth + 1)
-                brute[sigma] = brute.get(sigma, LaurentSeries.zero(Fq, depth + 1)) + inv
-            for sigma, s in brute.items():
+            for sigma, s in brute_blocks(P, n, prec=depth + 1).items():
                 v = s.valuation()
                 assert v is None or v >= 2 * n - d, (Pstr, n, sigma, v)
                 assert v is None or v > depth
 
 
 def test_full_blocks_valuation():
-    # the zeta block of degree m is (-1)^m / L_m: valuation exactly
-    # deg L_m = 0, 3, 12, 39 over F_3, all four inside depth 40
+    # the zeta block of degree m, summed over every class, is (-1)^m /
+    # L_m: valuation exactly deg L_m = 0, 3, 12, 39 over F_3, all four
+    # inside depth 40; the closed form gives it class by class
     P = parse_poly("T^2+1", F3)
     table = ClassSumTable(P, 40)
-    assert len(table.full) == 4
+    F = residue_field(P)
+    tab = CarlitzTables(F3)
     for m in range(4):
-        assert table.full[m].valuation() == deg_L(3, m), m
+        brute = LaurentSeries.zero(F3, table.prec)
+        closed = LaurentSeries.zero(F3, table.prec)
+        for sigma, s in brute_blocks(P, m, prec=table.prec).items():
+            brute = brute + s
+        for sigma in F.elements():
+            closed = closed + table.blocks(m)[sigma]
+        assert brute.valuation() == deg_L(3, m), m
+        assert closed == brute, m
+        want = LaurentSeries.from_ratfunc(
+            RatFunc(Poly.const(F3, (-1) ** m % 3), tab.L(m)), table.prec)
+        assert brute == want, m
 
 
 def test_block_row_sums_match_full():
-    # sum over all unit classes + zero class = full block
+    # the class totals, class 0 included, add up to the enumerated sums
+    # of 1/a over all monic a; class 0 alone is 1/P times that sum
     P = parse_poly("T^2+1", F3)
     depth = 8
     table = ClassSumTable(P, depth)
     F = residue_field(P)
-    for n in range(2, (depth + int(P.degree)) // 2 + 1):
-        total = LaurentSeries.zero(F3, table.prec)
-        for s in (table.rows[n] if n <= table.n_full else {}).values():
-            total = total + s
-        # P-divisible classes, brute force (the table derives them instead)
-        brute = LaurentSeries.zero(F3, table.prec)
-        for a in monic_polys(F3, n):
-            if a.evaluate(F.theta, target=F) == 0:
-                brute = brute + LaurentSeries.from_poly(a, table.prec + n).inv()
-        full_n = table.full[n] if n < len(table.full) else \
-            LaurentSeries.zero(F3, table.prec)
-        assert (total + brute.truncate(table.prec)).agrees_with(full_n)
+    total = LaurentSeries.zero(F3, table.prec)
+    for sigma in F.elements():
+        total = total + table.class_total(sigma)
+    zeta = LaurentSeries.zero(F3, table.prec)
+    zero_class = LaurentSeries.zero(F3, table.prec)
+    for n in range((depth + int(P.degree)) // 2 + 1):
+        brute = brute_blocks(P, n, prec=table.prec)
+        for s in brute.values():
+            zeta = zeta + s
+        if 0 in brute:
+            zero_class = zero_class + brute[0]
+    assert total == zeta
+    assert table.class_total(0) == zero_class
+    pinv = LaurentSeries.from_ratfunc(RatFunc(Poly.one(F3), P), table.prec)
+    assert zero_class.agrees_with(pinv * zeta)
 
 
 def test_l_inf_leading_term():
@@ -103,7 +133,8 @@ def test_l_inf_leading_term():
 def test_l_inf_descends():
     cyc = CycField(parse_poly("T^2+1", F3))
     table = ClassSumTable(cyc.P, 10)
-    fam = l_inf_equivariant(cyc, table)
+    fam = EquivariantElem(cyc, {chi.n: l_inf(cyc, chi, table)
+                                for chi in all_characters(cyc)}, "laurent")
     assert fam.descends()
 
 
@@ -247,28 +278,23 @@ def test_padic_class_sums_consistent_across_N():
     t3 = PadicClassSumTable(P, 3)
     F = residue_field(P)
     for sigma in range(1, 9):
-        a = t2.unit_class_total(sigma)
-        b = t3.unit_class_total(sigma) % t2.ctx.P_pow(2)
+        a = t2.class_total(sigma)
+        b = t3.class_total(sigma) % t2.ctx.P_pow(2)
         assert a == b
 
 
 def test_padic_validation_blocks_vanish():
-    # the N*d truncation lemma, checked on the next d blocks
-    for Pstr, Fq, N in [("T^2+1", F3, 2), ("T+1", F3, 4), ("T^3+T+1", F2, 3)]:
+    # the next d blocks past the cut vanish mod P^N, by the closed form
+    # and by enumeration; the last two cases are acceptance test 08's
+    for Pstr, Fq, N in [("T^2+1", F3, 2), ("T+1", F3, 4), ("T^3+T+1", F2, 3),
+                        ("T+1", F3, 6), ("T^2+1", F3, 4)]:
         P = parse_poly(Pstr, Fq)
-        t = PadicClassSumTable(P, N, extra_blocks=int(P.degree))
+        d = int(P.degree)
+        t = PadicClassSumTable(P, N, extra_blocks=d)
         assert t.validation_blocks_vanish(), (Pstr, N)
-
-
-def _brute_blocks_inf(P, n, prec):
-    """Class blocks of degree n at infinity, keyed by residue, from 1/a."""
-    F = residue_field(P)
-    blocks = {}
-    for a in monic_polys(P.field, n):
-        sigma = a.evaluate(F.theta, target=F)
-        inv = LaurentSeries.from_poly(a, prec + n).inv().truncate(prec)
-        blocks[sigma] = blocks.get(sigma, LaurentSeries.zero(P.field, prec)) + inv
-    return blocks
+        for n in range(t.n_max + 1, t.n_max + d + 1):
+            blocks = brute_blocks(P, n, N=N)
+            assert all(s.is_zero() for s in blocks.values()), (Pstr, N, n)
 
 
 @pytest.mark.parametrize("q,Pstr,n_top", [(3, "T^2+1", 4), (2, "T^3+T+1", 6),
@@ -284,7 +310,7 @@ def test_block_valuation_exact_at_infinity(q, Pstr, n_top):
     def seen(v):
         return v if v < prec else None
     for n in range(n_top + 1):
-        blocks = _brute_blocks_inf(P, n, prec)
+        blocks = brute_blocks(P, n, prec=prec)
         zeta = LaurentSeries.zero(P.field, prec)
         for sigma, s in blocks.items():
             zeta = zeta + s
@@ -302,18 +328,10 @@ def test_block_valuation_exact_at_P(q, Pstr, N, n_top):
     Fq = make_field(q)
     P = parse_poly(Pstr, Fq)
     ctx = PadicContext(P, N)
-    PN = ctx.P_pow(N)
-    F = residue_field(P)
     d = int(P.degree)
     assert padic_block_valuation(Fq, d, n_top) < N
     for n in range(n_top + 1):
-        blocks = {}
-        for a in monic_polys(Fq, n):
-            sigma = a.evaluate(F.theta, target=F)
-            if sigma:
-                _, inv, _ = a.xgcd(PN)
-                blocks[sigma] = (blocks.get(sigma, Poly.zero(Fq)) + inv) % PN
-        for sigma, s in blocks.items():
+        for sigma, s in brute_blocks(P, n, N=N).items():
             assert ctx.vP(s, N) == padic_block_valuation(Fq, d, n), (n, sigma)
 
 

@@ -20,6 +20,7 @@ from carlitz.special_points import (_laurent_ratio_to_tau,
                                     verify_anderson, verify_b1_formula,
                                     VerificationReport, verify_cnf,
                                     verify_congruence)
+from enumeration import brute_blocks
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -158,10 +159,13 @@ def test_padic_special_point_in_m_squared():
             vm = sp.value.vm()
             assert vm is None or vm >= 2
             assert sp.truncation_blocks == cut
-        # the old bound kept every block up to N*d: by enumeration, the
-        # ones past the new cut vanish mod P^N
+        # the old bound kept every block up to N*d: the ones past the new
+        # cut vanish mod P^N, by the closed form and by enumeration
         vtab = PadicClassSumTable(cyc.P, N, extra_blocks=N * d - cut)
         assert vtab.n_max == cut and vtab.validation_blocks_vanish()
+        for n in range(cut + 1, N * d + 1):
+            assert all(s.is_zero()
+                       for s in brute_blocks(cyc.P, n, N=N).values()), n
 
 
 def test_padic_odd_part_collapse_mod_P():
