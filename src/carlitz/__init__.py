@@ -10,8 +10,7 @@ from .core import (CarlitzTables, bc_exact, bc_stream_mod_P, carlitz_act,
 from .cyclotomic import (Character, CycElem, CycField, InftyEmbedding,
                          all_characters, b1, embed_infty, embed_padic,
                          gauss_thakur, idempotent_project, normal_basis_eta)
-from .equivariant import (EquivariantElem, fitting_generator, lattice_index,
-                          smith_normal_form)
+from .equivariant import EquivariantElem, lattice_index
 from .fields import frobenius_orbits, make_field, residue_field
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import (ClassSumTable, PadicClassSumTable,
@@ -34,8 +33,7 @@ __all__ = [
     "Character", "CycElem", "CycField", "InftyEmbedding", "all_characters",
     "b1", "embed_infty", "embed_padic", "gauss_thakur",
     "idempotent_project", "normal_basis_eta",
-    "EquivariantElem", "fitting_generator", "lattice_index",
-    "smith_normal_form",
+    "EquivariantElem", "lattice_index",
     "frobenius_orbits", "make_field", "residue_field",
     "LaurentSeries", "RamifiedElem",
     "ClassSumTable", "PadicClassSumTable", "euler_factor_charpoly",

@@ -150,6 +150,24 @@ class CycField:
         return self.memo(("sigma_power", b, m), lambda: tuple(
             self.mul_coords_A(self.sigma_power(b, m - 1), self.sigma_lambda(b))))
 
+    def tau_dual(self):
+        """The L x L matrix over F(T) whose entry [m][n] is the coefficient
+        of tau(omega^n) in lambda^m.  The Gauss-Thakur sums span the
+        chi-lines of F tensor K (Thakur 1988), so each exact
+        chi-component is a coordinate in this basis: the inverse of the
+        matrix whose rows are the tau's, from one reduction of [tau | I]."""
+        def build():
+            F, L = self.F, self.L
+            zero, one = RatFunc.zero(F), RatFunc.one(F)
+            rows = [list(gauss_thakur(Character(self, n)).coords)
+                    + [one if k == n else zero for k in range(L)]
+                    for n in range(L)]
+            pivots, _ = row_reduce(rows, OBJECT_OPS)
+            if pivots != list(range(L)):
+                raise ArithmeticError("the Gauss-Thakur sums are not a basis")
+            return [row[L:] for row in rows]
+        return self.memo(("tau_dual",), build)
+
     def units(self):
         return range(1, self.L + 1)
 
@@ -378,39 +396,26 @@ def project_vector(chi, coords, mul_poly, scale):
 def gauss_thakur(chi):
     """tau(chi) in F tensor O_K.
 
-    Basic sums tau(omega^{q^i}) = -sum_b omega^{-q^i}(b) (1 tensor
-    sigma_b lambda); general chi = omega^n multiplies them along the
-    base-q digits of n.  tau(1) = 1.
+    tau(1) = 1.  The basic sums tau(omega^{q^i}) = -sum_b omega^{-q^i}(b)
+    (1 tensor sigma_b lambda) are e_chi(1 tensor lambda); a general chi =
+    omega^n multiplies them along the base-q digits of n.
     """
     cyc = chi.cyc
 
     def build():
-        digits = []
-        n = chi.n
-        for _ in range(cyc.d):
-            digits.append(n % cyc.q)
+        F, Fq = cyc.F, cyc.Fq
+        if chi.is_trivial():
+            return CycElem.one(cyc, F)
+        if chi.ring_hom_power() is not None:
+            lam = fold_powers(cyc.rows, [(1, Poly.one(Fq))], Poly.zero(Fq))
+            return idempotent_project(chi, CycElem.from_A_coords(cyc, F, lam))
+        out, n = CycElem.one(cyc, F), chi.n
+        for i in range(cyc.d):
+            for _ in range(n % cyc.q):
+                out = out * gauss_thakur(Character(cyc, cyc.q ** i))
             n //= cyc.q
-        out = CycElem.one(cyc, cyc.F)
-        for i, s in enumerate(digits):
-            if s == 0:
-                continue
-            basic = _basic_gauss(cyc, i)
-            for _ in range(s):
-                out = out * basic
         return out
     return cyc.memo(("gauss_thakur", chi.n), build)
-
-
-def _basic_gauss(cyc, i):
-    F = cyc.F
-    qi = cyc.q ** i
-    acc = [RatFunc.zero(F)] * cyc.L
-    for b in cyc.units():
-        w = F.inv(F.pow(b, qi))
-        for j, m in enumerate(cyc.sigma_lambda(b)):
-            if not m.is_zero():
-                acc[j] = acc[j] + RatFunc.from_poly(_embed_poly(m, F)).scale(w)
-    return CycElem(cyc, F, [-c for c in acc])
 
 
 def lambda_inverse_coords(cyc, field):
@@ -426,38 +431,20 @@ def lambda_inverse_coords(cyc, field):
     return out
 
 
-def exact_ratio_to_tau(proj, tau):
-    """c with proj = c * tau, or None when proj = 0; raises when proj is
-    not proportional to tau."""
-    ratio = None
-    for a, t in zip(proj.coords, tau.coords):
-        if t.is_zero():
-            if not a.is_zero():
-                raise ArithmeticError("projection not proportional to the "
-                                      "Gauss-Thakur generator")
-            continue
-        r = a / t
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            raise ArithmeticError("inconsistent ratio across coordinates")
-    if ratio is None or ratio.is_zero():
-        return None
-    return ratio
-
-
 def b1(chi):
     """B_{1,chi}: the scalar with e_chi(1 tensor 1/lambda) = B tau(chi).
 
-    Returns a RatFunc over F.  Consistency across every coordinate is
-    checked, which re-proves the defining property each time it runs.
+    Returns a RatFunc over F, read off the dual basis of the tau's:
+    B = sum_i (1/lambda)_i tau_dual[i][chi].
     """
     cyc = chi.cyc
     F = cyc.F
-    lam_inv = CycElem(cyc, F, lambda_inverse_coords(cyc, F))
-    ratio = exact_ratio_to_tau(idempotent_project(chi, lam_inv),
-                               gauss_thakur(chi))
-    return RatFunc.zero(F) if ratio is None else ratio
+    dual = cyc.tau_dual()
+    acc = RatFunc.zero(F)
+    for i, c in enumerate(lambda_inverse_coords(cyc, F)):
+        if not c.is_zero():
+            acc = acc + c * dual[i][chi.n]
+    return acc
 
 
 def normal_basis_eta(cyc):
@@ -501,8 +488,7 @@ class InftyEmbedding:
         q = cyc.q
         self.pib = pi_bar(q, field, prec + cyc.d + 4)
         pinv = LaurentSeries.from_ratfunc(
-            RatFunc(Poly.one(cyc.Fq), cyc.P), prec + cyc.d + 4,
-            field=field, embed=lambda c: c)
+            RatFunc(Poly.one(cyc.Fq), cyc.P), prec + cyc.d + 4, field=field)
         self.pib_over_P = self.pib.mul_laurent(pinv)
         self.reps = cyc.infty_coset_reps()
         self._lambda_pows = {}
@@ -533,8 +519,7 @@ class InftyEmbedding:
                 if c.is_zero():
                     continue
                 s = LaurentSeries.from_ratfunc(
-                    c, self.prec + self.cyc.d + 2, field=self.field,
-                    embed=lambda x: x)
+                    c, self.prec + self.cyc.d + 2, field=self.field)
             else:
                 s = c
                 if s.is_zero():

@@ -49,24 +49,20 @@ class LaurentSeries:
         return cls(field, 0, (c,), prec)
 
     @classmethod
-    def from_poly(cls, p, prec):
-        """T-polynomial as a Laurent series: T^k contributes at n = -k."""
+    def from_poly(cls, p, prec, field=None):
+        """T-polynomial as a Laurent series: T^k contributes at n = -k.
+        `field` receives the coefficients, as ints of a field holding
+        p's (F_q inside a residue field); default p's own."""
         cs = list(reversed(p.coeffs))
-        return cls(p.field, -(len(cs) - 1) if cs else prec, cs, prec)
+        return cls(field or p.field, -(len(cs) - 1) if cs else prec, cs, prec)
 
     @classmethod
-    def from_poly_in(cls, p, field, prec, embed):
-        cs = [embed(c) for c in reversed(p.coeffs)]
-        return cls(field, -(len(cs) - 1) if cs else prec, cs, prec)
-
-    @classmethod
-    def from_ratfunc(cls, r, prec, field=None, embed=None):
+    def from_ratfunc(cls, r, prec, field=None):
         F = field or r.field
-        emb = embed or (lambda c: c)
-        num = cls.from_poly_in(r.num, F, prec + max(int(r.den.degree), 0) + 1, emb)
+        num = cls.from_poly(r.num, prec + max(int(r.den.degree), 0) + 1, F)
         if r.den.is_one():
             return cls(F, num.val, num.coeffs, prec)
-        den = cls.from_poly_in(r.den, F, prec + int(r.den.degree) + 1, emb)
+        den = cls.from_poly(r.den, prec + int(r.den.degree) + 1, F)
         out = num * den.inv()
         return cls(F, out.val, out.coeffs, min(out.prec, prec))
 

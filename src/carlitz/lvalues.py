@@ -273,89 +273,75 @@ def euler_factor_charpoly(cyc, chi, f):
 
     The module identity says this equals f(Z) - chi(f); the function
     computes the left side honestly from matrices, leaving the identity
-    to be checked by the caller.
+    to be checked by the caller.  Delta is cyclic, so sigma_g for one
+    generator g has the distinct eigenvalues chi(g) and the e_chi image
+    is the kernel of sigma_g - chi(g): no sum over Delta is taken.
     """
     F = cyc.F
-    Fq = cyc.Fq
-    q, Lc = cyc.q, cyc.L
-    m = int(f.degree)
-    dim = Lc * m
-
-    zero, one = Poly.zero(Fq), Poly.one(Fq)
-    ident = [[one if k == i else zero for k in range(Lc)] for i in range(Lc)]
-    frob = [fold_powers(cyc.rows, [(i * q, one)], zero) for i in range(Lc)]
-    sigmas = [(b, cyc.sigma_powers(b)) for b in cyc.units()]
-    maxdeg = max(int(r.degree) for images in [frob] + [p for _, p in sigmas]
-                 for row in images for r in row if r.coeffs)
-    tred = _t_power_rows(f, q * (m - 1) + maxdeg + 1)
-
-    def add_matrix(mat, images, t, w):
-        """mat += w * (matrix of lambda^i T^j -> sum_k images[i][k](T)
-        lambda^k T^t(j) mod f), basis lambda^i T^j at index i*m + j."""
-        for i in range(Lc):
-            for j in range(m):
-                col = i * m + j
-                for k, r in enumerate(images[i]):
-                    for e, ce in enumerate(r.coeffs):
-                        if ce == 0:
-                            continue
-                        wc = F.mul(w, ce)
-                        for jj, c2 in enumerate(tred[t(j) + e]):
-                            if c2:
-                                row = mat[k * m + jj]
-                                row[col] = F.add(row[col], F.mul(wc, c2))
-
-    # T + tau; tau sends lambda^i T^j to lambda^{iq} T^{jq} (K-leg only,
-    # so F-linear)
-    op = [[0] * dim for _ in range(dim)]
-    add_matrix(op, ident, lambda j: j + 1, 1)
-    add_matrix(op, frob, lambda j: j * q, 1)
-    # projector e_chi = -sum chi^{-1}(b) sigma_b
-    proj = [[0] * dim for _ in range(dim)]
-    chi_inv = chi.inv()
-    for b, pows in sigmas:
-        w = chi_inv(b)
-        if w:
-            add_matrix(proj, pows, lambda j: j, F.neg(w))
-
-    # image of e_chi: the reduced rows of its transpose; a vector in it
-    # has its entries at the pivots as coordinates
-    basis = [list(col) for col in zip(*proj)]
-    pivots, _ = row_reduce(basis, F)
-    basis = basis[:len(pivots)]
-    n = len(basis)
-    restricted = [[0] * n for _ in range(n)]
-    for jcol, bvec in enumerate(basis):
-        w = [0] * dim
-        for i, x in enumerate(bvec):
-            if x:
-                for r in range(dim):
-                    if op[r][i]:
-                        w[r] = F.add(w[r], F.mul(op[r][i], x))
-        for irow, (bv, p) in enumerate(zip(basis, pivots)):
-            c = w[p]
-            restricted[irow][jcol] = c
-            if c:
-                w = [F.sub(a, F.mul(c, y)) for a, y in zip(w, bv)]
-        if any(w):
+    op, sig, g = cyc.memo(("charpoly_ops", f), lambda: _charpoly_ops(cyc, f))
+    c = chi(g)
+    rows = [[F.sub(x, c) if i == j else x for j, x in enumerate(row)]
+            for i, row in enumerate(sig)]
+    pivots, _ = row_reduce(rows, F)
+    rows = rows[:len(pivots)]
+    free = [j for j in range(len(sig)) if j not in pivots]
+    # a kernel vector is fixed by its entries at the free columns: the
+    # one with a 1 at free column j has -rows[r][j] at the pivot of row r
+    restricted = [[0] * len(free) for _ in free]
+    for col, j in enumerate(free):
+        v = [0] * len(sig)
+        v[j] = 1
+        for r, p in enumerate(pivots):
+            v[p] = F.neg(rows[r][j])
+        w = _apply(op, v, F)
+        if any(_apply(rows, w, F)):
             raise ArithmeticError("operator does not preserve e_chi image")
+        for row, k in enumerate(free):
+            restricted[row][col] = w[k]
     return _charpoly(restricted, F)
 
 
-def _t_power_rows(f, hi):
-    """Coefficient vectors of T^e mod f for e = 0..hi (length deg f)."""
-    Fq = f.field
+def _charpoly_ops(cyc, f):
+    """(T + tau, sigma_g, g): the matrices over F of T + tau and of
+    sigma_g on F tensor O_K/f O_K, for a generator g of Delta, on the
+    basis lambda^i T^j at index i*m + j (m = deg f)."""
+    F, Fq, q, L = cyc.F, cyc.Fq, cyc.q, cyc.L
     m = int(f.degree)
-    rows = []
-    cur = [1] + [0] * (m - 1)
-    for e in range(hi + 1):
-        rows.append(list(cur))
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            for j in range(m):
-                cur[j] = Fq.sub(cur[j], Fq.mul(top, f.coeffs[j]))
-    return rows
+    zero, one = Poly.zero(Fq), Poly.one(Fq)
+    g = next(b for b in cyc.units() if F.mult_order(b) == L)
+
+    def column(coords, e):
+        """(sum_k coords[k] lambda^k) T^e mod f on the basis; F_q sits
+        in F with the same int encoding."""
+        out = []
+        for r in coords:
+            cs = [] if r.is_zero() else list((r.shift(e) % f).coeffs)
+            out.extend(cs + [0] * (m - len(cs)))
+        return out
+    op, sig = [], []
+    for i in range(L):
+        unit = [one if k == i else zero for k in range(L)]
+        # tau sends lambda^i T^j to lambda^{iq} T^{jq} (K-leg only, so
+        # F-linear)
+        frob = fold_powers(cyc.rows, [(i * q, one)], zero)
+        for j in range(m):
+            op.append([F.add(a, b) for a, b in
+                       zip(column(unit, j + 1), column(frob, j * q))])
+            sig.append(column(cyc.sigma_powers(g)[i], j))
+    # the lists hold columns; transpose to rows
+    return ([list(r) for r in zip(*op)], [list(r) for r in zip(*sig)], g)
+
+
+def _apply(mat, v, F):
+    """mat v over F."""
+    out = []
+    for row in mat:
+        acc = 0
+        for a, x in zip(row, v):
+            if a and x:
+                acc = F.add(acc, F.mul(a, x))
+        out.append(acc)
+    return out
 
 
 def _charpoly(mat, F):

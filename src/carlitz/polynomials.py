@@ -203,18 +203,17 @@ class Poly:
             r0, s0, t0 = r0.scale(c), s0.scale(c), t0.scale(c)
         return r0, s0, t0
 
-    def evaluate(self, x, target=None, embed=None):
+    def evaluate(self, x, target=None):
         """Horner evaluation at x in `target` (default: own field).
 
-        `embed` maps coefficients into target; defaults to the identity,
-        which is right whenever the coefficient field sits inside target
-        with compatible int encoding (F_q inside a residue field).
+        The coefficients enter target as they are, which is right
+        whenever the coefficient field sits inside target with
+        compatible int encoding (F_q inside a residue field).
         """
         F = target if target is not None else self.field
-        emb = embed if embed is not None else (lambda c: c)
         acc = 0
         for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), emb(c))
+            acc = F.add(F.mul(acc, x), c)
         return acc
 
     def is_irreducible(self):

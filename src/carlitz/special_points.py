@@ -25,8 +25,7 @@ import random
 from .core import (CarlitzTables, bc_exact, bc_stream_mod_P, carlitz_act,
                    d_inverses_mod_P, exp_eval, padic_exp)
 from .cyclotomic import (Character, CycElem, all_characters, b1, embed_padic,
-                         exact_ratio_to_tau, gauss_thakur, idempotent_project,
-                         project_vector)
+                         gauss_thakur, project_vector)
 from .equivariant import lattice_index
 from .fields import OBJECT_OPS, residue_field, row_reduce
 from .laurent import LaurentSeries, RamifiedElem
@@ -241,16 +240,6 @@ def verify_anderson(cyc, m, N, depth, guard=6):
     return report
 
 
-def lambda_power_ratio(cyc, chi, m):
-    """c_{m,chi} in F[T] with e_chi(1 (x) lambda^m) = c_{m,chi} tau(chi)."""
-    F = cyc.F
-    coords = [Poly.zero(cyc.Fq)] * cyc.L
-    coords = coords[:m] + [Poly.one(cyc.Fq)] + coords[m + 1:]
-    lam_m = CycElem.from_A_coords(cyc, F, coords)
-    proj = idempotent_project(chi, lam_m)
-    return exact_ratio_to_tau(proj, gauss_thakur(chi))
-
-
 def _special_point_coords(cyc, m, table, field):
     """lambda-coordinates of L_m as Laurent series over field."""
     prec = table.prec
@@ -263,16 +252,15 @@ def _special_point_coords(cyc, m, table, field):
         for i, p in enumerate(cyc.sigma_power(sigma, m)):
             if p.is_zero():
                 continue
-            pl = LaurentSeries.from_poly_in(p, field, prec + int(p.degree) + 2,
-                                            lambda x: x)
+            pl = LaurentSeries.from_poly(p, prec + int(p.degree) + 2, field)
             term = cF * pl
             coords[i] = term if coords[i] is None else coords[i] + term
     return coords
 
 
 def _laurent_ratio_to_tau(cyc, coords, tau, prec):
-    """Analytic counterpart of exact_ratio_to_tau: Laurent coords
-    against the exact tau coords, consistency across coordinates."""
+    """c with coords = c tau(chi): Laurent coords against the exact tau
+    coords, consistency across coordinates."""
     F = cyc.F
     ratio = None
     for v, t in zip(coords, tau.coords):
@@ -283,8 +271,7 @@ def _laurent_ratio_to_tau(cyc, coords, tau, prec):
             continue
         if v is None:
             v = LaurentSeries.zero(F, prec)
-        tl = LaurentSeries.from_ratfunc(t, prec + cyc.d + 2, field=F,
-                                        embed=lambda x: x)
+        tl = LaurentSeries.from_ratfunc(t, prec + cyc.d + 2, field=F)
         r = v * tl.inv()
         if ratio is None:
             ratio = r
@@ -306,21 +293,23 @@ def verify_cnf(cyc, depth, min_coeffs=10):
     """Per-character lattice identity e_chi M = L(1,chi) e_chi O_K.
 
     Three sub-checks per character: unit content gcd of the exact
-    c_{m,chi}; agreement of the analytic index with the L-value; and
-    Frobenius descent of the assembled index family.
+    c_{m,chi} with e_chi(1 (x) lambda^m) = c_{m,chi} tau(chi), read from
+    CycField.tau_dual; agreement of the analytic index with the L-value;
+    and Frobenius descent of the assembled index family.
     """
     report = VerificationReport("cnf", {"q": cyc.q, "P": format_poly(cyc.P),
                                         "depth": depth})
     F = cyc.F
     table = cyc.class_table(depth)
+    dual = cyc.tau_dual()
     index_family = {}
     for chi in all_characters(cyc):
         tau = gauss_thakur(chi)
         cs, mstar, cstar = [], None, None
         ok_poly = True
         for m in range(cyc.L):
-            c = lambda_power_ratio(cyc, chi, m)
-            if c is None:
+            c = dual[m][chi.n]
+            if c.is_zero():
                 continue
             if not c.is_poly():
                 ok_poly = False
@@ -345,13 +334,12 @@ def verify_cnf(cyc, depth, min_coeffs=10):
         prec = table.prec
 
         def mul_poly(v, p, _F=F):
-            return v * LaurentSeries.from_poly_in(
-                p, _F, v.prec + int(p.degree) + 2, lambda x: x)
+            return v * LaurentSeries.from_poly(
+                p, v.prec + int(p.degree) + 2, _F)
 
         proj = project_vector(chi, coords, mul_poly, lambda v, c: v.scale(c))
         analytic = _laurent_ratio_to_tau(cyc, proj, tau, prec)
-        cl = LaurentSeries.from_ratfunc(cstar, prec + cyc.d + 2, field=F,
-                                        embed=lambda x: x)
+        cl = LaurentSeries.from_ratfunc(cstar, prec + cyc.d + 2, field=F)
         index = analytic * cl.inv()
         target = coprime_l_inf(cyc, chi, table)
         overlap = min(index.prec, target.prec)
@@ -389,15 +377,13 @@ def verify_b1_formula(cyc, chi, depth, min_coeffs=12):
         # only odd when q = 2; inclusive L-value has the closed form
         den = Poly(cyc.Fq, [0, 1]) * Poly(cyc.Fq, [1, 1])  # T^2 + T
         rhs = emb.pib.mul_laurent(LaurentSeries.from_ratfunc(
-            RatFunc(Poly.one(cyc.Fq), den), depth + 3, field=F,
-            embed=lambda x: x))
+            RatFunc(Poly.one(cyc.Fq), den), depth + 3, field=F))
         check_id = "L(1,1) = pi_bar/(T^2+T)"
     else:
         chinv = chi.inv()
         bval = b1(chinv)
         tauv = emb.embed(gauss_thakur(chinv), 1)
-        bl = LaurentSeries.from_ratfunc(bval, depth + cyc.d + 3, field=F,
-                                        embed=lambda x: x)
+        bl = LaurentSeries.from_ratfunc(bval, depth + cyc.d + 3, field=F)
         rhs = (tauv * emb.pib_over_P).mul_laurent(bl)
         check_id = "L(1,chi) = (pi_bar/P) B_1 tau"
     diff = lhs - rhs

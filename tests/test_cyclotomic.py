@@ -200,6 +200,43 @@ def _embed(p, F):
     return Poly(F, list(p.coeffs))
 
 
+@pytest.mark.parametrize("s,F", [("T^2+1", F3), ("T^3+T+1", F2),
+                                 ("T^2+T+1", F2), ("T+1", F3)])
+def test_tau_dual_and_b1_against_the_projection(s, F):
+    # oracle: e_chi by the sum over Delta, for every chi and every
+    # lambda^m, and for 1/lambda
+    cyc = cyc_of(s, F)
+    dual = cyc.tau_dual()
+    lam_inv = CycElem(cyc, cyc.F, lambda_inverse_coords(cyc, cyc.F))
+    for chi in all_characters(cyc):
+        tau = gauss_thakur(chi)
+        for m in range(cyc.L):
+            coords = [Poly.zero(F)] * cyc.L
+            coords[m] = Poly.one(F)
+            lam_m = CycElem.from_A_coords(cyc, cyc.F, coords)
+            assert idempotent_project(chi, lam_m) == \
+                tau.scale(dual[m][chi.n]), (s, chi.n, m)
+        assert idempotent_project(chi, lam_inv) == tau.scale(b1(chi)), \
+            (s, chi.n)
+
+
+def test_b1_and_tau_dual_project_nothing(monkeypatch):
+    # once the tau(chi) are built, the dual basis and B_1 need no sum
+    # over the Galois group
+    import carlitz.cyclotomic
+    monkeypatch.setattr(CycField, "_instances", {})
+    cyc = cyc_of("T^2+1", F3)
+    for chi in all_characters(cyc):
+        gauss_thakur(chi)
+
+    def refuse(*args):
+        raise AssertionError("project_vector called")
+    monkeypatch.setattr(carlitz.cyclotomic, "project_vector", refuse)
+    cyc.tau_dual()
+    for chi in all_characters(cyc):
+        b1(chi)
+
+
 def test_b1_even_characters_vanish():
     # e_chi(1/lambda) = 0 and hence B = 0 for even nontrivial chi
     cyc = cyc_of("T^2+1", F3)

@@ -1,13 +1,11 @@
 import random
 
 from carlitz.cyclotomic import Character, CycField, all_characters, b1
-from carlitz.equivariant import (EquivariantElem, fitting_generator,
-                                 lattice_index, smith_normal_form)
+from carlitz.equivariant import EquivariantElem, lattice_index
 from carlitz.fields import frobenius_orbits, make_field
 from carlitz.laurent import LaurentSeries
 from carlitz.polynomials import Poly, RatFunc, parse_poly
 
-F2 = make_field(2)
 F3 = make_field(3)
 
 
@@ -79,52 +77,6 @@ def test_normalized_leading_coefficients():
     fam = fam.normalized()
     for v in fam.values.values():
         assert cyc.F.div(v.num.leading(), v.den.leading()) == 1
-
-
-def _det(mat, field):
-    # cofactor expansion, oracle for small matrices
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    out = Poly.zero(field)
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * _det(minor, field)
-        out = out + (term if j % 2 == 0 else -term)
-    return out
-
-
-def test_snf_diagonal_and_unimodular():
-    T = Poly(F3, [0, 1])
-    one = Poly.one(F3)
-    zero = Poly.zero(F3)
-    assert smith_normal_form([[T, zero], [zero, T]], F3) == [T, T]
-    # [[T, 1], [0, T]] has unit entry, det T^2
-    d = smith_normal_form([[T, one], [zero, T]], F3)
-    assert d == [one, T * T]
-
-
-def test_fitting_generator_is_determinant():
-    rng = random.Random(19)
-    for F in (F2, F3):
-        done = 0
-        while done < 8:
-            mat = [[Poly(F, [rng.randrange(F.order) for _ in range(3)])
-                    for _ in range(3)] for _ in range(3)]
-            det = _det(mat, F)
-            if det.is_zero():
-                continue
-            assert fitting_generator(mat, F) == det.monic()
-            done += 1
-
-
-def test_fitting_generator_rejects_infinite_module():
-    T = Poly(F3, [0, 1])
-    try:
-        fitting_generator([[T, T], [T, T]], F3)
-    except ValueError:
-        return
-    raise AssertionError("rank-deficient presentation accepted")
 
 
 def test_lattice_index_recovers_ratio():

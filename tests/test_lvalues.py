@@ -162,7 +162,7 @@ def _euler_product_per_factor(cyc, chi, max_deg_f, prec):
                 continue
             finv = LaurentSeries.from_ratfunc(
                 RatFunc(Poly.one(cyc.Fq), f), prec + int(f.degree) + 1,
-                field=F, embed=lambda x: x)
+                field=F)
             factor = (LaurentSeries.const(F, 1, prec + 1)
                       - finv.scale(c)).inv().truncate(prec)
             acc = acc * factor
@@ -209,12 +209,15 @@ def test_euler_factor_charpoly_identity():
 
 
 def test_euler_factor_charpoly_rejects_a_non_invariant_image(monkeypatch):
-    # every sigma_b replaced by lambda^0 -> lambda^1, the rest -> 0: the
-    # "projector" of the trivial character then has image lambda (x) F[T]/f,
-    # which tau moves to lambda^q (x) F[T]/f
+    # every sigma_b replaced by lambda^1 -> lambda^1, the rest -> 0: the
+    # trivial character's kernel of sigma_g - 1 is then lambda (x) F[T]/f,
+    # which tau moves to lambda^q (x) F[T]/f; a fresh context, so no
+    # matrices built from the true sigma_g are reused
+    monkeypatch.setattr(CycField, "_instances", {})
     cyc = CycField(parse_poly("T^2+1", F3))
     zero, one = Poly.zero(F3), Poly.one(F3)
-    images = [[zero, one] + [zero] * (cyc.L - 2)] + [[zero] * cyc.L] * (cyc.L - 1)
+    images = [[zero] * cyc.L for _ in range(cyc.L)]
+    images[1][1] = one
     monkeypatch.setattr(cyc, "sigma_powers", lambda b: images)
     with pytest.raises(ArithmeticError, match="does not preserve"):
         euler_factor_charpoly(cyc, Character(cyc, 0), parse_poly("T+1", F3))
