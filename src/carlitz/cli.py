@@ -28,6 +28,7 @@ from .special_points import (VerificationReport, odd_fitting_report,
 
 SUITES = ("cnf", "anderson", "b1", "cong", "euler", "charpoly",
           "padic-explog")
+FORMATS = ("json", "csv", "text")
 
 
 @dataclass
@@ -65,14 +66,24 @@ class RunConfig:
 
 
 def _read_config_file(path):
+    """key = value lines, '#' comments; the keys are RunConfig's fields."""
+    keys = RunConfig.__dataclass_fields__
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            k, _, v = line.partition("=")
-            out[k.strip().replace("-", "_")] = v.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        _usage_error("--config %s: %s" % (path, exc.strerror))
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        k, _, v = line.partition("=")
+        k = k.strip().replace("-", "_")
+        if k not in keys:
+            _usage_error("unknown key %r in %s (valid: %s)"
+                         % (k, path, ", ".join(keys)))
+        out[k] = v.strip()
     return out
 
 
@@ -82,7 +93,7 @@ def _add_common(sp):
     sp.add_argument("--depth", type=int)
     sp.add_argument("--N", type=int)
     sp.add_argument("--guard", type=int)
-    sp.add_argument("--format", choices=("json", "csv", "text"))
+    sp.add_argument("--format", choices=FORMATS)
     sp.add_argument("--out")
     sp.add_argument("--config", help="key=value defaults file")
 
@@ -101,7 +112,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run verification suites")
     _add_common(p)
-    p.add_argument("--suites", default="all")
+    p.add_argument("--suites")
     p.add_argument("--max-deg-f", dest="max_deg_f", type=int)
 
     p = sub.add_parser("fitting", help="Fitting generators and P-adic ledger")
@@ -127,8 +138,7 @@ def make_config(args):
     vals = {}
     if getattr(args, "config", None):
         vals.update(_read_config_file(args.config))
-    for k in ("q", "P_text", "depth", "N", "guard", "format",
-              "out", "suites", "max_deg_f", "max_n"):
+    for k in RunConfig.__dataclass_fields__:
         v = getattr(args, k, None)
         if v is not None:
             vals[k] = v
@@ -141,10 +151,16 @@ def make_config(args):
                 _usage_error("%s must be an integer, got %r" % (k, vals[k]))
     if "q" not in vals or "P_text" not in vals:
         _usage_error("--q and --P are required (flag or config file)")
-    cfg = RunConfig(**{k: v for k, v in vals.items()
-                       if k in RunConfig.__dataclass_fields__})
-    if cfg.depth < 1 or cfg.N < 1:
-        _usage_error("depths must be >= 1")
+    cfg = RunConfig(**vals)
+    # bc-scan starts at n = 2, so a smaller max_n would scan nothing
+    for k, least in (("depth", 1), ("N", 1), ("guard", 1), ("max_deg_f", 1),
+                     ("max_n", 2)):
+        v = getattr(cfg, k)
+        if v is not None and v < least:
+            _usage_error("%s must be >= %d, got %d" % (k, least, v))
+    if cfg.format not in FORMATS:
+        _usage_error("format must be one of %s, got %r"
+                     % (", ".join(FORMATS), cfg.format))
     for n in _suite_names(cfg.suites):
         if n not in SUITES:
             _usage_error("unknown suite %r (have: %s, all)"

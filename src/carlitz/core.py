@@ -175,7 +175,7 @@ def exp_eval(z, wtarget):
         else:
             Di = tab.D(i)
             dinv = LaurentSeries.from_poly(
-                _embed_poly(Di, z.field), window + int(Di.degree) + 4).inv()
+                Di, window + int(Di.degree) + 4, z.field).inv()
             term = cur.mul_laurent(dinv)
         acc = term if acc is None else acc + term
         cur = cur.frobq()
@@ -191,13 +191,6 @@ def _base_field_of(z):
     if z.field.base is None or z.field.base.order != z.q:
         raise ValueError("coefficient field does not extend F_%d" % z.q)
     return z.field.base
-
-
-def _embed_poly(p, field):
-    if p.field is field or p.field == field:
-        return p
-    # F_q coefficients embed into a residue field as ints < q
-    return Poly(field, list(p.coeffs))
 
 
 # -- P-adic exponential and logarithm ------------------------------------------

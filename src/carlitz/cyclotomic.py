@@ -6,21 +6,30 @@ and Eisenstein at P.  The Galois group Delta = (A/PA)^* acts through
 sigma_b(lambda) = phi_b(lambda); characters are the powers of the
 Teichmuller character omega(sigma_b) = b.
 
-Elements of F tensor K (F = A/PA) are coordinate vectors over the
-lambda-power basis with coefficients in F(T); the tensor product of the
-two fields is again a field, so plain rational-function arithmetic does
-all the bookkeeping.
+Every exact element of F tensor K (F = A/PA) that the identities below
+use is integral: it lies in F tensor O_K = F[T][lambda], so it is a
+coordinate vector over the lambda-power basis with coefficients in
+F[T].  Rational functions appear only for the scalars that really are
+rational: the dual basis of the Gauss-Thakur sums, B_{1,chi} and the
+determinant of the normal basis.
 """
 
 from __future__ import annotations
 
-from .core import _embed_poly, carlitz_poly, exp_eval
+from .core import carlitz_poly, exp_eval
 from .fields import OBJECT_OPS, residue_field, residue_rep, row_reduce
 from .laurent import LaurentSeries, RamifiedElem, pi_bar
-from .padics import (PadicContext, CycPadicRing, embed_tensor_to_padic,
+from .padics import (PadicContext, CycPadicRing, embed_poly_to_padic,
                      fold_powers, frob_coords, lambda_power_rows, mul_coords,
                      teichmuller_lift)
 from .polynomials import Poly, RatFunc, monic_irreducibles
+
+
+def _embed_poly(p, field):
+    if p.field is field or p.field == field:
+        return p
+    # F_q coefficients embed into a residue field as ints < q
+    return Poly(field, list(p.coeffs))
 
 
 def torsion_poly(P):
@@ -159,7 +168,8 @@ class CycField:
         def build():
             F, L = self.F, self.L
             zero, one = RatFunc.zero(F), RatFunc.one(F)
-            rows = [list(gauss_thakur(Character(self, n)).coords)
+            rows = [[RatFunc.from_poly(c)
+                     for c in gauss_thakur(Character(self, n)).coords]
                     + [one if k == n else zero for k in range(L)]
                     for n in range(L)]
             pivots, _ = row_reduce(rows, OBJECT_OPS)
@@ -188,8 +198,8 @@ class CycField:
 
 
 class CycElem:
-    """Element of (coefficient field) tensor K, lambda-basis coordinates
-    as rational functions.  The coefficient field is F_q or A/PA; either
+    """Element of (coefficient field) tensor O_K, lambda-basis coordinates
+    as polynomials in T.  The coefficient field is F_q or A/PA; either
     way F_q sits inside it with matching int encoding, so the reduction
     rows apply verbatim."""
 
@@ -202,23 +212,16 @@ class CycElem:
 
     @classmethod
     def zero(cls, cyc, field):
-        return cls(cyc, field, [RatFunc.zero(field)] * cyc.L)
+        return cls(cyc, field, [Poly.zero(field)] * cyc.L)
 
     @classmethod
     def one(cls, cyc, field):
         return cls(cyc, field,
-                   [RatFunc.one(field)] + [RatFunc.zero(field)] * (cyc.L - 1))
+                   [Poly.one(field)] + [Poly.zero(field)] * (cyc.L - 1))
 
     @classmethod
     def from_A_coords(cls, cyc, field, coords_A):
-        return cls(cyc, field,
-                   [RatFunc.from_poly(_embed_poly(c, field)) for c in coords_A])
-
-    @classmethod
-    def scalar(cls, cyc, field, r):
-        out = [RatFunc.zero(field)] * cyc.L
-        out[0] = r
-        return cls(cyc, field, out)
+        return cls(cyc, field, [_embed_poly(c, field) for c in coords_A])
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coords)
@@ -240,12 +243,7 @@ class CycElem:
     def __mul__(self, other):
         F = self.field
         return CycElem(self.cyc, F, mul_coords(
-            self.cyc.rows, self.coords, other.coords, RatFunc.zero(F),
-            _ratfunc_lift(F)))
-
-    def scale(self, r):
-        """Multiply by a scalar rational function (the F tensor k leg)."""
-        return CycElem(self.cyc, self.field, [c * r for c in self.coords])
+            self.cyc.rows, self.coords, other.coords, Poly.zero(F)))
 
     def scale_coeff(self, c):
         """Multiply by a coefficient-field constant."""
@@ -253,29 +251,17 @@ class CycElem:
                        [x.scale(c) for x in self.coords])
 
     def mul_scalar_poly(self, p):
-        r = RatFunc.from_poly(_embed_poly(p, self.field))
-        return self.scale(r)
+        """Multiply by an exact element of A (the F tensor A leg)."""
+        p = _embed_poly(p, self.field)
+        return CycElem(self.cyc, self.field, [c * p for c in self.coords])
 
     def frobq(self):
         F = self.field
         return CycElem(self.cyc, F, frob_coords(
-            self.cyc.rows, self.coords, self.cyc.q, RatFunc.zero(F),
-            _ratfunc_lift(F)))
-
-    def coeff_frob(self):
-        """Frobenius on the coefficient leg only: c tensor x -> c^q tensor x.
-        Coefficients of the rational functions move, T stays."""
-        q = self.cyc.q
-        return CycElem(self.cyc, self.field,
-                       [c.coeff_frob(q) for c in self.coords])
+            self.cyc.rows, self.coords, self.cyc.q, Poly.zero(F)))
 
     def __repr__(self):
         return "CycElem(%r)" % (list(self.coords),)
-
-
-def _ratfunc_lift(F):
-    """A -> F(T): a row or sigma-power entry as a coordinate over F(T)."""
-    return lambda p: RatFunc.from_poly(_embed_poly(p, F))
 
 
 def _sigma_coords(cyc, b, coords, mul_poly):
@@ -295,16 +281,14 @@ def _sigma_coords(cyc, b, coords, mul_poly):
 
 
 def _sparse(x):
-    """A CycElem's coordinates with None for zero, and the F(T) product
+    """A CycElem's coordinates with None for zero, and the F[T] product
     by an element of A: the arguments of _sigma_coords and project_vector."""
-    lift = _ratfunc_lift(x.field)
-    return ([None if c.is_zero() else c for c in x.coords],
-            lambda v, m: v * lift(m))
+    return [None if c.is_zero() else c for c in x.coords], lambda v, m: v * m
 
 
 def _dense(x, coords):
     F = x.field
-    return CycElem(x.cyc, F, [RatFunc.zero(F) if v is None else v
+    return CycElem(x.cyc, F, [Poly.zero(F) if v is None else v
                               for v in coords])
 
 
@@ -418,16 +402,13 @@ def gauss_thakur(chi):
     return cyc.memo(("gauss_thakur", chi.n), build)
 
 
-def lambda_inverse_coords(cyc, field):
-    """1/lambda in F(T) coordinates: from psi_P(lambda) = 0,
-    lambda^{-1} = -(1/P) sum_{i>=1} c_i lambda^{q^i - 2}."""
-    P = RatFunc.from_poly(_embed_poly(cyc.P, field))
-    out = [RatFunc.zero(field)] * cyc.L
+def p_over_lambda_coords(cyc):
+    """P/lambda in A[lambda] coordinates: from psi_P(lambda) = 0,
+    P/lambda = -sum_{i>=1} c_i lambda^{q^i - 2}."""
+    out = [Poly.zero(cyc.Fq)] * cyc.L
     # q^i - 2 < L: no term needs folding
     for i in range(1, cyc.d + 1):
-        c = cyc.phi_coeffs[i]
-        if not c.is_zero():
-            out[cyc.q ** i - 2] = -(RatFunc.from_poly(_embed_poly(c, field)) / P)
+        out[cyc.q ** i - 2] = -cyc.phi_coeffs[i]
     return out
 
 
@@ -435,16 +416,16 @@ def b1(chi):
     """B_{1,chi}: the scalar with e_chi(1 tensor 1/lambda) = B tau(chi).
 
     Returns a RatFunc over F, read off the dual basis of the tau's:
-    B = sum_i (1/lambda)_i tau_dual[i][chi].
+    B = (1/P) sum_i (P/lambda)_i tau_dual[i][chi].
     """
     cyc = chi.cyc
     F = cyc.F
     dual = cyc.tau_dual()
     acc = RatFunc.zero(F)
-    for i, c in enumerate(lambda_inverse_coords(cyc, F)):
+    for i, c in enumerate(p_over_lambda_coords(cyc)):
         if not c.is_zero():
-            acc = acc + c * dual[i][chi.n]
-    return acc
+            acc = acc + RatFunc.from_poly(_embed_poly(c, F)) * dual[i][chi.n]
+    return acc / RatFunc.from_poly(_embed_poly(cyc.P, F))
 
 
 def normal_basis_eta(cyc):
@@ -455,19 +436,13 @@ def normal_basis_eta(cyc):
     acc = CycElem.zero(cyc, F)
     for n in range(cyc.L):
         acc = acc + gauss_thakur(Character(cyc, n))
-    coords_A = []
-    for c in acc.coords:
-        if not c.is_poly():
-            raise ArithmeticError("eta coordinate not integral")
-        # coefficients must lie in F_q inside F
-        cs = []
-        for coef in c.num.coeffs:
-            if coef >= cyc.q:
-                raise ArithmeticError("eta coordinate does not descend to A")
-            cs.append(coef)
-        coords_A.append(Poly(cyc.Fq, cs))
+    # coefficients must lie in F_q inside F
+    if any(coef >= cyc.q for c in acc.coords for coef in c.coeffs):
+        raise ArithmeticError("eta coordinate does not descend to A")
+    coords_A = [Poly(cyc.Fq, c.coeffs) for c in acc.coords]
     eta = CycElem.from_A_coords(cyc, cyc.Fq, coords_A)
-    rows = [list(sigma_act(cyc, b, eta).coords) for b in cyc.units()]
+    rows = [[RatFunc.from_poly(c) for c in sigma_act(cyc, b, eta).coords]
+            for b in cyc.units()]
     _, det = row_reduce(rows, OBJECT_OPS)
     if det is None or not (det.is_poly() and det.num.degree == 0):
         raise ArithmeticError("eta is not a normal integral basis")
@@ -508,22 +483,15 @@ class InftyEmbedding:
         return self._lambda_pows[b]
 
     def embed_coords(self, coords, b):
-        """Value at place b of an element given by lambda-coordinates;
-        each coordinate is a RatFunc (over F_q or F) or LaurentSeries."""
+        """Value at place b of an element given by lambda-coordinates,
+        each a Poly over F_q or F."""
         pows = self.lambda_powers(b)
         acc = None
         for i, c in enumerate(coords):
-            if c is None:
+            if c.is_zero():
                 continue
-            if isinstance(c, RatFunc):
-                if c.is_zero():
-                    continue
-                s = LaurentSeries.from_ratfunc(
-                    c, self.prec + self.cyc.d + 2, field=self.field)
-            else:
-                s = c
-                if s.is_zero():
-                    continue
+            s = LaurentSeries.from_poly(c, self.prec + self.cyc.d + 2,
+                                        self.field)
             term = pows[i].mul_laurent(s)
             acc = term if acc is None else acc + term
         if acc is None:
@@ -547,8 +515,7 @@ def embed_padic(x, N):
     the Teichmuller section on the coefficient leg."""
     cyc = x.cyc
     ring = cyc.padic_ring(N)
-    vals = [embed_tensor_to_padic(c, ring.ctx,
-                                  lambda a: cyc.teichmuller(a, N))
+    vals = [embed_poly_to_padic(c, ring.ctx, lambda a: cyc.teichmuller(a, N))
             for c in x.coords]
     prec = min(v.prec for v in vals)
     return ring.elem([v.value for v in vals], prec)

@@ -9,22 +9,18 @@ from __future__ import annotations
 
 
 class EquivariantElem:
-    """values: dict n -> value for every character omega^n; kind is
-    'ratfunc' or 'laurent' and fixes how the coefficient Frobenius acts."""
+    """values: dict n -> LaurentSeries over F for every character
+    omega^n; the coefficient Frobenius raises each coefficient to the
+    q-th power and fixes T."""
 
-    def __init__(self, cyc, values, kind):
+    def __init__(self, cyc, values):
         self.cyc = cyc
         self.values = dict(values)
-        self.kind = kind
 
     def coeff_frob(self, v):
         F = self.cyc.F
         q = self.cyc.q
-        if self.kind == "ratfunc":
-            return v.coeff_frob(q)
-        if self.kind == "laurent":
-            return v.map_coeffs(F, lambda c: F.pow(c, q))
-        raise ValueError("unknown kind %r" % self.kind)
+        return v.map_coeffs(F, lambda c: F.pow(c, q))
 
     def descends(self):
         """True when the family is Frobenius-compatible across each orbit."""
@@ -33,14 +29,8 @@ class EquivariantElem:
             m = (n * q) % L
             if m not in self.values:
                 return False
-            w = self.values[m]
-            fv = self.coeff_frob(v)
-            if self.kind == "ratfunc":
-                if not (fv.num * w.den == w.num * fv.den):
-                    return False
-            else:
-                if not fv.agrees_with(w):
-                    return False
+            if not self.coeff_frob(v).agrees_with(self.values[m]):
+                return False
         return True
 
     def normalized(self):
@@ -49,18 +39,8 @@ class EquivariantElem:
         by the same twist."""
         out = {}
         for n, v in self.values.items():
-            if self.kind == "ratfunc":
-                if v.is_zero():
-                    out[n] = v
-                else:
-                    c = self.cyc.F.div(v.den.leading(), v.num.leading())
-                    out[n] = v.scale(c)
-            else:
-                if v.is_zero():
-                    out[n] = v
-                else:
-                    out[n] = v.scale(self.cyc.F.inv(v.leading()))
-        return EquivariantElem(self.cyc, out, self.kind)
+            out[n] = v if v.is_zero() else v.scale(self.cyc.F.inv(v.leading()))
+        return EquivariantElem(self.cyc, out)
 
 
 def lattice_index(cyc, basis1, basis2):
@@ -72,4 +52,4 @@ def lattice_index(cyc, basis1, basis2):
     for n, v1 in basis1.items():
         v2 = basis2[n]
         vals[n] = v2 * v1.inv()
-    return EquivariantElem(cyc, vals, "laurent").normalized()
+    return EquivariantElem(cyc, vals).normalized()

@@ -314,10 +314,7 @@ class RamifiedElem:
         """Multiply by an exact element of A (F_q coefficients embed)."""
         pr = max(c.prec for c in self.comps) + max(int(a.degree), 0) + 4 \
             if not a.is_zero() else max(c.prec for c in self.comps)
-        s = LaurentSeries(self.field,
-                          -int(a.degree) if a.coeffs else pr,
-                          list(reversed(a.coeffs)), pr)
-        return self.mul_laurent(s)
+        return self.mul_laurent(LaurentSeries.from_poly(a, pr, self.field))
 
     def scale(self, c):
         return RamifiedElem(self.q, self.field, [x.scale(c) for x in self.comps])

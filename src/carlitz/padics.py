@@ -1,12 +1,13 @@
 """P-adic completions: A_P arithmetic mod P^N and the completed
-cyclotomic ring A_P[lambda].
+cyclotomic ring A_P[lambda], plus the lambda-power coordinate folds
+shared by every polynomial coefficient ring: A, F[T] and A_P.
 
-PadicElem carries its own absolute precision (known mod P^prec), so
-divisions record exactly how much certainty they burn.  PadicCycElem is
-a coordinate vector over the lambda-power basis with a shared coordinate
-precision; its natural filtration valuation v_m (m the maximal ideal,
-m^{q^d - 1} = P) is exact because the coordinate contributions occupy
-distinct residues mod q^d - 1.
+PadicElem carries its own absolute precision (known mod P^prec).
+PadicCycElem is a coordinate vector over the lambda-power basis with a
+shared coordinate precision; divisions by elements of A record exactly
+how much certainty they burn, and its natural filtration valuation v_m
+(m the maximal ideal, m^{q^d - 1} = P) is exact because the coordinate
+contributions occupy distinct residues mod q^d - 1.
 """
 
 from __future__ import annotations
@@ -90,13 +91,6 @@ class PadicElem:
     def is_zero(self):
         return self.valuation() is None
 
-    def unit_and_val(self):
-        v = self.valuation()
-        if v is None:
-            raise ZeroDivisionError("element is zero to precision")
-        unit = self.value // self.ctx.P_pow(v)
-        return unit, v
-
     def __add__(self, other):
         prec = min(self.prec, other.prec)
         return self.ctx.elem(self.value + other.value, prec)
@@ -114,25 +108,6 @@ class PadicElem:
         pb = other.prec + (va if va is not None else self.prec)
         prec = min(pa, pb)
         return self.ctx.elem(self.value * other.value, prec)
-
-    def inv(self):
-        unit, v = self.unit_and_val()
-        if v > 0:
-            raise ZeroDivisionError("inverse has negative valuation")
-        return self.ctx.elem(self.ctx.unit_inv(unit, self.prec), self.prec)
-
-    def div(self, other):
-        """Division; loses v_P(other) digits of precision."""
-        unit, v = other.unit_and_val()
-        va = self.valuation()
-        if v > 0:
-            if va is not None and va < v:
-                raise ZeroDivisionError("quotient not integral")
-            if self.prec < v:
-                raise ZeroDivisionError("insufficient precision to divide")
-        num = self.value // self.ctx.P_pow(v) if v else self.value
-        prec = min(self.prec, other.prec) - v
-        return self.ctx.elem(num * self.ctx.unit_inv(unit, prec), prec)
 
     def frob_power(self, q):
         # q-power is additive in char p, so acts exponentwise on the rep
@@ -176,22 +151,10 @@ def teichmuller_lift(c, ctx):
     return ctx.elem(y)
 
 
-def embed_tensor_to_padic(r, ctx, lift=None):
-    """Image in k_P of an element of F tensor k (or of k itself).
-
-    F-coefficients go through the Teichmuller section A/PA -> A_P, taken
-    from `lift` (c -> PadicElem) when given; the rational-function
-    variable stays T.  `r` is a RatFunc whose coefficients live either
-    in F_q (ints < q, fixed by the section) or in residue_field(P).
-    Raises ZeroDivisionError when the image is not P-integral.
-    """
-    num = _poly_tensor_image(r.num, ctx, lift)
-    den = _poly_tensor_image(r.den, ctx, lift)
-    return num.div(den)
-
-
-def _poly_tensor_image(p, ctx, lift=None):
-    lift = lift or (lambda c: teichmuller_lift(c, ctx))
+def embed_poly_to_padic(p, ctx, lift):
+    """Image in A_P of an element of F[T] (or of A itself): the variable
+    stays T and each coefficient, an int of F_q or of residue_field(P),
+    goes through `lift` (c -> PadicElem), the Teichmuller section."""
     acc = ctx.zero()
     t_elem = ctx.elem(Poly.x(ctx.field))
     for c in reversed(p.coeffs):
@@ -223,12 +186,13 @@ def lambda_power_rows(psi):
 
 # -- lambda-power coordinates over any coefficient ring ----------------------
 #
-# Coordinates are lists of length L = len(rows[0]) over A, A_P (Polys) or
-# F(T) (RatFuncs).  `zero` is the ring's zero and `lift` maps a row entry
-# (an element of A) into the ring; None means row entries are used as is.
+# Coordinates are lists of length L = len(rows[0]) of Polys over A, A_P or
+# F[T], F = A/PA; `zero` is the ring's zero.  Row entries lie in A, and F
+# holds F_q as ints < q, so a coordinate times a row entry is a plain
+# Poly product over the coordinate's field.
 
 
-def fold_powers(rows, terms, zero, lift=None):
+def fold_powers(rows, terms, zero):
     """Coordinates of sum c * lambda^k over the (k, c) pairs in `terms`,
     k < L + len(rows): lambda^k for k >= L folds back along its row."""
     L = len(rows[0])
@@ -237,16 +201,15 @@ def fold_powers(rows, terms, zero, lift=None):
         if c.is_zero():
             continue
         if k < L:
-            # placed, not added to zero: a RatFunc sum runs a gcd
-            out[k] = c if out[k] is zero else out[k] + c
+            out[k] = out[k] + c
             continue
         for j, r in enumerate(rows[k - L]):
             if not r.is_zero():
-                out[j] = out[j] + c * (r if lift is None else lift(r))
+                out[j] = out[j] + c * r
     return out
 
 
-def mul_coords(rows, u, v, zero, lift=None):
+def mul_coords(rows, u, v, zero):
     """Coordinates of the product of two reduced elements."""
     conv = [zero] * (2 * len(u) - 1)
     for i, a in enumerate(u):
@@ -255,15 +218,15 @@ def mul_coords(rows, u, v, zero, lift=None):
         for j, b in enumerate(v):
             if not b.is_zero():
                 conv[i + j] = conv[i + j] + a * b
-    return fold_powers(rows, enumerate(conv), zero, lift)
+    return fold_powers(rows, enumerate(conv), zero)
 
 
-def frob_coords(rows, u, q, zero, lift=None):
+def frob_coords(rows, u, q, zero):
     """Coordinates of the q-th power of a reduced element: in
     characteristic p it sends c * lambda^i to c^q * lambda^{qi}."""
     return fold_powers(rows, ((q * i, c.frob_power(q))
                               for i, c in enumerate(u) if not c.is_zero()),
-                       zero, lift)
+                       zero)
 
 
 class CycPadicRing:

@@ -30,7 +30,7 @@ from .equivariant import lattice_index
 from .fields import OBJECT_OPS, residue_field, row_reduce
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import l_inf, l_padic
-from .padics import _poly_tensor_image
+from .padics import embed_poly_to_padic
 from .polynomials import Poly, RatFunc, format_poly, rat_reduce_mod_P
 
 
@@ -109,8 +109,8 @@ def special_point_inf(cyc, m, depth):
             c = table.class_total(sigma)
             if c.is_zero():
                 continue
-            row = [RatFunc.from_poly(p) for p in cyc.sigma_power(sigma, m)]
-            term = emb.embed_coords(row, bplace).mul_laurent(c)
+            term = emb.embed_coords(cyc.sigma_power(sigma, m),
+                                    bplace).mul_laurent(c)
             acc = term if acc is None else acc + term
         if acc is None:
             acc = RamifiedElem.zero(cyc.q, emb.field, (cyc.q - 1) * depth)
@@ -168,10 +168,9 @@ def recognize_integral(cyc, values, emb, guard=6):
     if col is not None:
         raise ValueError("singular place-embedding matrix at column %d" % col)
     coords = [rows[i][L].polynomial_part(cyc.Fq) for i in range(L)]
-    coords_rf = [RatFunc.from_poly(p) for p in coords]
     wguard = (q - 1) * guard
     for bplace in emb.reps:
-        resid = values[bplace] - emb.embed_coords(coords_rf, bplace)
+        resid = values[bplace] - emb.embed_coords(coords, bplace)
         wv = resid.wval()
         if wv is not None and wv < wguard:
             raise ValueError("recognition residual w=%d below guard %d at "
@@ -271,7 +270,7 @@ def _laurent_ratio_to_tau(cyc, coords, tau, prec):
             continue
         if v is None:
             v = LaurentSeries.zero(F, prec)
-        tl = LaurentSeries.from_ratfunc(t, prec + cyc.d + 2, field=F)
+        tl = LaurentSeries.from_poly(t, prec + cyc.d + 2, F)
         r = v * tl.inv()
         if ratio is None:
             ratio = r
@@ -535,8 +534,8 @@ def odd_fitting_report(cyc, N=8):
             case = "generic"
         # B_1 may have a pole at P (the chi = omega case), so take the
         # valuation as v_P(num) - v_P(den) rather than dividing
-        vn = _poly_tensor_image(bval.num, ctx, lift).valuation()
-        vd = _poly_tensor_image(bval.den, ctx, lift).valuation()
+        vn = embed_poly_to_padic(bval.num, ctx, lift).valuation()
+        vd = embed_poly_to_padic(bval.den, ctx, lift).valuation()
         if vn is None or vd is None:
             raise ValueError("v_P(B_1) undetermined for chi=omega^%d: raise N"
                              % chi.n)

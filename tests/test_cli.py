@@ -155,3 +155,51 @@ def test_missing_required_flags():
     with pytest.raises(SystemExit) as exc:
         make_config(args)
     assert exc.value.code == 2
+
+
+def test_config_file_suites_take_effect(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("q = 2\nP_text = T^2+T+1\nsuites = cong\n")
+    args = build_parser().parse_args(["verify", "--config", str(cfgfile)])
+    assert make_config(args).suites == "cong"
+    args = build_parser().parse_args(["verify", "--config", str(cfgfile),
+                                      "--suites", "euler"])
+    assert make_config(args).suites == "euler"
+
+
+@pytest.mark.parametrize("text, why", [
+    ("q = 3\nP = T^2+1\n", "unknown key 'P'"),
+    ("q = 3\nP_text = T^2+1\nformat = xml\n", "format must be one of"),
+])
+def test_bad_config_file_exits_2(tmp_path, capsys, text, why):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfgfile), "--suites", "cong"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert why in err and err.count("\n") == 1
+    if "unknown" in why:
+        assert "P_text" in err and "max_deg_f" in err
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["verify", "--suites", "anderson", "--guard", "-5"], "guard must be >= 1"),
+    (["verify", "--suites", "charpoly", "--max-deg-f", "0"],
+     "max_deg_f must be >= 1"),
+    (["bc-scan", "--max-n", "-4"], "max_n must be >= 2"),
+    (["bc-scan", "--max-n", "1"], "max_n must be >= 2"),
+])
+def test_out_of_range_integers_exit_2(capsys, argv, why):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--q", "3", "--P", "T^2+1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert why in err and err.count("\n") == 1
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bc-scan", "--config", str(tmp_path / "absent.cfg")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.count("\n") == 1

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carlitz.core import (CarlitzTables, bc_exact, bc_stream_mod_P,
                           carlitz_act, carlitz_poly, exp_eval, padic_exp,
@@ -230,6 +231,28 @@ def test_padic_exp_rejects_shallow():
     lam = ring.elem([Poly.zero(F3), Poly.one(F3)] + [Poly.zero(F3)] * (ring.L - 2))
     with pytest.raises(ValueError):
         padic_exp(lam)  # v_m = 1, not in m^2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([("T^2+1", F3), ("T^2+T+1", F2), ("T+1", F3)]),
+       st.integers(2, 3), st.data())
+def test_padic_exp_log_precision_sound(pair, N, data):
+    # exp and log of one element known mod P^N and mod P^2N: the low
+    # result must hold every digit it claims
+    Pstr, Fq = pair
+    ring = carlitz_cyc_ring(Pstr, Fq, 2 * N)
+    ctx = ring.ctx
+    digits = st.lists(st.integers(0, Fq.order - 1), max_size=2 * N * ctx.d)
+    coords = [Poly(Fq, data.draw(digits)) for _ in range(ring.L)]
+    # v_m >= 2: the first two coordinates need a factor P
+    coords[0] = coords[0] * ctx.P
+    coords[1] = coords[1] * ctx.P
+    high = ring.elem(coords, 2 * N)
+    low = high.truncate(N)
+    for f in (padic_exp, padic_log):
+        lo, hi = f(low), f(high)
+        assert lo.prec == N and hi.prec == 2 * N
+        assert lo.coords == hi.truncate(N).coords, f.__name__
 
 
 # -- Bernoulli-Carlitz ------------------------------------------------------------

@@ -3,12 +3,13 @@ import pytest
 from carlitz.core import carlitz_act
 from carlitz.cyclotomic import (Character, CycElem, CycField, all_characters,
                                 b1, embed_infty, embed_padic, gauss_thakur,
-                                idempotent_project, lambda_inverse_coords,
-                                normal_basis_eta, sigma_act, torsion_poly,
+                                idempotent_project, normal_basis_eta,
+                                p_over_lambda_coords, sigma_act, torsion_poly,
                                 InftyEmbedding)
 from carlitz.fields import make_field
 from carlitz.lvalues import PadicClassSumTable, l_padic
 from carlitz.polynomials import Poly, RatFunc, parse_poly
+from carlitz.special_points import recognize_integral
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -22,8 +23,8 @@ def cyc_of(s, F):
 
 def lam(cyc, field=None):
     F = field or cyc.Fq
-    coords = [RatFunc.zero(F)] * cyc.L
-    coords[1] = RatFunc.one(F)
+    coords = [Poly.zero(F)] * cyc.L
+    coords[1] = Poly.one(F)
     return CycElem(cyc, F, coords)
 
 
@@ -104,10 +105,12 @@ def test_sigma_fixes_base():
 
 
 def test_lambda_inverse():
+    # P/lambda is P times the inverse of lambda, and integral
     for s, F in PAIRS:
         cyc = cyc_of(s, F)
-        inv = CycElem(cyc, cyc.Fq, lambda_inverse_coords(cyc, cyc.Fq))
-        assert inv * lam(cyc) == CycElem.one(cyc, cyc.Fq)
+        p_over = CycElem.from_A_coords(cyc, cyc.Fq, p_over_lambda_coords(cyc))
+        assert p_over * lam(cyc) == \
+            CycElem.one(cyc, cyc.Fq).mul_scalar_poly(cyc.P)
 
 
 def test_idempotents_resolve_identity():
@@ -171,7 +174,34 @@ def test_gauss_thakur_integrality():
     cyc = cyc_of("T^2+1", F3)
     for chi in all_characters(cyc):
         for c in gauss_thakur(chi).coords:
-            assert c.is_poly()
+            assert isinstance(c, Poly) and c.field == cyc.F
+
+
+def _assert_poly_coords(x):
+    for c in x.coords:
+        assert isinstance(c, Poly) and c.field == x.field, (x, c)
+
+
+@pytest.mark.parametrize("s,F", PAIRS + [("T+1", F3)])
+def test_coordinates_stay_polynomials(s, F):
+    # F tensor O_K = F[T][lambda]: no operation leaves the polynomial
+    # coordinates, on either coefficient field
+    cyc = cyc_of(s, F)
+    chis = all_characters(cyc)
+    for chi in chis:
+        tau = gauss_thakur(chi)
+        _assert_poly_coords(tau)
+        _assert_poly_coords(tau * gauss_thakur(chis[(chi.n + 1) % cyc.L]))
+        _assert_poly_coords(tau.frobq())
+        _assert_poly_coords(sigma_act(cyc, cyc.L, tau))
+        _assert_poly_coords(idempotent_project(chi, tau + CycElem.one(cyc, cyc.F)))
+    emb = InftyEmbedding(cyc, cyc.Fq, 14)
+    coords = [Poly.zero(cyc.Fq)] * cyc.L
+    coords[-1] = parse_poly("T+1", cyc.Fq)
+    u = recognize_integral(cyc, {b: emb.embed_coords(coords, b)
+                                 for b in emb.reps}, emb)
+    _assert_poly_coords(u)
+    _assert_poly_coords(carlitz_act(cyc.P, u))
 
 
 def test_eta_normal_basis():
@@ -200,24 +230,31 @@ def _embed(p, F):
     return Poly(F, list(p.coeffs))
 
 
+def _is_multiple(x, tau, r):
+    """x = r tau, coordinate by coordinate, for a scalar r in F(T)."""
+    return all(RatFunc.from_poly(a) == r * RatFunc.from_poly(t)
+               for a, t in zip(x.coords, tau.coords))
+
+
 @pytest.mark.parametrize("s,F", [("T^2+1", F3), ("T^3+T+1", F2),
                                  ("T^2+T+1", F2), ("T+1", F3)])
 def test_tau_dual_and_b1_against_the_projection(s, F):
     # oracle: e_chi by the sum over Delta, for every chi and every
-    # lambda^m, and for 1/lambda
+    # lambda^m, and for P/lambda against P B_1 tau
     cyc = cyc_of(s, F)
     dual = cyc.tau_dual()
-    lam_inv = CycElem(cyc, cyc.F, lambda_inverse_coords(cyc, cyc.F))
+    p_over = CycElem.from_A_coords(cyc, cyc.F, p_over_lambda_coords(cyc))
+    P = RatFunc.from_poly(_embed(cyc.P, cyc.F))
     for chi in all_characters(cyc):
         tau = gauss_thakur(chi)
         for m in range(cyc.L):
             coords = [Poly.zero(F)] * cyc.L
             coords[m] = Poly.one(F)
             lam_m = CycElem.from_A_coords(cyc, cyc.F, coords)
-            assert idempotent_project(chi, lam_m) == \
-                tau.scale(dual[m][chi.n]), (s, chi.n, m)
-        assert idempotent_project(chi, lam_inv) == tau.scale(b1(chi)), \
-            (s, chi.n)
+            assert _is_multiple(idempotent_project(chi, lam_m), tau,
+                                dual[m][chi.n]), (s, chi.n, m)
+        assert _is_multiple(idempotent_project(chi, p_over), tau,
+                            P * b1(chi)), (s, chi.n)
 
 
 def test_b1_and_tau_dual_project_nothing(monkeypatch):

@@ -13,18 +13,23 @@ def _cyc():
     return CycField(parse_poly("T^2+1", F3))
 
 
-def _random_ratfunc(F, rng, pool, deg=3):
-    num = Poly(F, [rng.choice(pool) for _ in range(deg + 1)])
-    den = Poly(F, [rng.choice(pool) for _ in range(deg)] + [1])
-    if num.is_zero():
-        num = Poly.one(F)
-    return RatFunc(num, den)
+PREC = 8
+
+
+def _random_laurent(F, rng, pool):
+    # valuation 0 .. 2 with a nonzero leading coefficient from the pool
+    lead = rng.choice([c for c in pool if c] or [1])
+    return LaurentSeries(F, rng.randrange(3),
+                         [lead] + [rng.choice(pool) for _ in range(PREC)], PREC)
 
 
 def _coeff_frob(F, q, v):
-    return RatFunc(Poly(F, [F.pow(c, q) for c in v.num.coeffs]),
-                   Poly(F, [F.pow(c, q) for c in v.den.coeffs]),
-                   reduce=False)
+    """c -> c^q on the coefficients of a RatFunc or LaurentSeries, T fixed."""
+    if isinstance(v, RatFunc):
+        def fr(p):
+            return Poly(F, [F.pow(c, q) for c in p.coeffs])
+        return RatFunc(fr(v.num), fr(v.den), reduce=False)
+    return v.map_coeffs(F, lambda c: F.pow(c, q))
 
 
 def _frob_family(cyc, rng):
@@ -34,11 +39,11 @@ def _frob_family(cyc, rng):
     for orb in frobenius_orbits(cyc.q, cyc.d):
         pool = [c for c in range(cyc.F.order)
                 if cyc.F.pow(c, cyc.q ** len(orb)) == c]
-        v = _random_ratfunc(cyc.F, rng, pool)
+        v = _random_laurent(cyc.F, rng, pool)
         for n in orb:
             values[n] = v
             v = _coeff_frob(cyc.F, cyc.q, v)
-    return EquivariantElem(cyc, values, "ratfunc")
+    return EquivariantElem(cyc, values)
 
 
 def test_descends_constructed_family():
@@ -56,17 +61,16 @@ def test_descends_fails_on_perturbation():
     orb = next(o for o in frobenius_orbits(cyc.q, cyc.d) if len(o) > 1)
     T = Poly(cyc.F, [0, 1])
     n = orb[0]
-    fam.values[n] = fam.values[n] + RatFunc(T, Poly.one(cyc.F))
+    fam.values[n] = fam.values[n] + LaurentSeries.from_poly(T, PREC)
     assert not fam.descends()
 
 
 def test_b1_family_descends():
     # B_{1,chi^q} is the coefficient Frobenius of B_{1,chi}
     cyc = _cyc()
-    values = {chi.n: b1(chi) for chi in all_characters(cyc)}
-    fam = EquivariantElem(cyc, values, "ratfunc")
-    assert fam.descends()
-    assert fam.normalized().descends()
+    for chi in all_characters(cyc):
+        assert b1(Character(cyc, chi.n * cyc.q)) == \
+            _coeff_frob(cyc.F, cyc.q, b1(chi)), chi.n
 
 
 def test_normalized_leading_coefficients():
@@ -74,9 +78,11 @@ def test_normalized_leading_coefficients():
     rng = random.Random(3)
     fam = _frob_family(cyc, rng)
     fam.values[1] = fam.values[1].scale(2)
+    assert not fam.descends()
     fam = fam.normalized()
+    assert fam.descends()
     for v in fam.values.values():
-        assert cyc.F.div(v.num.leading(), v.den.leading()) == 1
+        assert v.leading() == 1
 
 
 def test_lattice_index_recovers_ratio():

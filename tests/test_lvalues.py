@@ -134,7 +134,7 @@ def test_l_inf_descends():
     cyc = CycField(parse_poly("T^2+1", F3))
     table = ClassSumTable(cyc.P, 10)
     fam = EquivariantElem(cyc, {chi.n: l_inf(cyc, chi, table)
-                                for chi in all_characters(cyc)}, "laurent")
+                                for chi in all_characters(cyc)})
     assert fam.descends()
 
 

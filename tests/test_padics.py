@@ -1,10 +1,9 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz.fields import make_field, residue_field
-from carlitz.padics import (CycPadicRing, PadicContext, embed_tensor_to_padic,
+from carlitz.padics import (CycPadicRing, PadicContext, embed_poly_to_padic,
                             lambda_power_rows, teichmuller_lift)
-from carlitz.polynomials import Poly, RatFunc, parse_poly
+from carlitz.polynomials import Poly, parse_poly
 
 F3 = make_field(3)
 F2 = make_field(2)
@@ -20,27 +19,6 @@ def test_padic_arithmetic():
     b = ctx.elem(parse_poly("T+1", F3))
     assert (a * b).agrees_with(ctx.elem(parse_poly("T^3+2", F3) * parse_poly("T+1", F3)))
     assert (a - a).is_zero()
-    assert (b * b.inv()).agrees_with(ctx.one())
-
-
-def test_valuation_and_division_precision():
-    ctx = ctx3(4)
-    P = ctx.P
-    a = ctx.elem(P * P * parse_poly("T+1", F3))
-    assert a.valuation() == 2
-    b = ctx.elem(P.scale(2))
-    assert b.valuation() == 1
-    q = a.div(b)
-    assert q.valuation() == 1
-    assert q.prec == 3  # lost one digit
-    assert q.agrees_with(ctx.elem(P * parse_poly("2*T+2", F3), 3))
-
-
-def test_div_non_integral_raises():
-    ctx = ctx3(4)
-    one = ctx.one()
-    with pytest.raises(ZeroDivisionError):
-        one.div(ctx.elem(ctx.P))
 
 
 def test_teichmuller_fixed_point_and_multiplicativity():
@@ -66,23 +44,28 @@ def _digits(c, q, d):
         c //= q
 
 
+def _teich(ctx):
+    return lambda c: teichmuller_lift(c, ctx)
+
+
 def test_embed_tensor_fq_side_is_plain_reduction():
     ctx = ctx3(4)
-    r = RatFunc(parse_poly("T^3+T+2", F3), parse_poly("T+2", F3))
-    img = embed_tensor_to_padic(r, ctx)
-    lhs = img * ctx.elem(r.den)
-    assert lhs.agrees_with(ctx.elem(r.num))
+    num, den = parse_poly("T^3+T+2", F3), parse_poly("T+2", F3)
+    img = embed_poly_to_padic(num, ctx, _teich(ctx))
+    assert img.agrees_with(ctx.elem(num))
+    lhs = embed_poly_to_padic(num * den, ctx, _teich(ctx))
+    assert lhs.agrees_with(img * ctx.elem(den))
 
 
 def test_embed_tensor_residue_coeffs_multiplicative():
     ctx = ctx3(4)
     F = residue_field(ctx.P)
     theta = F.theta
-    a = RatFunc(Poly(F, [theta, 1]), Poly.one(F))          # T + theta
-    b = RatFunc(Poly(F, [F.mul(theta, theta), 2]), Poly.one(F))
-    ia = embed_tensor_to_padic(a, ctx)
-    ib = embed_tensor_to_padic(b, ctx)
-    iab = embed_tensor_to_padic(a * b, ctx)
+    a = Poly(F, [theta, 1])          # T + theta
+    b = Poly(F, [F.mul(theta, theta), 2])
+    ia = embed_poly_to_padic(a, ctx, _teich(ctx))
+    ib = embed_poly_to_padic(b, ctx, _teich(ctx))
+    iab = embed_poly_to_padic(a * b, ctx, _teich(ctx))
     assert (ia * ib).agrees_with(iab)
 
 
@@ -162,28 +145,6 @@ def test_div_scalar_poly():
 
 def _poly(F, cs):
     return Poly(F, list(cs))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 2), max_size=6),
-       st.lists(st.integers(0, 2), min_size=1, max_size=4),
-       st.integers(0, 2), st.integers(3, 6))
-def test_padic_div_digits_survive_higher_precision(ncs, ucs, v, prec):
-    # dividing at prec and at 2 prec must agree on the digits the
-    # low-precision quotient claims
-    ctx = ctx3(2 * prec)
-    P = ctx.P
-    unit = _poly(F3, ucs)
-    if (unit % P).is_zero():
-        unit = unit + Poly.one(F3)
-    den = unit * ctx.P_pow(v)
-    num = _poly(F3, ncs) * ctx.P_pow(v)
-    low = ctx.elem(num, prec).div(ctx.elem(den, prec))
-    high = ctx.elem(num, 2 * prec).div(ctx.elem(den, 2 * prec))
-    assert low.prec == prec - v
-    assert low == high.truncate(low.prec)
-    # and the high quotient holds every digit it claims
-    assert ((high.value * unit - _poly(F3, ncs)) % ctx.P_pow(high.prec)).is_zero()
 
 
 @settings(max_examples=25, deadline=None)
