@@ -17,8 +17,7 @@ from .lvalues import (ClassSumTable, PadicClassSumTable,
                       euler_factor_charpoly, euler_product, l_inf, l_padic)
 from .polynomials import (Poly, RatFunc, format_poly, monic_irreducibles,
                           parse_poly, rat_reduce_mod_P)
-from .special_points import (SpecialPointInf, SpecialPointPadic,
-                             VerificationReport, hr_dual_check, hr_scan,
+from .special_points import (VerificationReport, hr_dual_check, hr_scan,
                              odd_fitting_report, padic_ledger,
                              recognize_integral, special_point_inf,
                              special_point_padic, verify_anderson,
@@ -40,9 +39,8 @@ __all__ = [
     "euler_product", "l_inf", "l_padic",
     "Poly", "RatFunc", "format_poly", "monic_irreducibles", "parse_poly",
     "rat_reduce_mod_P",
-    "SpecialPointInf", "SpecialPointPadic", "VerificationReport",
-    "hr_dual_check", "hr_scan", "odd_fitting_report", "padic_ledger",
-    "recognize_integral", "special_point_inf", "special_point_padic",
-    "verify_anderson", "verify_b1_formula", "verify_cnf",
-    "verify_congruence",
+    "VerificationReport", "hr_dual_check", "hr_scan", "odd_fitting_report",
+    "padic_ledger", "recognize_integral", "special_point_inf",
+    "special_point_padic", "verify_anderson", "verify_b1_formula",
+    "verify_cnf", "verify_congruence",
 ]

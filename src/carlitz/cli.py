@@ -315,9 +315,9 @@ def cmd_l_values(cfg, place):
         table = cyc.padic_table(cfg.N)
         for chi in all_characters(cyc):
             v = l_padic(cyc, chi, table)
-            rep.add("chi=%d" % chi.n, True, lhs_prec=v.prec,
+            rep.add("chi=%d" % chi.n, True, lhs_prec=cfg.N,
                     parity="odd" if chi.is_odd() else "even",
-                    value=format_poly(v.value), vP=v.valuation())
+                    value=format_poly(v), vP=table.ctx.vP(v, cfg.N))
     return [rep], 0
 
 

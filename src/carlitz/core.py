@@ -19,7 +19,8 @@ from .polynomials import Poly, RatFunc
 
 
 class CarlitzTables:
-    """Memoized D_i, L_i and Carlitz factorials over one base field."""
+    """Memoized D_i, L_i, Carlitz factorials and the Bernoulli-Carlitz
+    stream BC'_n over one base field."""
 
     _instances = {}
 
@@ -31,6 +32,7 @@ class CarlitzTables:
             self._D = [Poly.one(field)]
             self._L = [Poly.one(field)]
             self._e = {}
+            self._bc = [(Poly.one(field), ())]  # BC'_0 = 1
             cls._instances[field] = self
         return cls._instances[field]
 
@@ -85,27 +87,74 @@ class CarlitzTables:
     def vP_L(self, i, d):
         return i // d
 
+    # -- streaming BC'_n with factored denominators prod D_i^{e_i} ----------
+    #
+    # Numerators stay unreduced; gcd work happens only when a value is
+    # exported.  Zero values have literally zero numerators, so vanishing
+    # checks are free.
 
-class TauPoly:
-    """Twisted polynomial sum c_i tau^i, coefficients in A."""
+    def _bc_extend(self, n_max):
+        F, q = self.field, self.q
+        while len(self._bc) <= n_max:
+            N = len(self._bc)  # computing BC'_N via coefficient of X^{N+1}
+            M = N + 1
+            terms = []
+            i = 1
+            while q ** i <= M:
+                num, evec = self._bc[M - q ** i]
+                if num.coeffs:
+                    terms.append((i, num, evec))
+                i += 1
+            if not terms:
+                base = Poly.one(F) if M == 1 else Poly.zero(F)
+                self._bc.append((base, ()))
+                continue
+            # common denominator: componentwise max of evec + 1_i
+            width = max(max(len(ev), i + 1) for i, _, ev in terms)
+            tgt = [0] * width
+            for i, _, ev in terms:
+                for j, e in enumerate(ev):
+                    need = e + (1 if j == i else 0)
+                    tgt[j] = max(tgt[j], need)
+                if len(ev) <= i:
+                    tgt[i] = max(tgt[i], 1)
+            acc = Poly.zero(F)
+            for i, num, ev in terms:
+                mult = Poly.one(F)
+                for j in range(width):
+                    have = (ev[j] if j < len(ev) else 0) + (1 if j == i else 0)
+                    gap = tgt[j] - have
+                    if gap:
+                        mult = mult * self.D(j) ** gap
+                acc = acc + num * mult
+            if M == 1:
+                # delta term with denominator prod D^tgt
+                delta = Poly.one(F)
+                for j, e in enumerate(tgt):
+                    delta = delta * self.D(j) ** e
+                acc = delta - acc
+            else:
+                acc = -acc
+            while tgt and tgt[-1] == 0:
+                tgt.pop()
+            self._bc.append((acc, tuple(tgt)))
 
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        while coeffs and coeffs[-1].is_zero():
-            coeffs = coeffs[:-1]
-        self.field = field
-        self.coeffs = tuple(coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, TauPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return "TauPoly(%r)" % (list(self.coeffs),)
+    def bc_prime(self, n):
+        """BC'_n, the coefficient of X^n in X/exp_C(X), as a RatFunc."""
+        self._bc_extend(n)
+        num, evec = self._bc[n]
+        if num.is_zero():
+            return RatFunc.zero(self.field)
+        den = Poly.one(self.field)
+        for j, e in enumerate(evec):
+            if e:
+                den = den * self.D(j) ** e
+        return RatFunc(num, den)
 
 
 def carlitz_poly(a):
-    """phi_a as a TauPoly: the image of a in A{tau} under T -> T + tau.
+    """phi_a = sum c_i tau^i, the image of a in A{tau} under T -> T + tau,
+    as the tuple (c_0, .., c_{deg a}) of A-coefficients; () for a = 0.
 
     deg_tau phi_a = deg a, leading coefficient 1 for monic a, constant
     tau-coefficient a itself.
@@ -114,7 +163,7 @@ def carlitz_poly(a):
     q = F.order
     # phi_{T^j} by iterated composition with phi_T = T + tau
     powers = [[Poly.one(F)]]
-    deg = int(a.degree) if a.coeffs else 0
+    deg = len(a.coeffs) - 1
     t_poly = Poly.x(F)
     for _ in range(deg):
         prev = powers[-1]
@@ -129,7 +178,7 @@ def carlitz_poly(a):
         if aj:
             for i, c in enumerate(powers[j]):
                 out[i] = out[i] + c.scale(aj)
-    return TauPoly(F, out)
+    return tuple(out)
 
 
 def carlitz_act(a, x):
@@ -138,11 +187,11 @@ def carlitz_act(a, x):
     phi = carlitz_poly(a)
     acc = None
     cur = x
-    for i, c in enumerate(phi.coeffs):
+    for i, c in enumerate(phi):
         if not c.is_zero():
             term = cur.mul_scalar_poly(c)
             acc = term if acc is None else acc + term
-        if i + 1 < len(phi.coeffs):
+        if i + 1 < len(phi):
             cur = cur.frobq()
     if acc is None:
         return x.mul_scalar_poly(Poly.zero(a.field))
@@ -268,99 +317,15 @@ class BCValue:
         return self.bc_prime.is_zero()
 
 
-class _BCFactored:
-    """Streaming BC'_n with factored denominators prod D_i^{e_i}.
-
-    Keeps numerators unreduced; gcd work happens only when a value is
-    exported.  Zero values have literally zero numerators, so vanishing
-    checks are free.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.q = field.order
-        self.tab = CarlitzTables(field)
-        self.vals = [(Poly.one(field), ())]  # BC'_0 = 1
-
-    def extend(self, n_max):
-        F, q = self.field, self.q
-        while len(self.vals) <= n_max:
-            N = len(self.vals)  # computing BC'_N via coefficient of X^{N+1}
-            M = N + 1
-            terms = []
-            i = 1
-            while q ** i <= M:
-                num, evec = self.vals[M - q ** i]
-                if num.coeffs:
-                    terms.append((i, num, evec))
-                i += 1
-            if not terms:
-                base = Poly.one(F) if M == 1 else Poly.zero(F)
-                self.vals.append((base, ()))
-                continue
-            # common denominator: componentwise max of evec + 1_i
-            width = max(max(len(ev), i + 1) for i, _, ev in terms)
-            tgt = [0] * width
-            for i, _, ev in terms:
-                for j, e in enumerate(ev):
-                    need = e + (1 if j == i else 0)
-                    tgt[j] = max(tgt[j], need)
-                if len(ev) <= i:
-                    tgt[i] = max(tgt[i], 1)
-            acc = Poly.zero(F)
-            for i, num, ev in terms:
-                mult = Poly.one(F)
-                for j in range(width):
-                    have = (ev[j] if j < len(ev) else 0) + (1 if j == i else 0)
-                    gap = tgt[j] - have
-                    if gap:
-                        mult = mult * self.tab.D(j) ** gap
-                acc = acc + num * mult
-            if M == 1:
-                # delta term with denominator prod D^tgt
-                delta = Poly.one(F)
-                for j, e in enumerate(tgt):
-                    delta = delta * self.tab.D(j) ** e
-                acc = delta - acc
-            else:
-                acc = -acc
-            while tgt and tgt[-1] == 0:
-                tgt.pop()
-            self.vals.append((acc, tuple(tgt)))
-
-    def raw(self, n):
-        self.extend(n)
-        return self.vals[n]
-
-    def ratfunc(self, n):
-        num, evec = self.raw(n)
-        if num.is_zero():
-            return RatFunc.zero(self.field)
-        den = Poly.one(self.field)
-        for j, e in enumerate(evec):
-            if e:
-                den = den * self.tab.D(j) ** e
-        return RatFunc(num, den)
-
-
-_bc_streams = {}
-
-
-def _bc_stream_for(field):
-    if field not in _bc_streams:
-        _bc_streams[field] = _BCFactored(field)
-    return _bc_streams[field]
-
-
 def bc_exact(n, field):
     """BCValue at index n by the exact recurrence from exp_C's defining
     identity.  Coefficient growth is unchecked; a work limit of 512
     guards the index rather than the arithmetic."""
     if n > 512:
         raise ValueError("index %d beyond work limit 512" % n)
-    stream = _bc_stream_for(field)
-    bcp = stream.ratfunc(n)
-    pi_n = CarlitzTables(field).factorial(n)
+    tab = CarlitzTables(field)
+    bcp = tab.bc_prime(n)
+    pi_n = tab.factorial(n)
     return BCValue(n, bcp, bcp * RatFunc.from_poly(pi_n))
 
 

@@ -20,8 +20,7 @@ from .core import carlitz_poly, exp_eval
 from .fields import OBJECT_OPS, residue_field, residue_rep, row_reduce
 from .laurent import LaurentSeries, RamifiedElem, pi_bar
 from .padics import (PadicContext, CycPadicRing, embed_poly_to_padic,
-                     fold_powers, frob_coords, lambda_power_rows, mul_coords,
-                     teichmuller_lift)
+                     fold_powers, frob_coords, lambda_power_rows, mul_coords)
 from .polynomials import Poly, RatFunc, monic_irreducibles
 
 
@@ -38,7 +37,7 @@ def torsion_poly(P):
     Fq = P.field
     phi = carlitz_poly(P)
     psi = [Poly.zero(Fq)] * Fq.order ** int(P.degree)
-    for i, c in enumerate(phi.coeffs):
+    for i, c in enumerate(phi):
         psi[Fq.order ** i - 1] = c
     return psi
 
@@ -70,7 +69,7 @@ class CycField:
         self.L = q ** d - 1
         self.F = residue_field(P)
 
-        self.phi_coeffs = list(carlitz_poly(P).coeffs)
+        self.phi_coeffs = list(carlitz_poly(P))
         psi = torsion_poly(P)
         if psi[0] != P or not psi[-1].is_one():
             raise ValueError("psi_P must be monic with constant term P")
@@ -108,14 +107,10 @@ class CycField:
                           lambda: InftyEmbedding(self, field, prec))
 
     def padic_ring(self, N):
-        """A_P[lambda] mod P^N."""
+        """A_P[lambda] mod P^N; its ctx is the one PadicContext of (P, N),
+        which owns the Teichmuller lifts."""
         return self.memo(("padic_ring", N), lambda: CycPadicRing(
             PadicContext(self.P, N), self.rows))
-
-    def teichmuller(self, c, N):
-        """Teichmuller lift to A_P mod P^N of c in F = A/PA."""
-        return self.memo(("teichmuller", c, N),
-                          lambda: teichmuller_lift(c, self.padic_ring(N).ctx))
 
     def irreducibles(self, max_deg):
         """Monic irreducibles of F_q[T] of degree 1..max_deg, ascending."""
@@ -138,7 +133,7 @@ class CycField:
         def build():
             phi = carlitz_poly(self.unit_rep_poly(b))
             return tuple(fold_powers(
-                self.rows, [(self.q ** i, c) for i, c in enumerate(phi.coeffs)],
+                self.rows, [(self.q ** i, c) for i, c in enumerate(phi)],
                 Poly.zero(self.Fq)))
         return self.memo(("sigma_lambda", b), build)
 
@@ -513,9 +508,5 @@ def embed_infty(x, prec):
 def embed_padic(x, N):
     """Image of a CycElem in the completed ring at P, coordinates via
     the Teichmuller section on the coefficient leg."""
-    cyc = x.cyc
-    ring = cyc.padic_ring(N)
-    vals = [embed_poly_to_padic(c, ring.ctx, lambda a: cyc.teichmuller(a, N))
-            for c in x.coords]
-    prec = min(v.prec for v in vals)
-    return ring.elem([v.value for v in vals], prec)
+    ring = x.cyc.padic_ring(N)
+    return ring.elem([embed_poly_to_padic(c, ring.ctx) for c in x.coords])

@@ -34,9 +34,10 @@ one Laurent inverse per character certifies the whole window.
 from __future__ import annotations
 
 from .core import CarlitzTables
+from .cyclotomic import CycField
 from .fields import residue_field, residue_rep, row_reduce
 from .laurent import LaurentSeries
-from .padics import PadicContext, PadicElem, fold_powers
+from .padics import fold_powers
 from .polynomials import Poly
 
 
@@ -152,12 +153,13 @@ class PadicClassSumTable:
     """P-adic class sums mod P^N over unit classes, from the closed form
     for blocks n <= n_max, the last degree whose block valuation is below
     N.  `extra_blocks` more degrees past the cut are kept for
-    validation_blocks_vanish."""
+    validation_blocks_vanish.  The context is the one of CycField(P) at
+    N."""
 
     def __init__(self, P, N, extra_blocks=0):
         self.P = P
         self.N = N
-        self.ctx = PadicContext(P, N)
+        self.ctx = CycField(P).padic_ring(N).ctx
         self.n_max = _last(
             lambda n: padic_block_valuation(P.field, int(P.degree), n) < N)
         self.extra_blocks = extra_blocks
@@ -251,8 +253,9 @@ def _poly_window(F, f, c, prec):
 
 
 def l_padic(cyc, chi, table):
-    """L_P(1, chi) in A_P mod P^N, Teichmuller-valued character, sum over
-    monic a coprime to P; the table's blocks past n_max vanish mod P^N."""
+    """L_P(1, chi) in A_P mod P^N, as a Poly reduced mod P^N:
+    Teichmuller-valued character, sum over monic a coprime to P; the
+    table's blocks past n_max vanish mod P^N."""
     ctx = table.ctx
     PN = ctx.P_pow(table.N)
     acc = Poly.zero(cyc.Fq)
@@ -263,8 +266,8 @@ def l_padic(cyc, chi, table):
         c = chi(sigma)
         if c == 0:
             continue
-        acc = (acc + s * cyc.teichmuller(c, table.N).value) % PN
-    return PadicElem(ctx, acc, table.N)
+        acc = (acc + s * ctx.teichmuller(c)) % PN
+    return acc
 
 
 def euler_factor_charpoly(cyc, chi, f):

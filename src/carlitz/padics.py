@@ -2,7 +2,9 @@
 cyclotomic ring A_P[lambda], plus the lambda-power coordinate folds
 shared by every polynomial coefficient ring: A, F[T] and A_P.
 
-PadicElem carries its own absolute precision (known mod P^prec).
+An element of A_P mod P^N is a Poly reduced mod P^N; its valuation is
+PadicContext.vP(value, N).  The context of one (P, N) owns the powers
+of P, the memoised unit inverses and the Teichmuller lifts.
 PadicCycElem is a coordinate vector over the lambda-power basis with a
 shared coordinate precision; divisions by elements of A record exactly
 how much certainty they burn, and its natural filtration valuation v_m
@@ -30,6 +32,7 @@ class PadicContext:
         while len(self._powers) <= N:
             self._powers.append(self._powers[-1] * P)
         self._unit_invs = {}
+        self._teichmuller = {}
 
     def P_pow(self, k):
         while len(self._powers) <= k:
@@ -63,102 +66,33 @@ class PadicContext:
             v += 1
         return None
 
-    def elem(self, poly, prec=None):
-        prec = self.N if prec is None else prec
-        return PadicElem(self, self.reduce(poly, prec), prec)
-
-    def zero(self, prec=None):
-        return PadicElem(self, Poly.zero(self.field),
-                         self.N if prec is None else prec)
-
-    def one(self, prec=None):
-        return PadicElem(self, Poly.one(self.field),
-                         self.N if prec is None else prec)
-
-
-class PadicElem:
-    __slots__ = ("ctx", "value", "prec")
-
-    def __init__(self, ctx, value, prec):
-        self.ctx = ctx
-        self.value = value
-        self.prec = prec
-
-    def valuation(self):
-        """v_P, or None when indistinguishable from zero at this precision."""
-        return self.ctx.vP(self.value, self.prec)
-
-    def is_zero(self):
-        return self.valuation() is None
-
-    def __add__(self, other):
-        prec = min(self.prec, other.prec)
-        return self.ctx.elem(self.value + other.value, prec)
-
-    def __neg__(self):
-        return PadicElem(self.ctx, -self.value, self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        va = self.valuation()
-        vb = other.valuation()
-        pa = self.prec + (vb if vb is not None else other.prec)
-        pb = other.prec + (va if va is not None else self.prec)
-        prec = min(pa, pb)
-        return self.ctx.elem(self.value * other.value, prec)
-
-    def frob_power(self, q):
-        # q-power is additive in char p, so acts exponentwise on the rep
-        return self.ctx.elem(self.value.frob_power(q), self.prec)
-
-    def truncate(self, prec):
-        if prec >= self.prec:
-            return self
-        return self.ctx.elem(self.value, prec)
-
-    def agrees_with(self, other):
-        prec = min(self.prec, other.prec)
-        return ((self.value - other.value) % self.ctx.P_pow(prec)).is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, PadicElem) and self.ctx.P == other.ctx.P
-                and self.prec == other.prec and self.value == other.value)
-
-    def __repr__(self):
-        return "PadicElem(%r mod P^%d)" % (self.value, self.prec)
+    def teichmuller(self, c):
+        """Teichmuller lift to A_P mod P^N of c, an int of residue_field(P):
+        the root of x^{q^d} = x congruent to c mod P, by Frobenius
+        iteration (N steps suffice at desk scale); memoised."""
+        if c not in self._teichmuller:
+            y = residue_rep(self.P, c)  # the obvious lift
+            for _ in range(self.N + 2):
+                z = y
+                for _ in range(self.d):
+                    z = self.reduce(z.frob_power(self.q))
+                if z == y:
+                    break
+                y = z
+            else:
+                raise ArithmeticError("Teichmuller iteration did not stabilize")
+            self._teichmuller[c] = y
+        return self._teichmuller[c]
 
 
-def teichmuller_lift(c, ctx):
-    """Teichmuller representative in A_P of a residue-field element.
-
-    `c` is an int of residue_field(P); the lift is the unique root of
-    x^{q^d} = x congruent to c mod P, computed by Frobenius iteration
-    (quadratically convergent is not needed; N steps suffice at desk
-    scale).  Returns a PadicElem at full context precision.
-    """
-    y = residue_rep(ctx.P, c)  # the obvious lift
-    for _ in range(ctx.N + 2):
-        z = y
-        for _ in range(ctx.d):
-            z = ctx.reduce(z.frob_power(ctx.q))
-        if z == y:
-            break
-        y = z
-    else:
-        raise ArithmeticError("Teichmuller iteration did not stabilize")
-    return ctx.elem(y)
-
-
-def embed_poly_to_padic(p, ctx, lift):
-    """Image in A_P of an element of F[T] (or of A itself): the variable
-    stays T and each coefficient, an int of F_q or of residue_field(P),
-    goes through `lift` (c -> PadicElem), the Teichmuller section."""
-    acc = ctx.zero()
-    t_elem = ctx.elem(Poly.x(ctx.field))
+def embed_poly_to_padic(p, ctx):
+    """Image in A_P mod P^N of an element of F[T] (or of A itself): the
+    variable stays T and each coefficient, an int of F_q or of
+    residue_field(P), goes to its Teichmuller lift."""
+    t = Poly.x(ctx.field)
+    acc = Poly.zero(ctx.field)
     for c in reversed(p.coeffs):
-        acc = acc * t_elem + lift(c)
+        acc = ctx.reduce(acc * t + ctx.teichmuller(c))
     return acc
 
 

@@ -83,23 +83,9 @@ class VerificationReport:
 # -- the points -------------------------------------------------------------------
 
 
-@dataclass
-class SpecialPointInf:
-    m: int
-    depth: int
-    values: dict                  # place rep -> RamifiedElem
-
-
-@dataclass
-class SpecialPointPadic:
-    m: int
-    N: int
-    value: object                 # PadicCycElem in m^2
-    truncation_blocks: int
-
-
 def special_point_inf(cyc, m, depth):
-    """L_m at every infinite place, certified to the table depth."""
+    """L_m at every infinite place, certified to the table depth: a dict
+    from place rep to RamifiedElem."""
     table = cyc.class_table(depth)
     emb = cyc.infty_embedding(cyc.Fq, depth)
     values = {}
@@ -115,11 +101,12 @@ def special_point_inf(cyc, m, depth):
         if acc is None:
             acc = RamifiedElem.zero(cyc.q, emb.field, (cyc.q - 1) * depth)
         values[bplace] = acc
-    return SpecialPointInf(m, depth, values)
+    return values
 
 
 def special_point_padic(cyc, m, N):
-    """L_{m,P} mod P^N; membership in m^2 is checked, not assumed."""
+    """L_{m,P} mod P^N as a PadicCycElem; membership in m^2 is checked,
+    not assumed."""
     table = cyc.padic_table(N)
     ring = cyc.padic_ring(N)
     PN = table.ctx.P_pow(N)
@@ -136,7 +123,7 @@ def special_point_padic(cyc, m, N):
     if vm is not None and vm < 2:
         raise ArithmeticError(
             "L_{%d,P} escapes m^2 (v_m = %r): class table is wrong" % (m, vm))
-    return SpecialPointPadic(m, N, value, table.n_max)
+    return value
 
 
 # -- integral recognition ---------------------------------------------------------
@@ -197,8 +184,8 @@ def verify_anderson(cyc, m, N, depth, guard=6):
     attempt_depth = depth
     for _ in range(ANDERSON_ATTEMPTS):
         try:
-            sp = special_point_inf(cyc, m, attempt_depth)
-            exps = {b: exp_eval(v, v.wprec()) for b, v in sp.values.items()}
+            exps = {b: exp_eval(v, v.wprec()) for b, v in
+                    special_point_inf(cyc, m, attempt_depth).items()}
             u = recognize_integral(
                 cyc, exps, cyc.infty_embedding(cyc.Fq, attempt_depth),
                 guard=guard)
@@ -212,8 +199,7 @@ def verify_anderson(cyc, m, N, depth, guard=6):
     report.add("recognize-exp-L_%d" % m, True,
                lhs_prec=(q - 1) * attempt_depth)
 
-    spp = special_point_padic(cyc, m, N)
-    lhs = padic_exp(spp.value)
+    lhs = padic_exp(special_point_padic(cyc, m, N))
     if m == 1:
         lhs = carlitz_act(cyc.P, lhs)
         rhs = embed_padic(carlitz_act(cyc.P, u), N)
@@ -401,7 +387,8 @@ def _overlap_reason(agree, overlap, need):
     """Why an overlap comparison did not pass."""
     if not agree:
         return "the sides differ below their common precision %d" % overlap
-    return "the sides agree to precision %d, %d needed" % (overlap, need)
+    return ("the sides agree to precision %d, %d needed; raise the depth"
+            % (overlap, need))
 
 
 # -- congruences and scans --------------------------------------------------------
@@ -510,9 +497,6 @@ def odd_fitting_report(cyc, N=8):
     """
     F = cyc.F
     ctx = cyc.padic_ring(N).ctx
-
-    def lift(c):
-        return cyc.teichmuller(c, N)
     rows = []
     for chi in all_characters(cyc):
         if not chi.is_odd():
@@ -534,8 +518,8 @@ def odd_fitting_report(cyc, N=8):
             case = "generic"
         # B_1 may have a pole at P (the chi = omega case), so take the
         # valuation as v_P(num) - v_P(den) rather than dividing
-        vn = embed_poly_to_padic(bval.num, ctx, lift).valuation()
-        vd = embed_poly_to_padic(bval.den, ctx, lift).valuation()
+        vn = ctx.vP(embed_poly_to_padic(bval.num, ctx), N)
+        vd = ctx.vP(embed_poly_to_padic(bval.den, ctx), N)
         if vn is None or vd is None:
             raise ValueError("v_P(B_1) undetermined for chi=omega^%d: raise N"
                              % chi.n)
@@ -554,7 +538,7 @@ def padic_ledger(cyc, N):
     for chi in all_characters(cyc):
         if chi.is_odd():
             continue
-        v = l_padic(cyc, chi, table).valuation()
+        v = table.ctx.vP(l_padic(cyc, chi, table), N)
         rows.append({"chi_n": chi.n, "vP": v, "indeterminate": v is None,
                      "note": "sum of the unit-index and class lengths; "
                              "not decomposed here"})

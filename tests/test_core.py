@@ -91,30 +91,31 @@ def test_factorial():
 
 def test_carlitz_poly_T():
     phi = carlitz_poly(Poly.x(F3))
-    assert list(phi.coeffs) == [Poly.x(F3), Poly.one(F3)]
+    assert list(phi) == [Poly.x(F3), Poly.one(F3)]
+    assert carlitz_poly(Poly.zero(F3)) == ()
 
 
 def test_carlitz_poly_T_squared():
     phi = carlitz_poly(parse_poly("T^2", F3))
     # phi_{T^2} = T^2 + (T^q + T) tau + tau^2
-    assert phi.coeffs[0] == parse_poly("T^2", F3)
-    assert phi.coeffs[1] == parse_poly("T^3+T", F3)
-    assert phi.coeffs[2] == Poly.one(F3)
+    assert phi[0] == parse_poly("T^2", F3)
+    assert phi[1] == parse_poly("T^3+T", F3)
+    assert phi[2] == Poly.one(F3)
 
 
 def test_carlitz_poly_additive_and_monic():
     a = parse_poly("T^2+2*T", F3)
     b = parse_poly("2*T^2+1", F3)
     pa, pb, pab = carlitz_poly(a), carlitz_poly(b), carlitz_poly(a + b)
-    width = max(len(pa.coeffs), len(pb.coeffs))
+    width = max(len(pa), len(pb))
     for i in range(width):
-        ca = pa.coeffs[i] if i < len(pa.coeffs) else Poly.zero(F3)
-        cb = pb.coeffs[i] if i < len(pb.coeffs) else Poly.zero(F3)
-        cab = pab.coeffs[i] if i < len(pab.coeffs) else Poly.zero(F3)
+        ca = pa[i] if i < len(pa) else Poly.zero(F3)
+        cb = pb[i] if i < len(pb) else Poly.zero(F3)
+        cab = pab[i] if i < len(pab) else Poly.zero(F3)
         assert cab == ca + cb
     m = carlitz_poly(parse_poly("T^3+T+1", F3))
-    assert m.coeffs[-1].is_one()
-    assert m.coeffs[0] == parse_poly("T^3+T+1", F3)
+    assert m[-1].is_one()
+    assert m[0] == parse_poly("T^3+T+1", F3)
 
 
 def test_carlitz_poly_eisenstein_at_P():
@@ -122,11 +123,11 @@ def test_carlitz_poly_eisenstein_at_P():
         P = parse_poly(s, Fq)
         phi = carlitz_poly(P)
         d = int(P.degree)
-        assert len(phi.coeffs) == d + 1
-        assert phi.coeffs[0] == P
-        assert phi.coeffs[d].is_one()
+        assert len(phi) == d + 1
+        assert phi[0] == P
+        assert phi[d].is_one()
         for i in range(1, d):
-            assert (phi.coeffs[i] % P).is_zero()
+            assert (phi[i] % P).is_zero()
 
 
 # -- infinity-adic exponential ---------------------------------------------------
@@ -172,7 +173,7 @@ def carlitz_cyc_ring(Pstr, Fq, N):
     q = Fq.order
     L = q ** int(P.degree) - 1
     psi = [Poly.zero(Fq)] * (L + 1)
-    for i, c in enumerate(phi.coeffs):
+    for i, c in enumerate(phi):
         psi[q ** i - 1] = c
     return CycPadicRing(ctx, lambda_power_rows(psi))
 

@@ -378,3 +378,5 @@ def test_teichmuller_lifts_hang_off_no_attribute():
     l_padic(cyc, Character(cyc, 0), PadicClassSumTable(cyc.P, 4))
     embed_padic(lam(cyc, cyc.F).scale_coeff(cyc.F.theta), 4)
     assert not [a for a in vars(cyc) if a.startswith("_teich_cache")]
+    # one context per (P, N): the class-sum table shares the ring's
+    assert PadicClassSumTable(cyc.P, 4).ctx is cyc.padic_ring(4).ctx

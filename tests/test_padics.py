@@ -1,8 +1,9 @@
 from hypothesis import given, settings, strategies as st
 
-from carlitz.fields import make_field, residue_field
+from carlitz.cyclotomic import CycField
+from carlitz.fields import make_field, residue_field, residue_rep
 from carlitz.padics import (CycPadicRing, PadicContext, embed_poly_to_padic,
-                            lambda_power_rows, teichmuller_lift)
+                            lambda_power_rows)
 from carlitz.polynomials import Poly, parse_poly
 
 F3 = make_field(3)
@@ -14,28 +15,33 @@ def ctx3(N=5):
 
 
 def test_padic_arithmetic():
+    # A_P mod P^N is A reduced mod P^N: reduction is a ring map, and the
+    # valuation of a reduced element is vP capped at N
     ctx = ctx3()
-    a = ctx.elem(parse_poly("T^3+2", F3))
-    b = ctx.elem(parse_poly("T+1", F3))
-    assert (a * b).agrees_with(ctx.elem(parse_poly("T^3+2", F3) * parse_poly("T+1", F3)))
-    assert (a - a).is_zero()
+    a, b = parse_poly("T^3+2", F3), parse_poly("T+1", F3)
+    ra, rb = ctx.reduce(a), ctx.reduce(b)
+    assert ctx.reduce(ra * rb) == ctx.reduce(a * b)
+    assert ctx.reduce(ra + rb) == ctx.reduce(a + b)
+    assert ctx.vP(ra - ra, ctx.N) is None
+    assert ctx.vP(ctx.reduce(a * ctx.P * ctx.P), ctx.N) == 2
 
 
 def test_teichmuller_fixed_point_and_multiplicativity():
     ctx = ctx3(4)
     F = residue_field(ctx.P)
-    lifts = {c: teichmuller_lift(c, ctx) for c in F.elements()}
+    lifts = {c: ctx.teichmuller(c) for c in F.elements()}
     for c in F.elements():
         y = lifts[c]
+        assert ctx.teichmuller(c) is y  # memoised on the context
         z = y
         for _ in range(ctx.d):
-            z = z.frob_power(3)
-        assert z.agrees_with(y)  # fixed by x -> x^{q^d}
-        assert (y.value % ctx.P) == Poly(F3, list(_digits(c, 3, 2)))
+            z = ctx.reduce(z.frob_power(3))
+        assert z == y  # fixed by x -> x^{q^d}
+        assert (y % ctx.P) == Poly(F3, list(_digits(c, 3, 2)))
     for a in F.elements():
         for b in F.elements():
             ab = F.mul(a, b)
-            assert (lifts[a] * lifts[b]).agrees_with(lifts[ab])
+            assert ctx.reduce(lifts[a] * lifts[b]) == lifts[ab]
 
 
 def _digits(c, q, d):
@@ -44,17 +50,13 @@ def _digits(c, q, d):
         c //= q
 
 
-def _teich(ctx):
-    return lambda c: teichmuller_lift(c, ctx)
-
-
 def test_embed_tensor_fq_side_is_plain_reduction():
     ctx = ctx3(4)
     num, den = parse_poly("T^3+T+2", F3), parse_poly("T+2", F3)
-    img = embed_poly_to_padic(num, ctx, _teich(ctx))
-    assert img.agrees_with(ctx.elem(num))
-    lhs = embed_poly_to_padic(num * den, ctx, _teich(ctx))
-    assert lhs.agrees_with(img * ctx.elem(den))
+    img = embed_poly_to_padic(num, ctx)
+    assert img == ctx.reduce(num)
+    lhs = embed_poly_to_padic(num * den, ctx)
+    assert lhs == ctx.reduce(img * den)
 
 
 def test_embed_tensor_residue_coeffs_multiplicative():
@@ -63,24 +65,24 @@ def test_embed_tensor_residue_coeffs_multiplicative():
     theta = F.theta
     a = Poly(F, [theta, 1])          # T + theta
     b = Poly(F, [F.mul(theta, theta), 2])
-    ia = embed_poly_to_padic(a, ctx, _teich(ctx))
-    ib = embed_poly_to_padic(b, ctx, _teich(ctx))
-    iab = embed_poly_to_padic(a * b, ctx, _teich(ctx))
-    assert (ia * ib).agrees_with(iab)
+    ia = embed_poly_to_padic(a, ctx)
+    ib = embed_poly_to_padic(b, ctx)
+    iab = embed_poly_to_padic(a * b, ctx)
+    assert ctx.reduce(ia * ib) == iab
 
 
 def test_norm_of_t_minus_teich_theta_is_P():
     # prod_j (T - teich(theta)^{q^j}) = P(T) in A_P
     ctx = ctx3(5)
     F = residue_field(ctx.P)
-    y = teichmuller_lift(F.theta, ctx)
-    acc = ctx.one()
-    t = ctx.elem(Poly.x(F3))
+    y = ctx.teichmuller(F.theta)
+    acc = Poly.one(F3)
+    t = Poly.x(F3)
     cur = y
     for _ in range(ctx.d):
-        acc = acc * (t - cur)
-        cur = cur.frob_power(3)
-    assert acc.agrees_with(ctx.elem(ctx.P))
+        acc = ctx.reduce(acc * (t - cur))
+        cur = ctx.reduce(cur.frob_power(3))
+    assert acc == ctx.reduce(ctx.P)
 
 
 def simple_cyc_ring(N=4):
@@ -166,3 +168,50 @@ def test_div_scalar_poly_digits_survive_higher_precision(coeffs, ucs, v, prec):
     m = ring.ctx.P_pow(high.prec)
     assert all(((c * unit - _poly(F3, cs)) % m).is_zero()
                for c, cs in zip(high.coords, coeffs))
+
+
+# -- precision soundness of A_P[lambda] and of the Teichmuller lifts ----------
+
+DESK = [(2, "T+1"), (2, "T^2+T+1"), (2, "T^3+T+1"), (2, "T^3+T^2+1"),
+        (3, "T+1"), (3, "T^2+1")]
+
+
+def _desk_cyc(qP):
+    return CycField(parse_poly(qP[1], make_field(qP[0])))
+
+
+def _draw_elem(data, ring, prec):
+    Fq = ring.ctx.field
+    digits = st.lists(st.integers(0, Fq.order - 1),
+                      max_size=prec * ring.ctx.d)
+    return ring.elem([Poly(Fq, data.draw(digits)) for _ in range(ring.L)],
+                     prec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(DESK), st.integers(1, 4), st.data())
+def test_mul_and_frobq_precision_sound(qP, p, data):
+    # the same elements known mod P^p and mod P^2p: the low results must
+    # hold every digit they claim, and claim the p digits of their input
+    ring = _desk_cyc(qP).padic_ring(2 * p)
+    x, y = _draw_elem(data, ring, 2 * p), _draw_elem(data, ring, 2 * p)
+    xl, yl = x.truncate(p), y.truncate(p)
+    for lo, hi in ((xl * yl, x * y), (xl * y, x * y), (xl.frobq(), x.frobq())):
+        assert hi.prec == 2 * p and lo.coords == hi.truncate(lo.prec).coords
+        assert lo.prec == p, qP
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(DESK), st.integers(1, 6), st.data())
+def test_teichmuller_precision_sound(qP, N, data):
+    # the lift mod P^2N is certified: a root of x^{q^d} = x over c, which
+    # is unique; the lift mod P^N must agree with it on every digit
+    cyc = _desk_cyc(qP)
+    c = data.draw(st.integers(0, cyc.F.order - 1))
+    low, high = cyc.padic_ring(N).ctx, cyc.padic_ring(2 * N).ctx
+    h = high.teichmuller(c)
+    z = h
+    for _ in range(cyc.d):
+        z = high.reduce(z.frob_power(cyc.q))
+    assert z == h and (h - residue_rep(cyc.P, c)) % cyc.P == Poly.zero(cyc.Fq)
+    assert low.teichmuller(c) == low.reduce(h), (qP, N, c)

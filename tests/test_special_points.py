@@ -43,8 +43,7 @@ def test_sigma_power_extends_table():
 def test_special_point_zero_is_scalar():
     # lambda^0 = 1 collapses the sigma-sum to one k_inf value per place
     cyc = _cyc("T^2+1", F3)
-    sp = special_point_inf(cyc, 0, 10)
-    vals = list(sp.values.values())
+    vals = list(special_point_inf(cyc, 0, 10).values())
     for v in vals:
         for comp in v.comps[1:]:
             assert comp.is_zero()
@@ -106,8 +105,8 @@ def test_exp_of_special_point_is_integral():
     cyc = _cyc("T^2+T+1", F2)
     depth = 20
     emb = cyc.infty_embedding(F2, depth)
-    sp = special_point_inf(cyc, 2, depth)
-    exps = {b: exp_eval(v, v.wprec()) for b, v in sp.values.items()}
+    exps = {b: exp_eval(v, v.wprec())
+            for b, v in special_point_inf(cyc, 2, depth).items()}
     u = recognize_integral(cyc, exps, emb)
     assert all(isinstance(c, Poly) and c.field == F2 for c in u.coords)
     # and it embeds back onto the analytic values
@@ -152,10 +151,9 @@ def test_padic_special_point_in_m_squared():
         cut = max(n for n in range(N * d + 1)
                   if padic_block_valuation(Fq, d, n) < N)
         for m in (1, 2, 3):
-            sp = special_point_padic(cyc, m, N)
-            vm = sp.value.vm()
+            vm = special_point_padic(cyc, m, N).vm()
             assert vm is None or vm >= 2
-            assert sp.truncation_blocks == cut
+        assert cyc.padic_table(N).n_max == cut
         # the old bound kept every block up to N*d: the ones past the new
         # cut vanish mod P^N, by the closed form and by enumeration
         vtab = PadicClassSumTable(cyc.P, N, extra_blocks=N * d - cut)
@@ -190,7 +188,7 @@ def test_padic_odd_part_collapse_mod_P():
                 continue
             acc = [Poly.zero(F3)] * cyc.L
             for bb in cyc.units():
-                sc = sigma_coords(bb, sp.value.coords)
+                sc = sigma_coords(bb, sp.coords)
                 cp = cyc.unit_rep_poly(chi.inv()(bb))
                 acc = [divmod(a + cp * s, Pq)[1] for a, s in zip(acc, sc)]
             proj = ring.elem([-a for a in acc], 1)
