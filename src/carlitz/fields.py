@@ -3,8 +3,22 @@
 An element of a field with ``p**e`` elements is a plain int in
 ``range(p**e)`` encoding the coefficient vector of its polynomial
 representative in base ``p`` (constant digit first).  Extension fields
-keep eager log/exp tables whenever the order fits in memory, so
-multiplication and inversion are table lookups.
+keep eager log/exp tables whenever the order is at most ``TABLE_LIMIT``,
+so multiplication and inversion are table lookups.
+
+Addition takes one of three paths, none of which recurses through the
+tower of base fields:
+
+* prime fields add mod ``p``;
+* in characteristic 2 the encoding is binary all the way down, so
+  addition and subtraction are XOR and negation is the identity;
+* odd extensions with tables keep Zech logarithms, ``Z[k] = log(1 +
+  g^k)`` (``None`` where ``1 + g^k = 0``), so ``g^i + g^j = g^(i +
+  Z[j - i])`` and ``-g^i = g^(i + (order - 1)/2)`` are lookups (Lidl
+  and Niederreiter, *Finite Fields*, on Zech logarithms).
+
+Odd extensions above ``TABLE_LIMIT`` add digit by digit through the
+base field (``_add_digits``), which is also the tests' oracle.
 """
 
 from __future__ import annotations
@@ -55,6 +69,7 @@ class FiniteField:
         self.deg_over_base = 1
         self._exp = None
         self._log = None
+        self._zech = None
         if p <= TABLE_LIMIT:
             self._build_tables()
 
@@ -78,6 +93,7 @@ class FiniteField:
         self.deg_over_base = m
         self._exp = None
         self._log = None
+        self._zech = None
         if self.order <= TABLE_LIMIT:
             self._build_tables()
         return self
@@ -115,18 +131,25 @@ class FiniteField:
     def add(self, a, b):
         if self.base is None:
             return (a + b) % self.p
-        bb = self.base.order
-        x, y, out, mult = a, b, 0, 1
-        for _ in range(self.deg_over_base):
-            out += self.base.add(x % bb, y % bb) * mult
-            x //= bb
-            y //= bb
-            mult *= bb
-        return out
+        zech = self._zech
+        if zech is None:
+            return a ^ b if self.p == 2 else self._add_digits(a, b)
+        if not a or not b:
+            return a or b
+        log = self._log
+        la = log[a]
+        k = zech[log[b] - la]  # a negative index wraps mod order - 1
+        return 0 if k is None else self._exp[(la + k) % len(zech)]
 
     def neg(self, a):
         if self.base is None:
             return (-a) % self.p
+        if self._zech is not None:
+            if not a:
+                return 0
+            return self._exp[(self._log[a] + self._half) % len(self._zech)]
+        if self.p == 2:
+            return a
         bb = self.base.order
         x, out, mult = a, 0, 1
         for _ in range(self.deg_over_base):
@@ -136,7 +159,21 @@ class FiniteField:
         return out
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if self.base is None:
+            return (a - b) % self.p
+        return a ^ b if self.p == 2 else self.add(a, self.neg(b))
+
+    def _add_digits(self, a, b):
+        """a + b digit by digit through the tower: the path of odd
+        extensions without tables, and the oracle for the others."""
+        bb = self.base.order
+        x, y, out, mult = a, b, 0, 1
+        for _ in range(self.deg_over_base):
+            out += self.base.add(x % bb, y % bb) * mult
+            x //= bb
+            y //= bb
+            mult *= bb
+        return out
 
     def is_zero(self, a):
         return a == 0
@@ -223,6 +260,12 @@ class FiniteField:
             log[x] = k
             x = (x * g) % self.p if self.base is None else self._mul_poly(x, g)
         self._exp, self._log = exp, log
+        if self.base is not None and self.p != 2:
+            # Zech logarithms Z[k] = log(1 + g^k); 1 + x moves only the
+            # constant digit, so each entry is one base-field add
+            bb, badd = self.base.order, self.base.add
+            self._zech = [log[x - x % bb + badd(x % bb, 1)] for x in exp]
+            self._half = (n - 1) // 2  # -1 = g^half
 
     def _pow_slow(self, a, n):
         r, b = 1, a

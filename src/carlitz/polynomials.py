@@ -134,20 +134,26 @@ class Poly:
         if den.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        dd = len(den.coeffs) - 1
-        inv_lead = F.inv(den.leading())
+        dc = den.coeffs
+        dd = len(dc) - 1
+        if len(self.coeffs) <= dd:
+            return Poly.zero(F), self
+        inv_lead = F.inv(dc[-1])
+        p = F.p if F.base is None else None
         num = list(self.coeffs)
-        q = [0] * max(len(num) - dd, 0)
+        q = [0] * (len(num) - dd)
         for k in range(len(num) - 1, dd - 1, -1):
             c = num[k]
             if c:
-                f = F.mul(c, inv_lead)
+                f = c * inv_lead % p if p else F.mul(c, inv_lead)
                 q[k - dd] = f
-                num[k] = 0
-                for j in range(dd):
-                    if den.coeffs[j]:
-                        num[k - dd + j] = F.sub(num[k - dd + j],
-                                                F.mul(f, den.coeffs[j]))
+                lo = k - dd
+                # num[k] is left as it is: only num[:dd] is read after k
+                if p:
+                    num[lo:k] = [(x - f * y) % p for x, y in zip(num[lo:k], dc)]
+                else:
+                    num[lo:k] = [F.sub(x, F.mul(f, y)) if y else x
+                                 for x, y in zip(num[lo:k], dc)]
         return Poly(F, q), Poly(F, num[:dd])
 
     def __floordiv__(self, other):

@@ -4,10 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz import fields
 from carlitz.fields import (OBJECT_OPS, FiniteField, make_field, residue_field,
                             residue_rep, frobenius_orbits, row_reduce)
 from carlitz.laurent import LaurentSeries
-from carlitz.polynomials import Poly, RatFunc, parse_poly
+from carlitz.polynomials import Poly, RatFunc, monic_polys, parse_poly
 
 
 def test_make_field_prime():
@@ -69,6 +70,55 @@ def test_field_axioms_f9():
     for a in F.units():
         assert F.mul(a, F.inv(a)) == 1
         assert F.pow(a, F.order - 1) == 1
+
+
+def _assert_add_matches_digits(F):
+    """add, sub and neg against the digit-by-digit sum, on every pair."""
+    els = list(F.elements())
+    neg = {a: next(x for x in els if F._add_digits(a, x) == 0) for a in els}
+    for a in els:
+        assert F.neg(a) == neg[a], (F, a)
+        assert F.add(a, F.neg(a)) == 0, (F, a)
+        for b in els:
+            assert F.add(a, b) == F._add_digits(a, b), (F, a, b)
+            assert F.sub(a, b) == F._add_digits(a, neg[b]), (F, a, b)
+
+
+def _quadratic_over_f9():
+    F9 = make_field(3, 2)
+    return next(P for P in monic_polys(F9, 2) if P.is_irreducible())
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_table_add_matches_digits(p, e):
+    F = make_field(p, e)
+    assert F._log is not None
+    # odd p adds by Zech logarithms, p = 2 by XOR: neither recurses
+    assert (F._zech is None) == (p == 2)
+    _assert_add_matches_digits(F)
+
+
+def test_tower_add_matches_digits():
+    # F_81 over F_9: the digits are F_9 elements, themselves added by Zech
+    F = residue_field(_quadratic_over_f9())
+    assert (F.order, F.base.order) == (81, 9)
+    _assert_add_matches_digits(F)
+
+
+@pytest.mark.parametrize("p,e", [(3, 3), (2, 4)])
+def test_untabled_extension_agrees(monkeypatch, p, e):
+    # fields above TABLE_LIMIT keep the digit-wise add (odd p) and mul
+    tabled = make_field(p, e)
+    monkeypatch.setattr(fields, "TABLE_LIMIT", tabled.order - 1)
+    F = FiniteField.extension(make_field(p), tabled.modulus)
+    assert F._log is None and F._zech is None
+    _assert_add_matches_digits(F)
+    for a in F.elements():
+        for b in F.elements():
+            assert F.add(a, b) == tabled.add(a, b)
+            assert F.mul(a, b) == tabled.mul(a, b)
+        if a:
+            assert F.inv(a) == tabled.inv(a)
 
 
 def test_residue_field_structure():

@@ -1,4 +1,6 @@
 
+from hypothesis import given, settings, strategies as st
+
 from carlitz.fields import make_field, residue_field
 from carlitz.laurent import LaurentSeries, RamifiedElem, pi_bar
 from carlitz.polynomials import Poly, RatFunc, parse_poly
@@ -33,6 +35,41 @@ def test_mul_precision_tracking():
     # error from b enters shifted by val(a) = -1: prec = min(4+2, 5-1) = 4
     assert c.prec == 4
     assert c.coeff(1) == 1 and c.coeff(2) == 2
+
+
+PREC_FIELDS = [F3, make_field(3, 2), make_field(2, 3)]
+
+
+@st.composite
+def _series_at_two_precisions(draw, F, unit=False):
+    """One series known to 2w coefficients past its first, and the same
+    series cut to w: the second is the first recomputed at twice the
+    precision."""
+    v = draw(st.integers(-3, 3))
+    w = draw(st.integers(1, 8))
+    first = draw(st.integers(1 if unit else 0, F.order - 1))
+    rest = draw(st.lists(st.integers(0, F.order - 1),
+                         min_size=2 * w - 1, max_size=2 * w - 1))
+    hi = LaurentSeries(F, v, [first] + rest, v + 2 * w)
+    return hi.truncate(v + w), hi
+
+
+def _sound(lo, hi):
+    # the low result claims no digit the high one contradicts
+    assert lo.prec <= hi.prec, (lo, hi)
+    assert lo.agrees_with(hi), (lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PREC_FIELDS), st.data())
+def test_mul_inv_frobq_precision_sound(F, data):
+    a_lo, a_hi = data.draw(_series_at_two_precisions(F))
+    b_lo, b_hi = data.draw(_series_at_two_precisions(F))
+    _sound(a_lo * b_lo, a_hi * b_hi)
+    u_lo, u_hi = data.draw(_series_at_two_precisions(F, unit=True))
+    _sound(u_lo.inv(), u_hi.inv())
+    for q in {F.p, F.order}:
+        _sound(a_lo.frobq(q), a_hi.frobq(q))
 
 
 def test_frobq_char3():

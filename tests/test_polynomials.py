@@ -50,14 +50,24 @@ def test_divmod_exact():
     assert r.degree < b.degree
 
 
-@settings(max_examples=60)
-@given(rand_poly(F3, 6), rand_poly(F3, 4))
-def test_divmod_property(a, b):
+DIVMOD_FIELDS = [F2, F3, make_field(5), make_field(3, 2)]
+
+
+@settings(max_examples=160)
+@given(st.sampled_from(DIVMOD_FIELDS).flatmap(
+    lambda F: st.tuples(rand_poly(F, 20), rand_poly(F, 12))))
+def test_divmod_property(pair):
+    # the oracle is ring arithmetic, not the reduction loop, over prime
+    # fields (plain-int loop) and F_9; a numerator of lower degree than
+    # the divisor comes back whole
+    a, b = pair
     if b.is_zero():
         return
     q, r = divmod(a, b)
     assert q * b + r == a
     assert r.degree < b.degree
+    if a.degree < b.degree:
+        assert q.is_zero() and r == a
 
 
 @settings(max_examples=60)
