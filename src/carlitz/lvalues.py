@@ -26,9 +26,11 @@ Blocks of degree n < d hold one monic polynomial each, of valuation n
 at infinity and 0 at P.  Both valuations grow with n, so each table
 stops at the last degree whose valuation still reaches its window.
 
-The Euler product is taken as prod f / prod (f - chi(f)): both products
-are exact polynomials kept in a relative window of the target depth, so
-one Laurent inverse per character certifies the whole window.
+The Euler product groups the primes f by residue r mod P: with c = chi(r),
+prod_{f = r} (1 - c/f) = sum_k (-c)^k e_k(1/f : f = r), e_k elementary
+symmetric.  v(1/f) = deg f >= 1 gives v(e_k) >= k, so a window of prec
+digits needs only k < prec and deg f < prec, and one e_k table over F_q
+serves every character.
 """
 
 from __future__ import annotations
@@ -140,8 +142,9 @@ class ClassSumTable:
         if w <= 0:
             return dict.fromkeys(classes, zero)
         pairs = class_blocks(self.P, n, classes)
-        return {sigma: _poly_window(Fq, num, 0, w)
-                * _poly_window(Fq, den, 0, w).inv() if num else zero
+        return {sigma: LaurentSeries.from_poly(num, w - int(num.degree))
+                * LaurentSeries.from_poly(den, w - int(den.degree)).inv()
+                if num else zero
                 for sigma, (num, den) in zip(classes, pairs)}
 
     def class_total(self, sigma):
@@ -216,40 +219,42 @@ def euler_product(cyc, chi, max_deg_f, prec):
     power convention chi(0) = 1 keeps the factor at P itself, matching
     the inclusive series convention of l_inf.
 
-    Each factor is f / (f - c), c = chi(f): the product is prod f over
-    prod (f - c), one inverse per character.  f and f - c are exact and
-    monic, entered with val -deg f and prec prec - deg f; products keep
-    that relative window of prec, so the monic quotient has val 0 and a
-    certified prec.  Every nontrivial chi skips exactly f = P, so prod_{f
-    != P} f is built once per window and P joins it for the trivial chi.
+    With c = chi(r) for the primes f = r mod P, prod_{f = r} (1 - c/f) =
+    sum_k (-c)^k E_{r,k}, E_{r,k} = e_k(1/f : f = r).  v(1/f) = deg f >= 1
+    gives v(E_{r,k}) >= k, so only k < prec and deg f < prec reach the
+    window.  The chi-free E_{r,k} are built once per window: a character
+    multiplies at most L + 1 class factors of val 0 and inverts once.
     """
     F = cyc.F
-
-    def numerator():
-        num = LaurentSeries.const(F, 1, prec)
-        for f in cyc.irreducibles(max_deg_f):
-            if f != cyc.P:
-                num = num * _poly_window(F, f, 0, prec)
-        return num
-    num = cyc.memo(("euler_numerator", max_deg_f, prec), numerator)
-    den = LaurentSeries.const(F, 1, prec)
-    for f in cyc.irreducibles(max_deg_f):
-        c = chi(f.evaluate(F.theta, target=F))
-        if c == 0:
-            continue
-        if f == cyc.P:
-            num = num * _poly_window(F, f, 0, prec)
-        den = den * _poly_window(F, f, c, prec)
-    return (num * den.inv()).truncate(prec)
+    table = cyc.memo(("euler_symmetric", max_deg_f, prec),
+                     lambda: _class_symmetric(cyc, max_deg_f, prec))
+    acc = LaurentSeries.const(F, 1, prec)
+    for r, sym in table.items():
+        c = chi(r)  # chi(0) is 1 for trivial chi only
+        if c:
+            cs, ck = [0] * prec, 1
+            for e in sym:
+                for n, a in enumerate(e.coeffs, e.val):
+                    cs[n] = F.add(cs[n], F.mul(ck, a))
+                ck = F.mul(ck, F.neg(c))
+            acc = acc * LaurentSeries(F, 0, cs, prec)
+    return acc.inv()
 
 
-def _poly_window(F, f, c, prec):
-    """f - c for nonzero f in A and c in F, as a Laurent series of val
-    -deg f carrying `prec` coefficients."""
-    deg = int(f.degree)
-    cs = list(reversed(f.coeffs))
-    cs[deg] = F.sub(cs[deg], c)
-    return LaurentSeries(F, -deg, cs, prec - deg)
+def _class_symmetric(cyc, max_deg_f, prec):
+    """Residue r mod P -> [E_{r,0}, ..., E_{r,prec-1}] over F_q to T^{-prec},
+    E_{r,k} = e_k(1/f : f = r) over the monic irreducible f = r of degree
+    < min(prec, max_deg_f + 1), each 1/f of relative width prec - deg f."""
+    one = LaurentSeries.const(cyc.Fq, 1, prec)
+    zero = LaurentSeries.zero(cyc.Fq, prec)
+    table = {}
+    for f in cyc.irreducibles(min(max_deg_f, prec - 1)):
+        sym = table.setdefault(f.evaluate(cyc.F.theta, target=cyc.F),
+                               [one] + [zero] * (prec - 1))
+        x = LaurentSeries.from_poly(f, prec - 2 * int(f.degree)).inv()
+        for k in range(prec - x.val, 0, -1):  # x.val = deg f
+            sym[k] = sym[k] + x * sym[k - 1]
+    return table
 
 
 def l_padic(cyc, chi, table):

@@ -109,6 +109,11 @@ class Poly:
                                np.array(b, dtype=np.int64))
             return Poly(F, (conv % F.p).tolist())
         out = [0] * (len(a) + len(b) - 1)
+        if F.base is None:  # plain int products, one reduction at the end
+            for i, ca in enumerate(a):
+                if ca:
+                    out[i:i + len(b)] = [x + ca * y for x, y in zip(out[i:], b)]
+            return Poly(F, [c % F.p for c in out])
         add, mul = F.add, F.mul
         for i, ca in enumerate(a):
             if ca == 0:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from carlitz.cli import build_parser, main, make_config
+from carlitz import lvalues
 from carlitz.cyclotomic import CycField, InftyEmbedding
 from carlitz.lvalues import ClassSumTable
 
@@ -103,6 +104,25 @@ def test_verify_builds_each_table_once(capsys, monkeypatch):
          "--suites", "cnf,b1,euler", "--format", "json")
     assert built[ClassSumTable] == 2
     assert built[InftyEmbedding] <= 1
+
+
+def test_euler_builds_its_class_table_once(capsys, monkeypatch):
+    # the symmetric functions of 1/f per residue class serve all 8
+    # characters of (3, T^2+1) from one CycField.memo entry
+    builds = []
+
+    def counting(cyc, *a, _build=lvalues._class_symmetric):
+        builds.append(cyc)
+        return _build(cyc, *a)
+    monkeypatch.setattr(lvalues, "_class_symmetric", counting)
+    monkeypatch.setattr(CycField, "_instances", {})
+    code, out = _run(capsys, "verify", "--q", "3", "--P", "T^2+1",
+                     "--suites", "euler", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["suite_results"][0]["checks"]) == 8
+    assert len(builds) == 1
+    # window 8 at prec 9, held by the CycField
+    assert builds[0].memo(("euler_symmetric", 8, 9), lambda: None)
 
 
 def test_fitting_report(capsys):

@@ -170,8 +170,12 @@ def _euler_product_per_factor(cyc, chi, max_deg_f, prec):
 
 
 @pytest.mark.parametrize("q,Pstr,B", [(2, "T^2+T+1", 8), (3, "T^2+1", 5),
-                                      (5, "T+2", 4)])
+                                      (5, "T+2", 4), (3, "T^3+2*T+1", 4),
+                                      (2, "T^3+T+1", 6)])
 def test_euler_product_matches_per_factor_oracle(q, Pstr, B):
+    # the class grouping (26 nonzero classes for the cubic over F_3)
+    # against one inverse per factor; at prec 3 primes of degree >= 3
+    # drop out of the grouping but not out of the oracle
     cyc = CycField(parse_poly(Pstr, make_field(q)))
     for chi in all_characters(cyc):
         for prec in (B + 1, 3):

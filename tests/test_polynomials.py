@@ -98,6 +98,24 @@ def test_numpy_fast_path_agrees():
     assert big == slow
 
 
+@pytest.mark.parametrize("F", DIVMOD_FIELDS, ids=["F2", "F3", "F5", "F9"])
+@pytest.mark.parametrize("la,lb", [(1, 12), (12, 12), (24, 24), (25, 24),
+                                   (40, 33)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_mul_matches_shifted_scaled_sum(F, la, lb, data):
+    # lengths summing to at most _NUMPY_CUTOFF take the schoolbook path
+    # (plain ints over a prime field, field calls over F_9), longer ones
+    # numpy over a prime field; each against a sum of shifted scalings
+    coeffs = st.integers(0, F.order - 1)
+    a, b = (Poly(F, data.draw(st.lists(coeffs, min_size=n, max_size=n)))
+            for n in (la, lb))
+    slow = Poly.zero(F)
+    for i, c in enumerate(a.coeffs):
+        slow = slow + b.scale(c).shift(i)
+    assert a * b == slow
+
+
 def test_frob_power():
     a = parse_poly("T^2+2*T+1", F3)
     assert a.frob_power(3) == a * a * a
