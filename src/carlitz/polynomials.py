@@ -3,17 +3,25 @@
 Coefficients are field-encoded ints (see fields.py); the coefficient
 tuple has no trailing zeros.  The zero polynomial has degree MINUS_INF,
 a dedicated sentinel that compares below every int.
+
+Over a prime field a product is one big-int multiply (Kronecker
+substitution, von zur Gathen & Gerhard, *Modern Computer Algebra* 8.4):
+each coefficient list is packed into an int, one slot per coefficient,
+and the slots of the integer product are the coefficients of the
+product before reduction mod p.  A slot holds at most
+min(len a, len b)*(p-1)^2, so its width is that bound's byte length,
+rounded up to an array item size (1, 2, 4 or 8 bytes) where one fits.
+The bound is exact, so no width is tuned and no slot can carry into the
+next, for any p and any lengths.
 """
 
 from __future__ import annotations
 
 import re
-
-import numpy as np
+import sys
+from array import array
 
 MINUS_INF = float("-inf")
-
-_NUMPY_CUTOFF = 48  # schoolbook below this length
 
 
 class Poly:
@@ -104,16 +112,22 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(F)
-        if F.base is None and len(a) + len(b) > _NUMPY_CUTOFF:
-            conv = np.convolve(np.array(a, dtype=np.int64),
-                               np.array(b, dtype=np.int64))
-            return Poly(F, (conv % F.p).tolist())
+        if F.base is None:  # Kronecker substitution, see the module docstring
+            p, n, order = F.p, len(a) + len(b) - 1, sys.byteorder
+            w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+            if w <= 8:
+                k = (w - 1).bit_length()
+                code, w = "BHIQ"[k], 1 << k
+                x = int.from_bytes(array(code, a), order)
+                y = x if b is a else int.from_bytes(array(code, b), order)
+                prod = array(code, (x * y).to_bytes(n * w, order))
+                return Poly(F, [c % p for c in prod])
+            x, y = (int.from_bytes(b"".join(c.to_bytes(w, order) for c in cs),
+                                   order) for cs in (a, b))
+            prod = (x * y).to_bytes(n * w, order)
+            return Poly(F, [int.from_bytes(prod[i:i + w], order) % p
+                            for i in range(0, n * w, w)])
         out = [0] * (len(a) + len(b) - 1)
-        if F.base is None:  # plain int products, one reduction at the end
-            for i, ca in enumerate(a):
-                if ca:
-                    out[i:i + len(b)] = [x + ca * y for x, y in zip(out[i:], b)]
-            return Poly(F, [c % F.p for c in out])
         add, mul = F.add, F.mul
         for i, ca in enumerate(a):
             if ca == 0:

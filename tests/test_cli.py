@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -223,3 +227,21 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         main(["bc-scan", "--config", str(tmp_path / "absent.cfg")])
     assert exc.value.code == 2
     assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_cli_runs_without_numpy():
+    # the package needs only the standard library: a fresh interpreter
+    # runs padic-explog, a suite of long prime-field products, and never
+    # imports numpy
+    src = str(pathlib.Path(lvalues.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import contextlib, io, sys\n"
+            "from carlitz.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(['verify', '--q', '2', '--P', 'T^3+T+1',\n"
+            "                   '--N', '4', '--suites', 'padic-explog'])\n"
+            "print(status, 'numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["0", "False"]

@@ -87,33 +87,62 @@ def test_xgcd(a, b):
         assert (a % g).is_zero()
 
 
-def test_numpy_fast_path_agrees():
-    # force both paths on the same product
+def shifted_scaled_sum(a, b):
+    slow = Poly.zero(a.field)
+    for i, c in enumerate(a.coeffs):
+        slow = slow + b.scale(c).shift(i)
+    return slow
+
+
+def test_long_prime_field_product_agrees():
+    # a 59 x 54 product over F_3, one Kronecker product in one-byte slots
     a = Poly(F3, [i % 3 for i in range(1, 60)])
     b = Poly(F3, [(2 * i + 1) % 3 for i in range(1, 55)])
-    big = a * b  # numpy path (len sum > cutoff)
-    slow = Poly.zero(F3)
-    for i, c in enumerate(a.coeffs):
-        slow = slow + (b.scale(c)).shift(i)
-    assert big == slow
+    assert a * b == shifted_scaled_sum(a, b)
 
 
-@pytest.mark.parametrize("F", DIVMOD_FIELDS, ids=["F2", "F3", "F5", "F9"])
-@pytest.mark.parametrize("la,lb", [(1, 12), (12, 12), (24, 24), (25, 24),
-                                   (40, 33)])
+@pytest.mark.parametrize("p,la,lb", [
+    (1000000007, 25, 25),  # min(la, lb)*(p-1)^2 > 2^64: wide slots
+    (1000000007, 10, 40),  # in [2^63, 2^64): 8-byte unsigned slots
+    (4294967311, 25, 25),  # wide slots
+    (65537, 25, 25),       # 8-byte slots
+    (2, 255, 256),         # bounds 255, 63*4, 15*16: the most one byte fits
+    (3, 63, 64),
+    (5, 15, 16),
+])
+def test_mul_every_coefficient_p_minus_1(p, la, lb):
+    # every coefficient p-1 puts the exact slot bound in the middle slot;
+    # b * b packs its one operand once
+    F = make_field(p)
+    a, b = Poly(F, [p - 1] * la), Poly(F, [p - 1] * lb)
+    assert a * b == shifted_scaled_sum(a, b)
+    assert b * b == shifted_scaled_sum(b, b)
+
+
+# each length pair over every field, then pairs on both sides of the one-
+# to two-byte slot boundary of each prime field: a slot holds
+# min(la, lb)*(p-1)^2, which reaches 256 at min(la, lb) = 256 over F_2, 64
+# over F_3 and 16 over F_5
+MUL_CASES = [pytest.param(la, lb, F, id="%d-%d-%s" % (la, lb, name))
+             for la, lb in [(1, 12), (12, 12), (24, 24), (25, 24), (40, 33)]
+             for name, F in zip(["F2", "F3", "F5", "F9"], DIVMOD_FIELDS)]
+MUL_CASES += [pytest.param(la, lb, F, id="%d-%d-F%d" % (la, lb, F.p))
+              for F, pairs in [(F2, [(255, 256), (256, 256)]),
+                               (F3, [(63, 64), (64, 64)]),
+                               (make_field(5), [(15, 16), (16, 16)])]
+              for la, lb in pairs]
+
+
+@pytest.mark.parametrize("la,lb,F", MUL_CASES)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_mul_matches_shifted_scaled_sum(F, la, lb, data):
-    # lengths summing to at most _NUMPY_CUTOFF take the schoolbook path
-    # (plain ints over a prime field, field calls over F_9), longer ones
-    # numpy over a prime field; each against a sum of shifted scalings
+    # a Kronecker product over a prime field, the schoolbook loop with
+    # field calls over F_9; each against a sum of shifted scalings
     coeffs = st.integers(0, F.order - 1)
     a, b = (Poly(F, data.draw(st.lists(coeffs, min_size=n, max_size=n)))
             for n in (la, lb))
-    slow = Poly.zero(F)
-    for i, c in enumerate(a.coeffs):
-        slow = slow + b.scale(c).shift(i)
-    assert a * b == slow
+    assert a * b == shifted_scaled_sum(a, b)
 
 
 def test_frob_power():
