@@ -333,26 +333,29 @@ def bc_stream_mod_P(P, n_max):
     """Residues of BC'_0..BC'_{n_max} in A/PA.
 
     Valid for n_max <= q^d - 2: the recurrence only involves D_i with
-    i < d, all P-units in that range.  Runs in O(n_max * d) field ops.
+    i < d, all P-units in that range.  Makes O(n_max * d) table lookups:
+    a product by 1/D_i is exp[log(prev) + log(1/D_i) - (q^d - 1)], whose
+    negative index wraps, so needs no reduction (without tables: F.mul).
     """
     F = residue_field(P)
-    Fq = P.field
-    q = Fq.order
+    q = P.field.order
     d = int(P.degree)
     if n_max > q ** d - 2:
         raise ValueError("streaming recurrence needs n_max <= q^d - 2")
     dinv = d_inverses_mod_P(P)
+    log, exp, add, neg, mul = F._log, F._exp, F.add, F.neg, F.mul
+    steps = [(q ** i, c if log is None else log[c] - (q ** d - 1))
+             for i, c in enumerate(dinv) if i]
     out = [1]  # BC'_0
-    qpow = [q ** i for i in range(d)]
     for N in range(2, n_max + 2):
         acc = 0
-        for i in range(1, d):
-            if qpow[i] > N:
+        for qi, c in steps:
+            if qi > N:
                 break
-            prev = out[N - qpow[i]]
+            prev = out[N - qi]
             if prev:
-                acc = F.add(acc, F.mul(prev, dinv[i]))
-        out.append(F.neg(acc))
+                acc = add(acc, mul(prev, c) if log is None else exp[log[prev] + c])
+        out.append(neg(acc))
     return out
 
 

@@ -4,7 +4,11 @@ An element of a field with ``p**e`` elements is a plain int in
 ``range(p**e)`` encoding the coefficient vector of its polynomial
 representative in base ``p`` (constant digit first).  Extension fields
 keep eager log/exp tables whenever the order is at most ``TABLE_LIMIT``,
-so multiplication and inversion are table lookups.
+so multiplication and inversion are table lookups.  The tables walk the
+powers of the least primitive element ``g``, each step a product by ``g``
+by Horner's rule in ``g``'s digits: shift one digit up and fold the top
+digit back through the monic modulus (in characteristic 2, a shift and
+an XOR); the schoolbook ``_mul_poly`` serves fields without tables.
 
 Addition takes one of three paths, none of which recurses through the
 tower of base fields:
@@ -239,26 +243,17 @@ class FiniteField:
 
     def _build_tables(self):
         n = self.order
-        if n == 2:
-            self._exp, self._log = [1], [None, 0]
-            return
+        # least primitive g by int code; pow has no tables to use yet
         fac = _trial_factor(n - 1)
-        g = None
-        for cand in range(1, n):
-            if cand == 0:
-                continue
-            if all(self._pow_slow(cand, (n - 1) // f) != 1 for f in fac):
-                g = cand
-                break
+        g = next((c for c in range(1, n)
+                  if all(self.pow(c, (n - 1) // f) != 1 for f in fac)), None)
         if g is None:
             raise ArithmeticError("no generator of GF(%d)^*" % n)
         exp = [0] * (n - 1)
         log = [None] * n
-        x = 1
-        for k in range(n - 1):
+        for k, x in enumerate(self._powers(g)):
             exp[k] = x
             log[x] = k
-            x = (x * g) % self.p if self.base is None else self._mul_poly(x, g)
         self._exp, self._log = exp, log
         if self.base is not None and self.p != 2:
             # Zech logarithms Z[k] = log(1 + g^k); 1 + x moves only the
@@ -267,15 +262,42 @@ class FiniteField:
             self._zech = [log[x - x % bb + badd(x % bb, 1)] for x in exp]
             self._half = (n - 1) // 2  # -1 = g^half
 
-    def _pow_slow(self, a, n):
-        r, b = 1, a
-        mul = (lambda u, v: (u * v) % self.p) if self.base is None else self._mul_poly
-        while n:
-            if n & 1:
-                r = mul(r, b)
-            b = mul(b, b)
-            n >>= 1
-        return r
+    def _powers(self, g):
+        """g^0, ..., g^(order - 2): x*g by Horner's rule in g's digits c,
+        acc = acc*X + c*x, where times X shifts one digit up and folds the
+        top digit t back as the precomputed row t*(X^m - modulus)."""
+        n, m, x = self.order, self.deg_over_base, 1
+        base = self.base
+        gd = self.digits(g)
+        gd = gd[:max(j for j, c in enumerate(gd) if c) + 1]
+        if base is None:
+            for _ in range(n - 1):
+                yield x
+                x = x * g % self.p
+        elif self.p == 2 and base.base is None:
+            mod = self.from_digits(self.modulus)  # binary: add is XOR
+            for _ in range(n - 1):
+                yield x
+                acc = 0
+                for c in reversed(gd):  # shift, fold the top bit, add c*x
+                    acc = acc << 1 ^ (mod if acc >> m - 1 else 0) ^ (x if c else 0)
+                x = acc
+        else:
+            badd, bmul = base.add, base.mul
+            fold = [[bmul(t, base.neg(c)) for c in self.modulus[:-1]]
+                    for t in range(base.order)]
+            xd = [1] + [0] * (m - 1)
+            for _ in range(n - 1):
+                yield self.from_digits(xd)
+                acc = xd if gd[-1] == 1 else [bmul(gd[-1], b) for b in xd]
+                for c in gd[-2::-1]:
+                    acc = [0] + acc
+                    t = acc.pop()
+                    if t:
+                        acc = list(map(badd, acc, fold[t]))
+                    if c:
+                        acc = [badd(a, bmul(c, b)) for a, b in zip(acc, xd)]
+                xd = acc
 
     # -- misc ---------------------------------------------------------------
 

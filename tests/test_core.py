@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz import core, fields
 from carlitz.core import (CarlitzTables, bc_exact, bc_stream_mod_P,
-                          carlitz_act, carlitz_poly, exp_eval, padic_exp,
-                          padic_log)
+                          carlitz_act, carlitz_poly, d_inverses_mod_P,
+                          exp_eval, padic_exp, padic_log)
 from carlitz.fields import make_field, residue_field
 from carlitz.laurent import RamifiedElem, pi_bar
 from carlitz.padics import CycPadicRing, PadicContext, lambda_power_rows
@@ -316,6 +317,46 @@ def test_bc_stream_degree3():
         exact = bc_exact(n, F2).bc_prime
         want = rat_reduce_mod_P(exact, F) if not exact.is_zero() else 0
         assert stream[n] == want, n
+
+
+def _bc_stream_oracle(P, n_max):
+    """BC'_n mod P by the recurrence with F.add and F.mul: the oracle
+    for the log-domain products of bc_stream_mod_P."""
+    F = residue_field(P)
+    q, d = P.field.order, int(P.degree)
+    dinv = d_inverses_mod_P(P)
+    out = [1]
+    for N in range(2, n_max + 2):
+        acc = 0
+        for i in range(1, d):
+            if q ** i > N:
+                break
+            prev = out[N - q ** i]
+            if prev:
+                acc = F.add(acc, F.mul(prev, dinv[i]))
+        out.append(F.neg(acc))
+    return out
+
+
+STREAM_PRIMES = [(3, "T^2+1"), (2, "T^3+T+1"),
+                 (3, "T^9+2*T^6+2*T^4+2*T^3+2*T^2+1"), (2, "T^14+T^10+T^6+T+1")]
+
+
+@pytest.mark.parametrize("q,Pstr", STREAM_PRIMES)
+def test_bc_stream_matches_field_call_oracle(q, Pstr):
+    P = parse_poly(Pstr, make_field(q))
+    n_max = q ** int(P.degree) - 2  # the full range
+    assert bc_stream_mod_P(P, n_max) == _bc_stream_oracle(P, n_max)
+
+
+def test_bc_stream_without_tables(monkeypatch):
+    # a residue field above TABLE_LIMIT multiplies with F.mul
+    P = parse_poly("T^3+T+1", F2)
+    monkeypatch.setattr(fields, "TABLE_LIMIT", 4)
+    F = residue_field.__wrapped__(P)
+    assert F._log is None
+    monkeypatch.setattr(core, "residue_field", lambda _: F)
+    assert bc_stream_mod_P(P, 6) == _bc_stream_oracle(P, 6)
 
 
 def test_bc_stream_range_guard():

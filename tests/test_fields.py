@@ -121,6 +121,68 @@ def test_untabled_extension_agrees(monkeypatch, p, e):
             assert F.inv(a) == tabled.inv(a)
 
 
+SCAN_PRIMES = [(3, "T^9+2*T^6+2*T^4+2*T^3+2*T^2+1"), (2, "T^14+T^10+T^6+T+1")]
+
+
+def _quadratic_over_f4():
+    F4 = make_field(2, 2)
+    return next(P for P in monic_polys(F4, 2) if P.is_irreducible())
+
+
+def _tabled_fields():
+    yield from (make_field(p, e) for p, e in sorted(MODULI))
+    # towers: the fold rows go through an extension's add and mul
+    yield residue_field(_quadratic_over_f9())
+    yield residue_field(_quadratic_over_f4())
+    # degree 1: g is a base-field constant, its top digit is not 1
+    yield residue_field(parse_poly("T+1", make_field(5)))
+    yield residue_field(parse_poly("T+1", make_field(2, 2)))
+    yield from (residue_field(parse_poly(P, make_field(q))) for q, P in SCAN_PRIMES)
+
+
+def _mul_order(F, c):
+    x, k = c, 1
+    while x != 1:
+        x, k = F._mul_poly(x, c), k + 1
+    return k
+
+
+@pytest.mark.parametrize("F", list(_tabled_fields()), ids=repr)
+def test_tables_match_schoolbook_walk(F):
+    # oracle: the walk x -> x*g by schoolbook products, Zech logarithms
+    # by the digit-wise add
+    n, g = F.order, F._exp[1]
+    exp, log, x = [], [None] * n, 1
+    for k in range(n - 1):
+        exp.append(x)
+        log[x] = k
+        x = F._mul_poly(x, g)
+    assert x == 1 and None not in log[1:]  # g is primitive
+    assert all(_mul_order(F, c) < n - 1 for c in range(1, g))  # and least
+    assert F._exp == exp and F._log == log
+    zech = None if F.p == 2 else [log[F._add_digits(x, 1)] for x in exp]
+    assert F._zech == zech
+
+
+def test_generator_t_plus_one():
+    # T is not primitive in F_9 nor in F_{2^8}: Horner over g = T + 1
+    assert make_field(3, 2)._exp[1] == 1 + 3
+    assert make_field(2, 8)._exp[1] == 1 + 2
+
+
+def test_scan_table_build_skips_schoolbook(monkeypatch):
+    # the generator search alone makes a few hundred schoolbook products;
+    # the table walk makes none (a schoolbook walk would make ~16.4k)
+    calls = []
+    mul_poly = FiniteField._mul_poly
+    monkeypatch.setattr(FiniteField, "_mul_poly",
+                        lambda self, a, b: calls.append(1) or mul_poly(self, a, b))
+    P = parse_poly(SCAN_PRIMES[1][1], make_field(2))
+    F = residue_field.__wrapped__(P)  # a fresh build, not the cached field
+    assert F.order == 2 ** 14 and F._log is not None
+    assert len(calls) < 500
+
+
 def test_residue_field_structure():
     Fq = make_field(3)
     P = parse_poly("T^2+1", Fq)
