@@ -113,9 +113,13 @@ class CycField:
             PadicContext(self.P, N), self.rows))
 
     def irreducibles(self, max_deg):
-        """Monic irreducibles of F_q[T] of degree 1..max_deg, ascending."""
-        return self.memo(("irreducibles", max_deg),
-                          lambda: tuple(monic_irreducibles(self.Fq, max_deg)))
+        """Monic irreducibles of F_q[T] of degree 1..max_deg, ascending: a
+        prefix of the longest tuple sieved so far."""
+        top, primes = self._cache.get(("irreducibles",), (0, ()))
+        if max_deg > top:
+            primes = tuple(monic_irreducibles(self.Fq, max_deg))
+            self._cache[("irreducibles",)] = max_deg, primes
+        return tuple(f for f in primes if f.degree <= max_deg)
 
     # -- exact coordinate arithmetic over A ----------------------------------
 

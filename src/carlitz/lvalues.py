@@ -36,7 +36,7 @@ serves every character.
 from __future__ import annotations
 
 from .core import CarlitzTables
-from .cyclotomic import CycField
+from .cyclotomic import CycField, gauss_thakur, sigma_act
 from .fields import residue_field, residue_rep, row_reduce
 from .laurent import LaurentSeries
 from .padics import fold_powers
@@ -281,73 +281,79 @@ def euler_factor_charpoly(cyc, chi, f):
 
     The module identity says this equals f(Z) - chi(f); the function
     computes the left side honestly from matrices, leaving the identity
-    to be checked by the caller.  Delta is cyclic, so sigma_g for one
-    generator g has the distinct eigenvalues chi(g) and the e_chi image
-    is the kernel of sigma_g - chi(g): no sum over Delta is taken.
+    to be checked by the caller.  The m = deg f vectors v_j = tau(chi) T^j
+    mod f lie in the chi-eigenspace: the Gauss-Thakur sum tau(chi)
+    (Thakur 1988) is checked once per chi to satisfy sigma_g tau(chi) =
+    chi(g) tau(chi) for a generator g of Delta.  m independent ones span
+    it, as every eigenspace has F-dimension exactly m: |Delta| = L is
+    prime to p, so F tensor O_K/f is the sum of the L eigenspaces; for f
+    != P, O_K/f is free of rank one over (A/f)[Delta] (normal integral
+    basis) and e_chi cuts out one copy of F[T]/f; for f = P, sigma_b is
+    b^k on the k-th piece of the lambda-adic filtration of O_K/P =
+    (A/P)[lambda]/(lambda^L), which after F tensor carries omega^{k q^i}
+    for i < d, so each character occurs d = m times.  One reduction of
+    [v | (T + tau) v] shows the v_j independent and their images in their
+    span (pivots 0..m-1); its top-right m x m block is the restricted
+    operator.
     """
-    F = cyc.F
-    op, sig, g = cyc.memo(("charpoly_ops", f), lambda: _charpoly_ops(cyc, f))
-    c = chi(g)
-    rows = [[F.sub(x, c) if i == j else x for j, x in enumerate(row)]
-            for i, row in enumerate(sig)]
-    pivots, _ = row_reduce(rows, F)
-    rows = rows[:len(pivots)]
-    free = [j for j in range(len(sig)) if j not in pivots]
-    # a kernel vector is fixed by its entries at the free columns: the
-    # one with a 1 at free column j has -rows[r][j] at the pivot of row r
-    restricted = [[0] * len(free) for _ in free]
-    for col, j in enumerate(free):
-        v = [0] * len(sig)
-        v[j] = 1
-        for r, p in enumerate(pivots):
-            v[p] = F.neg(rows[r][j])
-        w = _apply(op, v, F)
-        if any(_apply(rows, w, F)):
-            raise ArithmeticError("operator does not preserve e_chi image")
-        for row, k in enumerate(free):
-            restricted[row][col] = w[k]
-    return _charpoly(restricted, F)
+    F, m = cyc.F, int(f.degree)
+    tau = cyc.memo(("chi_eigenvector", chi.n), lambda: _eigenvector(cyc, chi))
+    op = cyc.memo(("charpoly_ops", f), lambda: _charpoly_ops(cyc, f))
+    basis = [_vector(tau.coords, j, f) for j in range(m)]
+    rows = [list(r) for r in zip(*basis, *(_apply(op, v, F) for v in basis))]
+    if row_reduce(rows, F)[0] != list(range(m)):
+        raise ArithmeticError("T + tau does not preserve an m-dimensional "
+                              "span of tau(chi) T^j mod f")
+    return _charpoly([row[m:] for row in rows[:m]], F)
+
+
+def _eigenvector(cyc, chi):
+    """tau(chi), checked to satisfy sigma_g tau(chi) = chi(g) tau(chi) for
+    a generator g of Delta."""
+    g = next(b for b in cyc.units() if cyc.F.mult_order(b) == cyc.L)
+    tau = gauss_thakur(chi)
+    if sigma_act(cyc, g, tau) != tau.scale_coeff(chi(g)):
+        raise ArithmeticError("tau(chi) is not in the chi(g)-eigenspace "
+                              "of sigma_g")
+    return tau
 
 
 def _charpoly_ops(cyc, f):
-    """(T + tau, sigma_g, g): the matrices over F of T + tau and of
-    sigma_g on F tensor O_K/f O_K, for a generator g of Delta, on the
-    basis lambda^i T^j at index i*m + j (m = deg f)."""
-    F, Fq, q, L = cyc.F, cyc.Fq, cyc.q, cyc.L
-    m = int(f.degree)
-    zero, one = Poly.zero(Fq), Poly.one(Fq)
-    g = next(b for b in cyc.units() if F.mult_order(b) == L)
-
-    def column(coords, e):
-        """(sum_k coords[k] lambda^k) T^e mod f on the basis; F_q sits
-        in F with the same int encoding."""
-        out = []
-        for r in coords:
-            cs = [] if r.is_zero() else list((r.shift(e) % f).coeffs)
-            out.extend(cs + [0] * (m - len(cs)))
-        return out
-    op, sig = [], []
-    for i in range(L):
-        unit = [one if k == i else zero for k in range(L)]
+    """The matrix over F of T + tau on F tensor O_K/f O_K, on the basis of
+    _vector, as sparse rows (_apply)."""
+    q, one = cyc.q, Poly.one(cyc.Fq)
+    op = []
+    for i in range(cyc.L):
         # tau sends lambda^i T^j to lambda^{iq} T^{jq} (K-leg only, so
         # F-linear)
-        frob = fold_powers(cyc.rows, [(i * q, one)], zero)
-        for j in range(m):
-            op.append([F.add(a, b) for a, b in
-                       zip(column(unit, j + 1), column(frob, j * q))])
-            sig.append(column(cyc.sigma_powers(g)[i], j))
-    # the lists hold columns; transpose to rows
-    return ([list(r) for r in zip(*op)], [list(r) for r in zip(*sig)], g)
+        frob = fold_powers(cyc.rows, [(i * q, one)], Poly.zero(cyc.Fq))
+        for j in range(int(f.degree)):
+            image = [c.shift(j * q) for c in frob]
+            image[i] = image[i] + one.shift(j + 1)
+            op.append(_vector(image, 0, f))
+    # the list holds columns; transpose to sparse rows
+    return [[(k, a) for k, a in enumerate(r) if a] for r in zip(*op)]
+
+
+def _vector(coords, e, f):
+    """(sum_k coords[k] lambda^k) T^e mod f on the basis lambda^i T^j at
+    index i*m + j (m = deg f); F_q sits in F with the same int encoding."""
+    m, out = int(f.degree), []
+    for r in coords:
+        cs = (r.shift(e) % f).coeffs if r else ()
+        out.extend(cs + (0,) * (m - len(cs)))
+    return out
 
 
 def _apply(mat, v, F):
-    """mat v over F."""
+    """mat v over F, each row of mat a list of (column, entry) pairs
+    for its nonzero entries."""
     out = []
     for row in mat:
         acc = 0
-        for a, x in zip(row, v):
-            if a and x:
-                acc = F.add(acc, F.mul(a, x))
+        for k, a in row:
+            if v[k]:
+                acc = F.add(acc, F.mul(a, v[k]))
         out.append(acc)
     return out
 

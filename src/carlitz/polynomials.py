@@ -114,7 +114,7 @@ class Poly:
             return Poly.zero(F)
         if F.base is None:  # Kronecker substitution, see the module docstring
             p, n, order = F.p, len(a) + len(b) - 1, sys.byteorder
-            w = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+            w = _slot_bytes(min(len(a), len(b)), p)
             if w <= 8:
                 k = (w - 1).bit_length()
                 code, w = "BHIQ"[k], 1 << k
@@ -266,14 +266,24 @@ class Poly:
 
 def monic_polys(field, deg):
     """All monic polynomials of exact degree deg, ascending code order."""
-    q = field.order
-    for code in range(q ** deg):
-        cs, x = [], code
-        for _ in range(deg):
-            cs.append(x % q)
-            x //= q
-        cs.append(1)
-        yield Poly(field, cs)
+    for code in range(field.order ** deg):
+        yield _monic_of_code(field, deg, code)
+
+
+def _monic_of_code(field, deg, code):
+    """The monic polynomial of degree deg whose lower coefficients are the
+    base-q digits of code, constant first."""
+    cs = []
+    for _ in range(deg):
+        code, c = divmod(code, field.order)
+        cs.append(c)
+    return Poly(field, cs + [1])
+
+
+def _slot_bytes(n, p):
+    """Bytes in a Kronecker slot: a coefficient of a product whose shorter
+    factor has n coefficients in 0..p-1 is at most n (p-1)^2."""
+    return ((n * (p - 1) ** 2).bit_length() + 7) // 8
 
 
 def monic_irreducibles(field, max_deg):
@@ -281,26 +291,52 @@ def monic_irreducibles(field, max_deg):
 
     A sieve per degree d: a reducible monic of degree d has a monic
     irreducible factor g with 2 deg g <= d, so marking the code of g*h
-    for each such g and each monic h of degree d - deg g leaves exactly
-    the irreducibles unmarked.
+    for each such g and each monic h = T^k + c T^{k-1} + t of degree k =
+    d - deg g leaves exactly the irreducibles unmarked.  g*h = g (T^k +
+    c T^{k-1}) + g*t: the head is formed once per (g, c), and the tails t
+    of degree < k - 1 are listed once per k for every g, so no list as
+    long as the monics of degree d - 1 is kept.  Over a prime field with
+    p <= 36 whose products fit one byte per Kronecker slot (module
+    docstring), g and t are packed ints, and the big-endian bytes of a
+    product, each mapped to the digit of its value mod p, are its code
+    in base p behind a leading 1.  Other fields multiply Polys.
     """
-    q = field.order
-    found = []
+    q, p = field.order, field.p
+    if (field.base is None and p <= 36
+            and _slot_bytes(max_deg // 2 + 1, p) == 1):
+        digits = bytes(b"0123456789abcdefghijklmnopqrstuvwxyz"[v % p]
+                       for v in range(256))
+
+        def pack(cs):
+            return int.from_bytes(bytes(cs), "little")
+
+        def code(x, d):
+            return int(x.to_bytes(d + 1, "big").translate(digits), p) - q ** d
+    else:
+        def pack(cs):
+            return Poly(field, cs)
+
+        def code(x, d):
+            return sum(c * q ** i for i, c in enumerate(x.coeffs[:d]))
+    found, tails = [], [[pack(())]]
     for d in range(1, max_deg + 1):
         composite = bytearray(q ** d)
         for g in found:
-            e = len(g.coeffs) - 1
-            if 2 * e > d:
+            k = d - len(g.coeffs) + 1
+            if k < d - k:
                 break
-            for h in monic_polys(field, d - e):
-                code = 0
-                for c in reversed((g * h).coeffs[:-1]):
-                    code = code * q + c
-                composite[code] = 1
-        for f, hit in zip(monic_polys(field, d), composite):
+            while len(tails) < k:  # tails[j]: every t of degree < j, by code
+                lead = [pack((0,) * (len(tails) - 1) + (c,)) for c in range(q)]
+                tails.append([x + y for y in lead for x in tails[-1]])
+            G = pack(g.coeffs)
+            for c in range(q):
+                head = G * pack((0,) * (k - 1) + (c, 1))
+                for t in tails[k - 1]:
+                    composite[code(head + G * t, d)] = 1
+        for n, hit in enumerate(composite):
             if not hit:
-                found.append(f)
-                yield f
+                found.append(_monic_of_code(field, d, n))
+                yield found[-1]
 
 
 class RatFunc:

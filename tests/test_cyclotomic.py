@@ -1,5 +1,6 @@
 import pytest
 
+from carlitz import cyclotomic
 from carlitz.core import carlitz_act
 from carlitz.cyclotomic import (Character, CycElem, CycField, all_characters,
                                 b1, embed_infty, embed_padic, gauss_thakur,
@@ -380,3 +381,20 @@ def test_teichmuller_lifts_hang_off_no_attribute():
     assert not [a for a in vars(cyc) if a.startswith("_teich_cache")]
     # one context per (P, N): the class-sum table shares the ring's
     assert PadicClassSumTable(cyc.P, 4).ctx is cyc.padic_ring(4).ctx
+
+
+def test_irreducibles_slices_the_longest_sieve(monkeypatch):
+    # a shorter list is a prefix of one already sieved, so charpoly's
+    # irreducibles(3) reuses euler's irreducibles(8); a longer one sieves
+    monkeypatch.setattr(CycField, "_instances", {})
+    sieves = []
+    sieve = cyclotomic.monic_irreducibles
+    monkeypatch.setattr(cyclotomic, "monic_irreducibles",
+                        lambda F, d: sieves.append(d) or sieve(F, d))
+    cyc = cyc_of("T^2+1", F3)
+    long = cyc.irreducibles(5)
+    short = cyc.irreducibles(3)
+    assert short == tuple(f for f in long if f.degree <= 3)
+    assert cyc.irreducibles(5) == long and cyc.irreducibles(1) == long[:3]
+    assert sieves == [5]
+    assert cyc.irreducibles(6)[:len(long)] == long and sieves == [5, 6]

@@ -1,6 +1,8 @@
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz.core import exp_eval
 from carlitz.fields import make_field, residue_field
 from carlitz.laurent import LaurentSeries, RamifiedElem, pi_bar
 from carlitz.polynomials import Poly, RatFunc, parse_poly
@@ -41,11 +43,11 @@ PREC_FIELDS = [F3, make_field(3, 2), make_field(2, 3)]
 
 
 @st.composite
-def _series_at_two_precisions(draw, F, unit=False):
+def _series_at_two_precisions(draw, F, unit=False, least_val=-3):
     """One series known to 2w coefficients past its first, and the same
     series cut to w: the second is the first recomputed at twice the
     precision."""
-    v = draw(st.integers(-3, 3))
+    v = draw(st.integers(least_val, 3))
     w = draw(st.integers(1, 8))
     first = draw(st.integers(1 if unit else 0, F.order - 1))
     rest = draw(st.lists(st.integers(0, F.order - 1),
@@ -70,6 +72,54 @@ def test_mul_inv_frobq_precision_sound(F, data):
     _sound(u_lo.inv(), u_hi.inv())
     for q in {F.p, F.order}:
         _sound(a_lo.frobq(q), a_hi.frobq(q))
+
+
+RAMIFIED = [(2, F2), (3, F3), (3, make_field(3, 2)), (2, make_field(2, 3))]
+
+
+@st.composite
+def _ramified_at_two_precisions(draw, q, F, least_val=-3):
+    """An element of k_inf(Y) with every component drawn as by
+    _series_at_two_precisions: (the element cut short, the element)."""
+    pairs = [draw(_series_at_two_precisions(F, least_val=least_val))
+             for _ in range(q - 1)]
+    return tuple(RamifiedElem(q, F, list(comps)) for comps in zip(*pairs))
+
+
+def _sound_w(lo, hi):
+    # the low result claims no w-digit the high one contradicts
+    assert lo.wprec() <= hi.wprec(), (lo, hi)
+    assert lo.agrees_with(hi), (lo, hi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RAMIFIED), st.data())
+def test_ramified_mul_frobq_precision_sound(qF, data):
+    q, F = qF
+    a_lo, a_hi = data.draw(_ramified_at_two_precisions(q, F))
+    b_lo, b_hi = data.draw(_ramified_at_two_precisions(q, F))
+    _sound_w(a_lo * b_lo, a_hi * b_hi)
+    _sound_w(a_lo.frobq(), a_hi.frobq())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RAMIFIED), st.integers(1, 12), st.data())
+def test_exp_eval_precision_sound(qF, wtarget, data):
+    # exp_C at w-target t against 2t, from z cut short and from the full
+    # z; w(z) >= 2 - q keeps the series short
+    q, F = qF
+    z_lo, z_hi = data.draw(_ramified_at_two_precisions(q, F, least_val=0))
+    hi = exp_eval(z_hi, 2 * wtarget)
+    _sound_w(exp_eval(z_lo, wtarget), hi)
+    _sound_w(exp_eval(z_hi, wtarget), hi)
+
+
+@pytest.mark.parametrize("q,F", RAMIFIED, ids=["F2", "F3", "F9", "F8"])
+def test_pi_bar_precision_sound(q, F):
+    for prec in range(1, 13):
+        lo = pi_bar(q, F, prec)
+        assert lo.wprec() >= (q - 1) * prec, prec  # the window it claims
+        _sound_w(lo, pi_bar(q, F, 2 * prec))
 
 
 def test_frobq_char3():

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz.core import CarlitzTables
-from carlitz.cyclotomic import Character, CycField, all_characters
+from carlitz import lvalues
+from carlitz.cyclotomic import Character, CycElem, CycField, all_characters
 from carlitz.equivariant import EquivariantElem
-from carlitz.fields import make_field, residue_field
+from carlitz.fields import make_field, residue_field, row_reduce
 from carlitz.laurent import LaurentSeries
 from carlitz.lvalues import (ClassSumTable, PadicClassSumTable, _charpoly,
                              deg_L, euler_factor_charpoly, euler_product,
@@ -16,6 +17,7 @@ from carlitz.padics import PadicContext
 from carlitz.polynomials import (Poly, RatFunc, monic_irreducibles, monic_polys,
                                  parse_poly)
 from enumeration import brute_blocks
+from kernel_charpoly import kernel_charpolys
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -212,19 +214,68 @@ def test_euler_factor_charpoly_identity():
                 assert got == want, (Pstr, chi.n, f)
 
 
+@pytest.mark.parametrize("q,Pstr", [(3, "T^2+1"), (2, "T^3+T+1")])
+def test_euler_factor_charpoly_matches_the_kernel_oracle(q, Pstr):
+    # every (f, chi) with deg f <= 3, f = P included, against the kernel
+    # of sigma_g - chi(g)
+    cyc = CycField(parse_poly(Pstr, make_field(q)))
+    primes = cyc.irreducibles(3)
+    assert cyc.P in primes
+    for f in primes:
+        want = kernel_charpolys(cyc, f)
+        for chi in all_characters(cyc):
+            assert euler_factor_charpoly(cyc, chi, f) == want[chi.n], \
+                (Pstr, f, chi.n)
+
+
+def test_euler_factor_charpoly_reduces_at_most_2m_columns(monkeypatch):
+    # one [basis | images] reduction per call, never an Lm x Lm kernel
+    widths = []
+
+    def counted(rows, ops, key=None):
+        widths.append(len(rows[0]))
+        return row_reduce(rows, ops, key)
+    monkeypatch.setattr(lvalues, "row_reduce", counted)
+    cyc = CycField(parse_poly("T^2+1", F3))
+    for f in cyc.irreducibles(3):
+        for chi in all_characters(cyc):
+            del widths[:]
+            euler_factor_charpoly(cyc, chi, f)
+            assert widths == [2 * int(f.degree)], (f, chi.n)
+
+
+def _lambda(cyc):
+    """1 tensor lambda as a CycElem over F."""
+    F = cyc.F
+    return CycElem(cyc, F, [Poly.one(F) if i == 1 else Poly.zero(F)
+                            for i in range(cyc.L)])
+
+
 def test_euler_factor_charpoly_rejects_a_non_invariant_image(monkeypatch):
-    # every sigma_b replaced by lambda^1 -> lambda^1, the rest -> 0: the
-    # trivial character's kernel of sigma_g - 1 is then lambda (x) F[T]/f,
-    # which tau moves to lambda^q (x) F[T]/f; a fresh context, so no
-    # matrices built from the true sigma_g are reused
+    # every sigma_b faked to the identity, so any element passes the
+    # eigenvector check for the trivial character, and tau(1) faked to
+    # lambda: the span of lambda T^j mod f is not preserved, since tau
+    # moves lambda to lambda^q; a fresh context, so nothing built from the
+    # true sigma_b or tau(1) is reused
     monkeypatch.setattr(CycField, "_instances", {})
     cyc = CycField(parse_poly("T^2+1", F3))
     zero, one = Poly.zero(F3), Poly.one(F3)
-    images = [[zero] * cyc.L for _ in range(cyc.L)]
-    images[1][1] = one
-    monkeypatch.setattr(cyc, "sigma_powers", lambda b: images)
+    identity = [[one if k == i else zero for k in range(cyc.L)]
+                for i in range(cyc.L)]
+    monkeypatch.setattr(cyc, "sigma_powers", lambda b: identity)
+    monkeypatch.setattr(lvalues, "gauss_thakur", lambda chi: _lambda(cyc))
     with pytest.raises(ArithmeticError, match="does not preserve"):
         euler_factor_charpoly(cyc, Character(cyc, 0), parse_poly("T+1", F3))
+
+
+def test_euler_factor_charpoly_rejects_tau_outside_the_eigenspace(monkeypatch):
+    # lambda in place of tau(omega): sigma_g(lambda) = phi_g(lambda) is not
+    # g lambda, so the eigenvector check fails before any matrix is built
+    monkeypatch.setattr(CycField, "_instances", {})
+    cyc = CycField(parse_poly("T^2+1", F3))
+    monkeypatch.setattr(lvalues, "gauss_thakur", lambda chi: _lambda(cyc))
+    with pytest.raises(ArithmeticError, match="eigenspace"):
+        euler_factor_charpoly(cyc, Character(cyc, 1), parse_poly("T+1", F3))
 
 
 def _charpoly_cofactor(mat, F):

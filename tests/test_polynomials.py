@@ -158,13 +158,38 @@ def test_monic_irreducibles_count():
     assert [len(by_deg[d]) for d in (1, 2, 3, 4)] == [2, 1, 2, 3]
 
 
-@pytest.mark.parametrize("q,max_deg", [(2, 10), (3, 6), (5, 4)])
-def test_monic_irreducibles_sieve_matches_trial_division(q, max_deg):
-    # slow oracle: filter every monic by Poly.is_irreducible
-    Fq = make_field(q)
-    want = [f for d in range(1, max_deg + 1) for f in monic_polys(Fq, d)
+def _irreducibles_by_trial_division(Fq, max_deg):
+    """Slow oracle: every monic filtered by Poly.is_irreducible."""
+    return [f for d in range(1, max_deg + 1) for f in monic_polys(Fq, d)
             if f.is_irreducible()]
+
+
+@pytest.mark.parametrize("q,max_deg", [(2, 10), (3, 6), (5, 4), (17, 3),
+                                       (37, 2)])
+def test_monic_irreducibles_sieve_matches_trial_division(q, max_deg):
+    # (17, 3) needs two-byte slots and (37, 2) has no base-37 digits, so
+    # both multiply Polys
+    Fq = make_field(q)
+    want = _irreducibles_by_trial_division(Fq, max_deg)
     assert list(monic_irreducibles(Fq, max_deg)) == want
+
+
+@pytest.mark.parametrize("p,e,max_deg", [(2, 2, 4), (3, 2, 3)])
+def test_monic_irreducibles_sieve_over_extension_fields(p, e, max_deg):
+    # no Kronecker packing over F_4 and F_9: the sieve keeps Poly products
+    Fq = make_field(p, e)
+    want = _irreducibles_by_trial_division(Fq, max_deg)
+    assert list(monic_irreducibles(Fq, max_deg)) == want
+
+
+def test_monic_irreducibles_makes_no_poly_product(monkeypatch):
+    # over F_3 to degree 8 every product is one of packed ints
+    calls = []
+    mul = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__",
+                        lambda a, b: calls.append(1) or mul(a, b))
+    assert sum(1 for _ in monic_irreducibles(F3, 8)) == 1318
+    assert calls == []
 
 
 def _mobius(n):
