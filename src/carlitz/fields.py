@@ -8,7 +8,9 @@ so multiplication and inversion are table lookups.  The tables walk the
 powers of the least primitive element ``g``, each step a product by ``g``
 by Horner's rule in ``g``'s digits: shift one digit up and fold the top
 digit back through the monic modulus (in characteristic 2, a shift and
-an XOR); the schoolbook ``_mul_poly`` serves fields without tables.
+an XOR).  Fields without tables multiply by ``_mul_poly``: the ``Poly``
+product of the two digit vectors over the base field (one Kronecker
+product over a prime base, see polynomials.py), reduced mod the modulus.
 
 Addition takes one of three paths, none of which recurses through the
 tower of base fields:
@@ -30,6 +32,8 @@ from __future__ import annotations
 import functools
 import operator
 from types import SimpleNamespace
+
+from .polynomials import Poly, monic_polys
 
 TABLE_LIMIT = 1 << 20
 
@@ -154,13 +158,7 @@ class FiniteField:
             return self._exp[(self._log[a] + self._half) % len(self._zech)]
         if self.p == 2:
             return a
-        bb = self.base.order
-        x, out, mult = a, 0, 1
-        for _ in range(self.deg_over_base):
-            out += self.base.neg(x % bb) * mult
-            x //= bb
-            mult *= bb
-        return out
+        return self.from_digits([self.base.neg(c) for c in self.digits(a)])
 
     def sub(self, a, b):
         if self.base is None:
@@ -170,14 +168,8 @@ class FiniteField:
     def _add_digits(self, a, b):
         """a + b digit by digit through the tower: the path of odd
         extensions without tables, and the oracle for the others."""
-        bb = self.base.order
-        x, y, out, mult = a, b, 0, 1
-        for _ in range(self.deg_over_base):
-            out += self.base.add(x % bb, y % bb) * mult
-            x //= bb
-            y //= bb
-            mult *= bb
-        return out
+        return self.from_digits(list(map(self.base.add, self.digits(a),
+                                         self.digits(b))))
 
     def is_zero(self, a):
         return a == 0
@@ -219,27 +211,10 @@ class FiniteField:
         return r
 
     def _mul_poly(self, a, b):
-        # schoolbook product of digit vectors, reduced mod the modulus
+        # the digit vectors' Poly product over the base, mod the modulus
         base = self.base
-        m = self.deg_over_base
-        da, db = self.digits(a), self.digits(b)
-        prod = [0] * (2 * m - 1)
-        for i, ca in enumerate(da):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(db):
-                if cb:
-                    prod[i + j] = base.add(prod[i + j], base.mul(ca, cb))
-        # modulus is monic: x^m = -(lower part)
-        red = [base.neg(c) for c in self.modulus[:-1]]
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j, r in enumerate(red):
-                    if r:
-                        prod[k - m + j] = base.add(prod[k - m + j], base.mul(c, r))
-        return self.from_digits(prod[:m])
+        prod = Poly(base, self.digits(a)) * Poly(base, self.digits(b))
+        return self.from_digits((prod % Poly(base, self.modulus)).coeffs)
 
     def _build_tables(self):
         n = self.order
@@ -354,7 +329,6 @@ def make_field(p, e=1):
     """
     if e == 1:
         return FiniteField(p)
-    from .polynomials import monic_polys
     prime = make_field(p)
     for cand in monic_polys(prime, e):
         if cand.is_irreducible():
@@ -371,7 +345,6 @@ def residue_field(P):
     of T is field.theta.  Elements embed F_q as ints < q.  Cached: the
     same P always hands back the same field object (and its tables).
     """
-    from .polynomials import Poly
     if not isinstance(P, Poly):
         raise TypeError("P must be a Poly")
     if not P.is_monic():
@@ -388,7 +361,6 @@ def residue_field(P):
 def residue_rep(P, x):
     """The representative in F_q[T], of degree < deg P, of x in
     residue_field(P)."""
-    from .polynomials import Poly
     return Poly(P.field, residue_field(P).digits(x))
 
 

@@ -4,7 +4,8 @@ the Carlitz period.
 A LaurentSeries stores coefficients of T^{-n} for n in [val, prec): the
 valuation v(T) = -1 convention, so val is the infinity-adic valuation and
 prec is the first unknown exponent.  A series that is zero as far as it
-is known has val == prec and an empty coefficient list.
+is known has val == prec and an empty coefficient list.  Products go
+through polynomials.mul_coeffs and q-th powers through Poly.frob_power.
 
 RamifiedElem models k_inf[Y]/(Y^{q-1} + T), coefficientwise Laurent.
 Valuations there are reported in w-units, w = (q-1) * v, so that
@@ -13,7 +14,7 @@ w(Y) = -1 and everything stays integral.
 
 from __future__ import annotations
 
-from .polynomials import Poly
+from .polynomials import Poly, mul_coeffs
 
 
 class LaurentSeries:
@@ -28,7 +29,7 @@ class LaurentSeries:
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         if len(coeffs) > prec - val:
-            coeffs = coeffs[:prec - val]
+            coeffs = coeffs[:max(prec - val, 0)]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
         if not coeffs:
@@ -133,23 +134,9 @@ class LaurentSeries:
         # product precision: each factor's error enters shifted by the
         # other factor's valuation
         prec = min(self.prec + other.val, other.prec + self.val)
-        if not self.coeffs or not other.coeffs:
-            return LaurentSeries.zero(F, prec)
         lo = self.val + other.val
-        width = prec - lo
-        if width <= 0:
-            return LaurentSeries.zero(F, prec)
-        out = [0] * width
-        add, mul = F.add, F.mul
-        for i, a in enumerate(self.coeffs):
-            if a == 0 or i >= width:
-                continue
-            jmax = min(len(other.coeffs), width - i)
-            for j in range(jmax):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = add(out[i + j], mul(a, b))
-        return LaurentSeries(F, lo, out, prec)
+        return LaurentSeries(F, lo, mul_coeffs(F, self.coeffs, other.coeffs,
+                                               prec - lo), prec)
 
     def scale(self, c):
         F = self.field
@@ -163,6 +150,9 @@ class LaurentSeries:
         return LaurentSeries(self.field, self.val - k, self.coeffs, self.prec - k)
 
     def inv(self):
+        """By the recurrence of long division, this module's one product
+        loop: at the widths verify uses (at most 9) it is about twice as fast
+        as a reversed Poly quotient over F_9, and Newton's is slower still."""
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero-to-precision series")
         F = self.field
@@ -182,14 +172,9 @@ class LaurentSeries:
     def frobq(self, q):
         """q-power map; exact on coefficients since char divides q."""
         F = self.field
-        if not self.coeffs:
-            return LaurentSeries.zero(F, self.prec * q)
-        width = (len(self.coeffs) - 1) * q + 1
-        out = [0] * width
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[q * i] = F.pow(c, q)
-        return LaurentSeries(F, self.val * q, out, self.prec * q)
+        return LaurentSeries(F, self.val * q,
+                             Poly(F, self.coeffs).frob_power(q).coeffs,
+                             self.prec * q)
 
     def truncate(self, prec):
         if prec >= self.prec:

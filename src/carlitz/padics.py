@@ -4,7 +4,7 @@ shared by every polynomial coefficient ring: A, F[T] and A_P.
 
 An element of A_P mod P^N is a Poly reduced mod P^N; its valuation is
 PadicContext.vP(value, N).  The context of one (P, N) owns the powers
-of P, the memoised unit inverses and the Teichmuller lifts.
+of P, the memoised unit inverses (Newton lifts) and Teichmuller lifts.
 PadicCycElem is a coordinate vector over the lambda-power basis with a
 shared coordinate precision; divisions by elements of A record exactly
 how much certainty they burn, and its natural filtration valuation v_m
@@ -14,7 +14,7 @@ contributions occupy distinct residues mod q^d - 1.
 
 from __future__ import annotations
 
-from .fields import residue_rep
+from .fields import residue_field, residue_rep
 from .polynomials import Poly
 
 
@@ -40,13 +40,20 @@ class PadicContext:
         return self._powers[k]
 
     def unit_inv(self, unit, prec):
-        """Inverse mod P^prec of a polynomial prime to P; memoised, since
-        exp and log divide by the same few D_i and L_i over and over."""
+        """Inverse mod P^prec of a polynomial prime to P: 1/unit(theta) in
+        A/PA lifted by Newton's step s <- 2s - unit s^2, each step doubling
+        the P-adic digits; memoised, since exp and log divide by the same
+        few D_i and L_i over and over."""
         key = (unit, prec)
         if key not in self._unit_invs:
-            g, s, _ = unit.xgcd(self.P_pow(prec))
-            if not g.is_one():
+            F = residue_field(self.P)
+            u0 = unit.evaluate(F.theta, target=F)
+            if not u0:
                 raise ArithmeticError("non-unit divisor")
+            s, k = residue_rep(self.P, F.inv(u0)), 1
+            while k < prec:
+                k = min(2 * k, prec)
+                s = (s + s - unit * s * s) % self.P_pow(k)
             self._unit_invs[key] = s
         return self._unit_invs[key]
 

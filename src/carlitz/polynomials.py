@@ -4,7 +4,9 @@ Coefficients are field-encoded ints (see fields.py); the coefficient
 tuple has no trailing zeros.  The zero polynomial has degree MINUS_INF,
 a dedicated sentinel that compares below every int.
 
-Over a prime field a product is one big-int multiply (Kronecker
+mul_coeffs is the one product of coefficient lists (of Polys, of
+LaurentSeries, and of the digits of extension-field elements without
+tables).  Over a prime field it is one big-int multiply (Kronecker
 substitution, von zur Gathen & Gerhard, *Modern Computer Algebra* 8.4):
 each coefficient list is packed into an int, one slot per coefficient,
 and the slots of the integer product are the coefficients of the
@@ -12,7 +14,7 @@ product before reduction mod p.  A slot holds at most
 min(len a, len b)*(p-1)^2, so its width is that bound's byte length,
 rounded up to an array item size (1, 2, 4 or 8 bytes) where one fits.
 The bound is exact, so no width is tuned and no slot can carry into the
-next, for any p and any lengths.
+next, for any p and any lengths.  Extension fields multiply schoolbook.
 """
 
 from __future__ import annotations
@@ -109,33 +111,7 @@ class Poly:
 
     def __mul__(self, other):
         F = self.field
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(F)
-        if F.base is None:  # Kronecker substitution, see the module docstring
-            p, n, order = F.p, len(a) + len(b) - 1, sys.byteorder
-            w = _slot_bytes(min(len(a), len(b)), p)
-            if w <= 8:
-                k = (w - 1).bit_length()
-                code, w = "BHIQ"[k], 1 << k
-                x = int.from_bytes(array(code, a), order)
-                y = x if b is a else int.from_bytes(array(code, b), order)
-                prod = array(code, (x * y).to_bytes(n * w, order))
-                return Poly(F, [c % p for c in prod])
-            x, y = (int.from_bytes(b"".join(c.to_bytes(w, order) for c in cs),
-                                   order) for cs in (a, b))
-            prod = (x * y).to_bytes(n * w, order)
-            return Poly(F, [int.from_bytes(prod[i:i + w], order) % p
-                            for i in range(0, n * w, w)])
-        out = [0] * (len(a) + len(b) - 1)
-        add, mul = F.add, F.mul
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] = add(out[i + j], mul(ca, cb))
-        return Poly(F, out)
+        return Poly(F, mul_coeffs(F, self.coeffs, other.coeffs))
 
     def scale(self, c):
         F = self.field
@@ -212,22 +188,6 @@ class Poly:
             a, b = b, a % b
         return a.monic() if a.coeffs else a
 
-    def xgcd(self, other):
-        """(g, s, t) with s*self + t*other = g, g monic (or zero)."""
-        F = self.field
-        r0, r1 = self, other
-        s0, s1 = Poly.one(F), Poly.zero(F)
-        t0, t1 = Poly.zero(F), Poly.one(F)
-        while not r1.is_zero():
-            q, r = divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, s0 - q * s1
-            t0, t1 = t1, t0 - q * t1
-        if r0.coeffs and r0.coeffs[-1] != 1:
-            c = F.inv(r0.leading())
-            r0, s0, t0 = r0.scale(c), s0.scale(c), t0.scale(c)
-        return r0, s0, t0
-
     def evaluate(self, x, target=None):
         """Horner evaluation at x in `target` (default: own field).
 
@@ -278,6 +238,43 @@ def _monic_of_code(field, deg, code):
         code, c = divmod(code, field.order)
         cs.append(c)
     return Poly(field, cs + [1])
+
+
+def mul_coeffs(F, a, b, width=None):
+    """Coefficients of the product of a and b over F, constant first,
+    both factors and the product cut to `width` when one is given; the
+    list may end in zeros.  Kronecker over a prime field (module
+    docstring), a schoolbook loop stopped at `width` over extensions."""
+    if width is not None:
+        a, b = a[:width], b[:width]
+    if not a or not b:
+        return []
+    full = len(a) + len(b) - 1
+    n = min(full, width or full)  # a width of 0 has returned above
+    if F.base is None:  # Kronecker substitution
+        p, order = F.p, sys.byteorder
+        w = _slot_bytes(min(len(a), len(b)), p)
+        if w <= 8:
+            k = (w - 1).bit_length()
+            code, w = "BHIQ"[k], 1 << k
+            x = int.from_bytes(array(code, a), order)
+            y = x if b == a else int.from_bytes(array(code, b), order)
+            # the first n*w bytes hold the low n slots in either byte order
+            prod = array(code, (x * y).to_bytes(full * w, order)[:n * w])
+            return [c % p for c in prod]
+        x, y = (int.from_bytes(b"".join(c.to_bytes(w, order) for c in cs),
+                               order) for cs in (a, b))
+        prod = (x * y).to_bytes(full * w, order)
+        return [int.from_bytes(prod[i:i + w], order) % p
+                for i in range(0, n * w, w)]
+    out = [0] * n
+    add, mul = F.add, F.mul
+    for i, ca in enumerate(a):
+        if ca:
+            for k, cb in zip(range(i, n), b):
+                if cb:
+                    out[k] = add(out[k], mul(ca, cb))
+    return out
 
 
 def _slot_bytes(n, p):

@@ -1,9 +1,27 @@
 """Class-sum blocks by enumerating monic polynomials: the oracle that the
-closed form in carlitz.lvalues is checked against."""
+closed form in carlitz.lvalues is checked against.  Inverses mod P^N
+come from Euclid (xgcd), independent of PadicContext.unit_inv."""
 
 from carlitz.fields import residue_field
 from carlitz.laurent import LaurentSeries
-from carlitz.polynomials import monic_polys
+from carlitz.polynomials import Poly, monic_polys
+
+
+def xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g, g monic (or zero)."""
+    F = a.field
+    r0, r1 = a, b
+    s0, s1 = Poly.one(F), Poly.zero(F)
+    t0, t1 = Poly.zero(F), Poly.one(F)
+    while not r1.is_zero():
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if r0.coeffs and r0.coeffs[-1] != 1:
+        c = F.inv(r0.leading())
+        r0, s0, t0 = r0.scale(c), s0.scale(c), t0.scale(c)
+    return r0, s0, t0
 
 
 def brute_blocks(P, n, prec=None, N=None):
@@ -19,7 +37,7 @@ def brute_blocks(P, n, prec=None, N=None):
         if PN is None:
             inv = LaurentSeries.from_poly(a, prec + n).inv().truncate(prec)
         elif sigma:
-            inv = a.xgcd(PN)[1]
+            inv = xgcd(a, PN)[1]
         else:
             continue
         out[sigma] = out[sigma] + inv if sigma in out else inv

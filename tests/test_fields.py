@@ -105,12 +105,23 @@ def test_tower_add_matches_digits():
     _assert_add_matches_digits(F)
 
 
-@pytest.mark.parametrize("p,e", [(3, 3), (2, 4)])
-def test_untabled_extension_agrees(monkeypatch, p, e):
-    # fields above TABLE_LIMIT keep the digit-wise add (odd p) and mul
-    tabled = make_field(p, e)
+def _quadratic_over_f4():
+    F4 = make_field(2, 2)
+    return next(P for P in monic_polys(F4, 2) if P.is_irreducible())
+
+
+@pytest.mark.parametrize("tabled", [
+    pytest.param(make_field(3, 3), id="3-3"),
+    pytest.param(make_field(2, 4), id="2-4"),
+    # towers: the digits' Poly product runs mul_coeffs's schoolbook branch
+    pytest.param(residue_field(_quadratic_over_f9()), id="81-over-9"),
+    pytest.param(residue_field(_quadratic_over_f4()), id="16-over-4"),
+])
+def test_untabled_extension_agrees(monkeypatch, tabled):
+    # fields above TABLE_LIMIT keep the digit-wise add (odd p) and
+    # multiply the digit vectors as Polys over the base, mod the modulus
     monkeypatch.setattr(fields, "TABLE_LIMIT", tabled.order - 1)
-    F = FiniteField.extension(make_field(p), tabled.modulus)
+    F = FiniteField.extension(tabled.base, tabled.modulus)
     assert F._log is None and F._zech is None
     _assert_add_matches_digits(F)
     for a in F.elements():
@@ -122,11 +133,6 @@ def test_untabled_extension_agrees(monkeypatch, p, e):
 
 
 SCAN_PRIMES = [(3, "T^9+2*T^6+2*T^4+2*T^3+2*T^2+1"), (2, "T^14+T^10+T^6+T+1")]
-
-
-def _quadratic_over_f4():
-    F4 = make_field(2, 2)
-    return next(P for P in monic_polys(F4, 2) if P.is_irreducible())
 
 
 def _tabled_fields():
@@ -149,8 +155,8 @@ def _mul_order(F, c):
 
 @pytest.mark.parametrize("F", list(_tabled_fields()), ids=repr)
 def test_tables_match_schoolbook_walk(F):
-    # oracle: the walk x -> x*g by schoolbook products, Zech logarithms
-    # by the digit-wise add
+    # oracle: the walk x -> x*g by _mul_poly (the digit vectors' Poly
+    # product mod the modulus), Zech logarithms by the digit-wise add
     n, g = F.order, F._exp[1]
     exp, log, x = [], [None] * n, 1
     for k in range(n - 1):
@@ -171,8 +177,8 @@ def test_generator_t_plus_one():
 
 
 def test_scan_table_build_skips_schoolbook(monkeypatch):
-    # the generator search alone makes a few hundred schoolbook products;
-    # the table walk makes none (a schoolbook walk would make ~16.4k)
+    # the generator search alone makes a few hundred _mul_poly products;
+    # the table walk makes none (a walk by _mul_poly would make ~16.4k)
     calls = []
     mul_poly = FiniteField._mul_poly
     monkeypatch.setattr(FiniteField, "_mul_poly",

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz.core import exp_eval
-from carlitz.fields import make_field, residue_field
+from carlitz.fields import FiniteField, make_field, residue_field
 from carlitz.laurent import LaurentSeries, RamifiedElem, pi_bar
-from carlitz.polynomials import Poly, RatFunc, parse_poly
+from carlitz.polynomials import Poly, RatFunc, mul_coeffs, parse_poly
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -37,6 +37,108 @@ def test_mul_precision_tracking():
     # error from b enters shifted by val(a) = -1: prec = min(4+2, 5-1) = 4
     assert c.prec == 4
     assert c.coeff(1) == 1 and c.coeff(2) == 2
+
+
+def _laurent_loop(F, a, b, width):
+    """The first `width` coefficients of a*b by the double loop that
+    LaurentSeries.__mul__ ran before it called mul_coeffs: the oracle."""
+    out = [0] * width
+    add, mul = F.add, F.mul
+    for i, x in enumerate(a):
+        if x == 0 or i >= width:
+            continue
+        for j in range(min(len(b), width - i)):
+            if b[j]:
+                out[i + j] = add(out[i + j], mul(x, b[j]))
+    return out
+
+
+def _oracle_mul(x, y):
+    """LaurentSeries.__mul__ through _laurent_loop."""
+    prec = min(x.prec + y.val, y.prec + x.val)
+    lo = x.val + y.val
+    if not x.coeffs or not y.coeffs or prec <= lo:
+        return LaurentSeries.zero(x.field, prec)
+    return LaurentSeries(x.field, lo,
+                         _laurent_loop(x.field, x.coeffs, y.coeffs, prec - lo),
+                         prec)
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+F5 = make_field(5)
+# small length pairs over every field; over a prime field also the pairs on
+# both sides of its one- to two-byte slot boundary, as in
+# test_mul_every_coefficient_p_minus_1: a slot holds min(la, lb)*(p-1)^2
+ORACLE_CASES = [pytest.param(F, la, lb, id="%r-%d-%d" % (F, la, lb))
+                for F in (F2, F3, F5, make_field(3, 2), make_field(3, 3),
+                          make_field(2, 3), make_field(2, 8))
+                for la, lb in [(1, 12), (12, 12), (25, 40)]]
+ORACLE_CASES += [pytest.param(F, la, lb, id="%r-%d-%d" % (F, la, lb))
+                 for F, pairs in [(F2, [(255, 256), (256, 256)]),
+                                  (F3, [(63, 64), (64, 64)]),
+                                  (F5, [(15, 16), (16, 16)])]
+                 for la, lb in pairs]
+
+
+@pytest.mark.parametrize("F,la,lb", ORACLE_CASES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_mul_coeffs_matches_the_laurent_loop(F, la, lb, data):
+    # widths 0, below the shorter length, between the two lengths and at
+    # or above the full length; each factor is random or all top digits,
+    # which puts the exact slot bound in the middle slot
+    def factor(n):
+        return data.draw(st.just([F.order - 1] * n)
+                         | st.lists(st.integers(0, F.order - 1),
+                                    min_size=n, max_size=n))
+    a, b = factor(la), factor(lb)
+    lo, hi, full = min(la, lb), max(la, lb), la + lb - 1
+    widths = [0, data.draw(st.integers(lo, hi)),
+              data.draw(st.integers(full, full + 3))]
+    if lo > 1:
+        widths.append(data.draw(st.integers(1, lo - 1)))
+    for w in widths:
+        want = _strip(_laurent_loop(F, a, b, w))
+        for x, y in ((a, b), (b, a)):
+            got = mul_coeffs(F, x, y, w)
+            assert len(got) <= w and _strip(got) == want, w
+        # a Laurent product of width w; the second factor is cut to it
+        va, vb = data.draw(st.integers(-3, 3)), data.draw(st.integers(-3, 3))
+        s = LaurentSeries(F, va, a, va + la + data.draw(st.integers(0, 3)))
+        t = LaurentSeries(F, vb, b, vb + w)
+        assert s * t == _oracle_mul(s, t) and t * s == _oracle_mul(t, s), w
+    assert _strip(mul_coeffs(F, a, b)) == _strip(_laurent_loop(F, a, b, full))
+
+
+@pytest.mark.parametrize("F", [F2, F3, F5], ids=repr)
+def test_prime_field_laurent_mul_makes_no_field_call(monkeypatch, F):
+    # a Kronecker product, not a loop of field adds and products
+    s = LaurentSeries(F, -2, [(3 * i + 1) % F.p for i in range(20)], 18)
+    t = LaurentSeries(F, 1, [(i * i + 2) % F.p for i in range(15)], 16)
+    calls = []
+    for name in ("add", "mul"):
+        op = getattr(FiniteField, name)
+        monkeypatch.setattr(FiniteField, name, lambda self, a, b, op=op:
+                            calls.append(1) or op(self, a, b))
+    st_, ts, ss = s * t, t * s, s * s
+    monkeypatch.undo()
+    assert calls == []
+    assert (st_, ts, ss) == (_oracle_mul(s, t), _oracle_mul(t, s),
+                             _oracle_mul(s, s))
+
+
+def test_leading_zeros_past_precision_give_zero():
+    # stripping the zeros moves val past prec: nothing is known, and the
+    # window of a product with it is empty
+    s = LaurentSeries(F3, 0, [0, 0, 0, 1, 1, 1, 1], 1)
+    assert (s.val, s.coeffs, s.prec) == (1, [], 1)
+    assert (LaurentSeries(F3, 0, [1, 2], 5) * s).is_zero()
 
 
 PREC_FIELDS = [F3, make_field(3, 2), make_field(2, 3)]

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz.cyclotomic import CycField
@@ -5,6 +6,7 @@ from carlitz.fields import make_field, residue_field, residue_rep
 from carlitz.padics import (CycPadicRing, PadicContext, embed_poly_to_padic,
                             lambda_power_rows)
 from carlitz.polynomials import Poly, parse_poly
+from enumeration import xgcd
 
 F3 = make_field(3)
 F2 = make_field(2)
@@ -24,6 +26,26 @@ def test_padic_arithmetic():
     assert ctx.reduce(ra + rb) == ctx.reduce(a + b)
     assert ctx.vP(ra - ra, ctx.N) is None
     assert ctx.vP(ctx.reduce(a * ctx.P * ctx.P), ctx.N) == 2
+
+
+UNIT_INV_PRIMES = [(2, "T+1"), (2, "T^3+T+1"), (3, "T^2+1"), (3, "T^3+2*T+1")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(UNIT_INV_PRIMES), st.integers(1, 9), st.data())
+def test_unit_inv_matches_euclid(qP, prec, data):
+    # the Newton lift against the inverse from xgcd, for units of degree
+    # up to twice that of P^prec; a multiple of P is refused
+    P = parse_poly(qP[1], make_field(qP[0]))
+    ctx, Pk = PadicContext(P, prec), P ** prec
+    cs = data.draw(st.lists(st.integers(0, qP[0] - 1),
+                            max_size=2 * len(Pk.coeffs)))
+    u = Poly(P.field, cs)
+    if (u % P).is_zero():
+        with pytest.raises(ArithmeticError, match="non-unit divisor"):
+            ctx.unit_inv(u, prec)
+        return
+    assert ctx.unit_inv(u, prec) == xgcd(u, Pk)[1]
 
 
 def test_teichmuller_fixed_point_and_multiplicativity():
