@@ -351,7 +351,7 @@ def render(cfg, reports, elapsed_ms):
            "suite_results": [r.as_dict() for r in reports],
            "timing_ms": elapsed_ms}
     if cfg.format == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc) + "\n"
     if cfg.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)

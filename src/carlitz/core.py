@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .fields import residue_field
 from .laurent import LaurentSeries
-from .padics import PadicCycElem
 from .polynomials import Poly, RatFunc
 
 
@@ -248,11 +247,11 @@ def _base_field_of(z):
 def padic_exp(z):
     """exp_{C,P}(z) for z in m^2 inside the completed cyclotomic ring.
 
-    The result is certified modulo P^prec for the input's coordinate
-    precision: exp_C is F_q-linear, so a representative off by m^{L prec}
-    perturbs the value by exp of that error, which has the same
-    valuation.  Internally the terms are computed with padded precision
-    to absorb the D_i divisions.
+    The result is certified modulo P^prec for the input's precision:
+    exp_C is F_q-linear, so a representative off by m^{L prec} perturbs
+    the value by exp of that error, which has the same valuation.  The
+    terms are computed from the representative widened by the largest
+    v_P(D_i) (CarlitzTables.vP_D), so the divisions leave z.prec digits.
     """
     return _padic_orbit_sum(z, kind="exp")
 
@@ -264,10 +263,10 @@ def padic_log(z):
 
 
 def _padic_orbit_sum(z, kind):
-    ring = z.ring
-    ctx = ring.ctx
-    q, d, L = ctx.q, ctx.d, ring.L
+    ctx = z.ring.ctx
+    q, d = ctx.q, ctx.d
     tab = CarlitzTables(ctx.field)
+    den, vP = (tab.D, tab.vP_D) if kind == "exp" else (tab.L, tab.vP_L)
     vz = z.vm()
     if vz is None:
         return z
@@ -281,24 +280,12 @@ def _padic_orbit_sum(z, kind):
     while (q ** i) * (vz - 1) < target:
         idxs.append(i)
         i += 1
-    pad = 0
-    for i in idxs:
-        pad = max(pad, tab.vP_D(i, d) if kind == "exp" else tab.vP_L(i, d))
-    work = PadicCycElem(ring, z.coords, z.prec + pad)
-    acc = None
-    cur = work
-    minus_one = Poly.const(ctx.field, ctx.field.neg(1))
-    for i in idxs:
-        if i == 0:
-            term = cur
-        else:
-            den = tab.D(i) if kind == "exp" else tab.L(i)
-            term = cur.div_scalar_poly(den)
-            if kind == "log" and i % 2 == 1:
-                term = term.mul_scalar_poly(minus_one)
-        acc = term if acc is None else acc + term
-        if i + 1 <= idxs[-1]:
-            cur = cur.frobq()
+    pad = max(vP(i, d) for i in idxs)
+    acc = cur = z.widen(z.prec + pad)
+    for i in idxs[1:]:
+        cur = cur.frobq()
+        term = cur.div_scalar_poly(den(i), vP(i, d))
+        acc = acc + (-term if kind == "log" and i % 2 == 1 else term)
     return acc.truncate(z.prec)
 
 

@@ -19,8 +19,7 @@ from __future__ import annotations
 from .core import carlitz_poly, exp_eval
 from .fields import OBJECT_OPS, residue_field, residue_rep, row_reduce
 from .laurent import LaurentSeries, RamifiedElem, pi_bar
-from .padics import (PadicContext, CycPadicRing, embed_poly_to_padic,
-                     fold_powers, frob_coords, lambda_power_rows, mul_coords)
+from .padics import MuRing, PadicContext
 from .polynomials import Poly, RatFunc, monic_irreducibles
 
 
@@ -40,6 +39,73 @@ def torsion_poly(P):
     for i, c in enumerate(phi):
         psi[Fq.order ** i - 1] = c
     return psi
+
+
+def lambda_power_rows(psi):
+    """Exact coordinates over A of lambda^k for k = L .. max(2L - 2,
+    q(L - 1)), lambda a root of psi (monic of degree L, coefficients in
+    A, constant term first): enough to reduce products and q-th powers
+    of reduced elements back to the basis lambda^0 .. lambda^{L-1}."""
+    L = len(psi) - 1
+    zero = Poly.zero(psi[-1].field)
+    hi = max(2 * L - 2, psi[-1].field.order * (L - 1))
+    # lambda^L = -(psi - X^L)(lambda)
+    neg_tail = [-c for c in psi[:-1]]
+    cur = list(neg_tail)
+    rows = [tuple(cur)]
+    for _ in range(L + 1, hi + 1):
+        nxt = [zero] + cur[:-1]
+        top = cur[-1]
+        if not top.is_zero():
+            nxt = [a + top * b for a, b in zip(nxt, neg_tail)]
+        cur = nxt
+        rows.append(tuple(cur))
+    return rows
+
+
+# -- lambda-power coordinates over any coefficient ring ----------------------
+#
+# Coordinates are lists of length L = len(rows[0]) of Polys over A or
+# F[T], F = A/PA; `zero` is the ring's zero.  Row entries lie in A, and F
+# holds F_q as ints < q, so a coordinate times a row entry is a plain
+# Poly product over the coordinate's field.
+
+
+def fold_powers(rows, terms, zero):
+    """Coordinates of sum c * lambda^k over the (k, c) pairs in `terms`,
+    k < L + len(rows): lambda^k for k >= L folds back along its row."""
+    L = len(rows[0])
+    out = [zero] * L
+    for k, c in terms:
+        if c.is_zero():
+            continue
+        if k < L:
+            out[k] = out[k] + c
+            continue
+        for j, r in enumerate(rows[k - L]):
+            if not r.is_zero():
+                out[j] = out[j] + c * r
+    return out
+
+
+def mul_coords(rows, u, v, zero):
+    """Coordinates of the product of two reduced elements."""
+    conv = [zero] * (2 * len(u) - 1)
+    for i, a in enumerate(u):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(v):
+            if not b.is_zero():
+                conv[i + j] = conv[i + j] + a * b
+    return fold_powers(rows, enumerate(conv), zero)
+
+
+def frob_coords(rows, u, q, zero):
+    """Coordinates of the q-th power of a reduced element: in
+    characteristic p it sends c * lambda^i to c^q * lambda^{qi}."""
+    return fold_powers(rows, ((q * i, c.frob_power(q))
+                              for i, c in enumerate(u) if not c.is_zero()),
+                       zero)
 
 
 class CycField:
@@ -77,7 +143,7 @@ class CycField:
             raise ValueError("psi_P not Eisenstein at P")
 
         # reduction rows: coords of lambda^k for k = L .. hi, over A; the
-        # only copy, shared by every coefficient ring (padic_ring included)
+        # only copy, shared by the coefficient rings A and F[T]
         self.rows = lambda_power_rows(psi)
         self._cache = {}
 
@@ -107,10 +173,10 @@ class CycField:
                           lambda: InftyEmbedding(self, field, prec))
 
     def padic_ring(self, N):
-        """A_P[lambda] mod P^N; its ctx is the one PadicContext of (P, N),
-        which owns the Teichmuller lifts."""
-        return self.memo(("padic_ring", N), lambda: CycPadicRing(
-            PadicContext(self.P, N), self.rows))
+        """O_{K,P} mod P^N in the uniformizer model; its ctx is the one
+        PadicContext of (P, N), which owns the Teichmuller lifts."""
+        return self.memo(("padic_ring", N), lambda: MuRing(
+            PadicContext(self.P, N), self.phi_coeffs))
 
     def irreducibles(self, max_deg):
         """Monic irreducibles of F_q[T] of degree 1..max_deg, ascending: a
@@ -483,15 +549,16 @@ class InftyEmbedding:
 
     def embed_coords(self, coords, b):
         """Value at place b of an element given by lambda-coordinates,
-        each a Poly over F_q or F."""
+        each a Poly over F_q or F, or a LaurentSeries (None for zero)."""
         pows = self.lambda_powers(b)
         acc = None
         for i, c in enumerate(coords):
-            if c.is_zero():
+            if c is None or c.is_zero():
                 continue
-            s = LaurentSeries.from_poly(c, self.prec + self.cyc.d + 2,
-                                        self.field)
-            term = pows[i].mul_laurent(s)
+            if isinstance(c, Poly):
+                c = LaurentSeries.from_poly(c, self.prec + self.cyc.d + 2,
+                                            self.field)
+            term = pows[i].mul_laurent(c)
             acc = term if acc is None else acc + term
         if acc is None:
             return RamifiedElem.zero(self.cyc.q, self.field,
@@ -510,7 +577,6 @@ def embed_infty(x, prec):
 
 
 def embed_padic(x, N):
-    """Image of a CycElem in the completed ring at P, coordinates via
-    the Teichmuller section on the coefficient leg."""
-    ring = x.cyc.padic_ring(N)
-    return ring.elem([embed_poly_to_padic(c, ring.ctx) for c in x.coords])
+    """Image of a CycElem in the completed ring at P mod P^N; its F
+    coefficients enter as Teichmuller lifts, constants of the model."""
+    return x.cyc.padic_ring(N).elem(x.coords, N)

@@ -36,10 +36,9 @@ serves every character.
 from __future__ import annotations
 
 from .core import CarlitzTables
-from .cyclotomic import CycField, gauss_thakur, sigma_act
+from .cyclotomic import CycField, fold_powers, gauss_thakur, sigma_act
 from .fields import residue_field, residue_rep, row_reduce
 from .laurent import LaurentSeries
-from .padics import fold_powers
 from .polynomials import Poly
 
 

@@ -1,21 +1,37 @@
-"""P-adic completions: A_P arithmetic mod P^N and the completed
-cyclotomic ring A_P[lambda], plus the lambda-power coordinate folds
-shared by every polynomial coefficient ring: A, F[T] and A_P.
+"""P-adic completions: A_P mod P^N, and O_{K,P} in its uniformizer model.
 
-An element of A_P mod P^N is a Poly reduced mod P^N; its valuation is
-PadicContext.vP(value, N).  The context of one (P, N) owns the powers
-of P, the memoised unit inverses (Newton lifts) and Teichmuller lifts.
-PadicCycElem is a coordinate vector over the lambda-power basis with a
-shared coordinate precision; divisions by elements of A record exactly
-how much certainty they burn, and its natural filtration valuation v_m
-(m the maximal ideal, m^{q^d - 1} = P) is exact because the coordinate
-contributions occupy distinct residues mod q^d - 1.
+An element of A_P mod P^N is a Poly reduced mod P^N (valuation
+PadicContext.vP).  The context of one (P, N) owns the powers of P, the
+memoised unit inverses and the Teichmuller lifts; the P-adic class sums,
+l_padic and the Fitting report work there.
+
+K_P/k_P is totally and tamely ramified of degree L = q^d - 1 (Hayes
+1974), so O_{K,P} = F[[mu]] with F = A/PA, its Teichmuller lifts as
+constants, and mu^L = -P (Serre, *Local Fields* II 4).  MuRing holds an
+element mod P^N as its L N digits in mu:
+
+* T is the root X(u) of P(X) = u = -mu^L with X(0) = theta (Newton's
+  method, P'(theta) != 0), so A acts through sparse series in mu;
+* lambda = mu s, where s(0) = 1 and g(s) = phi_P(mu s) / mu^{q^d} =
+  s^{q^d} - s - sum_{0<i<d} b_i mu^{q^i-1} s^{q^i} = 0, b_i = [P,i]/P.
+  g is F_q-linear with g' = -1, so Newton's step s <- s + g(s)
+  multiplies the certified digits by q (psi_P' has valuation L - 1, so
+  Newton's method on psi_P itself would stall);
+* the q-th power sends a_k mu^k to a_k^q mu^{qk}; dividing by
+  a = P^v w shifts down by L v digits and multiplies by the series of
+  (-1)^v / w; v_m is the index of the first nonzero digit.
+
+Both lifts are certified to full length (P(X) = u; g(s) = 0, that is
+psi_P(lambda) = 0 mod mu^{L+n}) or raise ArithmeticError.  The tables
+are built on the first element that needs them, for the largest
+precision asked so far.
 """
 
 from __future__ import annotations
 
 from .fields import residue_field, residue_rep
-from .polynomials import Poly
+from .laurent import LaurentSeries
+from .polynomials import Poly, mul_coeffs
 
 
 class PadicContext:
@@ -103,189 +119,244 @@ def embed_poly_to_padic(p, ctx):
     return acc
 
 
-def lambda_power_rows(psi):
-    """Exact coordinates over A of lambda^k for k = L .. max(2L - 2,
-    q(L - 1)), lambda a root of psi (monic of degree L, coefficients in
-    A, constant term first): enough to reduce products and q-th powers
-    of reduced elements back to the basis lambda^0 .. lambda^{L-1}."""
-    L = len(psi) - 1
-    zero = Poly.zero(psi[-1].field)
-    hi = max(2 * L - 2, psi[-1].field.order * (L - 1))
-    # lambda^L = -(psi - X^L)(lambda)
-    neg_tail = [-c for c in psi[:-1]]
-    cur = list(neg_tail)
-    rows = [tuple(cur)]
-    for _ in range(L + 1, hi + 1):
-        nxt = [zero] + cur[:-1]
-        top = cur[-1]
-        if not top.is_zero():
-            nxt = [a + top * b for a, b in zip(nxt, neg_tail)]
-        cur = nxt
-        rows.append(tuple(cur))
-    return rows
+def _pad(xs, n):
+    """xs cut or padded with zeros to length n, as a new list."""
+    return list(xs[:n]) + [0] * (n - len(xs))
 
 
-# -- lambda-power coordinates over any coefficient ring ----------------------
-#
-# Coordinates are lists of length L = len(rows[0]) of Polys over A, A_P or
-# F[T], F = A/PA; `zero` is the ring's zero.  Row entries lie in A, and F
-# holds F_q as ints < q, so a coordinate times a row entry is a plain
-# Poly product over the coordinate's field.
+def _times(F, a, b, n):
+    """The first n digits of a product of series; mul_coeffs's loop skips
+    the zero digits of a, so a sparse factor goes first."""
+    return _pad(mul_coeffs(F, a, b, n), n)
 
 
-def fold_powers(rows, terms, zero):
-    """Coordinates of sum c * lambda^k over the (k, c) pairs in `terms`,
-    k < L + len(rows): lambda^k for k >= L folds back along its row."""
-    L = len(rows[0])
-    out = [zero] * L
-    for k, c in terms:
-        if c.is_zero():
-            continue
-        if k < L:
-            out[k] = out[k] + c
-            continue
-        for j, r in enumerate(rows[k - L]):
-            if not r.is_zero():
-                out[j] = out[j] + c * r
-    return out
+def _poly_at(F, coeffs, X, n):
+    """coeffs (constant first, in F) at the series X, mod u^n."""
+    acc = [0] * n
+    for c in reversed(coeffs):
+        acc = _times(F, acc, X, n)
+        acc[0] = F.add(acc[0], c)
+    return acc
 
 
-def mul_coords(rows, u, v, zero):
-    """Coordinates of the product of two reduced elements."""
-    conv = [zero] * (2 * len(u) - 1)
-    for i, a in enumerate(u):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(v):
-            if not b.is_zero():
-                conv[i + j] = conv[i + j] + a * b
-    return fold_powers(rows, enumerate(conv), zero)
+class MuRing:
+    """O_{K,P} mod P^N as F[[mu]] mod mu^{L N} (module docstring).
 
-
-def frob_coords(rows, u, q, zero):
-    """Coordinates of the q-th power of a reduced element: in
-    characteristic p it sends c * lambda^i to c^q * lambda^{qi}."""
-    return fold_powers(rows, ((q * i, c.frob_power(q))
-                              for i, c in enumerate(u) if not c.is_zero()),
-                       zero)
-
-
-class CycPadicRing:
-    """O_{K,P} = A_P[lambda] with lambda-power basis coordinates.
-
-    `rows` are the exact reductions of lambda^k, k >= L, from
-    lambda_power_rows; kept exact so that callers may run the ring at
-    padded precision beyond ctx.N.
+    `ctx` is the PadicContext of (P, N) and `phi` the coefficients [P,i]
+    of phi_P.  The tables are built on first use, each for the largest
+    precision n asked so far: X^j (j < d n) as u-series of length n, and
+    lambda^i (i < L) as mu-series of length L n; `builds` counts builds
+    of the lambda table.  Unit inverses are memoised per (divisor, v,
+    precision).
     """
 
-    def __init__(self, ctx, rows):
+    def __init__(self, ctx, phi):
         self.ctx = ctx
-        self.rows = rows
-        self.L = len(rows[0])
+        self.phi = phi
+        self.L = ctx.q ** ctx.d - 1
+        self.F = residue_field(ctx.P)
+        self._X = []             # X^j mod u^n, j < d n, for n = self._n
+        self._n = 0
+        self._lam = []           # lambda^i mod mu^{L n}, for n = self._lam_prec
+        self._lam_prec = 0
+        self._unit_series = {}
+        self.builds = 0
+
+    # -- tables ----------------------------------------------------------
+
+    def _powers_of_X(self, n):
+        """X^j mod u^n for j < d n; X by Newton's method from theta, each
+        step doubling the digits, then P(X) = u certified to n digits."""
+        if n > self._n:
+            F, P = self.F, self.ctx.P
+            dP = [F.mul(i % F.p, c) for i, c in enumerate(P.coeffs)][1:]
+            X, k = [F.theta], 1
+            while k < n:
+                k = min(2 * k, n)
+                val = _poly_at(F, P.coeffs, X, k)
+                val[1] = F.sub(val[1], 1)  # P(X) - u
+                inv = LaurentSeries(F, 0, _poly_at(F, dP, X, k), k).inv()
+                X = list(map(F.sub, _pad(X, k), _times(F, val, inv.coeffs, k)))
+            if _poly_at(F, P.coeffs, X, n) != _pad([0, 1], n):
+                raise ArithmeticError("X(u) fails P(X) = u mod u^%d" % n)
+            pows = [_pad([1], n)]
+            for _ in range(1, self.ctx.d * n):
+                pows.append(_times(F, pows[-1], X, n))
+            self._X, self._n = pows, n
+        return self._X
+
+    def _u_series(self, c, n):
+        """c(X) mod u^n: the image in A_P = F[[u]] of c in F_q[T] or F[T]
+        (coefficients in F are their Teichmuller lifts)."""
+        F, X = self.F, self._powers_of_X(n)
+        if len(c.coeffs) > len(X):
+            Pn = self.ctx.P_pow(n)
+            c = c % (Pn if c.field == Pn.field else Poly(c.field, Pn.coeffs))
+        out = [0] * n
+        for cj, xj in zip(c.coeffs, X):
+            if cj:
+                out = list(map(F.add, out, [F.mul(cj, a) for a in xj[:n]]))
+        return out
+
+    def _mu(self, series, sign=0):
+        """(-1)^sign times a series in u = -mu^L, as L len(series) digits."""
+        F, L = self.F, self.L
+        out = [0] * (L * len(series))
+        out[::L] = [F.neg(a) if (k + sign) % 2 else a
+                    for k, a in enumerate(series)]
+        return out
+
+    def _sparse(self, a, prec):
+        """The mu-series of a in A, mod mu^{L prec}."""
+        return self._mu(self._u_series(a, prec))
+
+    def _div_series(self, a, v, prec):
+        """The mu-series of P^v / a mod mu^{L prec}, for a in A with
+        v_P(a) = v; memoised, since exp and log divide by the same few D_i
+        and L_i over and over."""
+        key = (a, v, prec)
+        if key not in self._unit_series:
+            ahat = self._u_series(a, prec + v)
+            if any(ahat[:v]) or not ahat[v]:
+                raise ArithmeticError("v_P of the divisor is not %d" % v)
+            inv = LaurentSeries(self.F, 0, ahat[v:], prec).inv()
+            # P^v = (-mu^L)^v
+            self._unit_series[key] = self._mu(_pad(inv.coeffs, prec), v)
+        return self._unit_series[key]
+
+    def _frobq(self, x):
+        """The q-th power: a_k mu^k -> a_k^q mu^{qk}, cut to len(x)."""
+        return _pad(Poly(self.F, x).frob_power(self.ctx.q).coeffs, len(x))
+
+    def _g(self, s, b_series):
+        """g(s) mod mu^len(s) (module docstring); b_series holds the
+        mu-series of -b_i mu^{q^i - 1}, 0 < i < d."""
+        F, n = self.F, len(s)
+        out, fr = [F.neg(a) for a in s], s
+        for b in b_series:
+            fr = self._frobq(fr)
+            out = list(map(F.add, out, _times(F, b, fr, n)))
+        return list(map(F.add, out, self._frobq(fr)))
+
+    def _solve_s(self, n):
+        """s mod mu^n with g(s) = 0 and s(0) = 1, certified."""
+        F, q, P = self.F, self.ctx.q, self.ctx.P
+        m = -(-n // self.L)  # u-digits that reach mu^n
+        b_series = [[0] * (q ** i - 1) + self._mu(
+            self._u_series(self.phi[i] // P, m), 1) for i in range(1, self.ctx.d)]
+        s, k = [1], 1
+        while k < n:
+            k = min(q * k, n)
+            s = _pad(s, k)
+            s = list(map(F.add, s, self._g(s, b_series)))
+        s = _pad(s, n)
+        if any(self._g(s, b_series)):
+            raise ArithmeticError("lambda(mu) fails psi_P(lambda) = 0 mod "
+                                  "mu^%d" % (self.L + n))
+        return s
+
+    def _lambda_powers(self, prec):
+        """lambda^i mod mu^{L prec} for i < L."""
+        if prec > self._lam_prec:
+            F, n = self.F, self.L * prec
+            lam = [0] + self._solve_s(n)[:n - 1]
+            pows = [_pad([1], n)]
+            for _ in range(1, self.L):
+                pows.append(_times(F, lam, pows[-1], n))
+            self._lam, self._lam_prec = pows, prec
+            self.builds += 1
+        return self._lam
+
+    # -- elements --------------------------------------------------------
 
     def elem(self, coords, prec=None):
+        """sum_i c_i lambda^i mod P^prec, c_i in F_q[T] or F[T]."""
+        F = self.F
         prec = self.ctx.N if prec is None else prec
-        m = self.ctx.P_pow(prec)
-        return PadicCycElem(self, tuple(c % m for c in coords), prec)
+        out = [0] * (self.L * prec)
+        for c, pw in zip(coords, self._lambda_powers(prec)):
+            if not c.is_zero():
+                out = list(map(F.add, out, _times(F, self._sparse(c, prec),
+                                                  pw, len(out))))
+        return MuElem(self, out, prec)
 
-    def zero(self, prec=None):
-        return self.elem([Poly.zero(self.ctx.field)] * self.L, prec)
 
+class MuElem:
+    """An element of O_{K,P} mod P^prec: its L prec digits in mu."""
 
-class PadicCycElem:
-    __slots__ = ("ring", "coords", "prec")
+    __slots__ = ("ring", "digits", "prec")
 
-    def __init__(self, ring, coords, prec):
+    def __init__(self, ring, digits, prec):
         self.ring = ring
-        self.coords = coords
+        self.digits = digits
         self.prec = prec
 
-    @property
-    def ctx(self):
-        return self.ring.ctx
-
     def vm(self):
-        """Valuation in the maximal-ideal filtration (m^L = P up to units);
-        None when zero to precision.  Exact: coordinate i contributes
-        L * v_P + i, residues distinct mod L."""
-        L = self.ring.L
-        best = None
-        for i, c in enumerate(self.coords):
-            v = self.ctx.vP(c, self.prec)
-            if v is not None:
-                w = L * v + i
-                if best is None or w < best:
-                    best = w
-        return best
+        """Valuation in the maximal-ideal filtration (mu^L = -P); None
+        when zero to precision."""
+        return next((k for k, a in enumerate(self.digits) if a), None)
 
     def mprec(self):
-        return self.ring.L * self.prec
+        return len(self.digits)
 
-    def is_zero(self):
-        return self.vm() is None
+    def _with(self, digits, prec=None):
+        return MuElem(self.ring, digits, self.prec if prec is None else prec)
 
     def __add__(self, other):
         prec = min(self.prec, other.prec)
-        m = self.ctx.P_pow(prec)
-        return PadicCycElem(self.ring,
-                            tuple((a + b) % m for a, b in
-                                  zip(self.coords, other.coords)), prec)
+        n = self.ring.L * prec
+        return self._with(list(map(self.ring.F.add, self.digits[:n],
+                                   other.digits[:n])), prec)
 
     def __neg__(self):
-        return PadicCycElem(self.ring, tuple(-c for c in self.coords), self.prec)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return self._with(list(map(self.ring.F.neg, self.digits)))
 
     def __mul__(self, other):
-        ring = self.ring
-        return ring.elem(mul_coords(ring.rows, self.coords, other.coords,
-                                    Poly.zero(self.ctx.field)),
-                         min(self.prec, other.prec))
+        prec = min(self.prec, other.prec)
+        n = self.ring.L * prec
+        return self._with(_times(self.ring.F, self.digits, other.digits, n),
+                          prec)
 
     def mul_scalar_poly(self, a):
         """Multiply by an exact element of A."""
-        m = self.ctx.P_pow(self.prec)
-        return PadicCycElem(self.ring,
-                            tuple((c * a) % m for c in self.coords), self.prec)
+        ring = self.ring
+        return self._with(_times(ring.F, ring._sparse(a, self.prec),
+                                 self.digits, len(self.digits)))
 
     def frobq(self):
-        ring = self.ring
-        return ring.elem(frob_coords(ring.rows, self.coords, self.ctx.q,
-                                     Poly.zero(self.ctx.field)), self.prec)
+        return self._with(self.ring._frobq(self.digits))
 
-    def div_scalar_poly(self, a):
-        """Divide by an exact nonzero element of A; precision drops by
-        v_P(a) and every coordinate must cooperate."""
-        v = self.ctx.vP(a, int(a.degree) // self.ctx.d + 1)
-        v = 0 if v is None else v
-        unit = a // self.ctx.P_pow(v) if v else a
+    def div_scalar_poly(self, a, v):
+        """Divide by an exact nonzero a in A with v_P(a) = v (from
+        CarlitzTables): the low L v digits must vanish, and precision
+        drops by v."""
+        ring = self.ring
         prec = self.prec - v
         if prec <= 0:
             raise ZeroDivisionError("precision exhausted by division")
-        m = self.ctx.P_pow(prec)
-        s = self.ctx.unit_inv(unit, prec)
-        out = []
-        for c in self.coords:
-            if v:
-                q_, r_ = divmod(c % self.ctx.P_pow(self.prec), self.ctx.P_pow(v))
-                if not r_.is_zero():
-                    raise ZeroDivisionError("coordinate not divisible")
-                c = q_
-            out.append((c * s) % m)
-        return PadicCycElem(self.ring, tuple(out), prec)
+        cut = ring.L * v
+        if any(self.digits[:cut]):
+            raise ZeroDivisionError("element not divisible by P^%d" % v)
+        return self._with(_times(ring.F, ring._div_series(a, v, prec),
+                                 self.digits[cut:], ring.L * prec), prec)
+
+    def widen(self, prec):
+        """The same representative, read mod P^prec (prec >= self.prec)."""
+        return self._with(_pad(self.digits, self.ring.L * prec), prec)
 
     def truncate(self, prec):
         if prec >= self.prec:
             return self
-        m = self.ctx.P_pow(prec)
-        return PadicCycElem(self.ring, tuple(c % m for c in self.coords), prec)
+        return self._with(self.digits[:self.ring.L * prec], prec)
+
+    def first_difference(self, other):
+        """Index of the first mu-digit where the two disagree within both
+        precisions; None when they agree."""
+        return next((k for k, (a, b) in enumerate(zip(self.digits, other.digits))
+                     if a != b), None)
 
     def agrees_with(self, other):
-        prec = min(self.prec, other.prec)
-        m = self.ctx.P_pow(prec)
-        return all(((a - b) % m).is_zero()
-                   for a, b in zip(self.coords, other.coords))
+        return self.first_difference(other) is None
 
     def __repr__(self):
-        return "PadicCycElem(%r, prec=%d)" % (list(self.coords), self.prec)
+        return "MuElem(%r, prec=%d)" % (self.digits, self.prec)

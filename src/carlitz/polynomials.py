@@ -243,14 +243,20 @@ def _monic_of_code(field, deg, code):
 def mul_coeffs(F, a, b, width=None):
     """Coefficients of the product of a and b over F, constant first,
     both factors and the product cut to `width` when one is given; the
-    list may end in zeros.  Kronecker over a prime field (module
-    docstring), a schoolbook loop stopped at `width` over extensions."""
+    list may end in zeros.  A one-term factor scales the other; otherwise
+    Kronecker over a prime field (module docstring), a schoolbook loop
+    stopped at `width` over extensions."""
     if width is not None:
         a, b = a[:width], b[:width]
     if not a or not b:
         return []
     full = len(a) + len(b) - 1
     n = min(full, width or full)  # a width of 0 has returned above
+    if len(a) == 1 or len(b) == 1:  # a constant factor scales the other
+        (c,), x = (a, b) if len(a) == 1 else (b, a)
+        if F.base is None:
+            return [c * v % F.p for v in x]
+        return [F.mul(c, v) for v in x]
     if F.base is None:  # Kronecker substitution
         p, order = F.p, sys.byteorder
         w = _slot_bytes(min(len(a), len(b)), p)

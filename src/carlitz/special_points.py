@@ -85,28 +85,17 @@ class VerificationReport:
 
 def special_point_inf(cyc, m, depth):
     """L_m at every infinite place, certified to the table depth: a dict
-    from place rep to RamifiedElem."""
+    from place rep to RamifiedElem.  The sum over sigma is taken on the
+    lambda-coordinates, which are then embedded once per place."""
     table = cyc.class_table(depth)
     emb = cyc.infty_embedding(cyc.Fq, depth)
-    values = {}
-    for bplace in emb.reps:
-        acc = None
-        for sigma in cyc.units():
-            c = table.class_total(sigma)
-            if c.is_zero():
-                continue
-            term = emb.embed_coords(cyc.sigma_power(sigma, m),
-                                    bplace).mul_laurent(c)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = RamifiedElem.zero(cyc.q, emb.field, (cyc.q - 1) * depth)
-        values[bplace] = acc
-    return values
+    coords = _special_point_coords(cyc, m, table, cyc.Fq)
+    return {bplace: emb.embed_coords(coords, bplace) for bplace in emb.reps}
 
 
 def special_point_padic(cyc, m, N):
-    """L_{m,P} mod P^N as a PadicCycElem; membership in m^2 is checked,
-    not assumed."""
+    """L_{m,P} mod P^N in the uniformizer model (padics.MuRing);
+    membership in m^2 is checked, not assumed."""
     table = cyc.padic_table(N)
     ring = cyc.padic_ring(N)
     PN = table.ctx.P_pow(N)
@@ -213,14 +202,9 @@ def verify_anderson(cyc, m, N, depth, guard=6):
                    lhs_prec=lhs.prec, rhs_prec=rhs.prec,
                    reason="no P-adic digit certified on both sides")
         return report
-    ok = lhs.agrees_with(rhs)
-    detail = {}
-    if not ok:
-        mod = lhs.ctx.P_pow(prec)
-        for i, (a, b) in enumerate(zip(lhs.coords, rhs.coords)):
-            if (a - b) % mod != Poly.zero(cyc.Fq):
-                detail["first_bad_coord"] = i
-                break
+    bad = lhs.first_difference(rhs)
+    ok = bad is None
+    detail = {} if ok else {"first_bad_digit": bad}
     report.add(check_id, ok, lhs_prec=lhs.prec, rhs_prec=rhs.prec, **detail)
     return report
 

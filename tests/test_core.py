@@ -7,10 +7,12 @@ from carlitz import core, fields
 from carlitz.core import (CarlitzTables, bc_exact, bc_stream_mod_P,
                           carlitz_act, carlitz_poly, d_inverses_mod_P,
                           exp_eval, padic_exp, padic_log)
+from carlitz.cyclotomic import lambda_power_rows
 from carlitz.fields import make_field, residue_field
 from carlitz.laurent import RamifiedElem, pi_bar
-from carlitz.padics import CycPadicRing, PadicContext, lambda_power_rows
+from carlitz.padics import PadicContext
 from carlitz.polynomials import Poly, RatFunc, parse_poly, rat_reduce_mod_P
+from padic_oracle import CycPadicRing
 
 F2 = make_field(2)
 F3 = make_field(3)

@@ -10,7 +10,7 @@ from carlitz.cyclotomic import (Character, CycElem, CycField, all_characters,
 from carlitz.fields import make_field
 from carlitz.lvalues import PadicClassSumTable, l_padic
 from carlitz.polynomials import Poly, RatFunc, parse_poly
-from carlitz.special_points import recognize_integral
+from carlitz.special_points import odd_fitting_report, recognize_integral
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -52,23 +52,39 @@ def test_psi_annihilates_lambda():
 
 
 def test_reduction_rows_built_once_per_field(monkeypatch):
-    # the P-adic rings share the field's rows instead of rebuilding them
+    # the rows of lambda^k, k >= L, belong to the field: building it and
+    # its P-adic rings rebuilds none
     import carlitz.cyclotomic
-    import carlitz.padics
     calls = []
-    real = carlitz.padics.lambda_power_rows
+    real = carlitz.cyclotomic.lambda_power_rows
 
     def counting(psi):
         calls.append(len(psi))
         return real(psi)
-    monkeypatch.setattr(carlitz.padics, "lambda_power_rows", counting)
     monkeypatch.setattr(carlitz.cyclotomic, "lambda_power_rows", counting)
     monkeypatch.setattr(CycField, "_instances", {})
     cyc = cyc_of("T^2+1", F3)
-    cyc.padic_ring(3)
-    cyc.padic_ring(4)
+    cyc.padic_ring(3).elem(lam(cyc).coords)
+    cyc.padic_ring(4).elem(lam(cyc).coords)
     assert len(calls) == 1
-    assert cyc.padic_ring(4).rows is cyc.rows
+
+
+def test_padic_ring_builds_its_series_once():
+    # one lambda table per (P, N), built on the first element; a ring
+    # that only serves its context (l-values --place P, fitting) builds
+    # no series at all
+    from carlitz.core import padic_exp, padic_log
+    cyc = cyc_of("T^3+T+1", F2)
+    PadicClassSumTable(cyc.P, 5)
+    odd_fitting_report(cyc, 5)
+    ring = cyc.padic_ring(5)
+    assert ring.builds == 0 and ring._n == 0 and not ring._unit_series
+    x = ring.elem(lam(cyc).coords).mul_scalar_poly(cyc.P)
+    assert ring.builds == 1
+    padic_log(padic_exp(x))
+    embed_padic(lam(cyc, cyc.F) * lam(cyc, cyc.F), 5)
+    assert ring.builds == 1
+    assert cyc.padic_ring(5) is ring and cyc.padic_ring(4).builds == 0
 
 
 @pytest.mark.parametrize("s,F", PAIRS + [("T+1", F2)])

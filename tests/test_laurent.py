@@ -72,13 +72,14 @@ def _strip(cs):
 
 
 F5 = make_field(5)
-# small length pairs over every field; over a prime field also the pairs on
+# small length pairs over every field, (1, 1) and (1, 12) through the
+# scaling branch of a one-term factor; over a prime field also the pairs on
 # both sides of its one- to two-byte slot boundary, as in
 # test_mul_every_coefficient_p_minus_1: a slot holds min(la, lb)*(p-1)^2
 ORACLE_CASES = [pytest.param(F, la, lb, id="%r-%d-%d" % (F, la, lb))
                 for F in (F2, F3, F5, make_field(3, 2), make_field(3, 3),
                           make_field(2, 3), make_field(2, 8))
-                for la, lb in [(1, 12), (12, 12), (25, 40)]]
+                for la, lb in [(1, 1), (1, 12), (12, 12), (25, 40)]]
 ORACLE_CASES += [pytest.param(F, la, lb, id="%r-%d-%d" % (F, la, lb))
                  for F, pairs in [(F2, [(255, 256), (256, 256)]),
                                   (F3, [(63, 64), (64, 64)]),

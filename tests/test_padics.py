@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from carlitz.cyclotomic import CycField
+from carlitz.core import CarlitzTables, carlitz_act, padic_exp, padic_log
+from carlitz.cyclotomic import CycField, lambda_power_rows
 from carlitz.fields import make_field, residue_field, residue_rep
-from carlitz.padics import (CycPadicRing, PadicContext, embed_poly_to_padic,
-                            lambda_power_rows)
+from carlitz.padics import PadicContext, embed_poly_to_padic
 from carlitz.polynomials import Poly, parse_poly
 from enumeration import xgcd
+from padic_oracle import CycPadicRing
 
 F3 = make_field(3)
 F2 = make_field(2)
@@ -215,7 +216,8 @@ def _draw_elem(data, ring, prec):
 def test_mul_and_frobq_precision_sound(qP, p, data):
     # the same elements known mod P^p and mod P^2p: the low results must
     # hold every digit they claim, and claim the p digits of their input
-    ring = _desk_cyc(qP).padic_ring(2 * p)
+    cyc = _desk_cyc(qP)
+    ring = CycPadicRing(cyc.padic_ring(2 * p).ctx, cyc.rows)
     x, y = _draw_elem(data, ring, 2 * p), _draw_elem(data, ring, 2 * p)
     xl, yl = x.truncate(p), y.truncate(p)
     for lo, hi in ((xl * yl, x * y), (xl * y, x * y), (xl.frobq(), x.frobq())):
@@ -237,3 +239,132 @@ def test_teichmuller_precision_sound(qP, N, data):
         z = high.reduce(z.frob_power(cyc.q))
     assert z == h and (h - residue_rep(cyc.P, c)) % cyc.P == Poly.zero(cyc.Fq)
     assert low.teichmuller(c) == low.reduce(h), (qP, N, c)
+
+
+# -- the uniformizer model O_{K,P} = F[[mu]] against the oracle ---------------
+
+MODEL_PRIMES = [(2, "T^2+T+1"), (2, "T^3+T+1"), (3, "T^2+1"), (3, "T^3+2*T+1")]
+
+
+def _coords(data, cyc, prec):
+    digits = st.lists(st.integers(0, cyc.q - 1), max_size=prec * cyc.d)
+    return [Poly(cyc.Fq, data.draw(digits)) for _ in range(cyc.L)]
+
+
+def _in_m2(cyc, coords):
+    # v_m >= 2: the first two coordinates need a factor P
+    return [c * cyc.P if i < 2 else c for i, c in enumerate(coords)]
+
+
+def _scalar(data, cyc):
+    return Poly(cyc.Fq, data.draw(st.lists(st.integers(0, cyc.q - 1),
+                                           min_size=1, max_size=3 * cyc.d)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(MODEL_PRIMES), st.integers(2, 3), st.data())
+def test_model_matches_the_oracle(qP, N, data):
+    # the model's results are the oracle's converted through MuRing.elem,
+    # which is a ring hom; vm and prec agree too
+    cyc = _desk_cyc(qP)
+    ring = cyc.padic_ring(N)
+    orc = CycPadicRing(ring.ctx, cyc.rows)
+
+    def same(o, m):
+        assert o.prec == m.prec and o.vm() == m.vm(), qP
+        assert ring.elem(o.coords, o.prec).digits == m.digits, qP
+
+    cx, cy = _coords(data, cyc, N), _coords(data, cyc, N)
+    x, y = orc.elem(cx), orc.elem(cy)
+    X, Y = ring.elem(cx), ring.elem(cy)
+    a = _scalar(data, cyc)
+    same(x, X)
+    same(x * y, X * Y)
+    same(x + y, X + Y)
+    same(-x, -X)
+    same(x.frobq(), X.frobq())
+    same(x.mul_scalar_poly(a), X.mul_scalar_poly(a))
+    i = data.draw(st.integers(1, 3))
+    tab = CarlitzTables(cyc.Fq)
+    for den, v in ((tab.D(i), tab.vP_D(i, cyc.d)), (tab.L(i), tab.vP_L(i, cyc.d))):
+        if v < N:
+            Pv = ring.ctx.P_pow(v)
+            same(x.mul_scalar_poly(Pv).div_scalar_poly(den, v),
+                 X.mul_scalar_poly(Pv).div_scalar_poly(den, v))
+    cz = _in_m2(cyc, _coords(data, cyc, N))
+    z, Z = orc.elem(cz), ring.elem(cz)
+    if (Z.vm() or 2) >= 2:
+        same(padic_exp(z), padic_exp(Z))
+        same(padic_log(z), padic_log(Z))
+    same(carlitz_act(cyc.P, x), carlitz_act(cyc.P, X))
+
+
+@pytest.mark.parametrize("qP", MODEL_PRIMES, ids=lambda qP: "%d-%s" % qP)
+def test_sigma_b_multiplies_mu_by_b(qP):
+    # sigma_b(lambda) = phi_b(lambda) is lambda(b mu): digit k of lambda
+    # times b^k, from the Carlitz action in the model and from the exact
+    # A-coordinates of sigma_b(lambda)
+    cyc = _desk_cyc(qP)
+    F, ring = cyc.F, cyc.padic_ring(3)
+    lam = ring.elem([Poly.zero(cyc.Fq), Poly.one(cyc.Fq)]
+                    + [Poly.zero(cyc.Fq)] * (cyc.L - 2))
+    assert lam.vm() == 1
+    for b in cyc.units():
+        want = [F.mul(F.pow(b, k), a) for k, a in enumerate(lam.digits)]
+        assert carlitz_act(cyc.unit_rep_poly(b), lam).digits == want, b
+        assert ring.elem(cyc.sigma_lambda(b)).digits == want, b
+
+
+@pytest.mark.parametrize("qP", MODEL_PRIMES + [(3, "T+1")],
+                         ids=lambda qP: "%d-%s" % qP)
+def test_model_uniformizer_and_torsion(qP):
+    # P = -mu^L, and phi_P(lambda) = 0 to every digit
+    cyc = _desk_cyc(qP)
+    ring = cyc.padic_ring(4)
+    zero = [Poly.zero(cyc.Fq)] * cyc.L
+    P = ring.elem([cyc.P] + zero[1:])
+    assert P.digits == [0] * cyc.L + [cyc.F.neg(1)] + [0] * (3 * cyc.L - 1)
+    lam = ring.elem(zero[:1] + [Poly.one(cyc.Fq)] + zero[2:])
+    acc, pw = ring.elem(zero), lam
+    for c in cyc.phi_coeffs:  # phi_P(lambda) = lambda psi_P(lambda)
+        acc = acc + pw.mul_scalar_poly(c)
+        pw = pw.frobq()
+    assert acc.vm() is None
+
+
+# -- precision soundness of the model ------------------------------------------
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(MODEL_PRIMES + [(3, "T+1")]), st.integers(1, 3),
+       st.data())
+def test_model_precision_sound(qP, N, data):
+    # every operation on the same inputs in the rings mod P^N and mod
+    # P^2N: the low result claims the stated precision and holds every
+    # digit of the high one that it claims
+    cyc = _desk_cyc(qP)
+    lo, hi = cyc.padic_ring(N), cyc.padic_ring(2 * N)
+    cx, cy = _coords(data, cyc, 2 * N), _coords(data, cyc, 2 * N)
+    cz = _in_m2(cyc, _coords(data, cyc, 2 * N))
+    a = _scalar(data, cyc)
+    i = data.draw(st.integers(1, 3))
+    tab = CarlitzTables(cyc.Fq)
+    den, v = tab.D(i), tab.vP_D(i, cyc.d)
+    ops = {
+        "elem": lambda r: r.elem(cx),
+        "mul": lambda r: r.elem(cx) * r.elem(cy),
+        "add": lambda r: r.elem(cx) + r.elem(cy),
+        "frobq": lambda r: r.elem(cx).frobq(),
+        "scalar": lambda r: r.elem(cx).mul_scalar_poly(a),
+        "act": lambda r: carlitz_act(cyc.P, r.elem(cx)),
+    }
+    if v < N:
+        ops["div"] = lambda r: r.elem(cx).mul_scalar_poly(
+            r.ctx.P_pow(v)).div_scalar_poly(den, v)
+    if (lo.elem(cz).vm() or 2) >= 2:
+        ops["exp"] = lambda r: padic_exp(r.elem(cz))
+        ops["log"] = lambda r: padic_log(r.elem(cz))
+    for name, op in ops.items():
+        low, high = op(lo), op(hi)
+        want = N - v if name == "div" else N
+        assert low.prec == want and high.prec == want + N, (name, qP)
+        assert low.digits == high.truncate(low.prec).digits, (name, qP)

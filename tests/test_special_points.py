@@ -164,35 +164,23 @@ def test_padic_special_point_in_m_squared():
 
 
 def test_padic_odd_part_collapse_mod_P():
-    # e_chi L_{m,P} = 0 for odd chi, m >= 2; checked mod P where the
-    # character values act through their polynomial representatives
+    # e_chi L_{m,P} = 0 for odd chi, m >= 2; checked mod P, where sigma_b
+    # multiplies the mu-digit k by b^k (sigma_b(mu) = b mu), so
+    # sum_b chi(b)^{-1} sigma_b(x) keeps digit k times sum_b b^{k - n}
     cyc = _cyc("T^2+1", F3)
-    ring = cyc.padic_ring(1)
-    Pq = cyc.P
-
-    def sigma_coords(bb, coords):
-        # lambda |-> sigma_b(lambda) coordinate-wise; phi_b only moves
-        # torsion points, not arbitrary elements
-        out = [Poly.zero(F3)] * cyc.L
-        for i, c in enumerate(coords):
-            if c.is_zero():
-                continue
-            for j, p in enumerate(cyc.sigma_power(bb, i)):
-                out[j] = divmod(out[j] + c * p, Pq)[1]
-        return out
-
+    F = cyc.F
     for m in (2, 3):
         sp = special_point_padic(cyc, m, 1)
         for chi in all_characters(cyc):
             if not chi.is_odd():
                 continue
-            acc = [Poly.zero(F3)] * cyc.L
+            proj = [0] * cyc.L
             for bb in cyc.units():
-                sc = sigma_coords(bb, sp.coords)
-                cp = cyc.unit_rep_poly(chi.inv()(bb))
-                acc = [divmod(a + cp * s, Pq)[1] for a, s in zip(acc, sc)]
-            proj = ring.elem([-a for a in acc], 1)
-            assert proj.vm() is None, (m, chi.n)
+                w = chi.inv()(bb)
+                proj = [F.add(a, F.mul(w, F.mul(F.pow(bb, k), x)))
+                        for k, (a, x) in enumerate(zip(proj, sp.digits))]
+            assert not any(proj), (m, chi.n)
+            assert sp.digits[chi.n] == 0, (m, chi.n)
 
 
 def test_anderson_identity_m_one_through_five():
@@ -201,6 +189,26 @@ def test_anderson_identity_m_one_through_five():
         for m in range(1, 6):
             rep = verify_anderson(cyc, m, N, 12)
             assert rep.passed(), (Pstr, m, [c.as_dict() for c in rep.checks])
+
+
+def test_anderson_failure_names_the_first_bad_digit(monkeypatch):
+    # a right-hand side off by mu^k fails, and the report names digit k
+    from carlitz import special_points
+    from carlitz.padics import MuElem
+    cyc = _cyc("T^3+T+1", F2)
+    real = special_points.embed_padic
+
+    def corrupted(x, N):
+        y = real(x, N)
+        digits = [0] * len(y.digits)
+        digits[k] = 1
+        return y + MuElem(y.ring, digits, N)
+    monkeypatch.setattr(special_points, "embed_padic", corrupted)
+    for m, k in ((1, 9), (2, 20)):
+        rep = verify_anderson(cyc, m, 4, 12)
+        check = rep.checks[-1].as_dict()
+        assert check["status"] == "fail", (m, check)
+        assert check["detail"] == {"first_bad_digit": str(k)}, (m, check)
 
 
 def test_cnf_suite_passes():
