@@ -15,7 +15,6 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from .core import bc_stream_mod_P, padic_exp, padic_log
 from .cyclotomic import CycField, all_characters
@@ -31,18 +30,15 @@ SUITES = ("cnf", "anderson", "b1", "cong", "euler", "charpoly",
 FORMATS = ("json", "csv", "text")
 
 
-@dataclass
 class RunConfig:
-    q: int
-    P_text: str
-    depth: int = 16
-    N: int = 6
-    guard: int = 6
-    format: str = "text"
-    out: str = None
-    suites: str = "all"
-    max_deg_f: int = 3
-    max_n: int = None
+    KEYS = ("q", "P_text", "depth", "N", "guard", "format", "out", "suites",
+            "max_deg_f", "max_n")
+
+    def __init__(self, q, P_text, depth=16, N=6, guard=6, format="text",
+                 out=None, suites="all", max_deg_f=3, max_n=None):
+        self.q, self.P_text, self.depth, self.N = q, P_text, depth, N
+        self.guard, self.format, self.out = guard, format, out
+        self.suites, self.max_deg_f, self.max_n = suites, max_deg_f, max_n
 
     def as_dict(self):
         # "threads" is a constant left from a removed option: reports and
@@ -67,7 +63,7 @@ class RunConfig:
 
 def _read_config_file(path):
     """key = value lines, '#' comments; the keys are RunConfig's fields."""
-    keys = RunConfig.__dataclass_fields__
+    keys = RunConfig.KEYS
     out = {}
     try:
         with open(path) as fh:
@@ -138,7 +134,7 @@ def make_config(args):
     vals = {}
     if getattr(args, "config", None):
         vals.update(_read_config_file(args.config))
-    for k in RunConfig.__dataclass_fields__:
+    for k in RunConfig.KEYS:
         v = getattr(args, k, None)
         if v is not None:
             vals[k] = v
@@ -350,8 +346,8 @@ def render(cfg, reports, elapsed_ms):
     doc = {"config": cfg.as_dict(),
            "suite_results": [r.as_dict() for r in reports],
            "timing_ms": elapsed_ms}
-    if cfg.format == "json":
-        return json.dumps(doc) + "\n"
+    if cfg.format == "json":  # a fresh tree: no cycle to check for
+        return json.dumps(doc, check_circular=False) + "\n"
     if cfg.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)

@@ -10,8 +10,6 @@ base-q digits of n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .fields import residue_field
 from .laurent import LaurentSeries
 from .polynomials import Poly, RatFunc
@@ -292,13 +290,12 @@ def _padic_orbit_sum(z, kind):
 # -- Bernoulli-Carlitz numbers -------------------------------------------------
 
 
-@dataclass
 class BCValue:
     """Bernoulli-Carlitz data at index n: BC'_n from X/exp_C(X) and
     BC_n = BC'_n * Pi(n)."""
-    n: int
-    bc_prime: RatFunc
-    bc: RatFunc
+
+    def __init__(self, n, bc_prime, bc):
+        self.n, self.bc_prime, self.bc = n, bc_prime, bc
 
     def is_zero(self):
         return self.bc_prime.is_zero()
@@ -317,32 +314,65 @@ def bc_exact(n, field):
 
 
 def bc_stream_mod_P(P, n_max):
-    """Residues of BC'_0..BC'_{n_max} in A/PA.
-
-    Valid for n_max <= q^d - 2: the recurrence only involves D_i with
-    i < d, all P-units in that range.  Makes O(n_max * d) table lookups:
-    a product by 1/D_i is exp[log(prev) + log(1/D_i) - (q^d - 1)], whose
-    negative index wraps, so needs no reduction (without tables: F.mul).
+    """Residues of BC'_0..BC'_{n_max} in A/PA, for n_max <= q^d - 2, by
+    BC'_n = sum_{0<i<d} (-1/D_i) BC'_{n - (q^i - 1)}: the D_i with i < d
+    are P-units.  z/e_C(z) is a series in z^{q-1}, so the stream visits
+    only k = n/(q - 1), with taps s_i = (q^i - 1)/(q - 1).  With tables it
+    keeps logarithms and makes no field call beyond d_inverses_mod_P: odd
+    fields add through the Zech table (None for log 0); characteristic 2
+    XORs exp[log + tap] into the sum, with log 0 = 2(q^d - 1) pointing
+    into a run of zeros appended to exp.  Without tables: F.add, F.mul.
     """
     F = residue_field(P)
     q = P.field.order
     d = int(P.degree)
-    if n_max > q ** d - 2:
+    M = q ** d - 1
+    if n_max > M - 1:
         raise ValueError("streaming recurrence needs n_max <= q^d - 2")
-    dinv = d_inverses_mod_P(P)
-    log, exp, add, neg, mul = F._log, F._exp, F.add, F.neg, F.mul
-    steps = [(q ** i, c if log is None else log[c] - (q ** d - 1))
-             for i, c in enumerate(dinv) if i]
-    out = [1]  # BC'_0
-    for N in range(2, n_max + 2):
-        acc = 0
-        for qi, c in steps:
-            if qi > N:
-                break
-            prev = out[N - qi]
-            if prev:
-                acc = add(acc, mul(prev, c) if log is None else exp[log[prev] + c])
-        out.append(neg(acc))
+    K = n_max // (q - 1)
+    steps = [((q ** i - 1) // (q - 1), c)
+             for i, c in enumerate(d_inverses_mod_P(P)) if i]
+    pad = max((s for s, _ in steps), default=0)  # k - s_i >= -pad
+    log, exp, zech = F._log, F._exp, F._zech
+    if log is None:
+        vals = [0] * pad + [1]
+        for k in range(pad + 1, pad + K + 1):
+            acc = 0
+            for s, c in steps:
+                acc = F.add(acc, F.mul(vals[k - s], c))
+            vals.append(F.neg(acc))
+    else:
+        # log(-1/D_i); -1 = g^(M/2) in odd characteristic
+        taps = [(s, (log[c] + (M // 2 if F.p != 2 else 0)) % M)
+                for s, c in steps]
+        if F.p == 2:
+            zero = 2 * M
+            ex, lz = exp * 2 + [0] * M, log[:]
+            lz[0] = zero
+            lg = [zero] * pad + [0]
+            for k in range(pad + 1, pad + K + 1):
+                acc = 0
+                for s, t in taps:
+                    acc ^= ex[lg[k - s] + t]
+                lg.append(lz[acc])
+            vals = [ex[l] for l in lg]
+        else:
+            lg = [None] * pad + [0]
+            for k in range(pad + 1, pad + K + 1):
+                acc = None
+                for s, t in taps:
+                    l = lg[k - s]
+                    if l is not None:
+                        l += t
+                        if acc is None:
+                            acc = l
+                        else:
+                            z = zech[(l - acc) % M]
+                            acc = None if z is None else acc + z
+                lg.append(None if acc is None else acc % M)
+            vals = [0 if l is None else exp[l] for l in lg]
+    out = [0] * (n_max + 1)
+    out[::q - 1] = vals[pad:]
     return out
 
 

@@ -5,12 +5,13 @@ An element of a field with ``p**e`` elements is a plain int in
 representative in base ``p`` (constant digit first).  Extension fields
 keep eager log/exp tables whenever the order is at most ``TABLE_LIMIT``,
 so multiplication and inversion are table lookups.  The tables walk the
-powers of the least primitive element ``g``, each step a product by ``g``
-by Horner's rule in ``g``'s digits: shift one digit up and fold the top
-digit back through the monic modulus (in characteristic 2, a shift and
-an XOR).  Fields without tables multiply by ``_mul_poly``: the ``Poly``
-product of the two digit vectors over the base field (one Kronecker
-product over a prime base, see polynomials.py), reduced mod the modulus.
+powers of the least primitive element ``g`` on int codes, each step a
+product by ``g`` by Horner's rule in ``g``'s digits: times ``X`` shifts
+one digit up and adds the top digit ``t`` back as ``t*(X^m - modulus)``
+by two lookups, one per half of the code (over ``F_2``, an XOR).  Fields
+without tables multiply by ``_mul_poly``: the ``Poly`` product of the two
+digit vectors over the base field (one Kronecker product over a prime
+base, see polynomials.py), reduced mod the modulus.
 
 Addition takes one of three paths, none of which recurses through the
 tower of base fields:
@@ -21,7 +22,9 @@ tower of base fields:
 * odd extensions with tables keep Zech logarithms, ``Z[k] = log(1 +
   g^k)`` (``None`` where ``1 + g^k = 0``), so ``g^i + g^j = g^(i +
   Z[j - i])`` and ``-g^i = g^(i + (order - 1)/2)`` are lookups (Lidl
-  and Niederreiter, *Finite Fields*, on Zech logarithms).
+  and Niederreiter, *Finite Fields*, on Zech logarithms).  ``Z`` takes
+  no field call per element: over ``F_p``, ``1 + x`` is ``x + 1``, or
+  ``x - (p - 1)`` where the constant digit is ``p - 1``.
 
 Odd extensions above ``TABLE_LIMIT`` add digit by digit through the
 base field (``_add_digits``), which is also the tests' oracle.
@@ -232,15 +235,16 @@ class FiniteField:
         self._exp, self._log = exp, log
         if self.base is not None and self.p != 2:
             # Zech logarithms Z[k] = log(1 + g^k); 1 + x moves only the
-            # constant digit, so each entry is one base-field add
-            bb, badd = self.base.order, self.base.add
-            self._zech = [log[x - x % bb + badd(x % bb, 1)] for x in exp]
+            # constant digit c, by step[c] (over F_p: 1, or 1 - p at c = p - 1)
+            bb = self.base.order
+            step = [self.base.add(c, 1) - c for c in range(bb)]
+            self._zech = [log[x + step[x % bb]] for x in exp]
             self._half = (n - 1) // 2  # -1 = g^half
 
     def _powers(self, g):
         """g^0, ..., g^(order - 2): x*g by Horner's rule in g's digits c,
         acc = acc*X + c*x, where times X shifts one digit up and folds the
-        top digit t back as the precomputed row t*(X^m - modulus)."""
+        top digit t back as t*(X^m - modulus)."""
         n, m, x = self.order, self.deg_over_base, 1
         base = self.base
         gd = self.digits(g)
@@ -258,21 +262,36 @@ class FiniteField:
                     acc = acc << 1 ^ (mod if acc >> m - 1 else 0) ^ (x if c else 0)
                 x = acc
         else:
-            badd, bmul = base.add, base.mul
-            fold = [[bmul(t, base.neg(c)) for c in self.modulus[:-1]]
-                    for t in range(base.order)]
-            xd = [1] + [0] * (m - 1)
+            # int codes: a digit-wise map of x is lo[x % bk] + hi[x // bk]
+            b, badd, bmul = base.order, base.add, base.mul
+            top, bk = b ** (m - 1), b ** ((m + 1) // 2)
+
+            def halves(dmap):
+                tabs = [[0], [0]]
+                for i in range(m):
+                    col = [dmap(i, v) * b ** i for v in range(b)]
+                    h = tabs[b ** i >= bk]
+                    h[:] = [c + u for c in col for u in h]
+                return tabs
+            # fold[t]: + t*(X^m - modulus); scale[c]: times the digit c
+            fold = [None] + [halves(lambda i, v, t=t: badd(
+                v, bmul(t, base.neg(self.modulus[i]))))
+                for t in range(1, b if m > 1 else 1)]
+            scale = {c: halves(lambda i, v, c=c: bmul(c, v)) for c in gd if c}
+            lo, hi = scale[gd[-1]]
             for _ in range(n - 1):
-                yield self.from_digits(xd)
-                acc = xd if gd[-1] == 1 else [bmul(gd[-1], b) for b in xd]
+                yield x
+                acc = x if gd[-1] == 1 else lo[x % bk] + hi[x // bk]
                 for c in gd[-2::-1]:
-                    acc = [0] + acc
-                    t = acc.pop()
+                    t, r = divmod(acc, top)
+                    acc = r * b
                     if t:
-                        acc = list(map(badd, acc, fold[t]))
+                        f_lo, f_hi = fold[t]
+                        acc = f_lo[acc % bk] + f_hi[acc // bk]
                     if c:
-                        acc = [badd(a, bmul(c, b)) for a, b in zip(acc, xd)]
-                xd = acc
+                        s_lo, s_hi = scale[c]
+                        acc = self._add_digits(acc, s_lo[x % bk] + s_hi[x // bk])
+                x = acc
 
     # -- misc ---------------------------------------------------------------
 

@@ -19,7 +19,6 @@ with the Euler factor at P removed, i.e. (1 - 1/P) L(1,1).  The q=2
 closed form L(1,1) = pi_bar/(T^2+T) refers to the inclusive value.
 """
 
-from dataclasses import dataclass, field as dc_field
 import random
 
 from .core import (CarlitzTables, bc_exact, bc_stream_mod_P, carlitz_act,
@@ -37,13 +36,10 @@ from .polynomials import Poly, RatFunc, format_poly, rat_reduce_mod_P
 # -- reports ----------------------------------------------------------------------
 
 
-@dataclass
 class CheckResult:
-    id: str
-    status: str                   # "pass" | "fail" | "indeterminate"
-    lhs_precision: object = None
-    rhs_precision: object = None
-    detail: dict = dc_field(default_factory=dict)
+    def __init__(self, id, status, lhs_precision, rhs_precision, detail):
+        self.id, self.status, self.detail = id, status, detail
+        self.lhs_precision, self.rhs_precision = lhs_precision, rhs_precision
 
     def as_dict(self):
         return {"id": self.id, "status": self.status,
@@ -52,11 +48,9 @@ class CheckResult:
                 "detail": {k: str(v) for k, v in self.detail.items()}}
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    params: dict
-    checks: list = dc_field(default_factory=list)
+    def __init__(self, suite, params):
+        self.suite, self.params, self.checks = suite, params, []
 
     def add(self, check_id, ok, lhs_prec=None, rhs_prec=None,
             indeterminate=False, reason=None, **detail):

@@ -204,7 +204,9 @@ def test_bad_config_file_exits_2(tmp_path, capsys, text, why):
     err = capsys.readouterr().err
     assert why in err and err.count("\n") == 1
     if "unknown" in why:
-        assert "P_text" in err and "max_deg_f" in err
+        assert err.rstrip().endswith(
+            "(valid: q, P_text, depth, N, guard, format, out, suites, "
+            "max_deg_f, max_n)")
 
 
 @pytest.mark.parametrize("argv, why", [
@@ -245,3 +247,18 @@ def test_cli_runs_without_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == ["0", "False"]
+
+
+def test_cli_import_skips_dataclasses():
+    # dataclasses imports inspect (and with it ast, dis and tokenize):
+    # the report and config classes are plain classes, so a fresh
+    # interpreter running the CLI loads neither
+    src = str(pathlib.Path(lvalues.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "import carlitz.cli\n"
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["False", "False"]

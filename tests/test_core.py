@@ -351,14 +351,51 @@ def test_bc_stream_matches_field_call_oracle(q, Pstr):
     assert bc_stream_mod_P(P, n_max) == _bc_stream_oracle(P, n_max)
 
 
+@pytest.mark.parametrize("q,Pstr", STREAM_PRIMES)
+def test_bc_stream_small_ranges(q, Pstr):
+    # every n_max from 2 up past each tap boundary q^i - 1 gives the
+    # oracle's prefix, with the entries off the multiples of q - 1 zero
+    P = parse_poly(Pstr, make_field(q))
+    d = int(P.degree)
+    cuts = {2, q - 1, q} | {q ** i - 1 + e for i in range(1, d)
+                            for e in (-1, 0, 1)}
+    cuts = sorted(n for n in cuts if 2 <= n <= q ** d - 2)
+    want = _bc_stream_oracle(P, cuts[-1])
+    for n_max in cuts:
+        got = bc_stream_mod_P(P, n_max)
+        assert got == want[:n_max + 1], n_max
+        assert not any(got[n] for n in range(n_max + 1) if n % (q - 1)), n_max
+
+
+@pytest.mark.parametrize("q,Pstr", STREAM_PRIMES)
+def test_bc_stream_makes_no_field_calls(monkeypatch, q, Pstr):
+    # with tables the stream's only field calls are d_inverses_mod_P's,
+    # whatever n_max is
+    P = parse_poly(Pstr, make_field(q))
+    residue_field(P)  # built (and cached) before counting
+    calls = []
+    for name in ("add", "sub", "neg", "mul", "inv", "pow"):
+        meth = getattr(fields.FiniteField, name)
+        monkeypatch.setattr(fields.FiniteField, name,
+                            lambda *a, meth=meth: calls.append(1) or meth(*a))
+    d_inverses_mod_P(P)
+    dinv_calls = len(calls)
+    for n_max in (2, q ** int(P.degree) - 2):
+        calls.clear()
+        bc_stream_mod_P(P, n_max)
+        assert len(calls) <= dinv_calls, n_max
+
+
 def test_bc_stream_without_tables(monkeypatch):
-    # a residue field above TABLE_LIMIT multiplies with F.mul
-    P = parse_poly("T^3+T+1", F2)
+    # a residue field above TABLE_LIMIT multiplies with F.mul, in
+    # characteristic 2 and in odd characteristic
     monkeypatch.setattr(fields, "TABLE_LIMIT", 4)
-    F = residue_field.__wrapped__(P)
-    assert F._log is None
-    monkeypatch.setattr(core, "residue_field", lambda _: F)
-    assert bc_stream_mod_P(P, 6) == _bc_stream_oracle(P, 6)
+    for P, n_max in ((parse_poly("T^3+T+1", F2), 6),
+                     (parse_poly("T^3+2*T+1", F3), 25)):
+        F = residue_field.__wrapped__(P)
+        assert F._log is None
+        monkeypatch.setattr(core, "residue_field", lambda _, F=F: F)
+        assert bc_stream_mod_P(P, n_max) == _bc_stream_oracle(P, n_max)
 
 
 def test_bc_stream_range_guard():

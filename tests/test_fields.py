@@ -144,6 +144,12 @@ def _tabled_fields():
     yield residue_field(parse_poly("T+1", make_field(5)))
     yield residue_field(parse_poly("T+1", make_field(2, 2)))
     yield from (residue_field(parse_poly(P, make_field(q))) for q, P in SCAN_PRIMES)
+    # the int-code walk: both half tables of a fold nontrivial (m = 5, 4),
+    # g's top digit 2 (g = 2X, then 2X + 1: a lower digit's c*x too)
+    yield make_field(5, 4)
+    for P, g in (("T^5+2*T+2", "2X"), ("T^5+2*T^4+2*T^3+2*T^2+1", "2X+1")):
+        yield pytest.param(residue_field(parse_poly(P, make_field(3))),
+                           id="GF(3^5)-g=" + g)
 
 
 def _mul_order(F, c):
@@ -187,6 +193,20 @@ def test_scan_table_build_skips_schoolbook(monkeypatch):
     F = residue_field.__wrapped__(P)  # a fresh build, not the cached field
     assert F.order == 2 ** 14 and F._log is not None
     assert len(calls) < 500
+
+
+def test_scan_table_build_adds_by_lookup(monkeypatch):
+    # the int-code walk adds through tables built with b*m base-field adds
+    # per fold digit t, and Zech logarithms need b more; the digit-list
+    # walk and the per-element Zech add made about 138k calls
+    calls = []
+    add = FiniteField.add
+    monkeypatch.setattr(FiniteField, "add",
+                        lambda self, a, b: calls.append(1) or add(self, a, b))
+    P = parse_poly(SCAN_PRIMES[0][1], make_field(3))
+    F = residue_field.__wrapped__(P)  # a fresh build, not the cached field
+    assert F.order == 3 ** 9 and F._zech is not None
+    assert len(calls) < 1000
 
 
 def test_residue_field_structure():
