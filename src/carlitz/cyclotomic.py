@@ -108,6 +108,27 @@ def frob_coords(rows, u, q, zero):
                        zero)
 
 
+def lambda_traces(rows):
+    """Tr(lambda^j) in A for j = 0 .. 2L - 2, from the reduction rows.
+    Multiplication by lambda^j has trace sum_i coord_i(lambda^{i+j}): L
+    at j = 0, rows[i + j - L][i] summed over i >= L - j below L, and
+    beyond, lambda^j = sum_i rows[j - L][i] lambda^i makes t_j the sum of
+    rows[j - L][i] t_i."""
+    L, Fq = len(rows[0]), rows[0][0].field
+    t = [Poly(Fq, [L % Fq.p])]
+    for j in range(1, L):
+        t.append(sum((rows[i + j - L][i] for i in range(L - j, L)),
+                     Poly.zero(Fq)))
+    for j in range(L, 2 * L - 1):
+        t.append(_dot(rows[j - L], t))
+    return t
+
+
+def _dot(u, v):
+    """sum u_k v_k over Polys, skipping zeros."""
+    return sum((a * b for a, b in zip(u, v) if a and b), Poly.zero(v[0].field))
+
+
 class CycField:
     """Precomputed data for one cyclotomic field K = k(lambda_P).
 
@@ -227,20 +248,22 @@ class CycField:
     def tau_dual(self):
         """The L x L matrix over F(T) whose entry [m][n] is the coefficient
         of tau(omega^n) in lambda^m.  The Gauss-Thakur sums span the
-        chi-lines of F tensor K (Thakur 1988), so each exact
-        chi-component is a coordinate in this basis: the inverse of the
-        matrix whose rows are the tau's, from one reduction of [tau | I]."""
+        chi-lines of F tensor K (Thakur 1988), and the trace form pairs
+        the chi-line with the chi^{-1}-line only, so the coefficient of
+        tau(chi) in x is Tr(x tau(chi^{-1})) / D_chi, where D_chi =
+        Tr(tau(chi) tau(chi^{-1})) is L (-1)^d P (L for trivial chi)."""
         def build():
             F, L = self.F, self.L
-            zero, one = RatFunc.zero(F), RatFunc.one(F)
-            rows = [[RatFunc.from_poly(c)
-                     for c in gauss_thakur(Character(self, n)).coords]
-                    + [one if k == n else zero for k in range(L)]
-                    for n in range(L)]
-            pivots, _ = row_reduce(rows, OBJECT_OPS)
-            if pivots != list(range(L)):
-                raise ArithmeticError("the Gauss-Thakur sums are not a basis")
-            return [row[L:] for row in rows]
+            t = [_embed_poly(c, F) for c in lambda_traces(self.rows)]
+            cols = []
+            for n in range(L):
+                inv = gauss_thakur(Character(self, -n)).coords
+                num = [_dot(inv, t[m:]) for m in range(L)]
+                D = _dot(gauss_thakur(Character(self, n)).coords, num)
+                if D.is_zero():
+                    raise ArithmeticError("the Gauss-Thakur sums are not a basis")
+                cols.append([RatFunc(c, D) for c in num])
+            return [list(row) for row in zip(*cols)]
         return self.memo(("tau_dual",), build)
 
     def units(self):

@@ -1,15 +1,19 @@
 """Laurent series at the infinite place and the ramified extension holding
 the Carlitz period.
 
-A LaurentSeries stores coefficients of T^{-n} for n in [val, prec): the
-valuation v(T) = -1 convention, so val is the infinity-adic valuation and
-prec is the first unknown exponent.  A series that is zero as far as it
+A LaurentSeries stores coefficients of T^{-n} (of Y^{-n} inside a
+RamifiedElem) for n in [val, prec): the valuation v(T) = -1 convention,
+so val is the infinity-adic valuation and prec is the first unknown
+exponent.  A series that is zero as far as it
 is known has val == prec and an empty coefficient list.  Products go
 through polynomials.mul_coeffs and q-th powers through Poly.frob_power.
 
-RamifiedElem models k_inf[Y]/(Y^{q-1} + T), coefficientwise Laurent.
-Valuations there are reported in w-units, w = (q-1) * v, so that
-w(Y) = -1 and everything stays integral.
+RamifiedElem models K_inf = k_inf(Y), Y^{q-1} = -T, which is totally
+ramified of degree q - 1 over k_inf: 1/Y is a uniformizer, and an element
+is one LaurentSeries in 1/Y.  Its valuation and precision are in w-units,
+w = (q-1) * v, so that w(Y) = -1 and everything stays integral.  Series
+in 1/T enter by the digit map T^{-n} = (-1)^n Y^{-(q-1)n}, and the view
+RamifiedElem.comps reads an element back as its q - 1 parts at Y^j.
 """
 
 from __future__ import annotations
@@ -145,10 +149,6 @@ class LaurentSeries:
         return LaurentSeries(F, self.val, [F.mul(c, a) for a in self.coeffs],
                              self.prec)
 
-    def shift(self, k):
-        """Multiply by T^k."""
-        return LaurentSeries(self.field, self.val - k, self.coeffs, self.prec - k)
-
     def inv(self):
         """By the recurrence of long division, this module's one product
         loop: at the widths verify uses (at most 9) it is about twice as fast
@@ -205,144 +205,102 @@ class LaurentSeries:
 
 
 class RamifiedElem:
-    """Element of k_inf[Y]/(Y^{q-1} + T), components indexed by Y^j.
+    """Element of K_inf = k_inf(Y), Y^{q-1} = -T, as one Laurent series s in
+    the uniformizer 1/Y.
 
-    Valuations and precisions are in w-units: w = (q-1) * v_inf, so
-    w(T^{-1}) = q-1 and w(Y) = -1.  The component at Y^j contributes
-    w-values congruent to -j mod q-1, hence distinct components never
-    collide and the minimum below is exact.
+    The extension is totally ramified of degree q - 1, so K_inf = F((1/Y))
+    and s.val, s.prec are the w-valuation and w-precision: w = (q-1) * v_inf,
+    w(Y) = -1 and w(T^{-1}) = q-1.  A series in 1/T enters through the digit
+    map T^{-n} = (-1)^n Y^{-(q-1)n}; comps reads the element back as the
+    q - 1 series in 1/T of its Y^j parts.
     """
 
-    __slots__ = ("q", "field", "comps")
+    __slots__ = ("q", "field", "s")
 
-    def __init__(self, q, field, comps):
-        if len(comps) != q - 1:
-            raise ValueError("RamifiedElem needs q - 1 components")
+    def __init__(self, q, s):
         self.q = q
-        self.field = field
-        self.comps = tuple(comps)
+        self.field = s.field
+        self.s = s
 
     @classmethod
     def zero(cls, q, field, wprec):
-        return cls(q, field, [LaurentSeries.zero(field, _lprec(wprec, j, q))
-                              for j in range(q - 1)])
+        return cls(q, LaurentSeries.zero(field, wprec))
 
     @classmethod
     def from_laurent(cls, s, q):
-        out = [s]
-        for j in range(1, q - 1):
-            out.append(LaurentSeries.zero(s.field, _lprec(s.prec * (q - 1), j, q)))
-        return cls(q, s.field, out)
+        """The series s in 1/T, through the digit map."""
+        return cls(q, _in_y(s, q))
 
     @classmethod
     def y(cls, q, field, wprec):
         """The chosen (q-1)-st root Y of -T (for q = 2, Y = -T itself)."""
-        if q == 2:
-            c = field.neg(1)
-            return cls.from_laurent(
-                LaurentSeries(field, -1, [c], wprec), q)
-        comps = [LaurentSeries.zero(field, _lprec(wprec, j, q)) for j in range(q - 1)]
-        comps[1] = LaurentSeries.const(field, 1, _lprec(wprec, 1, q))
-        return cls(q, field, comps)
+        return cls(q, LaurentSeries(field, -1, [1], wprec))
+
+    @property
+    def comps(self):
+        """Read-only view: component j is the series in 1/T of the Y^j
+        part, the digits with w = (q-1) n - j signed (-1)^n, known to
+        ceil((wprec + j) / (q-1))."""
+        s, e, F = self.s, self.q - 1, self.field
+        out = []
+        for j in range(e):
+            lo, hi = (-((-w - j) // e) for w in (s.val, s.prec))
+            cs = s.coeffs[e * lo - j - s.val::e]
+            out.append(LaurentSeries(F, lo, [_signed(F, lo + i, c)
+                                             for i, c in enumerate(cs)], hi))
+        return tuple(out)
 
     def wprec(self):
-        return min((self.q - 1) * c.prec - j for j, c in enumerate(self.comps))
+        return self.s.prec
 
     def wval(self):
         """Exact w-valuation, or None if zero to precision."""
-        best = None
-        for j, c in enumerate(self.comps):
-            v = c.valuation()
-            if v is not None:
-                w = (self.q - 1) * v - j
-                if best is None or w < best:
-                    best = w
-        return best
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.comps)
+        return self.s.valuation()
 
     def __add__(self, other):
-        return RamifiedElem(self.q, self.field,
-                            [a + b for a, b in zip(self.comps, other.comps)])
-
-    def __neg__(self):
-        return RamifiedElem(self.q, self.field, [-a for a in self.comps])
+        return RamifiedElem(self.q, self.s + other.s)
 
     def __sub__(self, other):
-        return self + (-other)
+        return RamifiedElem(self.q, self.s - other.s)
 
     def __mul__(self, other):
-        q, F = self.q, self.field
-        wp = min(self.wprec() + other.wval_or_prec(),
-                 other.wprec() + self.wval_or_prec())
-        out = [LaurentSeries.zero(F, _lprec(wp, j, q)) for j in range(q - 1)]
-        for i, a in enumerate(self.comps):
-            for j, b in enumerate(other.comps):
-                k = i + j
-                prod = a * b
-                if k >= q - 1:
-                    k -= q - 1
-                    # Y^{q-1} = -T: shift the Laurent part
-                    prod = (-prod).shift(1)
-                out[k] = out[k] + prod
-        return RamifiedElem(q, F, out)
-
-    def wval_or_prec(self):
-        v = self.wval()
-        return v if v is not None else self.wprec()
+        return RamifiedElem(self.q, self.s * other.s)
 
     def mul_laurent(self, s):
-        return RamifiedElem(self.q, self.field, [c * s for c in self.comps])
+        # the digit map spaces s's digits q - 1 apart: the sparse factor
+        # goes first, whose zeros mul_coeffs's loop over an extension skips
+        return RamifiedElem(self.q, _in_y(s, self.q) * self.s)
 
     def mul_scalar_poly(self, a):
         """Multiply by an exact element of A (F_q coefficients embed)."""
-        pr = max(c.prec for c in self.comps) + max(int(a.degree), 0) + 4 \
-            if not a.is_zero() else max(c.prec for c in self.comps)
+        # a's window reaches past every digit the product can certify
+        pr = (self.s.prec - self.s.val) // (self.q - 1) + 1
         return self.mul_laurent(LaurentSeries.from_poly(a, pr, self.field))
 
-    def scale(self, c):
-        return RamifiedElem(self.q, self.field, [x.scale(c) for x in self.comps])
-
     def frobq(self):
-        q, F = self.q, self.field
-        wp = self.wprec() * q
-        out = [LaurentSeries.zero(F, _lprec(wp, j, q)) for j in range(q - 1)]
-        for j, c in enumerate(self.comps):
-            if c.is_zero():
-                continue
-            cq = c.frobq(q)
-            jq = j * q
-            # reduce Y^{jq}: every q-1 steps contributes a factor -T
-            steps, rem = divmod(jq, q - 1)
-            if steps:
-                sign = F.pow(F.neg(1), steps)
-                cq = cq.scale(sign).shift(steps)
-            out[rem] = out[rem] + cq
-        return RamifiedElem(q, F, out)
+        return RamifiedElem(self.q, self.s.frobq(self.q))
 
     def truncate_w(self, wprec):
-        return RamifiedElem(self.q, self.field,
-                            [c.truncate(_lprec(wprec, j, self.q))
-                             for j, c in enumerate(self.comps)])
+        return RamifiedElem(self.q, self.s.truncate(wprec))
 
     def agrees_with(self, other, upto_w=None):
-        hi = min(self.wprec(), other.wprec())
-        if upto_w is not None:
-            hi = min(hi, upto_w)
-        diff = self - other
-        v = diff.wval()
-        return v is None or v >= hi
+        return self.s.agrees_with(other.s, upto_w)
 
     def __repr__(self):
         return "RamifiedElem(q=%d, %r)" % (self.q, list(self.comps))
 
 
-def _lprec(wprec, j, q):
-    """Laurent precision for component j so that w-precision >= wprec."""
-    # need (q-1)*prec - j >= wprec
-    need = wprec + j
-    return -((-need) // (q - 1))
+def _in_y(s, q):
+    """The digit map T^{-n} = (-1)^n Y^{-(q-1)n} of a series in 1/T."""
+    e, F = q - 1, s.field
+    cs = [0] * (e * len(s.coeffs))
+    for i, c in enumerate(s.coeffs):
+        cs[e * i] = _signed(F, s.val + i, c)
+    return LaurentSeries(F, e * s.val, cs, e * s.prec)
+
+
+def _signed(F, n, c):
+    return F.neg(c) if n % 2 else c
 
 
 def pi_bar(q, field, prec):

@@ -154,17 +154,14 @@ class ClassSumTable:
 class PadicClassSumTable:
     """P-adic class sums mod P^N over unit classes, from the closed form
     for blocks n <= n_max, the last degree whose block valuation is below
-    N.  `extra_blocks` more degrees past the cut are kept for
-    validation_blocks_vanish.  The context is the one of CycField(P) at
-    N."""
+    N.  The context is the one of CycField(P) at N."""
 
-    def __init__(self, P, N, extra_blocks=0):
+    def __init__(self, P, N):
         self.P = P
         self.N = N
         self.ctx = CycField(P).padic_ring(N).ctx
         self.n_max = _last(
             lambda n: padic_block_valuation(P.field, int(P.degree), n) < N)
-        self.extra_blocks = extra_blocks
         PN = self.ctx.P_pow(N)
         self.totals = dict.fromkeys(residue_field(P).units(),
                                     Poly.zero(P.field))
@@ -183,14 +180,6 @@ class PadicClassSumTable:
     def class_total(self, sigma):
         """Sum over all degrees of the class sums at a unit sigma."""
         return self.totals[sigma]
-
-    def validation_blocks_vanish(self):
-        """The closed form's blocks of the extra_blocks degrees past the
-        cut are zero mod P^N."""
-        return all(s.is_zero()
-                   for n in range(self.n_max + 1,
-                                  self.n_max + self.extra_blocks + 1)
-                   for s in self.blocks(n).values())
 
 
 # -- L-values ---------------------------------------------------------------------

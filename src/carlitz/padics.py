@@ -77,16 +77,23 @@ class PadicContext:
         return poly % self.P_pow(self.N if prec is None else prec)
 
     def vP(self, poly, cap):
-        """v_P of an exact polynomial, capped (None when zero/`cap` deep)."""
+        """v_P of a polynomial over F_q, or over F = A/PA under the
+        Teichmuller embedding, capped (None when zero or `cap` deep): the
+        multiplicity of theta as a root of poly read in F, by synthetic
+        division by T - theta.  P is separable, and T - omega(theta) is a
+        uniformizer of A_P."""
         if poly.is_zero():
             return None
-        v = 0
-        while v < cap:
-            q, r = divmod(poly, self.P)
-            if not r.is_zero():
+        F = residue_field(self.P)
+        theta, cs = F.theta, poly.coeffs
+        for v in range(cap):
+            acc, quo = 0, []
+            for c in reversed(cs):  # Horner: the last value is poly(theta)
+                acc = F.add(F.mul(acc, theta), c)
+                quo.append(acc)
+            if acc:
                 return v
-            poly = q
-            v += 1
+            cs = quo[-2::-1]
         return None
 
     def teichmuller(self, c):
@@ -106,17 +113,6 @@ class PadicContext:
                 raise ArithmeticError("Teichmuller iteration did not stabilize")
             self._teichmuller[c] = y
         return self._teichmuller[c]
-
-
-def embed_poly_to_padic(p, ctx):
-    """Image in A_P mod P^N of an element of F[T] (or of A itself): the
-    variable stays T and each coefficient, an int of F_q or of
-    residue_field(P), goes to its Teichmuller lift."""
-    t = Poly.x(ctx.field)
-    acc = Poly.zero(ctx.field)
-    for c in reversed(p.coeffs):
-        acc = ctx.reduce(acc * t + ctx.teichmuller(c))
-    return acc
 
 
 def _pad(xs, n):

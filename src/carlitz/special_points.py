@@ -29,7 +29,6 @@ from .equivariant import lattice_index
 from .fields import OBJECT_OPS, residue_field, row_reduce
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import l_inf, l_padic
-from .padics import embed_poly_to_padic
 from .polynomials import Poly, RatFunc, format_poly, rat_reduce_mod_P
 
 
@@ -124,10 +123,9 @@ def recognize_integral(cyc, values, emb, guard=6):
     q, L = cyc.q, cyc.L
     rows = []
     for bplace in emb.reps:
-        pows = emb.lambda_powers(bplace)
-        x = values[bplace]
-        for j in range(q - 1):
-            rows.append([pows[i].comps[j] for i in range(L)] + [x.comps[j]])
+        cols = [p.comps for p in emb.lambda_powers(bplace)]
+        cols.append(values[bplace].comps)
+        rows.extend(map(list, zip(*cols)))
     if len(rows) != L:
         raise ValueError("need exactly %d scalar equations, got %d"
                          % (L, len(rows)))
@@ -496,8 +494,7 @@ def odd_fitting_report(cyc, N=8):
             case = "generic"
         # B_1 may have a pole at P (the chi = omega case), so take the
         # valuation as v_P(num) - v_P(den) rather than dividing
-        vn = ctx.vP(embed_poly_to_padic(bval.num, ctx), N)
-        vd = ctx.vP(embed_poly_to_padic(bval.den, ctx), N)
+        vn, vd = ctx.vP(bval.num, N), ctx.vP(bval.den, N)
         if vn is None or vd is None:
             raise ValueError("v_P(B_1) undetermined for chi=omega^%d: raise N"
                              % chi.n)

@@ -17,6 +17,29 @@ from carlitz.cyclotomic import frob_coords, mul_coords
 from carlitz.polynomials import Poly
 
 
+def embed_poly_to_padic(p, ctx):
+    """Image in A_P mod P^N of an element of F[T] (or of A itself): the
+    variable stays T and each coefficient, an int of F_q or of
+    residue_field(P), goes to its Teichmuller lift."""
+    t = Poly.x(ctx.field)
+    acc = Poly.zero(ctx.field)
+    for c in reversed(p.coeffs):
+        acc = ctx.reduce(acc * t + ctx.teichmuller(c))
+    return acc
+
+
+def vP_by_division(poly, P, cap):
+    """v_P of a polynomial over F_q by division by P, capped as
+    PadicContext.vP (None when zero or `cap` deep)."""
+    if poly.is_zero():
+        return None
+    for v in range(cap):
+        poly, r = divmod(poly, P)
+        if not r.is_zero():
+            return v
+    return None
+
+
 class CycPadicRing:
     """O_{K,P} = A_P[lambda] with lambda-power basis coordinates.
 
@@ -57,7 +80,7 @@ class PadicCycElem:
         L = self.ring.L
         best = None
         for i, c in enumerate(self.coords):
-            v = self.ctx.vP(c, self.prec)
+            v = vP_by_division(c, self.ctx.P, self.prec)
             if v is not None:
                 w = L * v + i
                 if best is None or w < best:
@@ -105,7 +128,7 @@ class PadicCycElem:
         v = v_P(a), found by trial division when not given, and every
         coordinate must cooperate."""
         if v is None:
-            v = self.ctx.vP(a, int(a.degree) // self.ctx.d + 1) or 0
+            v = vP_by_division(a, self.ctx.P, int(a.degree) // self.ctx.d + 1) or 0
         unit, rest = divmod(a, self.ctx.P_pow(v))
         if not rest.is_zero():
             raise ArithmeticError("v_P of the divisor is below %d" % v)

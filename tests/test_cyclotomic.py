@@ -4,10 +4,11 @@ from carlitz import cyclotomic
 from carlitz.core import carlitz_act
 from carlitz.cyclotomic import (Character, CycElem, CycField, all_characters,
                                 b1, embed_infty, embed_padic, gauss_thakur,
-                                idempotent_project, normal_basis_eta,
+                                idempotent_project, lambda_traces,
+                                normal_basis_eta,
                                 p_over_lambda_coords, sigma_act, torsion_poly,
                                 InftyEmbedding)
-from carlitz.fields import make_field
+from carlitz.fields import OBJECT_OPS, make_field, row_reduce
 from carlitz.lvalues import PadicClassSumTable, l_padic
 from carlitz.polynomials import Poly, RatFunc, parse_poly
 from carlitz.special_points import odd_fitting_report, recognize_integral
@@ -69,11 +70,13 @@ def test_reduction_rows_built_once_per_field(monkeypatch):
     assert len(calls) == 1
 
 
-def test_padic_ring_builds_its_series_once():
+def test_padic_ring_builds_its_series_once(monkeypatch):
     # one lambda table per (P, N), built on the first element; a ring
     # that only serves its context (l-values --place P, fitting) builds
-    # no series at all
+    # no series at all.  A fresh field: another test may have built these
+    # rings already
     from carlitz.core import padic_exp, padic_log
+    monkeypatch.setattr(CycField, "_instances", {})
     cyc = cyc_of("T^3+T+1", F2)
     PadicClassSumTable(cyc.P, 5)
     odd_fitting_report(cyc, 5)
@@ -272,6 +275,55 @@ def test_tau_dual_and_b1_against_the_projection(s, F):
                                 dual[m][chi.n]), (s, chi.n, m)
         assert _is_multiple(idempotent_project(chi, p_over), tau,
                             P * b1(chi)), (s, chi.n)
+
+
+def _tau_dual_by_elimination(cyc):
+    """The inverse of the matrix whose rows are the tau's, from one
+    Gauss-Jordan reduction of [tau | I] over F(T): the oracle."""
+    F, L = cyc.F, cyc.L
+    zero, one = RatFunc.zero(F), RatFunc.one(F)
+    rows = [[RatFunc.from_poly(c)
+             for c in gauss_thakur(Character(cyc, n)).coords]
+            + [one if k == n else zero for k in range(L)]
+            for n in range(L)]
+    pivots, _ = row_reduce(rows, OBJECT_OPS)
+    assert pivots == list(range(L))
+    return [row[L:] for row in rows]
+
+
+@pytest.mark.parametrize("s,F", PAIRS + [("T+1", F2), ("T+1", F3),
+                                         ("T^2+T+2", F3),
+                                         ("T^2+2", make_field(5))])
+def test_tau_dual_by_trace_matches_elimination(s, F):
+    cyc = cyc_of(s, F)
+    assert cyc.tau_dual() == _tau_dual_by_elimination(cyc)
+
+
+@pytest.mark.parametrize("s,F", PAIRS + [("T^2+2", make_field(5))])
+def test_trace_pairing_of_tau_chi_and_its_inverse(s, F):
+    # D_chi = Tr(tau(chi) tau(chi^{-1})) = L (-1)^d P, L for trivial chi;
+    # and Tr(lambda^j) agrees with the trace of multiplication by lambda^j
+    cyc = cyc_of(s, F)
+    t = [_embed(c, cyc.F) for c in lambda_traces(cyc.rows)]
+    Lc = Poly(cyc.F, [cyc.L % cyc.q])
+    for chi in all_characters(cyc):
+        a, b = gauss_thakur(chi), gauss_thakur(chi.inv())
+        D = sum((x * y * t[i + k] for i, x in enumerate(a.coords)
+                 for k, y in enumerate(b.coords)), Poly.zero(cyc.F))
+        want = Lc if chi.is_trivial() else Lc * _embed(cyc.P, cyc.F).scale(
+            cyc.F.pow(cyc.F.neg(1), cyc.d))
+        assert D == want, (s, chi.n)
+    basis = []
+    for i in range(cyc.L):
+        coords = [Poly.zero(cyc.Fq)] * cyc.L
+        coords[i] = Poly.one(cyc.Fq)
+        basis.append(CycElem(cyc, cyc.Fq, coords))
+    lam_j = basis[0]
+    for j in range(2 * cyc.L - 1):
+        tr = sum(((x * lam_j).coords[i] for i, x in enumerate(basis)),
+                 Poly.zero(cyc.Fq))
+        assert _embed(tr, cyc.F) == t[j], (s, j)
+        lam_j = lam_j * lam(cyc)
 
 
 def test_b1_and_tau_dual_project_nothing(monkeypatch):

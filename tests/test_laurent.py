@@ -181,12 +181,11 @@ RAMIFIED = [(2, F2), (3, F3), (3, make_field(3, 2)), (2, make_field(2, 3))]
 
 
 @st.composite
-def _ramified_at_two_precisions(draw, q, F, least_val=-3):
-    """An element of k_inf(Y) with every component drawn as by
+def _ramified_at_two_precisions(draw, q, F, least_w=-6):
+    """An element of k_inf(Y), its one series in 1/Y drawn as by
     _series_at_two_precisions: (the element cut short, the element)."""
-    pairs = [draw(_series_at_two_precisions(F, least_val=least_val))
-             for _ in range(q - 1)]
-    return tuple(RamifiedElem(q, F, list(comps)) for comps in zip(*pairs))
+    lo, hi = draw(_series_at_two_precisions(F, least_val=least_w))
+    return RamifiedElem(q, lo), RamifiedElem(q, hi)
 
 
 def _sound_w(lo, hi):
@@ -205,13 +204,96 @@ def test_ramified_mul_frobq_precision_sound(qF, data):
     _sound_w(a_lo.frobq(), a_hi.frobq())
 
 
+def _lprec(wprec, j, q):
+    """Laurent precision of component j for w-precision >= wprec."""
+    return -((-wprec - j) // (q - 1))
+
+
+def _shift(s, k):
+    """s * T^k."""
+    return LaurentSeries(s.field, s.val - k, s.coeffs, s.prec - k)
+
+
+def _comps_wprec(q, comps):
+    return min((q - 1) * c.prec - j for j, c in enumerate(comps))
+
+
+def _comps_wval_or_prec(q, comps):
+    ws = [(q - 1) * c.val - j for j, c in enumerate(comps) if c.coeffs]
+    return min(ws) if ws else _comps_wprec(q, comps)
+
+
+def _comps_mul(q, a, b):
+    """The product on q - 1 components in 1/T, Y^{q-1} = -T wrapping
+    the high ones back: RamifiedElem's product before it held one series
+    in 1/Y, the oracle."""
+    F = a[0].field
+    wp = min(_comps_wprec(q, a) + _comps_wval_or_prec(q, b),
+             _comps_wprec(q, b) + _comps_wval_or_prec(q, a))
+    out = [LaurentSeries.zero(F, _lprec(wp, j, q)) for j in range(q - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            k, prod = i + j, x * y
+            if k >= q - 1:
+                k, prod = k - (q - 1), _shift(-prod, 1)
+            out[k] = out[k] + prod
+    return out
+
+
+def _comps_frobq(q, a):
+    """The q-power map on components: Y^{jq} reduced by Y^{q-1} = -T."""
+    F = a[0].field
+    wp = _comps_wprec(q, a) * q
+    out = [LaurentSeries.zero(F, _lprec(wp, j, q)) for j in range(q - 1)]
+    for j, c in enumerate(a):
+        if c.coeffs:
+            steps, rem = divmod(j * q, q - 1)
+            cq = c.frobq(q)
+            if steps:
+                cq = _shift(cq.scale(F.pow(F.neg(1), steps)), steps)
+            out[rem] = out[rem] + cq
+    return out
+
+
+def _same_as_comps(x, comps):
+    q = x.q
+    assert x.wprec() == _comps_wprec(q, comps), (x, comps)
+    ws = [(q - 1) * c.val - j for j, c in enumerate(comps) if c.coeffs]
+    assert x.wval() == (min(ws) if ws else None), (x, comps)
+    for j, (c, want) in enumerate(zip(x.comps, comps)):
+        assert c.prec == _lprec(x.wprec(), j, q), (j, x)
+        assert c.agrees_with(want), (j, c, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(RAMIFIED), st.data())
+def test_ramified_matches_component_oracle(qF, data):
+    # *, frobq, mul_laurent and mul_scalar_poly on one series in 1/Y
+    # against the component arithmetic, read through comps
+    q, F = qF
+    _, a = data.draw(_ramified_at_two_precisions(q, F))
+    _, b = data.draw(_ramified_at_two_precisions(q, F))
+    _, s = data.draw(_series_at_two_precisions(F))
+    _same_as_comps(a, a.comps)
+    _same_as_comps(a * b, _comps_mul(q, a.comps, b.comps))
+    _same_as_comps(a.frobq(), _comps_frobq(q, a.comps))
+    _same_as_comps(a.mul_laurent(s), [c * s for c in a.comps])
+    # an exact polynomial costs only its degree
+    p = Poly(F, data.draw(st.lists(st.integers(0, F.order - 1), max_size=4)))
+    if not p.is_zero():
+        _same_as_comps(a.mul_scalar_poly(p), [
+            c * LaurentSeries.from_poly(p, c.prec - c.val + 1) for c in a.comps])
+    _same_as_comps(RamifiedElem.from_laurent(s, q),
+                   [s] + [LaurentSeries.zero(F, s.prec + 1)] * (q - 2))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(RAMIFIED), st.integers(1, 12), st.data())
 def test_exp_eval_precision_sound(qF, wtarget, data):
     # exp_C at w-target t against 2t, from z cut short and from the full
     # z; w(z) >= 2 - q keeps the series short
     q, F = qF
-    z_lo, z_hi = data.draw(_ramified_at_two_precisions(q, F, least_val=0))
+    z_lo, z_hi = data.draw(_ramified_at_two_precisions(q, F, least_w=2 - q))
     hi = exp_eval(z_hi, 2 * wtarget)
     _sound_w(exp_eval(z_lo, wtarget), hi)
     _sound_w(exp_eval(z_hi, wtarget), hi)

@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz.core import CarlitzTables, carlitz_act, padic_exp, padic_log
-from carlitz.cyclotomic import CycField, lambda_power_rows
+from carlitz.cyclotomic import CycField, all_characters, b1, lambda_power_rows
+from carlitz.lvalues import l_padic
 from carlitz.fields import make_field, residue_field, residue_rep
-from carlitz.padics import PadicContext, embed_poly_to_padic
+from carlitz.padics import PadicContext
 from carlitz.polynomials import Poly, parse_poly
 from enumeration import xgcd
-from padic_oracle import CycPadicRing
+from padic_oracle import CycPadicRing, embed_poly_to_padic, vP_by_division
 
 F3 = make_field(3)
 F2 = make_field(2)
@@ -330,6 +331,28 @@ def test_model_uniformizer_and_torsion(qP):
         acc = acc + pw.mul_scalar_poly(c)
         pw = pw.frobq()
     assert acc.vm() is None
+
+
+@pytest.mark.parametrize("qP", DESK + [(3, "T^2+T+2"), (3, "T^3+2*T+1")],
+                         ids=lambda qP: "%d-%s" % qP)
+def test_vP_by_root_multiplicity_matches_division(qP):
+    # v_P as the multiplicity of theta against division by P after the
+    # Teichmuller embedding: B_1 of every odd chi (num and den), l_padic
+    # of every chi, and (T - theta)^k times a fixed polynomial over F,
+    # k up to past the cap
+    cyc, N = _desk_cyc(qP), 4
+    table = cyc.padic_table(N)
+    ctx, F = table.ctx, cyc.F
+    polys = [l_padic(cyc, chi, table) for chi in all_characters(cyc)]
+    for chi in all_characters(cyc):
+        if chi.is_odd():
+            polys += [b1(chi).num, b1(chi).den]
+    root = Poly(F, [F.neg(F.theta), 1])
+    for k in range(N + 2):
+        polys.append(root ** k * Poly(F, [1, F.theta, 0, 1]))
+    for f in polys:
+        want = vP_by_division(embed_poly_to_padic(f, ctx), ctx.P, N)
+        assert ctx.vP(f, N) == want, (qP, f)
 
 
 # -- precision soundness of the model ------------------------------------------
