@@ -1,10 +1,10 @@
 """Command-line surface: scans, L-value tables, verification suites,
 Fitting reports.
 
-JSON is the canonical report shape:
-  {config, suite_results: [{name, params, checks: [...]}], timing_ms}
-CSV flattens the checks to rows, text is for eyeballs.  The process
-exits 0 only when every check passed and none was indeterminate.
+A run builds one document, {config, suite_results: [{name, params,
+checks: [...]}], timing_ms}: JSON prints it, CSV flattens its checks to
+rows, text is for eyeballs.  The exit status reads it too: 0 if and only
+if every check in it is "pass", else 1 (and 2 for bad input).
 """
 
 import argparse
@@ -157,7 +157,8 @@ def make_config(args):
     if cfg.format not in FORMATS:
         _usage_error("format must be one of %s, got %r"
                      % (", ".join(FORMATS), cfg.format))
-    for n in _suite_names(cfg.suites):
+    # a list that names no suite would pass vacuously: it is unknown
+    for n in _suite_names(cfg.suites) or [cfg.suites]:
         if n not in SUITES:
             _usage_error("unknown suite %r (have: %s, all)"
                          % (n, ", ".join(SUITES)))
@@ -281,16 +282,14 @@ def cmd_bc_scan(cfg):
     rep = VerificationReport("bc-scan", {"q": q, "P": cfg.P_text,
                                          "max_n": n_hi})
     irregular = []
-    for n in range(2, n_hi + 1):
-        if (q - 1) and n % (q - 1) != 0:
-            continue
+    for n in range(max(2, q - 1), n_hi + 1, q - 1):
         is_zero = stream[n] == 0
         if is_zero:
             irregular.append(n)
         rep.add("n=%d" % n, True, residue_zero=is_zero,
                 character_exponent=(1 - n) % L)
     rep.params["irregular"] = irregular
-    return [rep], 0
+    return rep
 
 
 def cmd_l_values(cfg, place):
@@ -314,13 +313,7 @@ def cmd_l_values(cfg, place):
             rep.add("chi=%d" % chi.n, True, lhs_prec=cfg.N,
                     parity="odd" if chi.is_odd() else "even",
                     value=format_poly(v), vP=table.ctx.vP(v, cfg.N))
-    return [rep], 0
-
-
-def cmd_verify(cfg):
-    reports = run_suites(cfg)
-    bad = any(c.status != "pass" for r in reports for c in r.checks)
-    return reports, (1 if bad else 0)
+    return rep
 
 
 def cmd_fitting(cfg):
@@ -336,7 +329,7 @@ def cmd_fitting(cfg):
         rep.add("even chi=%d" % r["chi_n"], not r["indeterminate"],
                 indeterminate=r["indeterminate"], vP_LP=r["vP"],
                 note=r["note"], reason="L_P(1,chi) vanishes mod P^N")
-    return [rep], (0 if rep.passed() else 1)
+    return rep
 
 
 # -- serialization ----------------------------------------------------------------
@@ -348,26 +341,24 @@ def render(cfg, reports, elapsed_ms):
            "timing_ms": elapsed_ms}
     if cfg.format == "json":  # a fresh tree: no cycle to check for
         return json.dumps(doc, check_circular=False) + "\n"
+    results = doc["suite_results"]
     if cfg.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["suite", "check", "status", "lhs_precision",
                     "rhs_precision", "detail"])
-        for r in reports:
-            for c in r.checks:
-                cd = c.as_dict()
-                w.writerow([r.suite, cd["id"], cd["status"],
-                            cd["lhs_precision"], cd["rhs_precision"],
-                            json.dumps(cd["detail"], sort_keys=True)])
+        for r in results:
+            for c in r["checks"]:
+                w.writerow([r["name"], c["id"], c["status"],
+                            c["lhs_precision"], c["rhs_precision"],
+                            json.dumps(c["detail"], sort_keys=True)])
         return buf.getvalue()
     lines = ["# carlitz run (digest %s)" % doc["config"]["digest"]]
-    for r in reports:
-        lines.append("[%s] %s" % (r.suite, json.dumps(
-            {k: str(v) for k, v in r.params.items()})))
-        for c in r.checks:
-            cd = c.as_dict()
-            extra = " ".join("%s=%s" % kv for kv in cd["detail"].items())
-            lines.append("  %-12s %s %s" % (cd["status"], cd["id"], extra))
+    for r in results:
+        lines.append("[%s] %s" % (r["name"], json.dumps(r["params"])))
+        for c in r["checks"]:
+            extra = " ".join("%s=%s" % kv for kv in c["detail"].items())
+            lines.append("  %-12s %s %s" % (c["status"], c["id"], extra))
     lines.append("timing %d ms" % elapsed_ms)
     return "\n".join(lines) + "\n"
 
@@ -377,13 +368,13 @@ def main(argv=None):
     cfg = make_config(args)
     t0 = time.monotonic()
     if args.command == "bc-scan":
-        reports, status = cmd_bc_scan(cfg)
+        reports = [cmd_bc_scan(cfg)]
     elif args.command == "l-values":
-        reports, status = cmd_l_values(cfg, args.place)
+        reports = [cmd_l_values(cfg, args.place)]
     elif args.command == "verify":
-        reports, status = cmd_verify(cfg)
+        reports = run_suites(cfg)
     else:
-        reports, status = cmd_fitting(cfg)
+        reports = [cmd_fitting(cfg)]
     elapsed = int((time.monotonic() - t0) * 1000)
     text = render(cfg, reports, elapsed)
     if cfg.out:
@@ -391,9 +382,7 @@ def main(argv=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-    indet = any(c.status == "indeterminate"
-                for r in reports for c in r.checks)
-    return status or (1 if indet else 0)
+    return 0 if all(r.passed() for r in reports) else 1
 
 
 if __name__ == "__main__":

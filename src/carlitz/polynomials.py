@@ -85,7 +85,7 @@ class Poly:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((self.field, self.coeffs))
 
     def __bool__(self):
         return bool(self.coeffs)

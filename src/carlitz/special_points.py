@@ -35,19 +35,10 @@ from .polynomials import Poly, RatFunc, format_poly, rat_reduce_mod_P
 # -- reports ----------------------------------------------------------------------
 
 
-class CheckResult:
-    def __init__(self, id, status, lhs_precision, rhs_precision, detail):
-        self.id, self.status, self.detail = id, status, detail
-        self.lhs_precision, self.rhs_precision = lhs_precision, rhs_precision
-
-    def as_dict(self):
-        return {"id": self.id, "status": self.status,
-                "lhs_precision": self.lhs_precision,
-                "rhs_precision": self.rhs_precision,
-                "detail": {k: str(v) for k, v in self.detail.items()}}
-
-
 class VerificationReport:
+    """A suite's checks, each stored as the dict the JSON report prints:
+    id, status, precisions and detail, whose values are str()-ed on add."""
+
     def __init__(self, suite, params):
         self.suite, self.params, self.checks = suite, params, []
 
@@ -61,16 +52,18 @@ class VerificationReport:
             raise ValueError("indeterminate check %r has no reason" % check_id)
         if status != "pass" and reason is not None:
             detail["reason"] = reason
-        self.checks.append(CheckResult(check_id, status, lhs_prec,
-                                       rhs_prec, detail))
+        self.checks.append({"id": check_id, "status": status,
+                            "lhs_precision": lhs_prec,
+                            "rhs_precision": rhs_prec,
+                            "detail": {k: str(v) for k, v in detail.items()}})
 
     def passed(self):
-        return all(c.status == "pass" for c in self.checks)
+        return all(c["status"] == "pass" for c in self.checks)
 
     def as_dict(self):
         return {"name": self.suite,
                 "params": {k: str(v) for k, v in self.params.items()},
-                "checks": [c.as_dict() for c in self.checks]}
+                "checks": self.checks}
 
 
 # -- the points -------------------------------------------------------------------
@@ -111,14 +104,19 @@ def special_point_padic(cyc, m, N):
 # -- integral recognition ---------------------------------------------------------
 
 
+class PrecisionShortfall(ValueError):
+    """A solved coordinate is not certified down to T^0: raise the depth."""
+
+
 def recognize_integral(cyc, values, emb, guard=6):
     """Exact element of A[lambda] matching per-place analytic values.
 
     Solves the square k_inf-linear system over the embedded basis
     lambda^i (one scalar equation per place and Y-component), rounds
     each coordinate to its polynomial part and certifies by residual
-    valuation >= guard.  Raises ValueError when the system is singular
-    or the residual too large; callers retry at higher depth.
+    valuation >= guard.  Raises ValueError when the system is singular,
+    the residual too large or (PrecisionShortfall) a solved coordinate
+    is not certified down to T^0; callers retry at higher depth.
     """
     q, L = cyc.q, cyc.L
     rows = []
@@ -135,6 +133,9 @@ def recognize_integral(cyc, values, emb, guard=6):
     col = next((c for c in range(L) if c not in pivots), None)
     if col is not None:
         raise ValueError("singular place-embedding matrix at column %d" % col)
+    short = next((i for i in range(L) if rows[i][L].prec <= 0), None)
+    if short is not None:
+        raise PrecisionShortfall("coordinate %d not certified to T^0" % short)
     coords = [rows[i][L].polynomial_part(cyc.Fq) for i in range(L)]
     wguard = (q - 1) * guard
     for bplace in emb.reps:
@@ -161,9 +162,8 @@ def verify_anderson(cyc, m, N, depth, guard=6):
     report = VerificationReport(
         "anderson", {"q": cyc.q, "P": format_poly(cyc.P), "m": m, "N": N, "depth": depth})
     q = cyc.q
-    u = None
-    attempt_depth = depth
-    for _ in range(ANDERSON_ATTEMPTS):
+    for attempt in range(ANDERSON_ATTEMPTS):
+        attempt_depth = depth << attempt
         try:
             exps = {b: exp_eval(v, v.wprec()) for b, v in
                     special_point_inf(cyc, m, attempt_depth).items()}
@@ -173,9 +173,11 @@ def verify_anderson(cyc, m, N, depth, guard=6):
             break
         except ValueError as exc:
             last_error = exc
-            attempt_depth *= 2
-    if u is None:
-        report.add("recognize-exp-L_%d" % m, False, error=last_error)
+    else:
+        short = isinstance(last_error, PrecisionShortfall)
+        report.add("recognize-exp-L_%d" % m, False, indeterminate=short,
+                   reason="%s at depth %d; raise the depth"
+                   % (last_error, attempt_depth) if short else last_error)
         return report
     report.add("recognize-exp-L_%d" % m, True,
                lhs_prec=(q - 1) * attempt_depth)

@@ -47,7 +47,7 @@ def test_02_b1_bc_congruence_exact():
         cyc = _cyc(Pstr, Fq)
         rep = verify_congruence(cyc)
         assert len(rep.checks) == cyc.L - 1
-        assert rep.passed(), (Pstr, [c.as_dict() for c in rep.checks])
+        assert rep.passed(), (Pstr, rep.checks)
 
 
 def test_03_euler_factor_charpoly_deg_le_3():
@@ -81,14 +81,13 @@ def test_05_odd_character_l_formula_12_coefficients():
             if not chi.is_odd():
                 continue
             rep = verify_b1_formula(cyc, chi, 16, min_coeffs=12)
-            assert rep.passed(), (Pstr, chi.n,
-                                  [c.as_dict() for c in rep.checks])
+            assert rep.passed(), (Pstr, chi.n, rep.checks)
 
 
 def test_06_cnf_lattice_index_10_coefficients():
     for Pstr, Fq in [("T^2+T+1", F2), ("T^2+1", F3)]:
         rep = verify_cnf(_cyc(Pstr, Fq), 16, min_coeffs=10)
-        assert rep.passed(), (Pstr, [c.as_dict() for c in rep.checks])
+        assert rep.passed(), (Pstr, rep.checks)
 
 
 def test_07_anderson_identity_m_1_to_5():
@@ -96,8 +95,7 @@ def test_07_anderson_identity_m_1_to_5():
         cyc = _cyc(Pstr, Fq)
         for m in range(1, 6):
             rep = verify_anderson(cyc, m, N, 16)
-            assert rep.passed(), (Pstr, m,
-                                  [c.as_dict() for c in rep.checks])
+            assert rep.passed(), (Pstr, m, rep.checks)
 
 
 def test_08_padic_parity_vanishing_and_truncation():

@@ -224,6 +224,74 @@ def test_out_of_range_integers_exit_2(capsys, argv, why):
     assert why in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags, cfgtext", [
+    (["--suites", ""], ""),
+    (["--suites", ","], ""),
+    ([], "suites =\n"),
+], ids=["flag-empty", "flag-comma", "config-empty"])
+def test_empty_suite_list_exits_2(tmp_path, capsys, flags, cfgtext):
+    # a run of no suite would pass vacuously
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("q = 3\nP_text = T^2+1\n" + cfgtext)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfgfile)] + flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown suite" in err and err.count("\n") == 1
+
+
+def _formats(capsys, argv):
+    """The exit status and checks of one run in each format, each check
+    as (suite, id, status, lhs_precision, rhs_precision, detail) in the
+    CSV's cells."""
+    out = {}
+    for fmt in ("json", "csv", "text"):
+        out[fmt] = _run(capsys, *argv, "--format", fmt)
+    doc = json.loads(out["json"][1])
+    rows = [[r["name"], c["id"], c["status"],
+             "" if c["lhs_precision"] is None else str(c["lhs_precision"]),
+             "" if c["rhs_precision"] is None else str(c["rhs_precision"]),
+             json.dumps(c["detail"], sort_keys=True)]
+            for r in doc["suite_results"] for c in r["checks"]]
+    assert list(csv.reader(io.StringIO(out["csv"][1])))[1:] == rows
+    # text prints no precisions; the config digest covers the format
+    lines = out["text"][1].splitlines()
+    want = [lines[0]]
+    assert lines[0].startswith("# carlitz run (digest ")
+    for r in doc["suite_results"]:
+        want.append("[%s] %s" % (r["name"], json.dumps(r["params"])))
+        want += ["  %-12s %s %s" % (c["status"], c["id"], " ".join(
+            "%s=%s" % kv for kv in c["detail"].items())) for c in r["checks"]]
+    assert lines[:-1] == want and lines[-1].startswith("timing ")
+    codes = {fmt: code for fmt, (code, _) in out.items()}
+    assert len(set(codes.values())) == 1, codes
+    return codes["json"], rows
+
+
+def test_formats_print_one_document_and_one_exit_status(capsys, monkeypatch):
+    base = ["verify", "--q", "2", "--P", "T^2+T+1"]
+    code, rows = _formats(capsys, base + ["--suites", "cong,euler"])
+    assert code == 0 and {r[2] for r in rows} == {"pass"}
+    # depth 2 certifies too few coefficients for b1
+    code, rows = _formats(capsys, base + ["--suites", "b1,cong",
+                                          "--depth", "2"])
+    assert code == 1 and "indeterminate" in {r[2] for r in rows}
+    assert "fail" not in {r[2] for r in rows}
+    # a right-hand side off by one P-adic digit fails anderson
+    from carlitz import special_points
+    from carlitz.padics import MuElem
+    real = special_points.embed_padic
+
+    def corrupted(x, N):
+        y = real(x, N)
+        return y + MuElem(y.ring, [1], N)
+    monkeypatch.setattr(special_points, "embed_padic", corrupted)
+    code, rows = _formats(capsys, ["verify", "--q", "2", "--P", "T^3+T+1",
+                                   "--N", "4", "--suites", "anderson"])
+    assert code == 1 and "fail" in {r[2] for r in rows}
+    assert "indeterminate" not in {r[2] for r in rows}
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bc-scan", "--config", str(tmp_path / "absent.cfg")])

@@ -466,3 +466,13 @@ def test_irreducibles_slices_the_longest_sieve(monkeypatch):
     assert cyc.irreducibles(5) == long and cyc.irreducibles(1) == long[:3]
     assert sieves == [5]
     assert cyc.irreducibles(6)[:len(long)] == long and sieves == [5, 6]
+
+
+def test_equal_primes_over_two_field_objects_share_one_cycfield(monkeypatch):
+    # one prime parsed over two equal F_3 objects: one owner of its tables
+    from carlitz.fields import FiniteField, residue_field
+    monkeypatch.setattr(CycField, "_instances", {})
+    P1, P2 = parse_poly("T^2+1", FiniteField(3)), parse_poly("T^2+1", F3)
+    assert P1.field is not P2.field
+    assert CycField(P1) is CycField(P2)
+    assert residue_field(P1) is residue_field(P2)

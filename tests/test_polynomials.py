@@ -271,3 +271,12 @@ def test_monic_polys_enumeration():
     ms = list(monic_polys(F2, 3))
     assert len(ms) == 8
     assert all(m.is_monic() and m.degree == 3 for m in ms)
+
+
+def test_equal_polys_hash_equal():
+    # fields compare by structure, so the hash must not read their identity
+    from carlitz.fields import FiniteField
+    a, b = Poly(FiniteField(3), (1, 0, 1)), Poly(F3, (1, 0, 1))
+    assert a.field is not b.field
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1

@@ -187,7 +187,7 @@ def test_anderson_identity_m_one_through_five():
         cyc = _cyc(Pstr, Fq)
         for m in range(1, 6):
             rep = verify_anderson(cyc, m, N, 12)
-            assert rep.passed(), (Pstr, m, [c.as_dict() for c in rep.checks])
+            assert rep.passed(), (Pstr, m, rep.checks)
 
 
 def test_anderson_failure_names_the_first_bad_digit(monkeypatch):
@@ -205,15 +205,39 @@ def test_anderson_failure_names_the_first_bad_digit(monkeypatch):
     monkeypatch.setattr(special_points, "embed_padic", corrupted)
     for m, k in ((1, 9), (2, 20)):
         rep = verify_anderson(cyc, m, 4, 12)
-        check = rep.checks[-1].as_dict()
+        check = rep.checks[-1]
         assert check["status"] == "fail", (m, check)
         assert check["detail"] == {"first_bad_digit": str(k)}, (m, check)
+
+
+def test_recognition_short_of_T0_is_indeterminate():
+    # at depth 1 (retried at 2 and 4) some solved coordinate of exp(L_m)
+    # is not certified down to T^0: no polynomial part can be read
+    for Pstr, N, ms in [("T^3+T+1", 1, (1, 3, 5)), ("T+1", 6, (5,))]:
+        cyc = _cyc(Pstr, F2)
+        for m in ms:
+            (check,) = verify_anderson(cyc, m, N, 1).checks
+            assert check["status"] == "indeterminate", (Pstr, m, check)
+            reason = check["detail"]["reason"]
+            assert reason.endswith("at depth 4; raise the depth"), reason
+
+
+def test_recognition_error_fails_with_its_reason(monkeypatch):
+    from carlitz import special_points
+
+    def singular(*a, **k):
+        raise ValueError("singular place-embedding matrix at column 1")
+    monkeypatch.setattr(special_points, "recognize_integral", singular)
+    (check,) = verify_anderson(_cyc("T^2+T+1", F2), 2, 4, 12).checks
+    assert check["status"] == "fail"
+    assert check["detail"] == {
+        "reason": "singular place-embedding matrix at column 1"}
 
 
 def test_cnf_suite_passes():
     for Pstr, Fq in [("T^2+T+1", F2), ("T^2+1", F3), ("T^3+T+1", F2)]:
         rep = verify_cnf(_cyc(Pstr, Fq), 16)
-        assert rep.passed(), (Pstr, [c.as_dict() for c in rep.checks])
+        assert rep.passed(), (Pstr, rep.checks)
 
 
 def test_cnf_degenerate_degree_one():
@@ -243,13 +267,13 @@ def test_indeterminate_check_states_its_reason():
     cyc = _cyc("T^2+1", F3)
     chi = next(c for c in all_characters(cyc) if c.is_odd())
     (check,) = verify_b1_formula(cyc, chi, 8, min_coeffs=40).checks
-    assert check.status == "indeterminate"
-    assert "needed" in check.as_dict()["detail"]["reason"]
+    assert check["status"] == "indeterminate"
+    assert "needed" in check["detail"]["reason"]
     rep = VerificationReport("s", {})
     with pytest.raises(ValueError, match="no reason"):
         rep.add("c", False, indeterminate=True)
     rep.add("c", True, reason="unused")
-    assert rep.checks[-1].detail == {}
+    assert rep.checks[-1]["detail"] == {}
 
 
 def test_congruence_suite():
