@@ -555,6 +555,7 @@ class InftyEmbedding:
         self.pib_over_P = self.pib.mul_laurent(pinv)
         self.reps = cyc.infty_coset_reps()
         self._lambda_pows = {}
+        self._duals = {}
 
     def lambda_powers(self, b):
         """(lambda_v)^i for i < L at the place indexed by coset rep b."""
@@ -570,13 +571,35 @@ class InftyEmbedding:
             self._lambda_pows[b] = pows
         return self._lambda_pows[b]
 
+    def coords_of(self, values):
+        """The inverse of embed_coords: lambda-coordinates, series in 1/T,
+        of the element x with value values[b] at each place b.  Coordinate
+        j is Tr_{K/k}(x W_j), the sum of the local traces, for the
+        trace-dual basis W_j = w_j / P (see recognize_integral)."""
+        cyc, F, prec = self.cyc, self.field, self.prec + self.cyc.d + 2
+        out = [None] * cyc.L
+        for b in self.reps:
+            if b not in self._duals:
+                over_P = {cyc.q ** t - 1: LaurentSeries.from_ratfunc(
+                    RatFunc(a, cyc.P), prec, field=F)
+                    for t, a in enumerate(cyc.phi_coeffs) if t}
+                self._duals[b] = [self.embed_coords(
+                    [None] + [over_P.get(i + j) for i in range(1, cyc.L)]
+                    if j else [LaurentSeries.const(F, F.neg(1), prec)], b)
+                    for j in range(cyc.L)]
+            for j, w in enumerate(self._duals[b]):
+                t = (values[b] * w).trace()
+                out[j] = t if out[j] is None else out[j] + t
+        return out
+
     def embed_coords(self, coords, b):
         """Value at place b of an element given by lambda-coordinates,
         each a Poly over F_q or F, or a LaurentSeries (None for zero)."""
         pows = self.lambda_powers(b)
         acc = None
         for i, c in enumerate(coords):
-            if c is None or c.is_zero():
+            # a series zero only to its precision still bounds the value's
+            if c is None or isinstance(c, Poly) and c.is_zero():
                 continue
             if isinstance(c, Poly):
                 c = LaurentSeries.from_poly(c, self.prec + self.cyc.d + 2,
@@ -588,15 +611,12 @@ class InftyEmbedding:
                                      (self.cyc.q - 1) * self.prec)
         return acc
 
-    def embed(self, x, b):
-        return self.embed_coords(x.coords, b)
-
 
 def embed_infty(x, prec):
     """Images of a CycElem at the infinite places.  Returns dict
     place-rep -> RamifiedElem."""
     emb = x.cyc.infty_embedding(x.field, prec)
-    return {b: emb.embed(x, b) for b in emb.reps}
+    return {b: emb.embed_coords(x.coords, b) for b in emb.reps}
 
 
 def embed_padic(x, N):

@@ -383,19 +383,18 @@ def residue_rep(P, x):
     return Poly(P.field, residue_field(P).digits(x))
 
 
-# entries of RatFunc or LaurentSeries: field operations are their operators
+# object entries such as RatFunc: field operations are their operators
 OBJECT_OPS = SimpleNamespace(neg=operator.neg, sub=operator.sub,
                              mul=operator.mul, inv=operator.methodcaller("inv"),
                              is_zero=operator.methodcaller("is_zero"))
 
 
-def row_reduce(rows, ops, key=None):
+def row_reduce(rows, ops):
     """Gauss-Jordan elimination of a list of rows over a field, in place.
 
     `ops` supplies neg, sub, mul, inv and is_zero on the entries: a
-    FiniteField for int entries, OBJECT_OPS for RatFunc and LaurentSeries.
-    Each column's pivot is the row minimising `key(entry)` among those
-    still free with a nonzero entry there; by default the first such row.
+    FiniteField for int entries, OBJECT_OPS for RatFunc.  Each column's
+    pivot is the first row still free with a nonzero entry there.
     Afterwards rows[:len(pivots)] are in reduced row echelon form (pivot
     entries 1, pivot columns zero elsewhere) and the remaining rows are
     zero.  Returns (pivots, det): det is the determinant of a square
@@ -408,10 +407,9 @@ def row_reduce(rows, ops, key=None):
         r = len(pivots)
         if r == n:
             break
-        free = [i for i in range(r, n) if not ops.is_zero(rows[i][c])]
-        if not free:
+        i = next((i for i in range(r, n) if not ops.is_zero(rows[i][c])), n)
+        if i == n:
             continue
-        i = free[0] if key is None else min(free, key=lambda i: key(rows[i][c]))
         if i != r:
             rows[r], rows[i] = rows[i], rows[r]
             flips = not flips

@@ -12,8 +12,8 @@ RamifiedElem models K_inf = k_inf(Y), Y^{q-1} = -T, which is totally
 ramified of degree q - 1 over k_inf: 1/Y is a uniformizer, and an element
 is one LaurentSeries in 1/Y.  Its valuation and precision are in w-units,
 w = (q-1) * v, so that w(Y) = -1 and everything stays integral.  Series
-in 1/T enter by the digit map T^{-n} = (-1)^n Y^{-(q-1)n}, and the view
-RamifiedElem.comps reads an element back as its q - 1 parts at Y^j.
+in 1/T enter by the digit map T^{-n} = (-1)^n Y^{-(q-1)n}, and
+RamifiedElem.trace reads the trace down to k_inf back as a series in 1/T.
 """
 
 from __future__ import annotations
@@ -211,8 +211,7 @@ class RamifiedElem:
     The extension is totally ramified of degree q - 1, so K_inf = F((1/Y))
     and s.val, s.prec are the w-valuation and w-precision: w = (q-1) * v_inf,
     w(Y) = -1 and w(T^{-1}) = q-1.  A series in 1/T enters through the digit
-    map T^{-n} = (-1)^n Y^{-(q-1)n}; comps reads the element back as the
-    q - 1 series in 1/T of its Y^j parts.
+    map T^{-n} = (-1)^n Y^{-(q-1)n}; trace() maps it back down to k_inf.
     """
 
     __slots__ = ("q", "field", "s")
@@ -236,19 +235,15 @@ class RamifiedElem:
         """The chosen (q-1)-st root Y of -T (for q = 2, Y = -T itself)."""
         return cls(q, LaurentSeries(field, -1, [1], wprec))
 
-    @property
-    def comps(self):
-        """Read-only view: component j is the series in 1/T of the Y^j
-        part, the digits with w = (q-1) n - j signed (-1)^n, known to
-        ceil((wprec + j) / (q-1))."""
+    def trace(self):
+        """Tr_{K_inf/k_inf} as a series in 1/T, known to ceil(wprec/(q-1)):
+        Tr Y^j = 0 for 0 < j < q - 1, so it is q - 1 = -1 times the Y^0
+        part, the digits at w = (q-1) n, which the digit map signs (-1)^n."""
         s, e, F = self.s, self.q - 1, self.field
-        out = []
-        for j in range(e):
-            lo, hi = (-((-w - j) // e) for w in (s.val, s.prec))
-            cs = s.coeffs[e * lo - j - s.val::e]
-            out.append(LaurentSeries(F, lo, [_signed(F, lo + i, c)
-                                             for i, c in enumerate(cs)], hi))
-        return tuple(out)
+        lo, hi = (-(-w // e) for w in (s.val, s.prec))
+        cs = s.coeffs[e * lo - s.val::e]
+        return LaurentSeries(F, lo, [_signed(F, lo + i + 1, c)
+                                     for i, c in enumerate(cs)], hi)
 
     def wprec(self):
         return self.s.prec
@@ -287,7 +282,7 @@ class RamifiedElem:
         return self.s.agrees_with(other.s, upto_w)
 
     def __repr__(self):
-        return "RamifiedElem(q=%d, %r)" % (self.q, list(self.comps))
+        return "RamifiedElem(q=%d, %r)" % (self.q, self.s)
 
 
 def _in_y(s, q):

@@ -26,7 +26,7 @@ from .core import (CarlitzTables, bc_exact, bc_stream_mod_P, carlitz_act,
 from .cyclotomic import (Character, CycElem, all_characters, b1, embed_padic,
                          gauss_thakur, project_vector)
 from .equivariant import lattice_index
-from .fields import OBJECT_OPS, residue_field, row_reduce
+from .fields import residue_field
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import l_inf, l_padic
 from .polynomials import Poly, RatFunc, format_poly, rat_reduce_mod_P
@@ -105,45 +105,39 @@ def special_point_padic(cyc, m, N):
 
 
 class PrecisionShortfall(ValueError):
-    """A solved coordinate is not certified down to T^0: raise the depth."""
+    """A coordinate or a residual is short of its precision: raise the depth."""
 
 
 def recognize_integral(cyc, values, emb, guard=6):
     """Exact element of A[lambda] matching per-place analytic values.
 
-    Solves the square k_inf-linear system over the embedded basis
-    lambda^i (one scalar equation per place and Y-component), rounds
-    each coordinate to its polynomial part and certifies by residual
-    valuation >= guard.  Raises ValueError when the system is singular,
-    the residual too large or (PrecisionShortfall) a solved coordinate
-    is not certified down to T^0; callers retry at higher depth.
+    By Euler's lemma and lambda psi_P'(lambda) = P, the trace-dual basis
+    of the lambda-powers is w_j / P, w_j = sum_{k>j} a_k lambda^{k-j} for
+    psi_P = sum a_k X^k (w_0 = -P).  So coordinate j is
+        c_j = (1/P) sum_b Tr(x_b w_j) = -(1/P) sum_b (Y^0 part of x_b w_j)
+    over the places b (InftyEmbedding.coords_of), as Tr Y^i = 0 for
+    0 < i < q - 1.  Each c_j is rounded to its polynomial part and the
+    result certified by residual w-valuation >= (q-1) guard at every
+    place.  Raises PrecisionShortfall when a c_j is not certified to T^0
+    or a residual is zero only to below the guard, and ValueError when a
+    residual is nonzero below it; callers retry at a larger depth.
     """
-    q, L = cyc.q, cyc.L
-    rows = []
-    for bplace in emb.reps:
-        cols = [p.comps for p in emb.lambda_powers(bplace)]
-        cols.append(values[bplace].comps)
-        rows.extend(map(list, zip(*cols)))
-    if len(rows) != L:
-        raise ValueError("need exactly %d scalar equations, got %d"
-                         % (L, len(rows)))
-    # pivot by least valuation: dividing by the largest entry loses
-    # the least precision
-    pivots, _ = row_reduce(rows, OBJECT_OPS, key=LaurentSeries.valuation)
-    col = next((c for c in range(L) if c not in pivots), None)
-    if col is not None:
-        raise ValueError("singular place-embedding matrix at column %d" % col)
-    short = next((i for i in range(L) if rows[i][L].prec <= 0), None)
-    if short is not None:
-        raise PrecisionShortfall("coordinate %d not certified to T^0" % short)
-    coords = [rows[i][L].polynomial_part(cyc.Fq) for i in range(L)]
-    wguard = (q - 1) * guard
+    coords = []
+    for j, c in enumerate(emb.coords_of(values)):
+        if c.prec <= 0:
+            raise PrecisionShortfall("coordinate %d not certified to T^0" % j)
+        coords.append(c.polynomial_part(cyc.Fq))
+    wguard = (cyc.q - 1) * guard
     for bplace in emb.reps:
         resid = values[bplace] - emb.embed_coords(coords, bplace)
         wv = resid.wval()
         if wv is not None and wv < wguard:
             raise ValueError("recognition residual w=%d below guard %d at "
                              "place %d" % (wv, wguard, bplace))
+        if resid.wprec() < wguard:
+            raise PrecisionShortfall(
+                "recognition residual known to w=%d, below guard %d at "
+                "place %d" % (resid.wprec(), wguard, bplace))
     return CycElem.from_A_coords(cyc, cyc.Fq, coords)
 
 
@@ -345,7 +339,7 @@ def verify_b1_formula(cyc, chi, depth, min_coeffs=12):
     else:
         chinv = chi.inv()
         bval = b1(chinv)
-        tauv = emb.embed(gauss_thakur(chinv), 1)
+        tauv = emb.embed_coords(gauss_thakur(chinv).coords, 1)
         bl = LaurentSeries.from_ratfunc(bval, depth + cyc.d + 3, field=F)
         rhs = (tauv * emb.pib_over_P).mul_laurent(bl)
         check_id = "L(1,chi) = (pi_bar/P) B_1 tau"

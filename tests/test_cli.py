@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from carlitz.cli import build_parser, main, make_config
-from carlitz import lvalues
+from carlitz import lvalues, special_points
 from carlitz.cyclotomic import CycField, InftyEmbedding
 from carlitz.lvalues import ClassSumTable
 
@@ -108,6 +108,25 @@ def test_verify_builds_each_table_once(capsys, monkeypatch):
          "--suites", "cnf,b1,euler", "--format", "json")
     assert built[ClassSumTable] == 2
     assert built[InftyEmbedding] <= 1
+
+
+def test_golden_anderson_recognizes_each_point_once(capsys, monkeypatch):
+    # the bench's special_points.recognize.attempts and .retries for the
+    # verify-padic golden command: one recognition per m, none retried
+    attempts, retries = [], []
+
+    def counting(*a, _recognize=special_points.recognize_integral, **k):
+        attempts.append(a[0])
+        try:
+            return _recognize(*a, **k)
+        except ValueError:
+            retries.append(a[0])
+            raise
+    monkeypatch.setattr(special_points, "recognize_integral", counting)
+    code, _ = _run(capsys, "verify", "--q", "2", "--P", "T^3+T+1", "--N", "4",
+                   "--suites", "anderson,padic-explog", "--format", "json")
+    assert code == 0
+    assert (len(attempts), len(retries)) == (5, 0)
 
 
 def test_euler_builds_its_class_table_once(capsys, monkeypatch):

@@ -232,9 +232,9 @@ def test_euler_factor_charpoly_reduces_at_most_2m_columns(monkeypatch):
     # one [basis | images] reduction per call, never an Lm x Lm kernel
     widths = []
 
-    def counted(rows, ops, key=None):
+    def counted(rows, ops):
         widths.append(len(rows[0]))
-        return row_reduce(rows, ops, key)
+        return row_reduce(rows, ops)
     monkeypatch.setattr(lvalues, "row_reduce", counted)
     cyc = CycField(parse_poly("T^2+1", F3))
     for f in cyc.irreducibles(3):

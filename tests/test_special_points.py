@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import pytest
 
 from carlitz.core import exp_eval
@@ -13,12 +11,14 @@ from carlitz.polynomials import Poly, RatFunc, parse_poly
 from carlitz.special_points import (_laurent_ratio_to_tau,
                                     _special_point_coords, coprime_l_inf,
                                     hr_dual_check, hr_scan, odd_fitting_report,
-                                    padic_ledger, recognize_integral,
+                                    padic_ledger, PrecisionShortfall,
+                                    recognize_integral,
                                     special_point_inf, special_point_padic,
                                     verify_anderson, verify_b1_formula,
                                     VerificationReport, verify_cnf,
                                     verify_congruence)
 from enumeration import brute_blocks
+from recognize_oracle import comps
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -44,10 +44,23 @@ def test_special_point_zero_is_scalar():
     cyc = _cyc("T^2+1", F3)
     vals = list(special_point_inf(cyc, 0, 10).values())
     for v in vals:
-        for comp in v.comps[1:]:
+        for comp in comps(v)[1:]:
             assert comp.is_zero()
     for v in vals[1:]:
         assert (v - vals[0]).wval() is None
+
+
+def test_special_point_inf_precision_sound():
+    # each place's value at depth <= 8 keeps the window it claims against
+    # depth 24; a coordinate that is zero only to its precision bounds it
+    for Pstr, Fq in [("T^2+T+1", F2), ("T^3+T+1", F2), ("T^2+1", F3)]:
+        cyc = _cyc(Pstr, Fq)
+        for m in range(6):
+            ref = special_point_inf(cyc, m, 24)
+            for depth in range(1, 9):
+                for b, v in special_point_inf(cyc, m, depth).items():
+                    assert ref[b].wprec() >= v.wprec(), (Pstr, m, depth, b)
+                    assert v.agrees_with(ref[b]), (Pstr, m, depth, b)
 
 
 def test_recognize_round_trip_basis_power():
@@ -88,14 +101,15 @@ def test_recognize_rejects_perturbed_input():
 
 def test_recognize_rejects_singular_system():
     # a stub embedding whose places all repeat the lambda-powers of the
-    # first one: the L scalar equations have rank 1
+    # first one: its dual basis pairs wrongly, and the residual shows it
     cyc = _cyc("T^3+T+1", F2)
     emb = InftyEmbedding(cyc, F2, 14)
     coords = [Poly.one(F2)] + [Poly.zero(F2)] * (cyc.L - 1)
     vals = {b: emb.embed_coords(coords, b) for b in emb.reps}
     pows = emb.lambda_powers(emb.reps[0])
-    stub = SimpleNamespace(reps=emb.reps, lambda_powers=lambda b: pows)
-    with pytest.raises(ValueError, match="singular place-embedding matrix at column 1"):
+    stub = InftyEmbedding(cyc, F2, 14)
+    stub.lambda_powers = lambda b: pows
+    with pytest.raises(ValueError, match="recognition residual w=.* below guard"):
         recognize_integral(cyc, vals, stub)
 
 
@@ -212,9 +226,13 @@ def test_anderson_failure_names_the_first_bad_digit(monkeypatch):
 
 def test_recognition_short_of_T0_is_indeterminate():
     # at depth 1 (retried at 2 and 4) some solved coordinate of exp(L_m)
-    # is not certified down to T^0: no polynomial part can be read
-    for Pstr, N, ms in [("T^3+T+1", 1, (1, 3, 5)), ("T+1", 6, (5,))]:
-        cyc = _cyc(Pstr, F2)
+    # is not certified down to T^0: no polynomial part can be read.  At
+    # the cubic prime over F_3 the place embedding loses most digits,
+    # which is a shortfall, not a singular system
+    for Pstr, Fq, N, ms in [("T^3+T+1", F2, 1, (1, 3, 5)),
+                            ("T+1", F2, 6, (5,)),
+                            ("T^3+2*T+1", F3, 2, (1, 2, 3, 4, 5))]:
+        cyc = _cyc(Pstr, Fq)
         for m in ms:
             (check,) = verify_anderson(cyc, m, N, 1).checks
             assert check["status"] == "indeterminate", (Pstr, m, check)
@@ -222,16 +240,32 @@ def test_recognition_short_of_T0_is_indeterminate():
             assert reason.endswith("at depth 4; raise the depth"), reason
 
 
+def test_residual_short_of_the_guard_is_retried():
+    # at depth 8 the residual of exp(L_m), m <= 4, is known only to w < 6,
+    # below the guard: a shortfall, retried, and certified at depth 16
+    cyc = _cyc("T^3+T+1", F2)
+    emb = cyc.infty_embedding(F2, 8)
+    for m in range(1, 5):
+        exps = {b: exp_eval(v, v.wprec())
+                for b, v in special_point_inf(cyc, m, 8).items()}
+        with pytest.raises(PrecisionShortfall,
+                           match="recognition residual known to w=[0-5],"):
+            recognize_integral(cyc, exps, emb)
+        check = verify_anderson(cyc, m, 4, 8).checks[0]
+        assert check["status"] == "pass" and check["lhs_precision"] == 16, \
+            (m, check)
+
+
 def test_recognition_error_fails_with_its_reason(monkeypatch):
     from carlitz import special_points
 
-    def singular(*a, **k):
-        raise ValueError("singular place-embedding matrix at column 1")
-    monkeypatch.setattr(special_points, "recognize_integral", singular)
+    def mismatch(*a, **k):
+        raise ValueError("recognition residual w=2 below guard 6 at place 1")
+    monkeypatch.setattr(special_points, "recognize_integral", mismatch)
     (check,) = verify_anderson(_cyc("T^2+T+1", F2), 2, 4, 12).checks
     assert check["status"] == "fail"
     assert check["detail"] == {
-        "reason": "singular place-embedding matrix at column 1"}
+        "reason": "recognition residual w=2 below guard 6 at place 1"}
 
 
 def test_cnf_suite_passes():
