@@ -8,16 +8,16 @@ tying them together at desk scale.
 from .core import (CarlitzTables, bc_exact, bc_stream_mod_P, carlitz_act,
                    carlitz_poly, exp_eval, padic_exp, padic_log)
 from .cyclotomic import (Character, CycElem, CycField, InftyEmbedding,
-                         all_characters, b1, embed_infty, embed_padic,
-                         gauss_thakur, idempotent_project, normal_basis_eta)
+                         all_characters, b1, embed_padic, gauss_thakur,
+                         idempotent_project)
 from .equivariant import EquivariantElem, lattice_index
-from .fields import frobenius_orbits, make_field, residue_field
+from .fields import make_field, residue_field
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import (ClassSumTable, PadicClassSumTable,
                       euler_factor_charpoly, euler_product, l_inf, l_padic)
 from .polynomials import (Poly, RatFunc, format_poly, monic_irreducibles,
                           parse_poly, rat_reduce_mod_P)
-from .special_points import (VerificationReport, hr_dual_check, hr_scan,
+from .special_points import (VerificationReport, hr_dual_check,
                              odd_fitting_report, padic_ledger,
                              recognize_integral, special_point_inf,
                              special_point_padic, verify_anderson,
@@ -30,16 +30,15 @@ __all__ = [
     "CarlitzTables", "bc_exact", "bc_stream_mod_P", "carlitz_act",
     "carlitz_poly", "exp_eval", "padic_exp", "padic_log",
     "Character", "CycElem", "CycField", "InftyEmbedding", "all_characters",
-    "b1", "embed_infty", "embed_padic", "gauss_thakur",
-    "idempotent_project", "normal_basis_eta",
+    "b1", "embed_padic", "gauss_thakur", "idempotent_project",
     "EquivariantElem", "lattice_index",
-    "frobenius_orbits", "make_field", "residue_field",
+    "make_field", "residue_field",
     "LaurentSeries", "RamifiedElem",
     "ClassSumTable", "PadicClassSumTable", "euler_factor_charpoly",
     "euler_product", "l_inf", "l_padic",
     "Poly", "RatFunc", "format_poly", "monic_irreducibles", "parse_poly",
     "rat_reduce_mod_P",
-    "VerificationReport", "hr_dual_check", "hr_scan", "odd_fitting_report",
+    "VerificationReport", "hr_dual_check", "odd_fitting_report",
     "padic_ledger", "recognize_integral", "special_point_inf",
     "special_point_padic", "verify_anderson", "verify_b1_formula",
     "verify_cnf", "verify_congruence",

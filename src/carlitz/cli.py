@@ -148,7 +148,7 @@ def make_config(args):
     if "q" not in vals or "P_text" not in vals:
         _usage_error("--q and --P are required (flag or config file)")
     cfg = RunConfig(**vals)
-    # bc-scan starts at n = 2, so a smaller max_n would scan nothing
+    # bc-scan starts at n = 2, so a smaller max_n scans nothing for any P
     for k, least in (("depth", 1), ("N", 1), ("guard", 1), ("max_deg_f", 1),
                      ("max_n", 2)):
         v = getattr(cfg, k)
@@ -163,9 +163,16 @@ def make_config(args):
             _usage_error("unknown suite %r (have: %s, all)"
                          % (n, ", ".join(SUITES)))
     try:
-        cfg.build()
+        _, P = cfg.build()
     except ValueError as exc:
         _usage_error("--q %s --P %r: %s" % (cfg.q, cfg.P_text, exc))
+    if args.command == "bc-scan":
+        ns = _scan_indices(cfg.q, int(P.degree), cfg.max_n)
+        if not ns:
+            # a scan of no index would pass vacuously
+            _usage_error("--q %s --P %r: nothing to scan, no multiple of %d "
+                         "lies in [%d, %d]" % (cfg.q, cfg.P_text, ns.step,
+                                               ns.start, ns.stop - 1))
     return cfg
 
 
@@ -273,16 +280,25 @@ def run_suites(cfg):
 # -- commands ---------------------------------------------------------------------
 
 
+def _scan_indices(q, d, max_n):
+    """The n that bc-scan visits: multiples of q - 1 (BC'_n vanishes at
+    the others) from max(2, q - 1) up to max_n and to q^d - 2, the end
+    of the streaming recurrence."""
+    n_hi = q ** d - 2 if max_n is None else min(max_n, q ** d - 2)
+    return range(max(2, q - 1), n_hi + 1, q - 1)
+
+
 def cmd_bc_scan(cfg):
     Fq, P = cfg.build()
     q, d = cfg.q, int(P.degree)
     L = q ** d - 1
-    n_hi = L - 1 if cfg.max_n is None else min(cfg.max_n, L - 1)
+    ns = _scan_indices(q, d, cfg.max_n)
+    n_hi = ns.stop - 1
     stream = bc_stream_mod_P(P, n_hi)
     rep = VerificationReport("bc-scan", {"q": q, "P": cfg.P_text,
                                          "max_n": n_hi})
     irregular = []
-    for n in range(max(2, q - 1), n_hi + 1, q - 1):
+    for n in ns:
         is_zero = stream[n] == 0
         if is_zero:
             irregular.append(n)

@@ -11,13 +11,14 @@ base-q digits of n.
 from __future__ import annotations
 
 from .fields import residue_field
-from .laurent import LaurentSeries
+from .laurent import LaurentSeries, inv_coeffs
 from .polynomials import Poly, RatFunc
 
 
 class CarlitzTables:
-    """Memoized D_i, L_i, Carlitz factorials and the Bernoulli-Carlitz
-    stream BC'_n over one base field."""
+    """Memoized D_i, L_i, the digits of 1/D_i at infinity, Carlitz
+    factorials and the Bernoulli-Carlitz stream BC'_n over one base
+    field."""
 
     _instances = {}
 
@@ -29,6 +30,7 @@ class CarlitzTables:
             self._D = [Poly.one(field)]
             self._L = [Poly.one(field)]
             self._e = {}
+            self._dinv = {}
             self._bc = [(Poly.one(field), ())]  # BC'_0 = 1
             cls._instances[field] = self
         return cls._instances[field]
@@ -63,6 +65,16 @@ class CarlitzTables:
                 (self.D(m) // (self.D(i) * self.L(m - i).frob_power(self.q ** i)))
                 .scale(minus if (m - i) % 2 else 1) for i in range(m + 1))
         return self._e[m]
+
+    def d_inverse(self, i, width):
+        """The first `width` digits of 1/D_i over F_q, from T^{-deg D_i}
+        on: a prefix of the widest inverse asked for so far, which is the
+        narrower inverse (inv_coeffs)."""
+        have = self._dinv.get(i, ())
+        if len(have) < width:
+            have = self._dinv[i] = inv_coeffs(
+                self.field, self.D(i).coeffs[::-1], width)
+        return have[:width]
 
     def factorial(self, n):
         """Pi(n) for n >= 0."""
@@ -219,10 +231,11 @@ def exp_eval(z, wtarget):
         if i == 0:
             term = cur
         else:
-            Di = tab.D(i)
-            dinv = LaurentSeries.from_poly(
-                Di, window + int(Di.degree) + 4, z.field).inv()
-            term = cur.mul_laurent(dinv)
+            # 1/D_i over F_q, whose ints z.field holds unchanged
+            deg = int(tab.D(i).degree)
+            width = window + 2 * deg + 4
+            term = cur.mul_laurent(LaurentSeries(
+                z.field, deg, tab.d_inverse(i, width), deg + width))
         acc = term if acc is None else acc + term
         cur = cur.frobq()
         i += 1

@@ -10,14 +10,13 @@ Every exact element of F tensor K (F = A/PA) that the identities below
 use is integral: it lies in F tensor O_K = F[T][lambda], so it is a
 coordinate vector over the lambda-power basis with coefficients in
 F[T].  Rational functions appear only for the scalars that really are
-rational: the dual basis of the Gauss-Thakur sums, B_{1,chi} and the
-determinant of the normal basis.
+rational: the dual basis of the Gauss-Thakur sums and B_{1,chi}.
 """
 
 from __future__ import annotations
 
 from .core import carlitz_poly, exp_eval
-from .fields import OBJECT_OPS, residue_field, residue_rep, row_reduce
+from .fields import residue_field, residue_rep
 from .laurent import LaurentSeries, RamifiedElem, pi_bar
 from .padics import MuRing, PadicContext
 from .polynomials import Poly, RatFunc, monic_irreducibles
@@ -516,27 +515,6 @@ def b1(chi):
     return acc / RatFunc.from_poly(_embed_poly(cyc.P, F))
 
 
-def normal_basis_eta(cyc):
-    """eta = sum_chi tau(chi); descends to O_K and generates it as an
-    A[Delta]-module.  Returns (eta in A-coords, determinant of the
-    change of basis {sigma_b eta} -> {lambda^i}, a unit of A)."""
-    F = cyc.F
-    acc = CycElem.zero(cyc, F)
-    for n in range(cyc.L):
-        acc = acc + gauss_thakur(Character(cyc, n))
-    # coefficients must lie in F_q inside F
-    if any(coef >= cyc.q for c in acc.coords for coef in c.coeffs):
-        raise ArithmeticError("eta coordinate does not descend to A")
-    coords_A = [Poly(cyc.Fq, c.coeffs) for c in acc.coords]
-    eta = CycElem.from_A_coords(cyc, cyc.Fq, coords_A)
-    rows = [[RatFunc.from_poly(c) for c in sigma_act(cyc, b, eta).coords]
-            for b in cyc.units()]
-    _, det = row_reduce(rows, OBJECT_OPS)
-    if det is None or not (det.is_poly() and det.num.degree == 0):
-        raise ArithmeticError("eta is not a normal integral basis")
-    return coords_A, det
-
-
 # -- embeddings -------------------------------------------------------------------
 
 
@@ -610,13 +588,6 @@ class InftyEmbedding:
             return RamifiedElem.zero(self.cyc.q, self.field,
                                      (self.cyc.q - 1) * self.prec)
         return acc
-
-
-def embed_infty(x, prec):
-    """Images of a CycElem at the infinite places.  Returns dict
-    place-rep -> RamifiedElem."""
-    emb = x.cyc.infty_embedding(x.field, prec)
-    return {b: emb.embed_coords(x.coords, b) for b in emb.reps}
 
 
 def embed_padic(x, N):

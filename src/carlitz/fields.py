@@ -33,8 +33,6 @@ base field (``_add_digits``), which is also the tests' oracle.
 from __future__ import annotations
 
 import functools
-import operator
-from types import SimpleNamespace
 
 from .polynomials import Poly, monic_polys
 
@@ -383,17 +381,12 @@ def residue_rep(P, x):
     return Poly(P.field, residue_field(P).digits(x))
 
 
-# object entries such as RatFunc: field operations are their operators
-OBJECT_OPS = SimpleNamespace(neg=operator.neg, sub=operator.sub,
-                             mul=operator.mul, inv=operator.methodcaller("inv"),
-                             is_zero=operator.methodcaller("is_zero"))
-
-
 def row_reduce(rows, ops):
     """Gauss-Jordan elimination of a list of rows over a field, in place.
 
     `ops` supplies neg, sub, mul, inv and is_zero on the entries: a
-    FiniteField for int entries, OBJECT_OPS for RatFunc.  Each column's
+    FiniteField for int entries, or any namespace of such functions for
+    other entries (RatFunc, LaurentSeries).  Each column's
     pivot is the first row still free with a nonzero entry there.
     Afterwards rows[:len(pivots)] are in reduced row echelon form (pivot
     entries 1, pivot columns zero elsewhere) and the remaining rows are
@@ -428,24 +421,3 @@ def row_reduce(rows, ops):
     if len(pivots) < n or n != width:
         return pivots, None
     return pivots, ops.neg(det) if flips else det
-
-
-def frobenius_orbits(q, d):
-    """Orbits of n -> q*n on Z/(q^d - 1), sorted by least element.
-
-    These index the Frobenius orbits of characters of (A/PA)^* for an
-    irreducible P of degree d.
-    """
-    L = q ** d - 1
-    seen = [False] * L
-    orbits = []
-    for n0 in range(L):
-        if seen[n0]:
-            continue
-        orb, n = [], n0
-        while not seen[n]:
-            seen[n] = True
-            orb.append(n)
-            n = (n * q) % L
-        orbits.append(tuple(orb))
-    return orbits

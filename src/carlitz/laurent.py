@@ -18,6 +18,8 @@ RamifiedElem.trace reads the trace down to k_inf back as a series in 1/T.
 
 from __future__ import annotations
 
+import operator
+
 from .polynomials import Poly, mul_coeffs
 
 
@@ -150,23 +152,15 @@ class LaurentSeries:
                              self.prec)
 
     def inv(self):
-        """By the recurrence of long division, this module's one product
-        loop: at the widths verify uses (at most 9) it is about twice as fast
-        as a reversed Poly quotient over F_9, and Newton's is slower still."""
+        """By the long-division recurrence (inv_coeffs).  verify inverts
+        series of at most depth + 14 digits here (class blocks, cnf
+        ratios, L-values, lattice indices) and 9 in the Euler products;
+        exp_eval's wider 1/D_i, up to a few hundred digits, come from
+        CarlitzTables.d_inverse, once per i."""
         if not self.coeffs:
             raise ZeroDivisionError("inverse of zero-to-precision series")
         F = self.field
-        width = self.prec - self.val
-        c0inv = F.inv(self.coeffs[0])
-        out = [0] * width
-        out[0] = c0inv
-        cs = self.coeffs
-        for k in range(1, width):
-            acc = 0
-            for j in range(1, min(k, len(cs) - 1) + 1):
-                if cs[j] and out[k - j]:
-                    acc = F.add(acc, F.mul(cs[j], out[k - j]))
-            out[k] = F.neg(F.mul(c0inv, acc))
+        out = inv_coeffs(F, self.coeffs, self.prec - self.val)
         return LaurentSeries(F, -self.val, out, self.prec - 2 * self.val)
 
     def frobq(self, q):
@@ -283,6 +277,30 @@ class RamifiedElem:
 
     def __repr__(self):
         return "RamifiedElem(q=%d, %r)" % (self.q, self.s)
+
+
+def inv_coeffs(F, cs, width):
+    """The first `width` coefficients of 1/(cs[0] + cs[1] x + ...) over F,
+    cs[0] != 0, by the recurrence of long division: out[k] = -(1/cs[0])
+    sum_{j>=1} cs[j] out[k-j], so a prefix of a wider inverse is the
+    narrower one.  Over a prime field each sum is taken on ints and
+    reduced once."""
+    c0inv = F.inv(cs[0])
+    out = [0] * width
+    out[0] = c0inv
+    tail = cs[1:width]
+    if F.base is None:
+        p, m0 = F.p, -c0inv
+        for k in range(1, width):
+            out[k] = m0 * sum(map(operator.mul, tail, out[k - 1::-1])) % p
+        return out
+    for k in range(1, width):
+        acc = 0
+        for j in range(1, min(k, len(cs) - 1) + 1):
+            if cs[j] and out[k - j]:
+                acc = F.add(acc, F.mul(cs[j], out[k - j]))
+        out[k] = F.neg(F.mul(c0inv, acc))
+    return out
 
 
 def _in_y(s, q):

@@ -35,11 +35,13 @@ serves every character.
 
 from __future__ import annotations
 
+import operator
+
 from .core import CarlitzTables
 from .cyclotomic import CycField, fold_powers, gauss_thakur, sigma_act
 from .fields import residue_field, residue_rep, row_reduce
-from .laurent import LaurentSeries
-from .polynomials import Poly
+from .laurent import LaurentSeries, inv_coeffs
+from .polynomials import Poly, mul_coeffs
 
 
 def deg_L(q, m):
@@ -232,17 +234,65 @@ def euler_product(cyc, chi, max_deg_f, prec):
 def _class_symmetric(cyc, max_deg_f, prec):
     """Residue r mod P -> [E_{r,0}, ..., E_{r,prec-1}] over F_q to T^{-prec},
     E_{r,k} = e_k(1/f : f = r) over the monic irreducible f = r of degree
-    < min(prec, max_deg_f + 1), each 1/f of relative width prec - deg f."""
-    one = LaurentSeries.const(cyc.Fq, 1, prec)
-    zero = LaurentSeries.zero(cyc.Fq, prec)
-    table = {}
+    m < min(prec, max_deg_f + 1).
+
+    The work is on coefficient lists: E_{r,k} holds its digits of T^{-n}
+    for k <= n < prec.  The digits of 1/f from T^{-m} on come from the
+    top prec - m coefficients of f (inv_coeffs), and a factor 1 + t x,
+    x of valuation m, makes E_k += x E_{k-1} one product of lists cut
+    to the window, landing m - 1 digits into E_k.  A product of two 1/f
+    with 2m >= prec is past the window, so those primes enter as one
+    factor per class and degree, x the sum of their 1/f.  Each E_{r,k}
+    becomes a LaurentSeries once, at the end.
+    """
+    Fq = cyc.Fq
+    add = Fq.add
+    residue = _residues(cyc, prec - 1)
+    lists, sums = {}, {}
+
+    def times(e, x, m):
+        for k in range(prec - m, 0, -1):
+            dst = e[k]
+            for n, c in enumerate(mul_coeffs(Fq, x, e[k - 1],
+                                             prec - m - k + 1), m - 1):
+                if c:
+                    dst[n] = add(dst[n], c)
     for f in cyc.irreducibles(min(max_deg_f, prec - 1)):
-        sym = table.setdefault(f.evaluate(cyc.F.theta, target=cyc.F),
-                               [one] + [zero] * (prec - 1))
-        x = LaurentSeries.from_poly(f, prec - 2 * int(f.degree)).inv()
-        for k in range(prec - x.val, 0, -1):  # x.val = deg f
-            sym[k] = sym[k] + x * sym[k - 1]
-    return table
+        r = residue(f)
+        if r not in lists:
+            lists[r] = [[1]] + [[0] * (prec - k) for k in range(1, prec)]
+        m = int(f.degree)
+        x = inv_coeffs(Fq, f.coeffs[::-1], prec - m)
+        if 2 * m < prec:
+            times(lists[r], x, m)
+        elif (r, m) in sums:
+            sums[r, m] = [add(a, b) for a, b in zip(sums[r, m], x)]
+        else:
+            sums[r, m] = x
+    for (r, m), x in sums.items():
+        times(lists[r], x, m)
+    return {r: [LaurentSeries(Fq, k, cs, prec) for k, cs in enumerate(e)]
+            for r, e in lists.items()}
+
+
+def _residues(cyc, top):
+    """f -> f mod P in F = A/PA, for f of degree <= top: the sum of the
+    f_n theta^n.  Over a prime F_q digit j of it is the sum of f_n times
+    digit j of theta^n, mod q: theta^n's digits sit in int slots wide
+    enough for any such sum, so one sum of int products gives them all."""
+    F, q = cyc.F, cyc.q
+    if cyc.Fq.base is not None:
+        return lambda f: f.evaluate(F.theta, target=F)
+    bits = ((top + 1) * (q - 1) ** 2).bit_length()
+    mask = (1 << bits) - 1
+    cols = [sum(c << bits * j
+                for j, c in enumerate(F.digits(F.pow(F.theta, n))))
+            for n in range(top + 1)]
+
+    def residue(f):
+        s = sum(map(operator.mul, f.coeffs, cols))
+        return sum((s >> bits * j & mask) % q * q ** j for j in range(cyc.d))
+    return residue
 
 
 def l_padic(cyc, chi, table):
@@ -287,7 +337,13 @@ def euler_factor_charpoly(cyc, chi, f):
     F, m = cyc.F, int(f.degree)
     tau = cyc.memo(("chi_eigenvector", chi.n), lambda: _eigenvector(cyc, chi))
     op = cyc.memo(("charpoly_ops", f), lambda: _charpoly_ops(cyc, f))
-    basis = [_vector(tau.coords, j, f) for j in range(m)]
+    # v_{j+1} = T v_j mod f: one companion step in each lambda-block
+    pows = _t_powers(cyc, f, max(len(c.coeffs) for c in tau.coords))
+    basis = [_vector(tau.coords, 0, pows, F)]
+    for _ in range(1, m):
+        v = basis[-1]
+        basis.append([c for i in range(0, len(v), m)
+                      for c in _times_T(v[i:i + m], f, F)])
     rows = [list(r) for r in zip(*basis, *(_apply(op, v, F) for v in basis))]
     if row_reduce(rows, F)[0] != list(range(m)):
         raise ArithmeticError("T + tau does not preserve an m-dimensional "
@@ -309,27 +365,55 @@ def _eigenvector(cyc, chi):
 def _charpoly_ops(cyc, f):
     """The matrix over F of T + tau on F tensor O_K/f O_K, on the basis of
     _vector, as sparse rows (_apply)."""
-    q, one = cyc.q, Poly.one(cyc.Fq)
+    q, m, Fq = cyc.q, int(f.degree), cyc.Fq
     op = []
     for i in range(cyc.L):
         # tau sends lambda^i T^j to lambda^{iq} T^{jq} (K-leg only, so
         # F-linear)
-        frob = fold_powers(cyc.rows, [(i * q, one)], Poly.zero(cyc.Fq))
-        for j in range(int(f.degree)):
-            image = [c.shift(j * q) for c in frob]
-            image[i] = image[i] + one.shift(j + 1)
-            op.append(_vector(image, 0, f))
+        frob = fold_powers(cyc.rows, [(i * q, Poly.one(Fq))], Poly.zero(Fq))
+        # T^{jq} frob for j < m, and T^{j+1} up to T^m
+        pows = _t_powers(cyc, f, q * m + max(len(c.coeffs) for c in frob))
+        for j in range(m):
+            col = _vector(frob, j * q, pows, Fq)
+            col[i * m:(i + 1) * m] = [Fq.add(a, b) for a, b in zip(
+                col[i * m:(i + 1) * m], pows[j + 1])]
+            op.append(col)
     # the list holds columns; transpose to sparse rows
     return [[(k, a) for k, a in enumerate(r) if a] for r in zip(*op)]
 
 
-def _vector(coords, e, f):
+def _t_powers(cyc, f, n):
+    """T^k mod f for k < n (at least), each as its deg f digits over F_q,
+    constant first: one table per f on cyc, grown by companion steps."""
+    pows = cyc.memo(("t_powers", f), lambda: [[1] + [0] * (int(f.degree) - 1)])
+    while len(pows) < n:
+        pows.append(_times_T(pows[-1], f, cyc.Fq))
+    return pows
+
+
+def _times_T(v, f, F):
+    """T v mod f for the digits v of a residue mod f, f monic over F_q."""
+    top = v[-1]
+    out = [0] + v[:-1]
+    if top:
+        out = [F.sub(a, F.mul(top, c)) for a, c in zip(out, f.coeffs)]
+    return out
+
+
+def _vector(coords, e, pows, F):
     """(sum_k coords[k] lambda^k) T^e mod f on the basis lambda^i T^j at
-    index i*m + j (m = deg f); F_q sits in F with the same int encoding."""
-    m, out = int(f.degree), []
+    index i*m + j (m = deg f): each coords[k], a Poly over F, is a linear
+    combination of the rows pows[n] = T^n mod f (_t_powers).  F_q sits in
+    F with the same int encoding."""
+    m, out = len(pows[0]), []
     for r in coords:
-        cs = (r.shift(e) % f).coeffs if r else ()
-        out.extend(cs + (0,) * (m - len(cs)))
+        acc = [0] * m
+        for n, c in enumerate(r.coeffs, e):
+            if c:
+                for j, t in enumerate(pows[n]):
+                    if t:
+                        acc[j] = F.add(acc[j], F.mul(c, t))
+        out.extend(acc)
     return out
 
 

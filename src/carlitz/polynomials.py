@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
+from itertools import product
 
 MINUS_INF = float("-inf")
 
@@ -296,13 +297,16 @@ def monic_irreducibles(field, max_deg):
     irreducible factor g with 2 deg g <= d, so marking the code of g*h
     for each such g and each monic h = T^k + c T^{k-1} + t of degree k =
     d - deg g leaves exactly the irreducibles unmarked.  g*h = g (T^k +
-    c T^{k-1}) + g*t: the head is formed once per (g, c), and the tails t
-    of degree < k - 1 are listed once per k for every g, so no list as
-    long as the monics of degree d - 1 is kept.  Over a prime field with
-    p <= 36 whose products fit one byte per Kronecker slot (module
-    docstring), g and t are packed ints, and the big-endian bytes of a
-    product, each mapped to the digit of its value mod p, are its code
-    in base p behind a leading 1.  Other fields multiply Polys.
+    c T^{k-1}) + g*t: the head is formed once per (g, c) and each g*t
+    once per g, and the tails t of degree < k - 1 are listed once per k
+    for every g, so no list as long as the monics of degree d - 1 is
+    kept.  Over a prime field with p <= 36 whose products fit one byte
+    per Kronecker slot (module docstring), g and t are packed ints, and
+    the big-endian bytes of a product, each mapped to the digit of its
+    value mod p, are its code in base p behind a leading 1; there the
+    multiples of the linear factors, more than half the marks, are the
+    monics with a root in F_p instead, found from the values of every
+    monic at every r.  Other fields multiply Polys.
     """
     q, p = field.order, field.p
     if (field.base is None and p <= 36
@@ -313,18 +317,50 @@ def monic_irreducibles(field, max_deg):
         def pack(cs):
             return int.from_bytes(bytes(cs), "little")
 
-        def code(x, d):
-            return int(x.to_bytes(d + 1, "big").translate(digits), p) - q ** d
+        def mark(composite, head, gt, d):
+            off = q ** d
+            for x in gt:
+                composite[int((head + x).to_bytes(d + 1, "big")
+                              .translate(digits), p) - off] = 1
+
+        # f has the factor T - r exactly when f(r) = 0: vals[r] holds f(r)
+        # for each monic of degree d in code order, and f = T h + c gives
+        # the next degree by one translate per c (Horner's rule)
+        horner = [[bytes((c + r * v) % p for v in range(p)).ljust(256, b"\0")
+                   for c in range(q)] for r in range(q)]
+        is_zero = bytes([1] + [0] * 255)
+        vals = [b"\x01"] * q
+
+        def unmarked(d):
+            """Degree d's marks before any product, those of the monics
+            with a linear factor, and the index in `found` of the first
+            factor left to mark by products."""
+            for r, tabs in enumerate(horner):
+                nxt = bytearray(q ** d)
+                for c, tab in enumerate(tabs):
+                    nxt[c::q] = vals[r].translate(tab)
+                vals[r] = bytes(nxt)
+            if d == 1:  # T - r itself is irreducible
+                return bytearray(q), 0
+            roots = 0
+            for v in vals:
+                roots |= int.from_bytes(v.translate(is_zero), "little")
+            return bytearray(roots.to_bytes(q ** d, "little")), q
     else:
         def pack(cs):
             return Poly(field, cs)
 
-        def code(x, d):
-            return sum(c * q ** i for i, c in enumerate(x.coeffs[:d]))
+        def mark(composite, head, gt, d):
+            for x in gt:
+                composite[sum(c * q ** i for i, c in
+                              enumerate((head + x).coeffs[:d]))] = 1
+
+        def unmarked(d):
+            return bytearray(q ** d), 0
     found, tails = [], [[pack(())]]
     for d in range(1, max_deg + 1):
-        composite = bytearray(q ** d)
-        for g in found:
+        composite, first = unmarked(d)
+        for g in found[first:]:
             k = d - len(g.coeffs) + 1
             if k < d - k:
                 break
@@ -332,13 +368,13 @@ def monic_irreducibles(field, max_deg):
                 lead = [pack((0,) * (len(tails) - 1) + (c,)) for c in range(q)]
                 tails.append([x + y for y in lead for x in tails[-1]])
             G = pack(g.coeffs)
+            gt = [G * t for t in tails[k - 1]]
             for c in range(q):
-                head = G * pack((0,) * (k - 1) + (c, 1))
-                for t in tails[k - 1]:
-                    composite[code(head + G * t, d)] = 1
-        for n, hit in enumerate(composite):
+                mark(composite, G * pack((0,) * (k - 1) + (c, 1)), gt, d)
+        # product() lists the digit tuples in code order, top digit first
+        for hit, top in zip(composite, product(range(q), repeat=d)):
             if not hit:
-                found.append(_monic_of_code(field, d, n))
+                found.append(Poly(field, top[::-1] + (1,)))
                 yield found[-1]
 
 

@@ -1,6 +1,7 @@
 """Oracles for the infinite place: a RamifiedElem read back as its q - 1
-series in 1/T, and the lambda-coordinates of analytic values solved by
-Gauss-Jordan elimination of the L x (L+1) system of those series.
+series in 1/T, the lambda-coordinates of analytic values solved by
+Gauss-Jordan elimination of the L x (L+1) system of those series, and
+the images of an exact element at every infinite place (embed_infty).
 
 InftyEmbedding.coords_of reads each coordinate off one trace instead;
 the elimination is the slow, independent path it is checked against.
@@ -68,3 +69,10 @@ def coords_by_elimination(cyc, values, emb):
     if pivots != list(range(L)):
         raise ValueError("singular place-embedding matrix")
     return [row[L] for row in rows]
+
+
+def embed_infty(x, prec):
+    """Images of a CycElem at the infinite places.  Returns dict
+    place-rep -> RamifiedElem."""
+    emb = x.cyc.infty_embedding(x.field, prec)
+    return {b: emb.embed_coords(x.coords, b) for b in emb.reps}

@@ -9,16 +9,17 @@ import time
 
 from carlitz.core import bc_exact, padic_exp, padic_log
 from carlitz.cyclotomic import (CycElem, CycField, all_characters,
-                                gauss_thakur, idempotent_project,
-                                normal_basis_eta)
+                                gauss_thakur, idempotent_project)
 from carlitz.fields import make_field
 from carlitz.lvalues import (ClassSumTable, PadicClassSumTable,
                              euler_factor_charpoly, euler_product, l_inf,
                              l_padic)
 from carlitz.polynomials import Poly, monic_irreducibles, parse_poly
-from carlitz.special_points import (hr_dual_check, hr_scan, verify_anderson,
+from carlitz.special_points import (hr_dual_check, verify_anderson,
                                     verify_b1_formula, verify_cnf,
                                     verify_congruence)
+from bc_oracle import hr_scan
+from galois_oracle import normal_basis_eta
 
 F2 = make_field(2)
 F3 = make_field(3)

@@ -168,11 +168,11 @@ def test_csv_projection(capsys):
 
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
-    code = main(["bc-scan", "--q", "3", "--P", "T+1", "--format", "json",
+    code = main(["bc-scan", "--q", "3", "--P", "T^2+1", "--format", "json",
                  "--out", str(path)])
     assert code == 0
     assert capsys.readouterr().out == ""
-    json.loads(path.read_text())
+    assert json.loads(path.read_text())["suite_results"][0]["checks"]
 
 
 def test_config_file_defaults(tmp_path):
@@ -234,10 +234,15 @@ def test_bad_config_file_exits_2(tmp_path, capsys, text, why):
      "max_deg_f must be >= 1"),
     (["bc-scan", "--max-n", "-4"], "max_n must be >= 2"),
     (["bc-scan", "--max-n", "1"], "max_n must be >= 2"),
+    # the scan starts at max(2, q - 1) and ends at q^d - 2
+    (["bc-scan", "--q", "5", "--P", "T^2+2", "--max-n", "3"],
+     "nothing to scan"),
+    (["bc-scan", "--q", "3", "--P", "T+1"], "nothing to scan"),
 ])
 def test_out_of_range_integers_exit_2(capsys, argv, why):
+    # (3, T^2+1) unless argv names its own pair, whose flags come later
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--q", "3", "--P", "T^2+1"])
+        main(argv[:1] + ["--q", "3", "--P", "T^2+1"] + argv[1:])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert why in err and err.count("\n") == 1

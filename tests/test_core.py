@@ -9,7 +9,7 @@ from carlitz.core import (CarlitzTables, bc_exact, bc_stream_mod_P,
                           exp_eval, padic_exp, padic_log)
 from carlitz.cyclotomic import lambda_power_rows
 from carlitz.fields import make_field, residue_field
-from carlitz.laurent import RamifiedElem, pi_bar
+from carlitz.laurent import LaurentSeries, pi_bar
 from carlitz.padics import PadicContext
 from carlitz.polynomials import Poly, RatFunc, parse_poly, rat_reduce_mod_P
 from padic_oracle import CycPadicRing
@@ -78,6 +78,24 @@ def test_e_coeffs_give_the_product():
                 b = Poly(F, [code // q ** k % q for k in range(m)])
                 assert e(b).is_zero(), (q, m, b)
             assert e(Poly.monomial(F, 1, m)) == tab.D(m), (q, m)
+
+
+def test_d_inverse_prefixes_are_the_laurent_inverse():
+    # 1/D_i from the table, asked narrow, then wide, then narrow again:
+    # w digits whose product with D_i is 1 to w digits, equal to a fresh
+    # Laurent inverse of D_i
+    for F in (F2, F3):
+        tab = CarlitzTables(F)
+        for i in (1, 2, 3):
+            D = tab.D(i)
+            deg = int(D.degree)
+            for w in (5, 60, 12):
+                digits = tab.d_inverse(i, w)
+                assert len(digits) == w
+                got = LaurentSeries(F, deg, digits, deg + w)
+                assert got * LaurentSeries.from_poly(D, w) == \
+                    LaurentSeries.const(F, 1, w), (F.order, i, w)
+                assert got == LaurentSeries.from_poly(D, w - deg).inv()
 
 
 def test_factorial():

@@ -187,6 +187,63 @@ def test_euler_product_matches_per_factor_oracle(q, Pstr, B):
                 (want.val, want.coeffs, want.prec), (q, Pstr, chi.n, prec)
 
 
+def _class_symmetric_laurent(cyc, max_deg_f, prec):
+    """Oracle: the E_{r,k} table in LaurentSeries arithmetic, one Laurent
+    inverse of f, checked against f, and one product and sum per (f, k)."""
+    one = LaurentSeries.const(cyc.Fq, 1, prec)
+    zero = LaurentSeries.zero(cyc.Fq, prec)
+    table = {}
+    for f in cyc.irreducibles(min(max_deg_f, prec - 1)):
+        sym = table.setdefault(f.evaluate(cyc.F.theta, target=cyc.F),
+                               [one] + [zero] * (prec - 1))
+        x = LaurentSeries.from_poly(f, prec - 2 * int(f.degree)).inv()
+        assert x * LaurentSeries.from_poly(f, prec) == \
+            LaurentSeries.const(cyc.Fq, 1, prec - int(f.degree))
+        for k in range(prec - x.val, 0, -1):  # x.val = deg f
+            sym[k] = sym[k] + x * sym[k - 1]
+    return table
+
+
+@pytest.mark.parametrize("q,Pstr,windows", [
+    (3, "T^2+1", [(8, 9), (3, 6), (8, 2)]),
+    (2, "T^3+T+1", [(8, 9), (5, 12)]),
+    (5, "T+2", [(4, 9), (2, 5)]),
+    (3, "T^3+2*T+1", [(8, 9), (4, 4)]),
+    (2, "T+1", [(8, 9), (1, 3)]),
+    ((2, 2), "T+1", [(5, 6)]),
+])
+def test_class_symmetric_matches_the_laurent_oracle(q, Pstr, windows):
+    # the coefficient-list table, wrapped once, against the one built in
+    # LaurentSeries arithmetic: every class, every k, val and prec alike;
+    # F_4 takes the residues by evaluation, the prime fields by digits
+    Fq = make_field(*q) if isinstance(q, tuple) else make_field(q)
+    cyc = CycField(parse_poly(Pstr, Fq))
+    for max_deg_f, prec in windows:
+        got = lvalues._class_symmetric(cyc, max_deg_f, prec)
+        want = _class_symmetric_laurent(cyc, max_deg_f, prec)
+        assert list(got) == list(want), (q, Pstr, max_deg_f, prec)
+        for r, sym in want.items():
+            assert got[r] == sym, (q, Pstr, max_deg_f, prec, r)
+
+
+def test_euler_product_inverts_no_series_per_prime(monkeypatch):
+    # the euler suite at (3, T^2+1) sieves 1,318 primes of degree <= 8;
+    # past the class table its Euler products invert one series per
+    # character (the product over the classes), never one per prime
+    calls = []
+
+    def counting(self, _inv=LaurentSeries.inv):
+        calls.append(self)
+        return _inv(self)
+    monkeypatch.setattr(LaurentSeries, "inv", counting)
+    monkeypatch.setattr(CycField, "_instances", {})
+    cyc = CycField(parse_poly("T^2+1", F3))
+    for chi in all_characters(cyc):
+        euler_product(cyc, chi, 8, 9)
+    assert len(cyc.irreducibles(8)) == 1318
+    assert len(calls) == len(all_characters(cyc)) == 8
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from([(2, "T+1"), (2, "T^2+T+1"), (3, "T+1"),
                         (3, "T^2+1"), (5, "T+2")]),
@@ -242,6 +299,37 @@ def test_euler_factor_charpoly_reduces_at_most_2m_columns(monkeypatch):
             del widths[:]
             euler_factor_charpoly(cyc, chi, f)
             assert widths == [2 * int(f.degree)], (f, chi.n)
+
+
+@pytest.mark.parametrize("q,Pstr", [(3, "T^2+1"), (2, "T^3+T+1"),
+                                    (5, "T+2")])
+def test_vector_matches_poly_remainders(q, Pstr):
+    # the table-based coordinates of (sum_k r_k lambda^k) T^e mod f, for
+    # random r_k over F and F_q, against Poly % f; one companion step is
+    # T times the remainder
+    cyc = CycField(parse_poly(Pstr, make_field(q)))
+    rng = random.Random(7)
+    for f in cyc.irreducibles(3):
+        m = int(f.degree)
+        for field in (cyc.F, cyc.Fq):
+            for _ in range(5):
+                coords = [Poly(field, [rng.randrange(field.order)
+                                       for _ in range(rng.randrange(12))])
+                          for _ in range(cyc.L)]
+                e = rng.randrange(2 * m + 2)
+                pows = lvalues._t_powers(
+                    cyc, f, e + max(len(c.coeffs) for c in coords))
+                got = lvalues._vector(coords, e, pows, field)
+                want = []
+                for r in coords:
+                    cs = (r.shift(e) % f).coeffs
+                    want.extend(cs + (0,) * (m - len(cs)))
+                assert got == want, (Pstr, f, e)
+                rem = (coords[0].shift(e) % f).coeffs
+                cs = (coords[0].shift(e + 1) % f).coeffs
+                assert lvalues._times_T(list(rem + (0,) * (m - len(rem))),
+                                        f, field) == \
+                    list(cs + (0,) * (m - len(cs)))
 
 
 def _lambda(cyc):

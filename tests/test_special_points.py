@@ -10,13 +10,14 @@ from carlitz.lvalues import ClassSumTable, padic_block_valuation
 from carlitz.polynomials import Poly, RatFunc, parse_poly
 from carlitz.special_points import (_laurent_ratio_to_tau,
                                     _special_point_coords, coprime_l_inf,
-                                    hr_dual_check, hr_scan, odd_fitting_report,
+                                    hr_dual_check, odd_fitting_report,
                                     padic_ledger, PrecisionShortfall,
                                     recognize_integral,
                                     special_point_inf, special_point_padic,
                                     verify_anderson, verify_b1_formula,
                                     VerificationReport, verify_cnf,
                                     verify_congruence)
+from bc_oracle import hr_scan
 from enumeration import brute_blocks
 from recognize_oracle import comps
 
