@@ -234,16 +234,15 @@ def _suite_padic_explog(cyc, cfg, count=50, seed=2026):
     rng = random.Random(seed)
     N = max(cfg.N, 3)
     ring = cyc.padic_ring(N)
-    ctx = ring.ctx
     Fq = cyc.Fq
     ok_round, ok_val = True, True
     for _ in range(count):
-        coords = [_random_poly(rng, Fq, ctx.d * N) for _ in range(cyc.L)]
+        coords = [_random_poly(rng, Fq, ring.d * N) for _ in range(cyc.L)]
         # force membership in m^2: lambda-coordinate i needs v_P >= the
         # ceiling of (2 - i)/L, so only the first two coordinates move
-        coords[0] = coords[0] * ctx.P * ctx.P
+        coords[0] = coords[0] * ring.P * ring.P
         if cyc.L > 1:
-            coords[1] = coords[1] * ctx.P
+            coords[1] = coords[1] * ring.P
         z = ring.elem(coords, N)
         if z.vm() is None or z.vm() < 2:
             continue
@@ -328,7 +327,8 @@ def cmd_l_values(cfg, place):
             v = l_padic(cyc, chi, table)
             rep.add("chi=%d" % chi.n, True, lhs_prec=cfg.N,
                     parity="odd" if chi.is_odd() else "even",
-                    value=format_poly(v), vP=table.ctx.vP(v, cfg.N))
+                    value=format_poly(table.ring.to_poly(v)),
+                    vP=v.valuation())
     return rep
 
 

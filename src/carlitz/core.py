@@ -274,9 +274,9 @@ def padic_log(z):
 
 
 def _padic_orbit_sum(z, kind):
-    ctx = z.ring.ctx
-    q, d = ctx.q, ctx.d
-    tab = CarlitzTables(ctx.field)
+    ring = z.ring
+    q, d = ring.q, ring.d
+    tab = CarlitzTables(ring.P.field)
     den, vP = (tab.D, tab.vP_D) if kind == "exp" else (tab.L, tab.vP_L)
     vz = z.vm()
     if vz is None:

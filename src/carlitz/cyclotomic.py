@@ -18,7 +18,7 @@ from __future__ import annotations
 from .core import carlitz_poly, exp_eval
 from .fields import residue_field, residue_rep
 from .laurent import LaurentSeries, RamifiedElem, pi_bar
-from .padics import MuRing, PadicContext
+from .padics import MuRing
 from .polynomials import Poly, RatFunc, monic_irreducibles
 
 
@@ -193,10 +193,10 @@ class CycField:
                           lambda: InftyEmbedding(self, field, prec))
 
     def padic_ring(self, N):
-        """O_{K,P} mod P^N in the uniformizer model; its ctx is the one
-        PadicContext of (P, N), which owns the Teichmuller lifts."""
-        return self.memo(("padic_ring", N), lambda: MuRing(
-            PadicContext(self.P, N), self.phi_coeffs))
+        """O_{K,P} mod P^N in the uniformizer model, with A_P = F[[u]]
+        inside it."""
+        return self.memo(("padic_ring", N),
+                         lambda: MuRing(self.P, N, self.phi_coeffs))
 
     def irreducibles(self, max_deg):
         """Monic irreducibles of F_q[T] of degree 1..max_deg, ascending: a

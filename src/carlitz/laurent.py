@@ -2,9 +2,9 @@
 the Carlitz period.
 
 A LaurentSeries stores coefficients of T^{-n} (of Y^{-n} inside a
-RamifiedElem) for n in [val, prec): the valuation v(T) = -1 convention,
-so val is the infinity-adic valuation and prec is the first unknown
-exponent.  A series that is zero as far as it
+RamifiedElem, of u^n = P^n in A_P) for n in [val, prec): the valuation
+v(T) = -1 convention, so val is the infinity-adic valuation (v_P in A_P)
+and prec is the first unknown exponent.  A series that is zero as far as it
 is known has val == prec and an empty coefficient list.  Products go
 through polynomials.mul_coeffs and q-th powers through Poly.frob_power.
 

@@ -10,8 +10,11 @@ oracle.  Write n = d + m.  The sum of 1/a over monic a of degree n with
 a = a0 mod P is (1/P) (-1)^m (D_m/L_m) / (D_m + e_m(a0/P)), where e_m(x)
 = prod over b in A of degree < m of (x - b).  class_blocks returns it as
 an exact pair (num, den) in A, for class 0 too, and both places read
-that pair: at infinity one Laurent quotient in a window of the width
-the block's valuation leaves, at P num times the inverse of den mod P^N.
+that pair as one quotient of series over F = A/PA: at infinity in 1/T,
+in a window of the width the block's valuation leaves; at P in u = P,
+num(X(u)) / den(X(u)) mod u^N (padics.MuRing.expand), den a unit.  So
+L(1, chi) at either place is sum_sigma chi(sigma) T_sigma over the
+classes of its table, with scalars in F.
 
 The same form certifies where each table stops.  Every nonzero block
 has an exact valuation:
@@ -154,30 +157,31 @@ class ClassSumTable:
 
 
 class PadicClassSumTable:
-    """P-adic class sums mod P^N over unit classes, from the closed form
-    for blocks n <= n_max, the last degree whose block valuation is below
-    N.  The context is the one of CycField(P) at N."""
+    """P-adic class sums over unit classes as u-series mod u^N in A_P =
+    F[[u]] (padics.MuRing; the ring is the one of CycField(P) at N), from
+    the closed form for blocks n <= n_max, the last degree whose block
+    valuation is below N."""
 
     def __init__(self, P, N):
         self.P = P
-        self.N = N
-        self.ctx = CycField(P).padic_ring(N).ctx
+        self.N = self.prec = N
+        self.ring = CycField(P).padic_ring(N)
         self.n_max = _last(
             lambda n: padic_block_valuation(P.field, int(P.degree), n) < N)
-        PN = self.ctx.P_pow(N)
         self.totals = dict.fromkeys(residue_field(P).units(),
-                                    Poly.zero(P.field))
+                                    LaurentSeries.zero(self.ring.F, N))
         for n in range(self.n_max + 1):
             for sigma, s in self.blocks(n).items():
-                self.totals[sigma] = (self.totals[sigma] + s) % PN
+                self.totals[sigma] = self.totals[sigma] + s
 
     def blocks(self, n):
-        """Unit sigma -> the class block of degree n at sigma, mod P^N."""
-        PN = self.ctx.P_pow(self.N)
+        """Unit sigma -> the class block of degree n at sigma, mod u^N."""
         units = residue_field(self.P).units()
-        pairs = class_blocks(self.P, n, units, PN)
-        return {sigma: num * self.ctx.unit_inv(den, self.N) % PN
-                for sigma, (num, den) in zip(units, pairs)}
+        at_P = self.ring.expand
+        return {sigma: at_P(num) * at_P(den).inv() if num
+                else LaurentSeries.zero(self.ring.F, self.N)
+                for sigma, (num, den) in zip(
+                    units, class_blocks(self.P, n, units, self.P ** self.N))}
 
     def class_total(self, sigma):
         """Sum over all degrees of the class sums at a unit sigma."""
@@ -191,11 +195,22 @@ def l_inf(cyc, chi, table):
     """L(1, chi) as a Laurent series over F, certified to the table's
     depth.  Trivial chi uses the inclusive convention: the sum runs over
     all monic a, the PA part contributing (1/P) * zeta block."""
-    F = cyc.F
+    return _character_sum(cyc.F, chi, table)
+
+
+def l_padic(cyc, chi, table):
+    """L_P(1, chi) as a u-series over F mod u^N (module docstring): the
+    sum over monic a prime to P, chi valued in the Teichmuller lifts,
+    which are constants of F[[u]]; the table's blocks past n_max vanish
+    mod P^N."""
+    return _character_sum(cyc.F, chi, table)
+
+
+def _character_sum(F, chi, table):
+    """sum_sigma chi(sigma) T_sigma over the classes of the table."""
     acc = LaurentSeries.zero(F, table.prec)
-    for sigma in F.elements():
+    for sigma, s in table.totals.items():
         c = chi(sigma)  # chi(0) is 1 for trivial chi only
-        s = table.class_total(sigma)
         if c and not s.is_zero():
             acc = acc + s.map_coeffs(F, lambda x: x).scale(c)
     return acc
@@ -295,24 +310,6 @@ def _residues(cyc, top):
     return residue
 
 
-def l_padic(cyc, chi, table):
-    """L_P(1, chi) in A_P mod P^N, as a Poly reduced mod P^N:
-    Teichmuller-valued character, sum over monic a coprime to P; the
-    table's blocks past n_max vanish mod P^N."""
-    ctx = table.ctx
-    PN = ctx.P_pow(table.N)
-    acc = Poly.zero(cyc.Fq)
-    for sigma in cyc.units():
-        s = table.class_total(sigma)
-        if s.is_zero():
-            continue
-        c = chi(sigma)
-        if c == 0:
-            continue
-        acc = (acc + s * ctx.teichmuller(c)) % PN
-    return acc
-
-
 def euler_factor_charpoly(cyc, chi, f):
     """Characteristic polynomial of T + tau on e_chi(F tensor O_K/f O_K)
     as a list of F-coefficients (constant first).
@@ -369,8 +366,9 @@ def _charpoly_ops(cyc, f):
     op = []
     for i in range(cyc.L):
         # tau sends lambda^i T^j to lambda^{iq} T^{jq} (K-leg only, so
-        # F-linear)
-        frob = fold_powers(cyc.rows, [(i * q, Poly.one(Fq))], Poly.zero(Fq))
+        # F-linear); the coordinates of lambda^{iq} serve every f
+        frob = cyc.memo(("lambda_power", i * q), lambda: fold_powers(
+            cyc.rows, [(i * q, Poly.one(Fq))], Poly.zero(Fq)))
         # T^{jq} frob for j < m, and T^{j+1} up to T^m
         pows = _t_powers(cyc, f, q * m + max(len(c.coeffs) for c in frob))
         for j in range(m):

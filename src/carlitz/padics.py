@@ -1,17 +1,19 @@
-"""P-adic completions: A_P mod P^N, and O_{K,P} in its uniformizer model.
-
-An element of A_P mod P^N is a Poly reduced mod P^N (valuation
-PadicContext.vP).  The context of one (P, N) owns the powers of P, the
-memoised unit inverses and the Teichmuller lifts; the P-adic class sums,
-l_padic and the Fitting report work there.
+"""The completion at P: A_P = F[[u]] inside O_{K,P} = F[[mu]].
 
 K_P/k_P is totally and tamely ramified of degree L = q^d - 1 (Hayes
 1974), so O_{K,P} = F[[mu]] with F = A/PA, its Teichmuller lifts as
-constants, and mu^L = -P (Serre, *Local Fields* II 4).  MuRing holds an
-element mod P^N as its L N digits in mu:
+constants, and mu^L = -P (Serre, *Local Fields* II 4).  Inside it A_P
+is F[[u]] with u = P = -mu^L, and T is the root X(u) of P(X) = u with
+X(0) = theta, so a in F_q[T] or F[T] is the series a(X(u)) (MuRing.expand:
+a LaurentSeries read in u, whose valuation is v_P), and the Teichmuller
+lift of c in F is the constant c.  The P-adic class sums, l_padic and
+the Fitting report work on these u-series; MuRing.to_poly reads one back
+as the Poly mod P^N with the same P-adic digits.
 
-* T is the root X(u) of P(X) = u = -mu^L with X(0) = theta (Newton's
-  method, P'(theta) != 0), so A acts through sparse series in mu;
+MuRing holds an element of O_{K,P} mod P^N as its L N digits in mu:
+
+* X(u) comes from Newton's method (P'(theta) != 0), so A acts through
+  sparse series in mu;
 * lambda = mu s, where s(0) = 1 and g(s) = phi_P(mu s) / mu^{q^d} =
   s^{q^d} - s - sum_{0<i<d} b_i mu^{q^i-1} s^{q^i} = 0, b_i = [P,i]/P.
   g is F_q-linear with g' = -1, so Newton's step s <- s + g(s)
@@ -32,87 +34,6 @@ from __future__ import annotations
 from .fields import residue_field, residue_rep
 from .laurent import LaurentSeries
 from .polynomials import Poly, mul_coeffs
-
-
-class PadicContext:
-    """Completion data for a monic irreducible P in F_q[T], default
-    working precision N."""
-
-    def __init__(self, P, N):
-        self.P = P
-        self.N = N
-        self.field = P.field
-        self.q = P.field.order
-        self.d = int(P.degree)
-        self._powers = [Poly.one(P.field)]
-        while len(self._powers) <= N:
-            self._powers.append(self._powers[-1] * P)
-        self._unit_invs = {}
-        self._teichmuller = {}
-
-    def P_pow(self, k):
-        while len(self._powers) <= k:
-            self._powers.append(self._powers[-1] * self.P)
-        return self._powers[k]
-
-    def unit_inv(self, unit, prec):
-        """Inverse mod P^prec of a polynomial prime to P: 1/unit(theta) in
-        A/PA lifted by Newton's step s <- 2s - unit s^2, each step doubling
-        the P-adic digits; memoised for the P-adic class-sum table, its
-        only caller (42 calls on 28 keys at (2, T^3+T+1), N 4)."""
-        key = (unit, prec)
-        if key not in self._unit_invs:
-            F = residue_field(self.P)
-            u0 = unit.evaluate(F.theta, target=F)
-            if not u0:
-                raise ArithmeticError("non-unit divisor")
-            s, k = residue_rep(self.P, F.inv(u0)), 1
-            while k < prec:
-                k = min(2 * k, prec)
-                s = (s + s - unit * s * s) % self.P_pow(k)
-            self._unit_invs[key] = s
-        return self._unit_invs[key]
-
-    def reduce(self, poly, prec=None):
-        return poly % self.P_pow(self.N if prec is None else prec)
-
-    def vP(self, poly, cap):
-        """v_P of a polynomial over F_q, or over F = A/PA under the
-        Teichmuller embedding, capped (None when zero or `cap` deep): the
-        multiplicity of theta as a root of poly read in F, by synthetic
-        division by T - theta.  P is separable, and T - omega(theta) is a
-        uniformizer of A_P."""
-        if poly.is_zero():
-            return None
-        F = residue_field(self.P)
-        theta, cs = F.theta, poly.coeffs
-        for v in range(cap):
-            acc, quo = 0, []
-            for c in reversed(cs):  # Horner: the last value is poly(theta)
-                acc = F.add(F.mul(acc, theta), c)
-                quo.append(acc)
-            if acc:
-                return v
-            cs = quo[-2::-1]
-        return None
-
-    def teichmuller(self, c):
-        """Teichmuller lift to A_P mod P^N of c, an int of residue_field(P):
-        the root of x^{q^d} = x congruent to c mod P, by Frobenius
-        iteration (N steps suffice at desk scale); memoised."""
-        if c not in self._teichmuller:
-            y = residue_rep(self.P, c)  # the obvious lift
-            for _ in range(self.N + 2):
-                z = y
-                for _ in range(self.d):
-                    z = self.reduce(z.frob_power(self.q))
-                if z == y:
-                    break
-                y = z
-            else:
-                raise ArithmeticError("Teichmuller iteration did not stabilize")
-            self._teichmuller[c] = y
-        return self._teichmuller[c]
 
 
 def _pad(xs, n):
@@ -138,19 +59,19 @@ def _poly_at(F, coeffs, X, n):
 class MuRing:
     """O_{K,P} mod P^N as F[[mu]] mod mu^{L N} (module docstring).
 
-    `ctx` is the PadicContext of (P, N) and `phi` the coefficients [P,i]
-    of phi_P.  The tables are built on first use, each for the largest
-    precision n asked so far: X^j (j < d n) as u-series of length n, and
-    lambda^i (i < L) as mu-series of length L n; `builds` counts builds
-    of the lambda table.  Unit inverses are memoised per (divisor, v,
-    precision).
+    P is monic irreducible over F_q, N the default precision and `phi`
+    the coefficients [P,i] of phi_P.  The tables are built on first use,
+    each for the largest precision n asked so far: X^j (j < d n) as
+    u-series of length n, and lambda^i (i < L) as mu-series of length
+    L n; `builds` counts builds of the lambda table.  Unit inverses are
+    memoised per (divisor, v, precision).
     """
 
-    def __init__(self, ctx, phi):
-        self.ctx = ctx
-        self.phi = phi
-        self.L = ctx.q ** ctx.d - 1
-        self.F = residue_field(ctx.P)
+    def __init__(self, P, N, phi):
+        self.P, self.N, self.phi = P, N, phi
+        self.q, self.d = P.field.order, int(P.degree)
+        self.L = self.q ** self.d - 1
+        self.F = residue_field(P)
         self._X = []             # X^j mod u^n, j < d n, for n = self._n
         self._n = 0
         self._lam = []           # lambda^i mod mu^{L n}, for n = self._lam_prec
@@ -164,7 +85,7 @@ class MuRing:
         """X^j mod u^n for j < d n; X by Newton's method from theta, each
         step doubling the digits, then P(X) = u certified to n digits."""
         if n > self._n:
-            F, P = self.F, self.ctx.P
+            F, P = self.F, self.P
             dP = [F.mul(i % F.p, c) for i, c in enumerate(P.coeffs)][1:]
             X, k = [F.theta], 1
             while k < n:
@@ -176,7 +97,7 @@ class MuRing:
             if _poly_at(F, P.coeffs, X, n) != _pad([0, 1], n):
                 raise ArithmeticError("X(u) fails P(X) = u mod u^%d" % n)
             pows = [_pad([1], n)]
-            for _ in range(1, self.ctx.d * n):
+            for _ in range(1, self.d * n):
                 pows.append(_times(F, pows[-1], X, n))
             self._X, self._n = pows, n
         return self._X
@@ -186,8 +107,7 @@ class MuRing:
         (coefficients in F are their Teichmuller lifts)."""
         F, X = self.F, self._powers_of_X(n)
         if len(c.coeffs) > len(X):
-            Pn = self.ctx.P_pow(n)
-            c = c % (Pn if c.field == Pn.field else Poly(c.field, Pn.coeffs))
+            c = c % Poly(c.field, (self.P ** n).coeffs)
         out = [0] * n
         for cj, xj in zip(c.coeffs, X):
             if cj:
@@ -222,7 +142,7 @@ class MuRing:
 
     def _frobq(self, x):
         """The q-th power: a_k mu^k -> a_k^q mu^{qk}, cut to len(x)."""
-        return _pad(Poly(self.F, x).frob_power(self.ctx.q).coeffs, len(x))
+        return _pad(Poly(self.F, x).frob_power(self.q).coeffs, len(x))
 
     def _g(self, s, b_series):
         """g(s) mod mu^len(s) (module docstring); b_series holds the
@@ -236,10 +156,10 @@ class MuRing:
 
     def _solve_s(self, n):
         """s mod mu^n with g(s) = 0 and s(0) = 1, certified."""
-        F, q, P = self.F, self.ctx.q, self.ctx.P
+        F, q, P = self.F, self.q, self.P
         m = -(-n // self.L)  # u-digits that reach mu^n
         b_series = [[0] * (q ** i - 1) + self._mu(
-            self._u_series(self.phi[i] // P, m), 1) for i in range(1, self.ctx.d)]
+            self._u_series(self.phi[i] // P, m), 1) for i in range(1, self.d)]
         s, k = [1], 1
         while k < n:
             k = min(q * k, n)
@@ -263,12 +183,37 @@ class MuRing:
             self.builds += 1
         return self._lam
 
+    # -- A_P = F[[u]] -----------------------------------------------------
+
+    def expand(self, a):
+        """a(X(u)) mod u^N as a LaurentSeries in u, for a in F_q[T] or
+        F[T]: its valuation is v_P(a)."""
+        return LaurentSeries(self.F, 0, self._u_series(a, self.N), self.N)
+
+    def to_poly(self, s):
+        """The Poly over F_q of degree < d n equal to the u-series s mod
+        P^n, n = s.prec: the P-adic digits r_k = residue_rep(P, digit k),
+        each subtracted as r_k(X(u)) before the next digit is read."""
+        F, n = self.F, s.prec
+        rest, digits = _pad([0] * s.val + s.coeffs, n), []
+        for k in range(n):
+            digits.append(residue_rep(self.P, rest[0]))
+            rest = list(map(F.sub, rest, self._u_series(digits[-1], n - k)))[1:]
+        acc = Poly.zero(self.P.field)
+        for r in reversed(digits):
+            acc = acc * self.P + r
+        return acc
+
+    def in_mu(self, s):
+        """The mu-digits of the u-series s, L s.prec of them."""
+        return self._mu(_pad([0] * s.val + s.coeffs, s.prec))
+
     # -- elements --------------------------------------------------------
 
     def elem(self, coords, prec=None):
         """sum_i c_i lambda^i mod P^prec, c_i in F_q[T] or F[T]."""
         F = self.F
-        prec = self.ctx.N if prec is None else prec
+        prec = self.N if prec is None else prec
         out = [0] * (self.L * prec)
         for c, pw in zip(coords, self._lambda_powers(prec)):
             if not c.is_zero():

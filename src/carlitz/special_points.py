@@ -29,6 +29,7 @@ from .equivariant import lattice_index
 from .fields import residue_field
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import l_inf, l_padic
+from .padics import MuElem
 from .polynomials import Poly, RatFunc, format_poly, rat_reduce_mod_P
 
 
@@ -80,20 +81,25 @@ def special_point_inf(cyc, m, depth):
 
 
 def special_point_padic(cyc, m, N):
-    """L_{m,P} mod P^N in the uniformizer model (padics.MuRing);
-    membership in m^2 is checked, not assumed."""
-    table = cyc.padic_table(N)
-    ring = cyc.padic_ring(N)
-    PN = table.ctx.P_pow(N)
-    coords = [Poly.zero(cyc.Fq) for _ in range(cyc.L)]
-    for sigma in cyc.units():
-        s = table.class_total(sigma)
-        if s.is_zero():
-            continue
-        for i, p in enumerate(cyc.sigma_power(sigma, m)):
-            if not p.is_zero():
-                coords[i] = (coords[i] + p * s) % PN
-    value = ring.elem(coords, N)
+    """L_{m,P} mod P^N in the uniformizer model (padics.MuRing), from the
+    P-adic L-values: sigma_b(mu) = b mu and sigma_b fixes F, so with
+    lambda^m = sum_i l_i mu^i,
+
+        L_{m,P} = sum_sigma T_sigma sigma(lambda^m)
+                = sum_i l_i mu^i S_{i mod L},  S_r = l_padic(omega^r).
+
+    The S_r, in mu-digits, serve every m.  Membership in m^2 is checked,
+    not assumed."""
+    table, ring, F, L = cyc.padic_table(N), cyc.padic_ring(N), cyc.F, cyc.L
+    S = cyc.memo(("padic_character_sums", N), lambda: [
+        ring.in_mu(l_padic(cyc, Character(cyc, r), table)) for r in range(L)])
+    digits = [0] * (L * N)
+    for i, li in enumerate(ring.elem(cyc.sigma_power(1, m), N).digits):
+        if li:
+            s = S[i % L]
+            for k in range(i, L * N, L):
+                digits[k] = F.add(digits[k], F.mul(li, s[k - i]))
+    value = MuElem(ring, digits, N)
     vm = value.vm()
     if vm is not None and vm < 2:
         raise ArithmeticError(
@@ -446,7 +452,7 @@ def odd_fitting_report(cyc, N=8):
     I = (B_{1,chi^{-1}}).  Length = v_P(B_{1,chi^{-1}}) + [chi = omega].
     """
     F = cyc.F
-    ctx = cyc.padic_ring(N).ctx
+    ring = cyc.padic_ring(N)
     rows = []
     for chi in all_characters(cyc):
         if not chi.is_odd():
@@ -468,7 +474,8 @@ def odd_fitting_report(cyc, N=8):
             case = "generic"
         # B_1 may have a pole at P (the chi = omega case), so take the
         # valuation as v_P(num) - v_P(den) rather than dividing
-        vn, vd = ctx.vP(bval.num, N), ctx.vP(bval.den, N)
+        vn = ring.expand(bval.num).valuation()
+        vd = ring.expand(bval.den).valuation()
         if vn is None or vd is None:
             raise ValueError("v_P(B_1) undetermined for chi=omega^%d: raise N"
                              % chi.n)
@@ -487,7 +494,7 @@ def padic_ledger(cyc, N):
     for chi in all_characters(cyc):
         if chi.is_odd():
             continue
-        v = table.ctx.vP(l_padic(cyc, chi, table), N)
+        v = l_padic(cyc, chi, table).valuation()
         rows.append({"chi_n": chi.n, "vP": v, "indeterminate": v is None,
                      "note": "sum of the unit-index and class lengths; "
                              "not decomposed here"})

@@ -1,7 +1,15 @@
-"""A_P[lambda] mod P^N on the lambda-power basis: the oracle that the
+"""The P-adic completion on polynomials mod P^N: the oracle that the
 uniformizer model carlitz.padics.MuRing is checked against.
 
-An element is L coordinates in A reduced mod P^prec, with a shared
+PadicContext holds A_P mod P^N as Polys reduced mod P^N, with the
+powers of P, Newton unit inverses, Teichmuller lifts by Frobenius
+iteration and v_P by synthetic division.  On it, class_totals,
+l_padic_poly and special_point_coords are the class-sum table, the
+P-adic L-values and the special points as the library computed them
+before they moved into A_P = F[[u]].
+
+CycPadicRing is A_P[lambda] mod P^N on the lambda-power basis.  An
+element is L coordinates in A reduced mod P^prec, with a shared
 coordinate precision.  A product is L^2 polynomial products folded
 back along the exact rows of lambda^k, k >= L; a division by an element
 of A divides every coordinate, so precision drops by its v_P.  The
@@ -14,7 +22,123 @@ operation by operation through MuRing.elem, which reads coordinates.
 """
 
 from carlitz.cyclotomic import frob_coords, mul_coords
+from carlitz.fields import residue_field, residue_rep
+from carlitz.lvalues import class_blocks
 from carlitz.polynomials import Poly
+
+
+class PadicContext:
+    """Completion data for a monic irreducible P in F_q[T], default
+    working precision N."""
+
+    def __init__(self, P, N):
+        self.P = P
+        self.N = N
+        self.field = P.field
+        self.q = P.field.order
+        self.d = int(P.degree)
+        self._powers = [Poly.one(P.field)]
+        while len(self._powers) <= N:
+            self._powers.append(self._powers[-1] * P)
+        self._unit_invs = {}
+        self._teichmuller = {}
+
+    def P_pow(self, k):
+        while len(self._powers) <= k:
+            self._powers.append(self._powers[-1] * self.P)
+        return self._powers[k]
+
+    def unit_inv(self, unit, prec):
+        """Inverse mod P^prec of a polynomial prime to P: 1/unit(theta) in
+        A/PA lifted by Newton's step s <- 2s - unit s^2, each step doubling
+        the P-adic digits; memoised."""
+        key = (unit, prec)
+        if key not in self._unit_invs:
+            F = residue_field(self.P)
+            u0 = unit.evaluate(F.theta, target=F)
+            if not u0:
+                raise ArithmeticError("non-unit divisor")
+            s, k = residue_rep(self.P, F.inv(u0)), 1
+            while k < prec:
+                k = min(2 * k, prec)
+                s = (s + s - unit * s * s) % self.P_pow(k)
+            self._unit_invs[key] = s
+        return self._unit_invs[key]
+
+    def reduce(self, poly, prec=None):
+        return poly % self.P_pow(self.N if prec is None else prec)
+
+    def vP(self, poly, cap):
+        """v_P of a polynomial over F_q, or over F = A/PA under the
+        Teichmuller embedding, capped (None when zero or `cap` deep): the
+        multiplicity of theta as a root of poly read in F, by synthetic
+        division by T - theta.  P is separable, and T - omega(theta) is a
+        uniformizer of A_P."""
+        if poly.is_zero():
+            return None
+        F = residue_field(self.P)
+        theta, cs = F.theta, poly.coeffs
+        for v in range(cap):
+            acc, quo = 0, []
+            for c in reversed(cs):  # Horner: the last value is poly(theta)
+                acc = F.add(F.mul(acc, theta), c)
+                quo.append(acc)
+            if acc:
+                return v
+            cs = quo[-2::-1]
+        return None
+
+    def teichmuller(self, c):
+        """Teichmuller lift to A_P mod P^N of c, an int of residue_field(P):
+        the root of x^{q^d} = x congruent to c mod P, by Frobenius
+        iteration (N steps suffice at desk scale); memoised."""
+        if c not in self._teichmuller:
+            y = residue_rep(self.P, c)  # the obvious lift
+            for _ in range(self.N + 2):
+                z = y
+                for _ in range(self.d):
+                    z = self.reduce(z.frob_power(self.q))
+                if z == y:
+                    break
+                y = z
+            else:
+                raise ArithmeticError("Teichmuller iteration did not stabilize")
+            self._teichmuller[c] = y
+        return self._teichmuller[c]
+
+
+def class_totals(ctx, n_max):
+    """Unit sigma -> the sum of the closed-form class blocks of degree
+    n <= n_max at sigma, each num * unit_inv(den) mod P^N."""
+    PN = ctx.P_pow(ctx.N)
+    units = residue_field(ctx.P).units()
+    totals = dict.fromkeys(units, Poly.zero(ctx.field))
+    for n in range(n_max + 1):
+        for sigma, (num, den) in zip(units,
+                                     class_blocks(ctx.P, n, units, PN)):
+            totals[sigma] = (totals[sigma]
+                             + num * ctx.unit_inv(den, ctx.N)) % PN
+    return totals
+
+
+def l_padic_poly(chi, ctx, totals):
+    """L_P(1, chi) mod P^N as a Poly: sum_sigma teich(chi(sigma)) T_sigma."""
+    acc = Poly.zero(ctx.field)
+    for sigma, s in totals.items():
+        c = chi(sigma)
+        if c and not s.is_zero():
+            acc = ctx.reduce(acc + s * ctx.teichmuller(c))
+    return acc
+
+
+def special_point_coords(cyc, m, ctx, totals):
+    """The lambda-coordinates mod P^N of L_{m,P} = sum_sigma
+    sigma(lambda)^m T_sigma, summed over sigma."""
+    coords = [Poly.zero(cyc.Fq) for _ in range(cyc.L)]
+    for sigma, s in totals.items():
+        for i, p in enumerate(cyc.sigma_power(sigma, m)):
+            coords[i] = ctx.reduce(coords[i] + p * s)
+    return coords
 
 
 def embed_poly_to_padic(p, ctx):
@@ -45,11 +169,13 @@ class CycPadicRing:
 
     `rows` are the exact reductions of lambda^k, k >= L, from
     cyclotomic.lambda_power_rows; kept exact so that callers may run the
-    ring at padded precision beyond ctx.N.
+    ring at padded precision beyond ctx.N.  P, q and d are the
+    context's, as MuRing has them.
     """
 
     def __init__(self, ctx, rows):
         self.ctx = ctx
+        self.P, self.q, self.d = ctx.P, ctx.q, ctx.d
         self.rows = rows
         self.L = len(rows[0])
 

@@ -121,14 +121,13 @@ def test_09_padic_exp_log_roundtrip_50_random():
         cyc = _cyc(Pstr, Fq)
         assert N * cyc.L >= 3 * cyc.L  # coordinate prec N gives m-prec N*L
         ring = cyc.padic_ring(N)
-        ctx = ring.ctx
         done = 0
         while done < 50:
             coords = [Poly(Fq, [rng.randrange(Fq.order)
-                                for _ in range(ctx.d * N)])
+                                for _ in range(ring.d * N)])
                       for _ in range(cyc.L)]
-            coords[0] = coords[0] * ctx.P * ctx.P
-            coords[1] = coords[1] * ctx.P
+            coords[0] = coords[0] * ring.P * ring.P
+            coords[1] = coords[1] * ring.P
             z = ring.elem(coords, N)
             vz = z.vm()
             if vz is None or vz < 2:

@@ -10,9 +10,8 @@ from carlitz.core import (CarlitzTables, bc_exact, bc_stream_mod_P,
 from carlitz.cyclotomic import lambda_power_rows
 from carlitz.fields import make_field, residue_field
 from carlitz.laurent import LaurentSeries, pi_bar
-from carlitz.padics import PadicContext
 from carlitz.polynomials import Poly, RatFunc, parse_poly, rat_reduce_mod_P
-from padic_oracle import CycPadicRing
+from padic_oracle import CycPadicRing, PadicContext
 
 F2 = make_field(2)
 F3 = make_field(3)

@@ -73,16 +73,16 @@ def test_reduction_rows_built_once_per_field(monkeypatch):
 
 def test_padic_ring_builds_its_series_once(monkeypatch):
     # one lambda table per (P, N), built on the first element; a ring
-    # that only serves its context (l-values --place P, fitting) builds
-    # no series at all.  A fresh field: another test may have built these
-    # rings already
+    # that only serves A_P (l-values --place P, fitting) builds X(u) but
+    # no lambda table and no unit series.  A fresh field: another test
+    # may have built these rings already
     from carlitz.core import padic_exp, padic_log
     monkeypatch.setattr(CycField, "_instances", {})
     cyc = cyc_of("T^3+T+1", F2)
     PadicClassSumTable(cyc.P, 5)
     odd_fitting_report(cyc, 5)
     ring = cyc.padic_ring(5)
-    assert ring.builds == 0 and ring._n == 0 and not ring._unit_series
+    assert ring.builds == 0 and ring._n == 5 and not ring._unit_series
     x = ring.elem(lam(cyc).coords).mul_scalar_poly(cyc.P)
     assert ring.builds == 1
     padic_log(padic_exp(x))
@@ -448,8 +448,8 @@ def test_teichmuller_lifts_hang_off_no_attribute():
     l_padic(cyc, Character(cyc, 0), PadicClassSumTable(cyc.P, 4))
     embed_padic(lam(cyc, cyc.F).scale_coeff(cyc.F.theta), 4)
     assert not [a for a in vars(cyc) if a.startswith("_teich_cache")]
-    # one context per (P, N): the class-sum table shares the ring's
-    assert PadicClassSumTable(cyc.P, 4).ctx is cyc.padic_ring(4).ctx
+    # one ring per (P, N): the class-sum table works in the field's
+    assert PadicClassSumTable(cyc.P, 4).ring is cyc.padic_ring(4)
 
 
 def test_irreducibles_slices_the_longest_sieve(monkeypatch):

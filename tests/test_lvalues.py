@@ -13,11 +13,11 @@ from carlitz.lvalues import (ClassSumTable, PadicClassSumTable, _charpoly,
                              deg_L, euler_factor_charpoly, euler_product,
                              inf_block_valuation, l_inf, l_padic,
                              padic_block_valuation)
-from carlitz.padics import PadicContext
 from carlitz.polynomials import (Poly, RatFunc, monic_irreducibles, monic_polys,
                                  parse_poly)
 from enumeration import brute_blocks
 from kernel_charpoly import kernel_charpolys
+from padic_oracle import PadicContext
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -52,14 +52,15 @@ def test_padic_class_sums_match_brute_force():
         table = PadicClassSumTable(P, N)
         zero = Poly.zero(P.field)
         totals = dict.fromkeys(residue_field(P).units(), zero)
+        back = table.ring.to_poly
         for n in range(N * int(P.degree) + 1):
             brute = brute_blocks(P, n, N=N)
             for sigma in totals:
                 want = brute.get(sigma, zero)
-                assert table.blocks(n)[sigma] == want, (Pstr, n, sigma)
+                assert back(table.blocks(n)[sigma]) == want, (Pstr, n, sigma)
                 totals[sigma] = (totals[sigma] + want) % P ** N
         for sigma, want in totals.items():
-            assert table.class_total(sigma) == want, (Pstr, sigma)
+            assert back(table.class_total(sigma)) == want, (Pstr, sigma)
 
 
 def test_truncation_lemma_blocks_vanish():
@@ -425,7 +426,7 @@ def test_padic_class_sums_consistent_across_N():
     F = residue_field(P)
     for sigma in range(1, 9):
         a = t2.class_total(sigma)
-        b = t3.class_total(sigma) % t2.ctx.P_pow(2)
+        b = t3.class_total(sigma).truncate(2)
         assert a == b
 
 
@@ -467,18 +468,29 @@ def test_block_valuation_exact_at_infinity(q, Pstr, n_top):
 
 @pytest.mark.parametrize("q,Pstr,N,n_top", [(3, "T^2+1", 9, 4),
                                             (2, "T^3+T+1", 8, 6),
-                                            (3, "T+1", 11, 3)])
+                                            (3, "T+1", 11, 3),
+                                            (3, "T^3+2*T+1", 9, 5),
+                                            (5, "T^2+2", 5, 3)])
 def test_block_valuation_exact_at_P(q, Pstr, N, n_top):
     # v_P of every unit-class block of degree d + m is
-    # v_P(D_m) - v_P(L_m) + q^m - 1; inverses by xgcd, not the table's
+    # v_P(D_m) - v_P(L_m) + q^m - 1; inverses by xgcd, not the table's.
+    # The table's blocks mod u^N have that valuation, read back as the
+    # enumerated ones, and are the blocks mod u^2N cut to N digits
     Fq = make_field(q)
     P = parse_poly(Pstr, Fq)
     ctx = PadicContext(P, N)
     d = int(P.degree)
+    low, high = PadicClassSumTable(P, N), PadicClassSumTable(P, 2 * N)
     assert padic_block_valuation(Fq, d, n_top) < N
     for n in range(n_top + 1):
+        lo, hi = low.blocks(n), high.blocks(n)
         for sigma, s in brute_blocks(P, n, N=N).items():
             assert ctx.vP(s, N) == padic_block_valuation(Fq, d, n), (n, sigma)
+            assert lo[sigma].valuation() == ctx.vP(s, N), (n, sigma)
+            assert lo[sigma] == hi[sigma].truncate(lo[sigma].prec), (n, sigma)
+            assert low.ring.to_poly(lo[sigma]) == s, (n, sigma)
+            assert high.ring.to_poly(hi[sigma]) % P ** N == s, (n, sigma)
+            assert lo[sigma].prec == N
 
 
 def test_deep_window_cuts():
@@ -504,15 +516,25 @@ def test_l_inf_precision_sound(qP, B):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.sampled_from(DESK), st.integers(1, 5))
+@given(st.sampled_from(DESK + [(3, "T^3+2*T+1"), (5, "T^2+2")]),
+       st.integers(1, 5))
 def test_l_padic_precision_sound(qP, N):
+    # the table, l_padic and the Poly read back, at N and at 2N: the low
+    # results hold every digit they claim, and claim N
     cyc = CycField(parse_poly(qP[1], make_field(qP[0])))
     low, high = PadicClassSumTable(cyc.P, N), PadicClassSumTable(cyc.P, 2 * N)
-    PN = low.ctx.P_pow(N)
+    PN = cyc.P ** N
+    for sigma in cyc.units():
+        got = low.class_total(sigma)
+        assert got == high.class_total(sigma).truncate(got.prec), (qP, N)
+        assert got.prec == N
     for chi in all_characters(cyc):
-        got = l_padic(cyc, chi, low)
-        assert got == got % PN
-        assert got == l_padic(cyc, chi, high) % PN, (qP, N, chi.n)
+        got, hi = l_padic(cyc, chi, low), l_padic(cyc, chi, high)
+        assert got == hi.truncate(got.prec), (qP, N, chi.n)
+        back = low.ring.to_poly(got)
+        assert back == back % PN
+        assert back == high.ring.to_poly(hi) % cyc.P ** got.prec, (qP, N)
+        assert got.prec == N
 
 
 def test_l_padic_parity_small():

@@ -1,5 +1,5 @@
 """Per-field and per-prime data has owners (CarlitzTables, CycField and
-PadicContext): no module of the library keeps a cache or table of its
+the MuRing it keeps per precision): no module of the library keeps a cache or table of its
 own in a module-level dict, set or list.  `__all__` is the one list."""
 
 import ast

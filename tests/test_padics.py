@@ -5,10 +5,12 @@ from carlitz.core import CarlitzTables, carlitz_act, padic_exp, padic_log
 from carlitz.cyclotomic import CycField, all_characters, b1, lambda_power_rows
 from carlitz.lvalues import l_padic
 from carlitz.fields import make_field, residue_field, residue_rep
-from carlitz.padics import PadicContext
 from carlitz.polynomials import Poly, parse_poly
+from carlitz.special_points import special_point_padic
 from enumeration import xgcd
-from padic_oracle import CycPadicRing, embed_poly_to_padic, vP_by_division
+from padic_oracle import (CycPadicRing, PadicContext, class_totals,
+                          embed_poly_to_padic, l_padic_poly,
+                          special_point_coords, vP_by_division)
 
 F3 = make_field(3)
 F2 = make_field(2)
@@ -218,7 +220,7 @@ def test_mul_and_frobq_precision_sound(qP, p, data):
     # the same elements known mod P^p and mod P^2p: the low results must
     # hold every digit they claim, and claim the p digits of their input
     cyc = _desk_cyc(qP)
-    ring = CycPadicRing(cyc.padic_ring(2 * p).ctx, cyc.rows)
+    ring = CycPadicRing(PadicContext(cyc.P, 2 * p), cyc.rows)
     x, y = _draw_elem(data, ring, 2 * p), _draw_elem(data, ring, 2 * p)
     xl, yl = x.truncate(p), y.truncate(p)
     for lo, hi in ((xl * yl, x * y), (xl * y, x * y), (xl.frobq(), x.frobq())):
@@ -233,7 +235,7 @@ def test_teichmuller_precision_sound(qP, N, data):
     # is unique; the lift mod P^N must agree with it on every digit
     cyc = _desk_cyc(qP)
     c = data.draw(st.integers(0, cyc.F.order - 1))
-    low, high = cyc.padic_ring(N).ctx, cyc.padic_ring(2 * N).ctx
+    low, high = PadicContext(cyc.P, N), PadicContext(cyc.P, 2 * N)
     h = high.teichmuller(c)
     z = h
     for _ in range(cyc.d):
@@ -269,7 +271,7 @@ def test_model_matches_the_oracle(qP, N, data):
     # which is a ring hom; vm and prec agree too
     cyc = _desk_cyc(qP)
     ring = cyc.padic_ring(N)
-    orc = CycPadicRing(ring.ctx, cyc.rows)
+    orc = CycPadicRing(PadicContext(cyc.P, N), cyc.rows)
 
     def same(o, m):
         assert o.prec == m.prec and o.vm() == m.vm(), qP
@@ -289,7 +291,7 @@ def test_model_matches_the_oracle(qP, N, data):
     tab = CarlitzTables(cyc.Fq)
     for den, v in ((tab.D(i), tab.vP_D(i, cyc.d)), (tab.L(i), tab.vP_L(i, cyc.d))):
         if v < N:
-            Pv = ring.ctx.P_pow(v)
+            Pv = cyc.P ** v
             same(x.mul_scalar_poly(Pv).div_scalar_poly(den, v),
                  X.mul_scalar_poly(Pv).div_scalar_poly(den, v))
     cz = _in_m2(cyc, _coords(data, cyc, N))
@@ -336,14 +338,16 @@ def test_model_uniformizer_and_torsion(qP):
 @pytest.mark.parametrize("qP", DESK + [(3, "T^2+T+2"), (3, "T^3+2*T+1")],
                          ids=lambda qP: "%d-%s" % qP)
 def test_vP_by_root_multiplicity_matches_division(qP):
-    # v_P as the multiplicity of theta against division by P after the
-    # Teichmuller embedding: B_1 of every odd chi (num and den), l_padic
-    # of every chi, and (T - theta)^k times a fixed polynomial over F,
-    # k up to past the cap
+    # v_P as the oracle's multiplicity of theta and as the model's first
+    # u-digit, against division by P after the Teichmuller embedding:
+    # B_1 of every odd chi (num and den), l_padic of every chi read back,
+    # and (T - theta)^k times a fixed polynomial over F, k up to past
+    # the cap
     cyc, N = _desk_cyc(qP), 4
     table = cyc.padic_table(N)
-    ctx, F = table.ctx, cyc.F
-    polys = [l_padic(cyc, chi, table) for chi in all_characters(cyc)]
+    ring, ctx, F = table.ring, PadicContext(cyc.P, N), cyc.F
+    polys = [ring.to_poly(l_padic(cyc, chi, table))
+             for chi in all_characters(cyc)]
     for chi in all_characters(cyc):
         if chi.is_odd():
             polys += [b1(chi).num, b1(chi).den]
@@ -353,6 +357,35 @@ def test_vP_by_root_multiplicity_matches_division(qP):
     for f in polys:
         want = vP_by_division(embed_poly_to_padic(f, ctx), ctx.P, N)
         assert ctx.vP(f, N) == want, (qP, f)
+        assert ring.expand(f).valuation() == want, (qP, f)
+
+
+@pytest.mark.parametrize("qP,N", [((2, "T^3+T+1"), 4), ((3, "T^2+1"), 6),
+                                  ((3, "T^3+2*T+1"), 6), ((5, "T^2+2"), 4),
+                                  ((3, "T+1"), 6)],
+                         ids=lambda x: "%d-%s" % x if isinstance(x, tuple)
+                         else "N%d" % x)
+def test_one_model_matches_the_poly_oracle(qP, N):
+    # the class totals, l_padic and its v_P, v_P of B_1 and the special
+    # points in A_P = F[[u]], against the Poly-mod-P^N path: Teichmuller
+    # lifts by Frobenius iteration, Newton unit inverses, v_P by
+    # synthetic division and the point summed over sigma(lambda)^m
+    cyc = _desk_cyc(qP)
+    table, ring = cyc.padic_table(N), cyc.padic_ring(N)
+    ctx = PadicContext(cyc.P, N)
+    totals = class_totals(ctx, table.n_max)
+    for sigma, s in totals.items():
+        assert ring.to_poly(table.class_total(sigma)) == s, (qP, sigma)
+    for chi in all_characters(cyc):
+        lv, want = l_padic(cyc, chi, table), l_padic_poly(chi, ctx, totals)
+        assert ring.to_poly(lv) == want, (qP, chi.n)
+        assert lv.valuation() == ctx.vP(want, N), (qP, chi.n)
+        if chi.is_odd():
+            for f in (b1(chi).num, b1(chi).den):
+                assert ring.expand(f).valuation() == ctx.vP(f, N), (qP, chi.n)
+    for m in range(1, 6):
+        want = ring.elem(special_point_coords(cyc, m, ctx, totals), N)
+        assert special_point_padic(cyc, m, N).digits == want.digits, (qP, m)
 
 
 # -- precision soundness of the model ------------------------------------------
@@ -382,7 +415,7 @@ def test_model_precision_sound(qP, N, data):
     }
     if v < N:
         ops["div"] = lambda r: r.elem(cx).mul_scalar_poly(
-            r.ctx.P_pow(v)).div_scalar_poly(den, v)
+            cyc.P ** v).div_scalar_poly(den, v)
     if (lo.elem(cz).vm() or 2) >= 2:
         ops["exp"] = lambda r: padic_exp(r.elem(cz))
         ops["log"] = lambda r: padic_log(r.elem(cz))
