@@ -437,22 +437,28 @@ def idempotent_project(chi, x):
     The minus sign is |Delta| = q^d - 1 = -1 in characteristic p, making
     e_chi idempotent without a division.
     """
-    return _dense(x, project_vector(chi, *_sparse(x), lambda v, c: v.scale(c)))
+    return _dense(x, project_vector(chi, galois_images(chi.cyc, *_sparse(x)),
+                                    lambda v, c: v.scale(c)))
 
 
-def project_vector(chi, coords, mul_poly, scale):
-    """e_chi on a coordinate vector with caller-supplied value ops.
+def galois_images(cyc, coords, mul_poly):
+    """sigma_b of a coordinate vector for every b in cyc.units(), in that
+    order: what e_chi sums, for every character chi.
 
     `coords` has length L over any module where mul_poly(v, p) multiplies
-    by an exact A-polynomial and scale(v, c) by an F-constant; None
-    entries are zero, in and out.
+    by an exact A-polynomial; None entries are zero, in and out.
     """
+    return [_sigma_coords(cyc, b, coords, mul_poly) for b in cyc.units()]
+
+
+def project_vector(chi, images, scale):
+    """e_chi on a coordinate vector, from its galois_images, where
+    scale(v, c) multiplies a value by an F-constant."""
     cyc = chi.cyc
     out = None
-    for b in cyc.units():
+    for b, image in zip(cyc.units(), images):
         c = chi.inv()(b)
-        scaled = [None if v is None else scale(v, c)
-                  for v in _sigma_coords(cyc, b, coords, mul_poly)]
+        scaled = [None if v is None else scale(v, c) for v in image]
         if out is None:
             out = scaled
         else:

@@ -5,10 +5,12 @@ An element of a field with ``p**e`` elements is a plain int in
 representative in base ``p`` (constant digit first).  Extension fields
 keep eager log/exp tables whenever the order is at most ``TABLE_LIMIT``,
 so multiplication and inversion are table lookups.  The tables walk the
-powers of the least primitive element ``g`` on int codes, each step a
-product by ``g`` by Horner's rule in ``g``'s digits: times ``X`` shifts
-one digit up and adds the top digit ``t`` back as ``t*(X^m - modulus)``
-by two lookups, one per half of the code (over ``F_2``, an XOR).  Fields
+powers of the least primitive element ``g`` on int codes: times ``X``
+shifts one digit up and adds the top digit ``t`` back as
+``t*(X^m - modulus)`` by two lookups, one per half of the code (over
+``F_2``, an XOR).  When ``g = X`` the walk is that step alone, one list
+comprehension without a branch (``t = 0`` folds by the identity);
+any other ``g`` multiplies by Horner's rule in its digits.  Fields
 without tables multiply by ``_mul_poly``: the ``Poly`` product of the two
 digit vectors over the base field (one Kronecker product over a prime
 base, see polynomials.py), reduced mod the modulus.
@@ -22,7 +24,8 @@ tower of base fields:
 * odd extensions with tables keep Zech logarithms, ``Z[k] = log(1 +
   g^k)`` (``None`` where ``1 + g^k = 0``), so ``g^i + g^j = g^(i +
   Z[j - i])`` and ``-g^i = g^(i + (order - 1)/2)`` are lookups (Lidl
-  and Niederreiter, *Finite Fields*, on Zech logarithms).  ``Z`` takes
+  and Niederreiter, *Finite Fields*, on Zech logarithms), and so is
+  ``g^i - g^j = g^(i + Z[j + (order - 1)/2 - i])``.  ``Z`` takes
   no field call per element: over ``F_p``, ``1 + x`` is ``x + 1``, or
   ``x - (p - 1)`` where the constant digit is ``p - 1``.
 
@@ -164,7 +167,19 @@ class FiniteField:
     def sub(self, a, b):
         if self.base is None:
             return (a - b) % self.p
-        return a ^ b if self.p == 2 else self.add(a, self.neg(b))
+        zech = self._zech
+        if zech is None:
+            return a ^ b if self.p == 2 else self._add_digits(a, self.neg(b))
+        if not b:
+            return a
+        # g^i - g^j = g^i + g^(j + half)
+        log, M = self._log, len(zech)
+        lb = log[b] + self._half
+        if not a:
+            return self._exp[lb % M]
+        la = log[a]
+        k = zech[(lb - la) % M]
+        return 0 if k is None else self._exp[(la + k) % M]
 
     def _add_digits(self, a, b):
         """a + b digit by digit through the tower: the path of odd
@@ -219,16 +234,20 @@ class FiniteField:
 
     def _build_tables(self):
         n = self.order
-        # least primitive g by int code; pow has no tables to use yet
+        # least primitive g by int code; pow has no tables to use yet.
+        # Above degree 1 the base constants (codes < b) have order < b
         fac = _trial_factor(n - 1)
-        g = next((c for c in range(1, n)
+        lo = 1 if self.deg_over_base == 1 else self.base.order
+        g = next((c for c in range(lo, n)
                   if all(self.pow(c, (n - 1) // f) != 1 for f in fac)), None)
         if g is None:
             raise ArithmeticError("no generator of GF(%d)^*" % n)
-        exp = [0] * (n - 1)
+        if self.deg_over_base > 1 and g == self.base.order:
+            exp = self._x_powers()
+        else:
+            exp = list(self._powers(g))
         log = [None] * n
-        for k, x in enumerate(self._powers(g)):
-            exp[k] = x
+        for k, x in enumerate(exp):
             log[x] = k
         self._exp, self._log = exp, log
         if self.base is not None and self.p != 2:
@@ -239,10 +258,53 @@ class FiniteField:
             self._zech = [log[x + step[x % bb]] for x in exp]
             self._half = (n - 1) // 2  # -1 = g^half
 
+    def _halves(self, dmap):
+        """Half-code tables (lo, hi) of the digit-wise map v -> dmap(i, v)
+        at digit i: it sends x to lo[x % bk] + hi[x // bk], where
+        bk = b^ceil(m/2) (m = deg_over_base, b = the base's order)."""
+        m, b = self.deg_over_base, self.base.order
+        bk = b ** ((m + 1) // 2)
+        tabs = [[0], [0]]
+        for i in range(m):
+            col = [dmap(i, v) * b ** i for v in range(b)]
+            h = tabs[b ** i >= bk]
+            h[:] = [c + u for c in col for u in h]
+        return tabs
+
+    def _fold_tables(self):
+        """fold[t], the half-code tables of + t*(X^m - modulus), for every
+        base digit t (fold[0] is the identity)."""
+        base = self.base
+        return [self._halves(lambda i, v, t=t: base.add(
+            v, base.mul(t, base.neg(self.modulus[i]))))
+            for t in range(base.order)]
+
+    def _x_powers(self):
+        """X^0, ..., X^(order - 2) for deg_over_base m >= 2, as one
+        comprehension of the shift-and-fold step x -> x*X.  Over F_2 it
+        is x << 1, XOR the modulus where the top bit was set.  Otherwise
+        x*X is the shift (x mod top)*X folded by fold[t], t = x // top
+        the top digit.  The fold tables split the code at the digit
+        k = ceil(m/2), so the low half of x*X reads the k - 1 lowest
+        digits of x and t (lo), and the high half reads x // c,
+        c = b^(k - 1), whose top digit is t (hi).  fold[0] is the
+        identity, so the step has no branch."""
+        n, m, x = self.order, self.deg_over_base, 1
+        if self.p == 2 and self.base.base is None:
+            red, s = (0, self.from_digits(self.modulus)), m - 1
+            return [1] + [x := x << 1 ^ red[x >> s] for _ in range(n - 2)]
+        b = self.base.order
+        top, c, fold = b ** (m - 1), b ** ((m - 1) // 2), self._fold_tables()
+        lo = [fold[t][0][j * b] for t in range(b) for j in range(c)]
+        hi = [fold[t][1][r] for t in range(b) for r in range(top // c)]
+        return [1] + [x := lo[x % c + x // top * c] + hi[x // c]
+                      for _ in range(n - 2)]
+
     def _powers(self, g):
         """g^0, ..., g^(order - 2): x*g by Horner's rule in g's digits c,
         acc = acc*X + c*x, where times X shifts one digit up and folds the
-        top digit t back as t*(X^m - modulus)."""
+        top digit t back as t*(X^m - modulus).  The path of every g other
+        than X, and the oracle of _x_powers."""
         n, m, x = self.order, self.deg_over_base, 1
         base = self.base
         gd = self.digits(g)
@@ -261,21 +323,12 @@ class FiniteField:
                 x = acc
         else:
             # int codes: a digit-wise map of x is lo[x % bk] + hi[x // bk]
-            b, badd, bmul = base.order, base.add, base.mul
+            b, bmul = base.order, base.mul
             top, bk = b ** (m - 1), b ** ((m + 1) // 2)
-
-            def halves(dmap):
-                tabs = [[0], [0]]
-                for i in range(m):
-                    col = [dmap(i, v) * b ** i for v in range(b)]
-                    h = tabs[b ** i >= bk]
-                    h[:] = [c + u for c in col for u in h]
-                return tabs
             # fold[t]: + t*(X^m - modulus); scale[c]: times the digit c
-            fold = [None] + [halves(lambda i, v, t=t: badd(
-                v, bmul(t, base.neg(self.modulus[i]))))
-                for t in range(1, b if m > 1 else 1)]
-            scale = {c: halves(lambda i, v, c=c: bmul(c, v)) for c in gd if c}
+            fold = self._fold_tables()
+            scale = {c: self._halves(lambda i, v, c=c: bmul(c, v))
+                     for c in gd if c}
             lo, hi = scale[gd[-1]]
             for _ in range(n - 1):
                 yield x

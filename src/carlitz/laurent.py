@@ -187,15 +187,13 @@ class LaurentSeries:
         return Poly(F, cs)
 
     def __repr__(self):
+        # x^n for the stored coefficient of n: x is 1/T, 1/Y or u
         if not self.coeffs:
-            return "O(T^-%d)" % self.prec
-        terms = []
-        for i, c in enumerate(self.coeffs[:8]):
-            if c:
-                n = self.val + i
-                terms.append("%s*T^%d" % (self.field.fmt(c), -n))
+            return "O(x^%d)" % self.prec
+        terms = ["%s*x^%d" % (self.field.fmt(c), self.val + i)
+                 for i, c in enumerate(self.coeffs[:8]) if c]
         more = "+..." if len(self.coeffs) > 8 else ""
-        return "+".join(terms) + more + " + O(T^-%d)" % self.prec
+        return "+".join(terms) + more + " + O(x^%d)" % self.prec
 
 
 class RamifiedElem:

@@ -354,3 +354,16 @@ def test_cli_import_skips_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == ["False", "False"]
+
+
+def test_cli_import_skips_csv():
+    # csv is imported by the CSV branch of render alone
+    src = str(pathlib.Path(lvalues.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "import carlitz.cli\n"
+            "print('csv' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["False"]

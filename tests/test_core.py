@@ -405,10 +405,15 @@ def test_bc_stream_makes_no_field_calls(monkeypatch, q, Pstr):
 
 def test_bc_stream_without_tables(monkeypatch):
     # a residue field above TABLE_LIMIT multiplies with F.mul, in
-    # characteristic 2 and in odd characteristic
+    # characteristic 2 and in odd characteristic.  The oracle's cached
+    # fields are built first, with tables: one built under the patched
+    # limit would stay in residue_field's cache for every later test
+    primes = ((parse_poly("T^3+T+1", F2), 6),
+              (parse_poly("T^3+2*T+1", F3), 25))
+    for P, _ in primes:
+        residue_field(P)
     monkeypatch.setattr(fields, "TABLE_LIMIT", 4)
-    for P, n_max in ((parse_poly("T^3+T+1", F2), 6),
-                     (parse_poly("T^3+2*T+1", F3), 25)):
+    for P, n_max in primes:
         F = residue_field.__wrapped__(P)
         assert F._log is None
         monkeypatch.setattr(core, "residue_field", lambda _, F=F: F)

@@ -176,6 +176,47 @@ def test_tables_match_schoolbook_walk(F):
     assert F._zech == zech
 
 
+@pytest.mark.parametrize("F", [
+    make_field(2, 3), make_field(3, 3), make_field(2, 8),
+    *(residue_field(parse_poly(P, make_field(q))) for q, P in SCAN_PRIMES)],
+    ids=repr)
+def test_x_walk_matches_horner_walk(F):
+    # both walks of the powers of X (the Horner walk with g = X forced),
+    # whether or not X is primitive (it is not in F_{2^8})
+    X = F.base.order
+    assert F._x_powers() == list(F._powers(X))
+    if F._exp[1] == X:
+        assert F._exp == F._x_powers()
+
+
+def test_scan_tables_skip_the_horner_walk(monkeypatch):
+    # g = X at both scan primes: the tables come from _x_powers alone
+    def refuse(self, g):
+        raise AssertionError("_powers called")
+    monkeypatch.setattr(FiniteField, "_powers", refuse)
+    for q, P in SCAN_PRIMES:
+        F = residue_field.__wrapped__(parse_poly(P, make_field(q)))
+        assert F._exp[1] == F.theta
+
+
+@pytest.mark.parametrize("q,P,order_of_x", [(3, "T^2+1", 4),
+                                             (2, "T^4+T^3+T^2+T+1", 5)])
+def test_tables_when_x_is_not_primitive(monkeypatch, q, P, order_of_x):
+    # X is not primitive: the tables are the Horner walk of the least g
+    Pp = parse_poly(P, make_field(q))
+    F = residue_field(Pp)
+    assert F.mult_order(F.theta) == order_of_x
+    g = F._exp[1]
+    assert g != F.theta
+    assert F._exp == list(F._powers(g))
+
+    def refuse(self):
+        raise AssertionError("_x_powers called")
+    monkeypatch.setattr(FiniteField, "_x_powers", refuse)
+    fresh = residue_field.__wrapped__(Pp)
+    assert (fresh._exp, fresh._log, fresh._zech) == (F._exp, F._log, F._zech)
+
+
 def test_generator_t_plus_one():
     # T is not primitive in F_9 nor in F_{2^8}: Horner over g = T + 1
     assert make_field(3, 2)._exp[1] == 1 + 3

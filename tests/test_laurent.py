@@ -40,6 +40,14 @@ def test_mul_precision_tracking():
     assert c.coeff(1) == 1 and c.coeff(2) == 2
 
 
+def test_repr_names_no_place():
+    # one repr for series at infinity (in 1/T or 1/Y) and at P (in u):
+    # x^n is the coefficient of index n, whatever the uniformizer
+    assert repr(LaurentSeries(F3, -1, [1, 2], 4)) == "1*x^-1+2*x^0 + O(x^4)"
+    assert repr(LaurentSeries(F3, 3, [], 3)) == "O(x^3)"
+    assert "T" not in repr(LaurentSeries(F3, 1, [1], 2))
+
+
 def _laurent_loop(F, a, b, width):
     """The first `width` coefficients of a*b by the double loop that
     LaurentSeries.__mul__ ran before it called mul_coeffs: the oracle."""

@@ -2,12 +2,13 @@ import pytest
 
 from carlitz.core import exp_eval
 from carlitz.cyclotomic import (Character, CycField, InftyEmbedding,
-                                all_characters, b1, gauss_thakur,
-                                project_vector)
+                                _sigma_coords, all_characters, b1,
+                                galois_images, gauss_thakur, project_vector)
 from carlitz.fields import make_field
 from carlitz.laurent import LaurentSeries
 from carlitz.lvalues import ClassSumTable, padic_block_valuation
 from carlitz.polynomials import Poly, RatFunc, parse_poly
+from carlitz import special_points
 from carlitz.special_points import (_laurent_ratio_to_tau,
                                     _special_point_coords, coprime_l_inf,
                                     hr_dual_check, odd_fitting_report,
@@ -147,8 +148,9 @@ def test_special_point_identity_all_characters_all_powers():
                     return v * LaurentSeries.from_poly(
                         p, v.prec + int(p.degree) + 2, _F)
 
-                proj = project_vector(chi, coords, mul_poly,
-                                      lambda v, s: v.scale(s))
+                proj = project_vector(
+                    chi, galois_images(cyc, coords, mul_poly),
+                    lambda v, s: v.scale(s))
                 ratio = _laurent_ratio_to_tau(cyc, proj, tau, table.prec)
                 if c.is_zero():
                     assert ratio is None or ratio.is_zero(), (chi.n, m)
@@ -156,6 +158,58 @@ def test_special_point_identity_all_characters_all_powers():
                 cl = LaurentSeries.from_ratfunc(c, table.prec + cyc.d + 2,
                                                 field=F)
                 assert ratio.agrees_with(lval * cl), (Pstr, chi.n, m)
+
+
+def _project_vector_oracle(chi, coords, mul_poly, scale):
+    """e_chi with sigma_b applied once per (chi, b), summed in the order
+    of cyc.units()."""
+    cyc = chi.cyc
+    out = None
+    for b in cyc.units():
+        c = chi.inv()(b)
+        scaled = [None if v is None else scale(v, c)
+                  for v in _sigma_coords(cyc, b, coords, mul_poly)]
+        if out is None:
+            out = scaled
+        else:
+            out = [a if b_ is None else (b_ if a is None else a + b_)
+                   for a, b_ in zip(out, scaled)]
+    return [None if v is None else scale(v, cyc.F.neg(1)) for v in out]
+
+
+@pytest.mark.parametrize("Pstr,Fq", [("T^2+T+1", F2), ("T^3+T+1", F2),
+                                     ("T^2+1", F3), ("T^3+2*T+1", F3)])
+def test_cnf_indices_match_per_character_projection(monkeypatch, Pstr, Fq):
+    # verify_cnf shares the Galois images of L_{m*} among the characters
+    # with that m*; the oracle projects every character on its own.  A
+    # fresh CycField: no deeper class table left by an earlier test
+    monkeypatch.setattr(CycField, "_instances", {})
+    cyc = _cyc(Pstr, Fq)
+    F, depth = cyc.F, 16
+    family = {}
+    lattice_index = special_points.lattice_index
+    monkeypatch.setattr(special_points, "lattice_index",
+                        lambda c, a, b: family.update(b) or lattice_index(c, a, b))
+    report = verify_cnf(cyc, depth)
+    assert len(family) == cyc.L
+    table, dual = cyc.class_table(depth), cyc.tau_dual()
+
+    def mul_poly(v, p):
+        return v * LaurentSeries.from_poly(p, v.prec + int(p.degree) + 2, F)
+    for chi in all_characters(cyc):
+        mstar = next(m for m in range(cyc.L) if not dual[m][chi.n].is_zero())
+        coords = _special_point_coords(cyc, mstar, table, F)
+        proj = _project_vector_oracle(chi, coords, mul_poly,
+                                      lambda v, c: v.scale(c))
+        analytic = _laurent_ratio_to_tau(cyc, proj, gauss_thakur(chi),
+                                         table.prec)
+        cl = LaurentSeries.from_ratfunc(dual[mstar][chi.n],
+                                        table.prec + cyc.d + 2, field=F)
+        index = analytic * cl.inv()
+        got = family[chi.n]
+        assert (got.val, got.coeffs, got.prec) == \
+            (index.val, index.coeffs, index.prec), (Pstr, chi.n)
+    assert len(report.checks) == 2 * cyc.L + 1
 
 
 def test_padic_special_point_in_m_squared():
@@ -309,6 +363,24 @@ def test_indeterminate_check_states_its_reason():
         rep.add("c", False, indeterminate=True)
     rep.add("c", True, reason="unused")
     assert rep.checks[-1]["detail"] == {}
+
+
+def test_bulk_rows_are_the_rows_of_add():
+    ids = ["n=%d" % n for n in range(2, 40, 2)]
+    zero = [n % 6 == 0 for n in range(2, 40, 2)]
+    expo = [(1 - n) % 80 for n in range(2, 40, 2)]
+    one, bulk = VerificationReport("s", {}), VerificationReport("s", {})
+    for i, z, e in zip(ids, zero, expo):
+        one.add(i, True, residue_zero=z, character_exponent=e)
+    bulk.add_passed(ids, residue_zero=zero, character_exponent=expo)
+    assert len(bulk.checks) == len(ids)
+    for a, b in zip(one.checks, bulk.checks):
+        assert list(a.items()) == list(b.items())
+        assert list(a["detail"].items()) == list(b["detail"].items())
+    empty = VerificationReport("s", {})
+    empty.add_passed(["a", "b"])
+    assert [c["detail"] for c in empty.checks] == [{}, {}]
+    assert empty.passed()
 
 
 def test_congruence_suite():
