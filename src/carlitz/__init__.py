@@ -10,7 +10,6 @@ from .core import (CarlitzTables, bc_exact, bc_stream_mod_P, carlitz_act,
 from .cyclotomic import (Character, CycElem, CycField, InftyEmbedding,
                          all_characters, b1, embed_padic, gauss_thakur,
                          idempotent_project)
-from .equivariant import EquivariantElem, lattice_index
 from .fields import make_field, residue_field
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import (ClassSumTable, PadicClassSumTable,
@@ -31,7 +30,6 @@ __all__ = [
     "carlitz_poly", "exp_eval", "padic_exp", "padic_log",
     "Character", "CycElem", "CycField", "InftyEmbedding", "all_characters",
     "b1", "embed_padic", "gauss_thakur", "idempotent_project",
-    "EquivariantElem", "lattice_index",
     "make_field", "residue_field",
     "LaurentSeries", "RamifiedElem",
     "ClassSumTable", "PadicClassSumTable", "euler_factor_charpoly",

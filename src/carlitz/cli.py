@@ -390,8 +390,11 @@ def main(argv=None):
     elapsed = int((time.monotonic() - t0) * 1000)
     text = render(cfg, reports, elapsed)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _usage_error("--out %s: %s" % (cfg.out, exc.strerror))
     else:
         sys.stdout.write(text)
     return 0 if all(r.passed() for r in reports) else 1

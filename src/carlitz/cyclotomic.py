@@ -437,8 +437,7 @@ def idempotent_project(chi, x):
     The minus sign is |Delta| = q^d - 1 = -1 in characteristic p, making
     e_chi idempotent without a division.
     """
-    return _dense(x, project_vector(chi, galois_images(chi.cyc, *_sparse(x)),
-                                    lambda v, c: v.scale(c)))
+    return _dense(x, project_vector(chi, galois_images(chi.cyc, *_sparse(x))))
 
 
 def galois_images(cyc, coords, mul_poly):
@@ -451,20 +450,19 @@ def galois_images(cyc, coords, mul_poly):
     return [_sigma_coords(cyc, b, coords, mul_poly) for b in cyc.units()]
 
 
-def project_vector(chi, images, scale):
-    """e_chi on a coordinate vector, from its galois_images, where
-    scale(v, c) multiplies a value by an F-constant."""
+def project_vector(chi, images):
+    """e_chi on a coordinate vector, from its galois_images."""
     cyc = chi.cyc
     out = None
     for b, image in zip(cyc.units(), images):
         c = chi.inv()(b)
-        scaled = [None if v is None else scale(v, c) for v in image]
+        scaled = [None if v is None else v.scale(c) for v in image]
         if out is None:
             out = scaled
         else:
             out = [a if b_ is None else (b_ if a is None else a + b_)
                    for a, b_ in zip(out, scaled)]
-    return [None if v is None else scale(v, cyc.F.neg(1)) for v in out]
+    return [None if v is None else v.scale(cyc.F.neg(1)) for v in out]
 
 
 # -- Gauss-Thakur sums ------------------------------------------------------------

@@ -26,7 +26,7 @@ from .core import (CarlitzTables, bc_exact, bc_stream_mod_P, carlitz_act,
                    d_inverses_mod_P, exp_eval, padic_exp)
 from .cyclotomic import (Character, CycElem, all_characters, b1, embed_padic,
                          galois_images, gauss_thakur, project_vector)
-from .equivariant import lattice_index
+from .equivariant import descends
 from .fields import residue_field
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import l_inf, l_padic
@@ -320,7 +320,7 @@ def verify_cnf(cyc, depth, min_coeffs=10):
             images[mstar] = galois_images(cyc, _special_point_coords(
                 cyc, mstar, table, F), mul_poly)
         prec = table.prec
-        proj = project_vector(chi, images[mstar], lambda v, c: v.scale(c))
+        proj = project_vector(chi, images[mstar])
         analytic = _laurent_ratio_to_tau(cyc, proj, tau, prec)
         cl = LaurentSeries.from_ratfunc(cstar, prec + cyc.d + 2, field=F)
         index = analytic * cl.inv()
@@ -333,9 +333,7 @@ def verify_cnf(cyc, depth, min_coeffs=10):
                    reason=_overlap_reason(agree, overlap, min_coeffs))
         index_family[chi.n] = index
     if len(index_family) == cyc.L:
-        one = LaurentSeries.const(F, 1, depth + 1)
-        fam = lattice_index(cyc, {n: one for n in index_family}, index_family)
-        report.add("index-descends", fam.descends())
+        report.add("index-descends", descends(cyc, index_family))
     else:
         report.add("index-descends", False, indeterminate=True,
                    reason="index known for %d of %d characters"

@@ -1,13 +1,17 @@
-"""Every function the benchmark tracer hooks still exists under its name.
+"""Every layer and function the benchmark tracer hooks still exists.
 
-bench/tracer.py times and counts calls at the `module:Qualname` sites in
-its tables; a refactor that renames or moves one of them would otherwise
-surface only as an unhooked site in a benchmark run.
+bench/tracer.py times the modules in its LAYERS and counts calls at the
+`module:Qualname` sites in its tables; a refactor that removes a layer
+module, or renames or moves a site, would otherwise surface only in a
+traced benchmark run.
 """
 
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -32,4 +36,20 @@ def test_tracer_hook_sites_exist():
         if (obj is None or getattr(obj, "__qualname__", None) != qualname
                 or obj.__module__ != "carlitz." + layer):
             missing.append(site)
+    assert not missing, missing
+
+
+def test_cli_import_loads_every_tracer_layer():
+    # a fresh interpreter: this process has imported more than the CLI does
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, carlitz.cli\n"
+            "print(' '.join(m for m in sys.modules"
+            " if m.startswith('carlitz.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    loaded = set(out.split())
+    missing = [layer for layer in _tracer().LAYERS
+               if "carlitz." + layer not in loaded]
     assert not missing, missing

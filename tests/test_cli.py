@@ -323,6 +323,19 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["dir", "missing/x.json"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    # a directory, or a file in a directory that does not exist: bad
+    # input (status 2), not a failed check (status 1) or a traceback
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "2", "--P", "T+1", "--suites", "cong",
+              "--out", str(tmp_path / target)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--out" in err
+
+
 def test_cli_runs_without_numpy():
     # the package needs only the standard library: a fresh interpreter
     # runs padic-explog, a suite of long prime-field products, and never

@@ -1,7 +1,7 @@
 import random
 
 from carlitz.cyclotomic import Character, CycField, all_characters, b1
-from carlitz.equivariant import EquivariantElem, lattice_index
+from carlitz.equivariant import descends
 from carlitz.fields import make_field
 from carlitz.laurent import LaurentSeries
 from carlitz.polynomials import Poly, RatFunc, parse_poly
@@ -44,14 +44,13 @@ def _frob_family(cyc, rng):
         for n in orb:
             values[n] = v
             v = _coeff_frob(cyc.F, cyc.q, v)
-    return EquivariantElem(cyc, values)
+    return values
 
 
 def test_descends_constructed_family():
     cyc = _cyc()
     rng = random.Random(7)
-    fam = _frob_family(cyc, rng)
-    assert fam.descends()
+    assert descends(cyc, _frob_family(cyc, rng))
 
 
 def test_descends_fails_on_perturbation():
@@ -62,8 +61,17 @@ def test_descends_fails_on_perturbation():
     orb = next(o for o in frobenius_orbits(cyc.q, cyc.d) if len(o) > 1)
     T = Poly(cyc.F, [0, 1])
     n = orb[0]
-    fam.values[n] = fam.values[n] + LaurentSeries.from_poly(T, PREC)
-    assert not fam.descends()
+    fam[n] = fam[n] + LaurentSeries.from_poly(T, PREC)
+    assert not descends(cyc, fam)
+
+
+def test_descends_fails_on_missing_character():
+    cyc = _cyc()
+    rng = random.Random(5)
+    for n in range(cyc.L):
+        fam = _frob_family(cyc, rng)
+        del fam[n]
+        assert not descends(cyc, fam), n
 
 
 def test_b1_family_descends():
@@ -74,33 +82,13 @@ def test_b1_family_descends():
             _coeff_frob(cyc.F, cyc.q, b1(chi)), chi.n
 
 
-def test_normalized_leading_coefficients():
+def test_descends_up_to_constants():
+    # members are compared after scaling to leading coefficient 1, so a
+    # member scaled by a nonzero constant still descends
     cyc = _cyc()
     rng = random.Random(3)
     fam = _frob_family(cyc, rng)
-    fam.values[1] = fam.values[1].scale(2)
-    assert not fam.descends()
-    fam = fam.normalized()
-    assert fam.descends()
-    for v in fam.values.values():
-        assert v.leading() == 1
-
-
-def test_lattice_index_recovers_ratio():
-    cyc = _cyc()
-    prec = 10
-    basis1 = {}
-    basis2 = {}
-    want = {}
-    rng = random.Random(23)
-    for chi in all_characters(cyc):
-        base = LaurentSeries.from_poly(Poly(F3, [1, 2, 1]), prec).inv()
-        c = rng.randrange(1, 3)
-        k = rng.randrange(3)
-        ratio = LaurentSeries.from_poly(Poly(F3, [0] * k + [c]), prec)
-        basis1[chi.n] = base
-        basis2[chi.n] = base * ratio
-        want[chi.n] = ratio.scale(F3.inv(c))
-    idx = lattice_index(cyc, basis1, basis2)
-    for n, v in idx.values.items():
-        assert v.agrees_with(want[n]), n
+    fam[1] = fam[1].scale(2)
+    # the raw members no longer match along the orbit of 1
+    assert not _coeff_frob(cyc.F, cyc.q, fam[1]).agrees_with(fam[cyc.q])
+    assert descends(cyc, fam)

@@ -3,9 +3,12 @@
 bench/golden.json maps each command to the SHA-256 that
 bench/check_report.py computes for its JSON report (timing removed, keys
 sorted).  Each command runs in process with --out to a temporary file,
-and the checker must find no problem and the recorded digest.
+and the checker must find no problem and the recorded digest.  The cnf
+reports at two cubic desk pairs, which the benchmark does not run, are
+pinned the same way below.
 """
 
+import hashlib
 import importlib.util
 import json
 import pathlib
@@ -33,3 +36,30 @@ def test_golden_report_digest(tmp_path, command):
     problem, digest = _check_report()(str(path))
     assert problem is None
     assert digest == GOLDEN[command]
+
+
+# `verify --suites cnf` at default flags where bench/golden.json does not
+# look: (exit status, SHA-256 of the JSON report with timing_ms removed
+# and keys sorted).  The cubic prime over F_3 has 22 indeterminate
+# `index chi=...` checks and exits 1, so the digest is taken here, not by
+# check_report.py.  ROADMAP item 1 (cnf certified at every desk pair)
+# raises index precision there and will re-record these digests.
+CNF_DIGESTS = {
+    "2 T^3+T+1": (
+        0, "830a5cc40442de8e2ddfe70a5bcbe1edd95fd431659485c68a78512c0dd918d8"),
+    "3 T^3+2*T+1": (
+        1, "2bc6ee745178876ea2a0883a2d8267e8d3f406d9c19041edaa9a5a8987cba15d"),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(CNF_DIGESTS))
+def test_cnf_report_digest(tmp_path, pair):
+    q, P = pair.split()
+    path = tmp_path / "report.json"
+    status = main(["verify", "--q", q, "--P", P, "--suites", "cnf",
+                   "--format", "json", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    doc.pop("timing_ms")
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert (status, hashlib.sha256(text.encode()).hexdigest()) == \
+        CNF_DIGESTS[pair]

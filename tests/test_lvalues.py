@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from carlitz.core import CarlitzTables
 from carlitz import lvalues
 from carlitz.cyclotomic import Character, CycElem, CycField, all_characters
-from carlitz.equivariant import EquivariantElem
+from carlitz.equivariant import descends
 from carlitz.fields import make_field, residue_field, row_reduce
 from carlitz.laurent import LaurentSeries
 from carlitz.lvalues import (ClassSumTable, PadicClassSumTable, _charpoly,
@@ -136,9 +136,8 @@ def test_l_inf_leading_term():
 def test_l_inf_descends():
     cyc = CycField(parse_poly("T^2+1", F3))
     table = ClassSumTable(cyc.P, 10)
-    fam = EquivariantElem(cyc, {chi.n: l_inf(cyc, chi, table)
-                                for chi in all_characters(cyc)})
-    assert fam.descends()
+    assert descends(cyc, {chi.n: l_inf(cyc, chi, table)
+                          for chi in all_characters(cyc)})
 
 
 def test_euler_product_matches_l_inf():

@@ -149,8 +149,7 @@ def test_special_point_identity_all_characters_all_powers():
                         p, v.prec + int(p.degree) + 2, _F)
 
                 proj = project_vector(
-                    chi, galois_images(cyc, coords, mul_poly),
-                    lambda v, s: v.scale(s))
+                    chi, galois_images(cyc, coords, mul_poly))
                 ratio = _laurent_ratio_to_tau(cyc, proj, tau, table.prec)
                 if c.is_zero():
                     assert ratio is None or ratio.is_zero(), (chi.n, m)
@@ -160,21 +159,21 @@ def test_special_point_identity_all_characters_all_powers():
                 assert ratio.agrees_with(lval * cl), (Pstr, chi.n, m)
 
 
-def _project_vector_oracle(chi, coords, mul_poly, scale):
+def _project_vector_oracle(chi, coords, mul_poly):
     """e_chi with sigma_b applied once per (chi, b), summed in the order
     of cyc.units()."""
     cyc = chi.cyc
     out = None
     for b in cyc.units():
         c = chi.inv()(b)
-        scaled = [None if v is None else scale(v, c)
+        scaled = [None if v is None else v.scale(c)
                   for v in _sigma_coords(cyc, b, coords, mul_poly)]
         if out is None:
             out = scaled
         else:
             out = [a if b_ is None else (b_ if a is None else a + b_)
                    for a, b_ in zip(out, scaled)]
-    return [None if v is None else scale(v, cyc.F.neg(1)) for v in out]
+    return [None if v is None else v.scale(cyc.F.neg(1)) for v in out]
 
 
 @pytest.mark.parametrize("Pstr,Fq", [("T^2+T+1", F2), ("T^3+T+1", F2),
@@ -187,9 +186,9 @@ def test_cnf_indices_match_per_character_projection(monkeypatch, Pstr, Fq):
     cyc = _cyc(Pstr, Fq)
     F, depth = cyc.F, 16
     family = {}
-    lattice_index = special_points.lattice_index
-    monkeypatch.setattr(special_points, "lattice_index",
-                        lambda c, a, b: family.update(b) or lattice_index(c, a, b))
+    descends = special_points.descends
+    monkeypatch.setattr(special_points, "descends",
+                        lambda c, fam: family.update(fam) or descends(c, fam))
     report = verify_cnf(cyc, depth)
     assert len(family) == cyc.L
     table, dual = cyc.class_table(depth), cyc.tau_dual()
@@ -199,8 +198,7 @@ def test_cnf_indices_match_per_character_projection(monkeypatch, Pstr, Fq):
     for chi in all_characters(cyc):
         mstar = next(m for m in range(cyc.L) if not dual[m][chi.n].is_zero())
         coords = _special_point_coords(cyc, mstar, table, F)
-        proj = _project_vector_oracle(chi, coords, mul_poly,
-                                      lambda v, c: v.scale(c))
+        proj = _project_vector_oracle(chi, coords, mul_poly)
         analytic = _laurent_ratio_to_tau(cyc, proj, gauss_thakur(chi),
                                          table.prec)
         cl = LaurentSeries.from_ratfunc(dual[mstar][chi.n],
