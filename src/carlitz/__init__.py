@@ -8,8 +8,7 @@ tying them together at desk scale.
 from .core import (CarlitzTables, bc_exact, bc_stream_mod_P, carlitz_act,
                    carlitz_poly, exp_eval, padic_exp, padic_log)
 from .cyclotomic import (Character, CycElem, CycField, InftyEmbedding,
-                         all_characters, b1, embed_padic, gauss_thakur,
-                         idempotent_project)
+                         all_characters, b1, embed_padic, gauss_thakur)
 from .fields import make_field, residue_field
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import (ClassSumTable, PadicClassSumTable,
@@ -29,7 +28,7 @@ __all__ = [
     "CarlitzTables", "bc_exact", "bc_stream_mod_P", "carlitz_act",
     "carlitz_poly", "exp_eval", "padic_exp", "padic_log",
     "Character", "CycElem", "CycField", "InftyEmbedding", "all_characters",
-    "b1", "embed_padic", "gauss_thakur", "idempotent_project",
+    "b1", "embed_padic", "gauss_thakur",
     "make_field", "residue_field",
     "LaurentSeries", "RamifiedElem",
     "ClassSumTable", "PadicClassSumTable", "euler_factor_charpoly",

@@ -8,9 +8,11 @@ if every check in it is "pass", else 1 (and 2 for bad input).
 """
 
 import argparse
+import errno
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -161,6 +163,12 @@ def make_config(args):
         if n not in SUITES:
             _usage_error("unknown suite %r (have: %s, all)"
                          % (n, ", ".join(SUITES)))
+    # the report is written after every suite has run: a path that cannot
+    # be opened is bad input before any of them starts
+    if cfg.out and os.path.isdir(cfg.out):
+        _usage_error("--out %s: %s" % (cfg.out, os.strerror(errno.EISDIR)))
+    if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        _usage_error("--out %s: %s" % (cfg.out, os.strerror(errno.ENOENT)))
     try:
         _, P = cfg.build()
     except ValueError as exc:

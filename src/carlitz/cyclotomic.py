@@ -367,21 +367,12 @@ def _sigma_coords(cyc, b, coords, mul_poly):
     return moved
 
 
-def _sparse(x):
-    """A CycElem's coordinates with None for zero, and the F[T] product
-    by an element of A: the arguments of _sigma_coords and project_vector."""
-    return [None if c.is_zero() else c for c in x.coords], lambda v, m: v * m
-
-
-def _dense(x, coords):
-    F = x.field
-    return CycElem(x.cyc, F, [Poly.zero(F) if v is None else v
-                              for v in coords])
-
-
 def sigma_act(cyc, b, x):
     """Galois action sigma_b on a CycElem (acts on the K leg only)."""
-    return _dense(x, _sigma_coords(cyc, b, *_sparse(x)))
+    F = x.field
+    moved = _sigma_coords(cyc, b, [c or None for c in x.coords],
+                          lambda v, m: v * m)
+    return CycElem(cyc, F, [Poly.zero(F) if v is None else v for v in moved])
 
 
 # -- characters -----------------------------------------------------------------
@@ -431,15 +422,6 @@ def all_characters(cyc):
     return [Character(cyc, n) for n in range(cyc.L)]
 
 
-def idempotent_project(chi, x):
-    """e_chi x = -sum_b chi^{-1}(b) sigma_b(x).
-
-    The minus sign is |Delta| = q^d - 1 = -1 in characteristic p, making
-    e_chi idempotent without a division.
-    """
-    return _dense(x, project_vector(chi, galois_images(chi.cyc, *_sparse(x))))
-
-
 def galois_images(cyc, coords, mul_poly):
     """sigma_b of a coordinate vector for every b in cyc.units(), in that
     order: what e_chi sums, for every character chi.
@@ -471,20 +453,26 @@ def project_vector(chi, images):
 def gauss_thakur(chi):
     """tau(chi) in F tensor O_K.
 
-    tau(1) = 1.  The basic sums tau(omega^{q^i}) = -sum_b omega^{-q^i}(b)
-    (1 tensor sigma_b lambda) are e_chi(1 tensor lambda); a general chi =
-    omega^n multiplies them along the base-q digits of n.
+    tau(1) = 1.  The basic sums tau(omega^{q^j}) = -sum_b omega^{-q^j}(b)
+    (1 tensor sigma_b lambda) are e_chi(1 tensor lambda), read off
+    sigma_lambda; a general chi = omega^n multiplies them along the
+    base-q digits of n.
     """
     cyc = chi.cyc
 
     def build():
-        F, Fq = cyc.F, cyc.Fq
-        if chi.is_trivial():
-            return CycElem.one(cyc, F)
-        if chi.ring_hom_power() is not None:
-            lam = fold_powers(cyc.rows, [(1, Poly.one(Fq))], Poly.zero(Fq))
-            return idempotent_project(chi, CycElem.from_A_coords(cyc, F, lam))
-        out, n = CycElem.one(cyc, F), chi.n
+        F, n = cyc.F, chi.n
+        # n = 0 takes the empty product below, also when L = 1 makes the
+        # trivial character omega itself
+        if n and chi.ring_hom_power() is not None:
+            acc, inv = [Poly.zero(F)] * cyc.L, chi.inv()
+            for b in cyc.units():
+                c = F.neg(inv(b))
+                for i, a in enumerate(cyc.sigma_lambda(b)):
+                    if a:
+                        acc[i] = acc[i] + _embed_poly(a, F).scale(c)
+            return CycElem(cyc, F, acc)
+        out = CycElem.one(cyc, F)
         for i in range(cyc.d):
             for _ in range(n % cyc.q):
                 out = out * gauss_thakur(Character(cyc, cyc.q ** i))

@@ -432,45 +432,3 @@ def residue_rep(P, x):
     """The representative in F_q[T], of degree < deg P, of x in
     residue_field(P)."""
     return Poly(P.field, residue_field(P).digits(x))
-
-
-def row_reduce(rows, ops):
-    """Gauss-Jordan elimination of a list of rows over a field, in place.
-
-    `ops` supplies neg, sub, mul, inv and is_zero on the entries: a
-    FiniteField for int entries, or any namespace of such functions for
-    other entries (RatFunc, LaurentSeries).  Each column's
-    pivot is the first row still free with a nonzero entry there.
-    Afterwards rows[:len(pivots)] are in reduced row echelon form (pivot
-    entries 1, pivot columns zero elsewhere) and the remaining rows are
-    zero.  Returns (pivots, det): det is the determinant of a square
-    nonsingular input, None for a singular or non-square one.
-    """
-    n = len(rows)
-    width = len(rows[0]) if rows else 0
-    pivots, det, flips = [], None, False
-    for c in range(width):
-        r = len(pivots)
-        if r == n:
-            break
-        i = next((i for i in range(r, n) if not ops.is_zero(rows[i][c])), n)
-        if i == n:
-            continue
-        if i != r:
-            rows[r], rows[i] = rows[i], rows[r]
-            flips = not flips
-        piv = rows[r][c]
-        det = piv if det is None else ops.mul(det, piv)
-        inv = ops.inv(piv)
-        # columns left of c are zero in the pivot row
-        prow = [ops.mul(x, inv) for x in rows[r][c:]]
-        rows[r][c:] = prow
-        for j in range(n):
-            f = rows[j][c]
-            if j != r and not ops.is_zero(f):
-                rows[j][c:] = [ops.sub(a, ops.mul(f, b))
-                               for a, b in zip(rows[j][c:], prow)]
-        pivots.append(c)
-    if len(pivots) < n or n != width:
-        return pivots, None
-    return pivots, ops.neg(det) if flips else det

@@ -154,7 +154,7 @@ class LaurentSeries:
     def inv(self):
         """By the long-division recurrence (inv_coeffs).  verify inverts
         series of at most depth + 14 digits here (class blocks, cnf
-        ratios, L-values, lattice indices) and 9 in the Euler products;
+        ratios, L-values) and 9 in the Euler products;
         exp_eval's wider 1/D_i, up to a few hundred digits, come from
         CarlitzTables.d_inverse, once per i."""
         if not self.coeffs:

@@ -42,7 +42,7 @@ import operator
 
 from .core import CarlitzTables
 from .cyclotomic import CycField, fold_powers, gauss_thakur, sigma_act
-from .fields import residue_field, residue_rep, row_reduce
+from .fields import residue_field, residue_rep
 from .laurent import LaurentSeries, inv_coeffs
 from .polynomials import Poly, mul_coeffs
 
@@ -315,117 +315,59 @@ def euler_factor_charpoly(cyc, chi, f):
     as a list of F-coefficients (constant first).
 
     The module identity says this equals f(Z) - chi(f); the function
-    computes the left side honestly from matrices, leaving the identity
-    to be checked by the caller.  The m = deg f vectors v_j = tau(chi) T^j
-    mod f lie in the chi-eigenspace: the Gauss-Thakur sum tau(chi)
-    (Thakur 1988) is checked once per chi to satisfy sigma_g tau(chi) =
-    chi(g) tau(chi) for a generator g of Delta.  m independent ones span
-    it, as every eigenspace has F-dimension exactly m: |Delta| = L is
-    prime to p, so F tensor O_K/f is the sum of the L eigenspaces; for f
-    != P, O_K/f is free of rank one over (A/f)[Delta] (normal integral
-    basis) and e_chi cuts out one copy of F[T]/f; for f = P, sigma_b is
-    b^k on the k-th piece of the lambda-adic filtration of O_K/P =
-    (A/P)[lambda]/(lambda^L), which after F tensor carries omega^{k q^i}
-    for i < d, so each character occurs d = m times.  One reduction of
-    [v | (T + tau) v] shows the v_j independent and their images in their
-    span (pivots 0..m-1); its top-right m x m block is the restricted
-    operator.
+    computes the left side honestly from a matrix, leaving the identity
+    to be checked by the caller.  Every eigenspace has F-dimension
+    exactly m = deg f: |Delta| = L is prime to p, so F tensor O_K/f is
+    the sum of the L eigenspaces; for f != P, O_K/f is free of rank one
+    over (A/f)[Delta] (normal integral basis) and e_chi cuts out one copy
+    of F[T]/f; for f = P, sigma_b is b^k on the k-th piece of the
+    lambda-adic filtration of O_K/P = (A/P)[lambda]/(lambda^L), which
+    after F tensor carries omega^{k q^i} for i < d, so each character
+    occurs d = m times.  The Gauss-Thakur sum tau(chi) (Thakur 1988) lies
+    in it, and a tau(chi) = 0 mod f for a in F[T] forces f | a once f is
+    prime to the gcd g of its lambda-coordinates, so then the eigenspace
+    is (F[T]/f) tau(chi).  tau, the q-power map of the O_K leg, sends
+    tau(chi) to r tau(chi) with r in F[T] (_chi_line), so T + tau is a ->
+    T a + r a(T^q) mod f on F[T]/f, here on the basis T^j, j < m.
     """
-    F, m = cyc.F, int(f.degree)
-    tau = cyc.memo(("chi_eigenvector", chi.n), lambda: _eigenvector(cyc, chi))
-    op = cyc.memo(("charpoly_ops", f), lambda: _charpoly_ops(cyc, f))
-    # v_{j+1} = T v_j mod f: one companion step in each lambda-block
-    pows = _t_powers(cyc, f, max(len(c.coeffs) for c in tau.coords))
-    basis = [_vector(tau.coords, 0, pows, F)]
-    for _ in range(1, m):
-        v = basis[-1]
-        basis.append([c for i in range(0, len(v), m)
-                      for c in _times_T(v[i:i + m], f, F)])
-    rows = [list(r) for r in zip(*basis, *(_apply(op, v, F) for v in basis))]
-    if row_reduce(rows, F)[0] != list(range(m)):
-        raise ArithmeticError("T + tau does not preserve an m-dimensional "
-                              "span of tau(chi) T^j mod f")
-    return _charpoly([row[m:] for row in rows[:m]], F)
+    F, m, q = cyc.F, int(f.degree), cyc.q
+    g, r = cyc.memo(("chi_line", chi.n), lambda: _chi_line(cyc, chi))
+    f = Poly(F, f.coeffs)  # over F, for gcd and remainders in F[T]
+    if g.gcd(f).degree > 0:
+        raise ArithmeticError("tau(chi) T^j mod f are not independent: f "
+                              "shares a factor with every coordinate")
+    cols = [(Poly.monomial(F, 1, j + 1) + r.shift(q * j)) % f
+            for j in range(m)]
+    return _charpoly([[c.coeff(i) for c in cols] for i in range(m)], F)
 
 
-def _eigenvector(cyc, chi):
-    """tau(chi), checked to satisfy sigma_g tau(chi) = chi(g) tau(chi) for
-    a generator g of Delta."""
-    g = next(b for b in cyc.units() if cyc.F.mult_order(b) == cyc.L)
-    tau = gauss_thakur(chi)
-    if sigma_act(cyc, g, tau) != tau.scale_coeff(chi(g)):
+def _chi_line(cyc, chi):
+    """(g, r) for tau(chi): g the gcd of its lambda-coordinates, and r in
+    F[T] with tau(tau(chi)) = r tau(chi), read off one coordinate and
+    checked on all L.  tau(chi) is first checked to satisfy sigma_g
+    tau(chi) = chi(g) tau(chi) for a generator g of Delta."""
+    F, q = cyc.F, cyc.q
+    gen = next(b for b in cyc.units() if F.mult_order(b) == cyc.L)
+    x = gauss_thakur(chi)
+    if sigma_act(cyc, gen, x) != x.scale_coeff(chi(gen)):
         raise ArithmeticError("tau(chi) is not in the chi(g)-eigenspace "
                               "of sigma_g")
-    return tau
-
-
-def _charpoly_ops(cyc, f):
-    """The matrix over F of T + tau on F tensor O_K/f O_K, on the basis of
-    _vector, as sparse rows (_apply)."""
-    q, m, Fq = cyc.q, int(f.degree), cyc.Fq
-    op = []
-    for i in range(cyc.L):
-        # tau sends lambda^i T^j to lambda^{iq} T^{jq} (K-leg only, so
-        # F-linear); the coordinates of lambda^{iq} serve every f
-        frob = cyc.memo(("lambda_power", i * q), lambda: fold_powers(
-            cyc.rows, [(i * q, Poly.one(Fq))], Poly.zero(Fq)))
-        # T^{jq} frob for j < m, and T^{j+1} up to T^m
-        pows = _t_powers(cyc, f, q * m + max(len(c.coeffs) for c in frob))
-        for j in range(m):
-            col = _vector(frob, j * q, pows, Fq)
-            col[i * m:(i + 1) * m] = [Fq.add(a, b) for a, b in zip(
-                col[i * m:(i + 1) * m], pows[j + 1])]
-            op.append(col)
-    # the list holds columns; transpose to sparse rows
-    return [[(k, a) for k, a in enumerate(r) if a] for r in zip(*op)]
-
-
-def _t_powers(cyc, f, n):
-    """T^k mod f for k < n (at least), each as its deg f digits over F_q,
-    constant first: one table per f on cyc, grown by companion steps."""
-    pows = cyc.memo(("t_powers", f), lambda: [[1] + [0] * (int(f.degree) - 1)])
-    while len(pows) < n:
-        pows.append(_times_T(pows[-1], f, cyc.Fq))
-    return pows
-
-
-def _times_T(v, f, F):
-    """T v mod f for the digits v of a residue mod f, f monic over F_q."""
-    top = v[-1]
-    out = [0] + v[:-1]
-    if top:
-        out = [F.sub(a, F.mul(top, c)) for a, c in zip(out, f.coeffs)]
-    return out
-
-
-def _vector(coords, e, pows, F):
-    """(sum_k coords[k] lambda^k) T^e mod f on the basis lambda^i T^j at
-    index i*m + j (m = deg f): each coords[k], a Poly over F, is a linear
-    combination of the rows pows[n] = T^n mod f (_t_powers).  F_q sits in
-    F with the same int encoding."""
-    m, out = len(pows[0]), []
-    for r in coords:
-        acc = [0] * m
-        for n, c in enumerate(r.coeffs, e):
-            if c:
-                for j, t in enumerate(pows[n]):
-                    if t:
-                        acc[j] = F.add(acc[j], F.mul(c, t))
-        out.extend(acc)
-    return out
-
-
-def _apply(mat, v, F):
-    """mat v over F, each row of mat a list of (column, entry) pairs
-    for its nonzero entries."""
-    out = []
-    for row in mat:
-        acc = 0
-        for k, a in row:
-            if v[k]:
-                acc = F.add(acc, F.mul(a, v[k]))
-        out.append(acc)
-    return out
+    # tau sends c(T) lambda^i to c(T^q) lambda^{iq}: F is fixed
+    terms = []
+    for i, c in enumerate(x.coords):
+        cs = [0] * (q * len(c.coeffs))
+        cs[::q] = c.coeffs
+        terms.append((q * i, Poly(F, cs)))
+    image = fold_powers(cyc.rows, terms, Poly.zero(F))
+    lead = next(i for i, c in enumerate(x.coords) if c)
+    r, rem = divmod(image[lead], x.coords[lead])
+    if rem or any(r * c != t for c, t in zip(x.coords, image)):
+        raise ArithmeticError("tau does not preserve the F[T]-line of "
+                              "tau(chi)")
+    g = Poly.zero(F)
+    for c in x.coords:
+        g = g.gcd(c)
+    return g, r
 
 
 def _charpoly(mat, F):

@@ -1,20 +1,76 @@
 """Structure of O_K and of the characters that only the tests check: the
 normal integral basis eta with the determinant of its Galois conjugates,
-found by elimination over F(T), and the Frobenius orbits of the
-characters.  OBJECT_OPS gives row_reduce the operators of object
-entries (RatFunc, LaurentSeries)."""
+found by elimination over F(T), the idempotent projection e_chi by the
+sum over Delta, and the Frobenius orbits of the characters.  row_reduce
+is the one Gauss-Jordan elimination of the tests; OBJECT_OPS gives it
+the operators of object entries (RatFunc, LaurentSeries)."""
 
 import operator
 from types import SimpleNamespace
 
-from carlitz.cyclotomic import Character, CycElem, gauss_thakur, sigma_act
-from carlitz.fields import row_reduce
+from carlitz.cyclotomic import (Character, CycElem, galois_images,
+                                gauss_thakur, project_vector, sigma_act)
 from carlitz.polynomials import Poly, RatFunc
 
 # object entries such as RatFunc: field operations are their operators
 OBJECT_OPS = SimpleNamespace(neg=operator.neg, sub=operator.sub,
                              mul=operator.mul, inv=operator.methodcaller("inv"),
                              is_zero=operator.methodcaller("is_zero"))
+
+
+def row_reduce(rows, ops):
+    """Gauss-Jordan elimination of a list of rows over a field, in place.
+
+    `ops` supplies neg, sub, mul, inv and is_zero on the entries: a
+    FiniteField for int entries, or any namespace of such functions for
+    other entries (RatFunc, LaurentSeries).  Each column's
+    pivot is the first row still free with a nonzero entry there.
+    Afterwards rows[:len(pivots)] are in reduced row echelon form (pivot
+    entries 1, pivot columns zero elsewhere) and the remaining rows are
+    zero.  Returns (pivots, det): det is the determinant of a square
+    nonsingular input, None for a singular or non-square one.
+    """
+    n = len(rows)
+    width = len(rows[0]) if rows else 0
+    pivots, det, flips = [], None, False
+    for c in range(width):
+        r = len(pivots)
+        if r == n:
+            break
+        i = next((i for i in range(r, n) if not ops.is_zero(rows[i][c])), n)
+        if i == n:
+            continue
+        if i != r:
+            rows[r], rows[i] = rows[i], rows[r]
+            flips = not flips
+        piv = rows[r][c]
+        det = piv if det is None else ops.mul(det, piv)
+        inv = ops.inv(piv)
+        # columns left of c are zero in the pivot row
+        prow = [ops.mul(x, inv) for x in rows[r][c:]]
+        rows[r][c:] = prow
+        for j in range(n):
+            f = rows[j][c]
+            if j != r and not ops.is_zero(f):
+                rows[j][c:] = [ops.sub(a, ops.mul(f, b))
+                               for a, b in zip(rows[j][c:], prow)]
+        pivots.append(c)
+    if len(pivots) < n or n != width:
+        return pivots, None
+    return pivots, ops.neg(det) if flips else det
+
+
+def idempotent_project(chi, x):
+    """e_chi x = -sum_b chi^{-1}(b) sigma_b(x), a CycElem.
+
+    The minus sign is |Delta| = q^d - 1 = -1 in characteristic p, making
+    e_chi idempotent without a division.
+    """
+    F = x.field
+    proj = project_vector(chi, galois_images(
+        chi.cyc, [c or None for c in x.coords], lambda v, m: v * m))
+    return CycElem(x.cyc, F, [Poly.zero(F) if v is None else v
+                              for v in proj])
 
 
 def normal_basis_eta(cyc):

@@ -8,8 +8,7 @@ import random
 import time
 
 from carlitz.core import bc_exact, padic_exp, padic_log
-from carlitz.cyclotomic import (CycElem, CycField, all_characters,
-                                gauss_thakur, idempotent_project)
+from carlitz.cyclotomic import CycElem, CycField, all_characters, gauss_thakur
 from carlitz.fields import make_field
 from carlitz.lvalues import (ClassSumTable, PadicClassSumTable,
                              euler_factor_charpoly, euler_product, l_inf,
@@ -19,7 +18,7 @@ from carlitz.special_points import (hr_dual_check, verify_anderson,
                                     verify_b1_formula, verify_cnf,
                                     verify_congruence)
 from bc_oracle import hr_scan
-from galois_oracle import normal_basis_eta
+from galois_oracle import idempotent_project, normal_basis_eta
 
 F2 = make_field(2)
 F3 = make_field(3)

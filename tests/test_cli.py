@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from carlitz.cli import build_parser, main, make_config
-from carlitz import lvalues, special_points
+from carlitz import cli, lvalues, special_points
 from carlitz.cyclotomic import CycField, InftyEmbedding
 from carlitz.lvalues import ClassSumTable
 
@@ -324,10 +324,15 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("target", ["dir", "missing/x.json"])
-def test_unwritable_out_exits_2(tmp_path, capsys, target):
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, target):
     # a directory, or a file in a directory that does not exist: bad
-    # input (status 2), not a failed check (status 1) or a traceback
+    # input (status 2), not a failed check (status 1) or a traceback, and
+    # found before any suite runs
     (tmp_path / "dir").mkdir()
+
+    def refuse(cfg):
+        raise AssertionError("run_suites reached")
+    monkeypatch.setattr(cli, "run_suites", refuse)
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q", "2", "--P", "T+1", "--suites", "cong",
               "--out", str(tmp_path / target)])

@@ -3,15 +3,15 @@ import pytest
 from carlitz import cyclotomic
 from carlitz.core import carlitz_act
 from carlitz.cyclotomic import (Character, CycElem, CycField, all_characters,
-                                b1, embed_padic, gauss_thakur,
-                                idempotent_project, lambda_traces,
+                                b1, embed_padic, gauss_thakur, lambda_traces,
                                 p_over_lambda_coords, sigma_act, torsion_poly,
                                 InftyEmbedding)
-from carlitz.fields import make_field, row_reduce
+from carlitz.fields import make_field
 from carlitz.lvalues import PadicClassSumTable, l_padic
 from carlitz.polynomials import Poly, RatFunc, parse_poly
 from carlitz.special_points import odd_fitting_report, recognize_integral
-from galois_oracle import OBJECT_OPS, normal_basis_eta
+from galois_oracle import (OBJECT_OPS, idempotent_project, normal_basis_eta,
+                           row_reduce)
 from recognize_oracle import embed_infty
 
 F2 = make_field(2)

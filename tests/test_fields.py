@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz import fields
-from carlitz.fields import (FiniteField, make_field, residue_field,
-                            residue_rep, row_reduce)
+from carlitz.fields import FiniteField, make_field, residue_field, residue_rep
 from carlitz.polynomials import Poly, RatFunc, monic_polys, parse_poly
-from galois_oracle import OBJECT_OPS, frobenius_orbits
+from galois_oracle import OBJECT_OPS, frobenius_orbits, row_reduce
 
 
 def test_make_field_prime():

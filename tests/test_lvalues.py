@@ -7,7 +7,7 @@ from carlitz.core import CarlitzTables
 from carlitz import lvalues
 from carlitz.cyclotomic import Character, CycElem, CycField, all_characters
 from carlitz.equivariant import descends
-from carlitz.fields import make_field, residue_field, row_reduce
+from carlitz.fields import make_field, residue_field
 from carlitz.laurent import LaurentSeries
 from carlitz.lvalues import (ClassSumTable, PadicClassSumTable, _charpoly,
                              deg_L, euler_factor_charpoly, euler_product,
@@ -16,7 +16,7 @@ from carlitz.lvalues import (ClassSumTable, PadicClassSumTable, _charpoly,
 from carlitz.polynomials import (Poly, RatFunc, monic_irreducibles, monic_polys,
                                  parse_poly)
 from enumeration import brute_blocks
-from kernel_charpoly import kernel_charpolys
+from kernel_charpoly import kernel_charpolys, t_powers, times_T, vector
 from padic_oracle import PadicContext
 
 F2 = make_field(2)
@@ -271,13 +271,13 @@ def test_euler_factor_charpoly_identity():
                 assert got == want, (Pstr, chi.n, f)
 
 
-@pytest.mark.parametrize("q,Pstr", [(3, "T^2+1"), (2, "T^3+T+1")])
+@pytest.mark.parametrize("q,Pstr", [(3, "T^2+1"), (2, "T^3+T+1"),
+                                    (3, "T^3+2*T+1"), (5, "T^2+2")])
 def test_euler_factor_charpoly_matches_the_kernel_oracle(q, Pstr):
-    # every (f, chi) with deg f <= 3, f = P included, against the kernel
-    # of sigma_g - chi(g)
+    # every (f, chi) with f = P or deg f <= 3 (<= 2 where q^d > 9),
+    # against the kernel of sigma_g - chi(g) on all of F tensor O_K/f
     cyc = CycField(parse_poly(Pstr, make_field(q)))
-    primes = cyc.irreducibles(3)
-    assert cyc.P in primes
+    primes = set(cyc.irreducibles(3 if cyc.L < 9 else 2)) | {cyc.P}
     for f in primes:
         want = kernel_charpolys(cyc, f)
         for chi in all_characters(cyc):
@@ -285,20 +285,20 @@ def test_euler_factor_charpoly_matches_the_kernel_oracle(q, Pstr):
                 (Pstr, f, chi.n)
 
 
-def test_euler_factor_charpoly_reduces_at_most_2m_columns(monkeypatch):
-    # one [basis | images] reduction per call, never an Lm x Lm kernel
-    widths = []
-
-    def counted(rows, ops):
-        widths.append(len(rows[0]))
-        return row_reduce(rows, ops)
-    monkeypatch.setattr(lvalues, "row_reduce", counted)
-    cyc = CycField(parse_poly("T^2+1", F3))
-    for f in cyc.irreducibles(3):
-        for chi in all_characters(cyc):
-            del widths[:]
-            euler_factor_charpoly(cyc, chi, f)
-            assert widths == [2 * int(f.degree)], (f, chi.n)
+@pytest.mark.parametrize("q,Pstr", [(2, "T^3+T+1"), (3, "T^2+1"),
+                                    (3, "T^3+2*T+1"), (5, "T^2+2")])
+def test_tau_multiplier_is_thakurs_closed_form(q, Pstr):
+    # tau(tau(chi)) = r tau(chi) with r = prod_j (theta^{q^j} - T)^{n_j}
+    # for chi = omega^n, n = sum_j n_j q^j (Thakur 1988)
+    cyc = CycField(parse_poly(Pstr, make_field(q)))
+    F = cyc.F
+    for chi in all_characters(cyc):
+        want, n = Poly.one(F), chi.n
+        for j in range(cyc.d):
+            root = Poly(F, [F.pow(F.theta, q ** j), F.neg(1)])
+            want = want * root ** (n % q)
+            n //= q
+        assert lvalues._chi_line(cyc, chi)[1] == want, (Pstr, chi.n)
 
 
 @pytest.mark.parametrize("q,Pstr", [(3, "T^2+1"), (2, "T^3+T+1"),
@@ -317,9 +317,9 @@ def test_vector_matches_poly_remainders(q, Pstr):
                                        for _ in range(rng.randrange(12))])
                           for _ in range(cyc.L)]
                 e = rng.randrange(2 * m + 2)
-                pows = lvalues._t_powers(
-                    cyc, f, e + max(len(c.coeffs) for c in coords))
-                got = lvalues._vector(coords, e, pows, field)
+                pows = t_powers(f, e + max(len(c.coeffs) for c in coords),
+                                field)
+                got = vector(coords, e, pows, field)
                 want = []
                 for r in coords:
                     cs = (r.shift(e) % f).coeffs
@@ -327,9 +327,8 @@ def test_vector_matches_poly_remainders(q, Pstr):
                 assert got == want, (Pstr, f, e)
                 rem = (coords[0].shift(e) % f).coeffs
                 cs = (coords[0].shift(e + 1) % f).coeffs
-                assert lvalues._times_T(list(rem + (0,) * (m - len(rem))),
-                                        f, field) == \
-                    list(cs + (0,) * (m - len(cs)))
+                assert times_T(list(rem + (0,) * (m - len(rem))), f,
+                               field) == list(cs + (0,) * (m - len(cs)))
 
 
 def _lambda(cyc):
@@ -364,6 +363,21 @@ def test_euler_factor_charpoly_rejects_tau_outside_the_eigenspace(monkeypatch):
     monkeypatch.setattr(lvalues, "gauss_thakur", lambda chi: _lambda(cyc))
     with pytest.raises(ArithmeticError, match="eigenspace"):
         euler_factor_charpoly(cyc, Character(cyc, 1), parse_poly("T+1", F3))
+
+
+def test_euler_factor_charpoly_rejects_dependent_tau_multiples(monkeypatch):
+    # f tau(chi) in place of tau(chi): still in the eigenspace, and tau
+    # still sends it to a multiple (f^{q-1} r), but its multiples by
+    # T^j vanish mod f, so only the gcd check can see it
+    monkeypatch.setattr(CycField, "_instances", {})
+    cyc = CycField(parse_poly("T^2+1", F3))
+    f = parse_poly("T+1", F3)
+    true_tau = lvalues.gauss_thakur
+    monkeypatch.setattr(lvalues, "gauss_thakur",
+                        lambda chi: true_tau(chi).mul_scalar_poly(f))
+    for n in (0, 1, 5):
+        with pytest.raises(ArithmeticError, match="not independent"):
+            euler_factor_charpoly(cyc, Character(cyc, n), f)
 
 
 def _charpoly_cofactor(mat, F):

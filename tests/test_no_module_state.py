@@ -1,6 +1,7 @@
 """Per-field and per-prime data has owners (CarlitzTables, CycField and
 the MuRing it keeps per precision): no module of the library keeps a cache or table of its
-own in a module-level dict, set or list.  `__all__` is the one list."""
+own in a module-level dict, set or list.  `__all__` is the one list, and
+each name in it resolves."""
 
 import ast
 import pathlib
@@ -37,3 +38,10 @@ def test_no_module_level_containers():
              for node in _module_level_displays(
                  ast.parse(path.read_text(), filename=str(path)))]
     assert not found, "module-level dict/set/list in src/carlitz: %s" % found
+
+
+def test_all_names_resolve():
+    # every public name is an attribute of the package
+    missing = [name for name in carlitz.__all__
+               if not hasattr(carlitz, name)]
+    assert not missing, "carlitz.__all__ names no attribute: %s" % missing

@@ -11,11 +11,11 @@ import pytest
 
 from carlitz.core import exp_eval
 from carlitz.cyclotomic import CycField
-from carlitz.fields import make_field, row_reduce
+from carlitz.fields import make_field
 from carlitz.laurent import LaurentSeries
 from carlitz.polynomials import parse_poly
 from carlitz.special_points import recognize_integral, special_point_inf
-from galois_oracle import OBJECT_OPS
+from galois_oracle import OBJECT_OPS, row_reduce
 from recognize_oracle import coords_by_elimination, row_reduce_least_valuation
 
 F3 = make_field(3)
