@@ -343,8 +343,10 @@ def bc_stream_mod_P(P, n_max):
     if n_max > M - 1:
         raise ValueError("streaming recurrence needs n_max <= q^d - 2")
     K = n_max // (q - 1)
-    steps = [((q ** i - 1) // (q - 1), c)
-             for i, c in enumerate(d_inverses_mod_P(P)) if i]
+    # a tap past K would read only the zero padding: dropped, the
+    # padding stays within the window
+    shifts = ((q ** i - 1) // (q - 1) for i in range(d))
+    steps = [(s, c) for s, c in zip(shifts, d_inverses_mod_P(P)) if 0 < s <= K]
     pad = max((s for s, _ in steps), default=0)  # k - s_i >= -pad
     log, exp, zech = F._log, F._exp, F._zech
     if log is None:

@@ -187,10 +187,10 @@ class CycField:
         return self.memo(("padic_table", N),
                           lambda: PadicClassSumTable(self.P, N))
 
-    def infty_embedding(self, field, prec):
-        """Embedding of `field` tensor K at the places above infinity."""
-        return self.memo(("infty_embedding", field, prec),
-                          lambda: InftyEmbedding(self, field, prec))
+    def infty_embedding(self, prec):
+        """Embedding of K at the places above infinity, over F_q."""
+        return self.memo(("infty_embedding", prec),
+                          lambda: InftyEmbedding(self, prec))
 
     def padic_ring(self, N):
         """O_{K,P} mod P^N in the uniformizer model, with A_P = F[[u]]
@@ -207,11 +207,6 @@ class CycField:
             self._cache[("irreducibles",)] = max_deg, primes
         return tuple(f for f in primes if f.degree <= max_deg)
 
-    # -- exact coordinate arithmetic over A ----------------------------------
-
-    def mul_coords_A(self, u, v):
-        return mul_coords(self.rows, u, v, Poly.zero(self.Fq))
-
     def unit_rep_poly(self, b):
         """Canonical polynomial representative (degree < d) of b in Delta."""
         return residue_rep(self.P, b)
@@ -227,22 +222,18 @@ class CycField:
                 Poly.zero(self.Fq)))
         return self.memo(("sigma_lambda", b), build)
 
-    def sigma_powers(self, b):
-        """Coords over A of (sigma_b lambda)^i for i = 0..L-1."""
-        def build():
-            slam = self.sigma_lambda(b)
-            pows = [(Poly.one(self.Fq),) + (Poly.zero(self.Fq),) * (self.L - 1)]
-            for _ in range(self.L - 1):
-                pows.append(tuple(self.mul_coords_A(pows[-1], slam)))
-            return pows
-        return self.memo(("sigma_powers", b), build)
-
     def sigma_power(self, b, m):
-        """Coords over A of (sigma_b lambda)^m, any m >= 0."""
-        if m < self.L:
-            return self.sigma_powers(b)[m]
-        return self.memo(("sigma_power", b, m), lambda: tuple(
-            self.mul_coords_A(self.sigma_power(b, m - 1), self.sigma_lambda(b))))
+        """Coords over A of (sigma_b lambda)^m, any m >= 0.  Each unit b
+        keeps one list of powers, extended by one product per power as
+        far as a caller reads: the special points read m <= 5, the Galois
+        action all m < L."""
+        zero = Poly.zero(self.Fq)
+        pows = self.memo(("sigma_power", b), lambda: [
+            (Poly.one(self.Fq),) + (zero,) * (self.L - 1),
+            self.sigma_lambda(b)])
+        while len(pows) <= m:
+            pows.append(tuple(mul_coords(self.rows, pows[-1], pows[1], zero)))
+        return pows[m]
 
     def tau_dual(self):
         """The L x L matrix over F(T) whose entry [m][n] is the coefficient
@@ -360,7 +351,7 @@ def _sigma_coords(cyc, b, coords, mul_poly):
     for i, v in enumerate(coords):
         if v is None:
             continue
-        for j, m in enumerate(cyc.sigma_powers(b)[i]):
+        for j, m in enumerate(cyc.sigma_power(b, i)):
             if not m.is_zero():
                 term = mul_poly(v, m)
                 moved[j] = term if moved[j] is None else moved[j] + term
@@ -512,16 +503,18 @@ def b1(chi):
 
 class InftyEmbedding:
     """Places of K above infinity: component b sends lambda to
-    exp_C(b pi_bar / P), landing in K_v = k_inf(Y)."""
+    exp_C(b pi_bar / P), landing in K_v = k_inf(Y).  Everything it builds
+    (pi_bar, the lambda_v powers, the dual basis) has coefficients in
+    F_q; a coordinate over F = A/PA keeps F in embed_coords, as products
+    of series take their left operand's field."""
 
-    def __init__(self, cyc, field, prec):
+    def __init__(self, cyc, prec):
         self.cyc = cyc
-        self.field = field
+        self.field = cyc.Fq
         self.prec = prec  # v-adic (T-exponent) precision
-        q = cyc.q
-        self.pib = pi_bar(q, field, prec + cyc.d + 4)
+        self.pib = pi_bar(cyc.q, cyc.Fq, prec + cyc.d + 4)
         pinv = LaurentSeries.from_ratfunc(
-            RatFunc(Poly.one(cyc.Fq), cyc.P), prec + cyc.d + 4, field=field)
+            RatFunc(Poly.one(cyc.Fq), cyc.P), prec + cyc.d + 4)
         self.pib_over_P = self.pib.mul_laurent(pinv)
         self.reps = cyc.infty_coset_reps()
         self._lambda_pows = {}
@@ -564,7 +557,8 @@ class InftyEmbedding:
 
     def embed_coords(self, coords, b):
         """Value at place b of an element given by lambda-coordinates,
-        each a Poly over F_q or F, or a LaurentSeries (None for zero)."""
+        each a Poly or a LaurentSeries (None for zero), over F_q or F:
+        the value is over the coordinates' field (F_q when all are zero)."""
         pows = self.lambda_powers(b)
         acc = None
         for i, c in enumerate(coords):
@@ -572,8 +566,7 @@ class InftyEmbedding:
             if c is None or isinstance(c, Poly) and c.is_zero():
                 continue
             if isinstance(c, Poly):
-                c = LaurentSeries.from_poly(c, self.prec + self.cyc.d + 2,
-                                            self.field)
+                c = LaurentSeries.from_poly(c, self.prec + self.cyc.d + 2)
             term = pows[i].mul_laurent(c)
             acc = term if acc is None else acc + term
         if acc is None:

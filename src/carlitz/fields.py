@@ -37,25 +37,9 @@ from __future__ import annotations
 
 import functools
 
-from .polynomials import Poly, monic_polys
+from .polynomials import Poly, _trial_factor, monic_polys
 
 TABLE_LIMIT = 1 << 20
-
-
-def _trial_factor(n):
-    """Prime factors of n (small n, trial division)."""
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
 
 
 class FiniteField:
@@ -422,8 +406,7 @@ def residue_field(P):
     if not P.is_irreducible():
         raise ValueError("P must be irreducible")
     F = FiniteField.extension(P.field, P.coeffs)
-    d = P.degree
-    F.theta = P.field.order if d > 1 else F.neg(P.coeffs[0])
+    F.theta = F.gen()
     F.P = P
     return F
 

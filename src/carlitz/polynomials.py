@@ -203,26 +203,38 @@ class Poly:
         return acc
 
     def is_irreducible(self):
-        """Trial division by monic irreducibles of degree <= deg/2."""
-        F = self.field
+        """Rabin's test: f of degree n > 0 over F_q is irreducible iff f
+        divides T^{q^n} - T and T^{q^{n/r}} - T is prime to f for every
+        prime r | n.  n Frobenius steps x -> x^q mod f, each spreading
+        the coefficients q apart (c^q = c on F_q) and one remainder."""
         deg = self.degree
         if deg is MINUS_INF or deg == 0:
             return False
-        if deg == 1:
-            return True
-        if self.coeffs[0] == 0:
-            return False
-        # dividing by reducible candidates too is wasteful but harmless:
-        # a degree-14 prime over F_2, the largest the bc-scan benchmark
-        # runs, takes at most 254 divisions
-        for d in range(1, int(deg) // 2 + 1):
-            for den in monic_polys(F, d):
-                if (self % den).is_zero():
-                    return False
-        return True
+        F, n, q = self.field, int(deg), self.field.order
+        t = Poly.x(F) % self
+        x, frob = t, [t]  # frob[k] = T^{q^k} mod f
+        for _ in range(n):
+            spread = [0] * (q * len(x.coeffs) - q + 1)
+            spread[::q] = x.coeffs
+            x = Poly(F, spread) % self
+            frob.append(x)
+        return x == t and all((frob[n // r] - t).gcd(self).degree == 0
+                              for r in _trial_factor(n))
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)
+
+
+def _trial_factor(n):
+    """Prime factors of n (small n, trial division), ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 def monic_polys(field, deg):
@@ -495,8 +507,11 @@ def _parse_coef(tok, field):
         return int(tok) % field.p
     m = re.fullmatch(r"g(?:\^(\d+))?", tok)
     if m and field.base is not None:
-        j = int(m.group(1)) if m.group(1) else 1
-        return field.pow(field.gen(), j)
+        # g is the least primitive element, as FiniteField.fmt prints it
+        if field._exp is None:
+            raise ValueError("cannot parse %r over %r: no power table names g"
+                             % (tok, field))
+        return field._exp[int(m.group(1) or 1) % (field.order - 1)]
     raise ValueError("cannot parse coefficient %r" % tok)
 
 
@@ -504,7 +519,8 @@ def parse_poly(s, field):
     """Parse `c*T^k` terms joined by + and -.
 
     Coefficients are nonnegative ints, or `g^j` over an extension field
-    where g is the residue class of the modulus variable.  Examples:
+    with tables, where g is the least primitive element: format_poly's
+    reading of g.  Examples:
     `T^2+T+1`, `2*T^3+1`, `g^2*T+g`.
     """
     s = s.replace(" ", "")

@@ -94,8 +94,8 @@ def special_point_inf(cyc, m, depth):
     from place rep to RamifiedElem.  The sum over sigma is taken on the
     lambda-coordinates, which are then embedded once per place."""
     table = cyc.class_table(depth)
-    emb = cyc.infty_embedding(cyc.Fq, depth)
-    coords = _special_point_coords(cyc, m, table, cyc.Fq)
+    emb = cyc.infty_embedding(depth)
+    coords = _special_point_coords(cyc, m, table)
     return {bplace: emb.embed_coords(coords, bplace) for bplace in emb.reps}
 
 
@@ -187,7 +187,7 @@ def verify_anderson(cyc, m, N, depth, guard=6):
             exps = {b: exp_eval(v, v.wprec()) for b, v in
                     special_point_inf(cyc, m, attempt_depth).items()}
             u = recognize_integral(
-                cyc, exps, cyc.infty_embedding(cyc.Fq, attempt_depth),
+                cyc, exps, cyc.infty_embedding(attempt_depth),
                 guard=guard)
             break
         except ValueError as exc:
@@ -222,20 +222,21 @@ def verify_anderson(cyc, m, N, depth, guard=6):
     return report
 
 
-def _special_point_coords(cyc, m, table, field):
-    """lambda-coordinates of L_m as Laurent series over field."""
+def _special_point_coords(cyc, m, table):
+    """lambda-coordinates of L_m = sum_sigma sigma(lambda)^m T_sigma as
+    Laurent series over F_q: the class totals T_sigma and the coordinates
+    of (sigma lambda)^m both are."""
     prec = table.prec
     coords = [None] * cyc.L
     for sigma in cyc.units():
         c = table.class_total(sigma)
         if c.is_zero():
             continue
-        cF = c.map_coeffs(field, lambda x: x)
         for i, p in enumerate(cyc.sigma_power(sigma, m)):
             if p.is_zero():
                 continue
-            pl = LaurentSeries.from_poly(p, prec + int(p.degree) + 2, field)
-            term = cF * pl
+            pl = LaurentSeries.from_poly(p, prec + int(p.degree) + 2)
+            term = c * pl
             coords[i] = term if coords[i] is None else coords[i] + term
     return coords
 
@@ -288,7 +289,7 @@ def verify_cnf(cyc, depth, min_coeffs=10):
     images = {}  # m* -> the Galois images of L_{m*}, shared by characters
 
     def mul_poly(v, p):
-        return v * LaurentSeries.from_poly(p, v.prec + int(p.degree) + 2, F)
+        return v * LaurentSeries.from_poly(p, v.prec + int(p.degree) + 2)
     for chi in all_characters(cyc):
         tau = gauss_thakur(chi)
         cs, mstar, cstar = [], None, None
@@ -317,8 +318,11 @@ def verify_cnf(cyc, depth, min_coeffs=10):
             continue
 
         if mstar not in images:
-            images[mstar] = galois_images(cyc, _special_point_coords(
-                cyc, mstar, table, F), mul_poly)
+            # over F_q; into F once, for project_vector's chi^{-1}(b)
+            images[mstar] = [
+                [None if v is None else v.map_coeffs(F, int) for v in image]
+                for image in galois_images(cyc, _special_point_coords(
+                    cyc, mstar, table), mul_poly)]
         prec = table.prec
         proj = project_vector(chi, images[mstar])
         analytic = _laurent_ratio_to_tau(cyc, proj, tau, prec)
@@ -353,7 +357,7 @@ def verify_b1_formula(cyc, chi, depth, min_coeffs=12):
                                                "chi": chi.n, "depth": depth})
     lhs_scalar = l_inf(cyc, chi, cyc.class_table(depth))
     lhs = RamifiedElem.from_laurent(lhs_scalar, q)
-    emb = cyc.infty_embedding(F, depth)
+    emb = cyc.infty_embedding(depth)
     if chi.is_trivial():
         # only odd when q = 2; inclusive L-value has the closed form
         den = Poly(cyc.Fq, [0, 1]) * Poly(cyc.Fq, [1, 1])  # T^2 + T

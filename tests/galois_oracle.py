@@ -1,15 +1,17 @@
 """Structure of O_K and of the characters that only the tests check: the
 normal integral basis eta with the determinant of its Galois conjugates,
 found by elimination over F(T), the idempotent projection e_chi by the
-sum over Delta, and the Frobenius orbits of the characters.  row_reduce
-is the one Gauss-Jordan elimination of the tests; OBJECT_OPS gives it
-the operators of object entries (RatFunc, LaurentSeries)."""
+sum over Delta, the special points L_m over F = A/PA, and the Frobenius
+orbits of the characters.  row_reduce is the one Gauss-Jordan
+elimination of the tests; OBJECT_OPS gives it the operators of object
+entries (RatFunc, LaurentSeries)."""
 
 import operator
 from types import SimpleNamespace
 
 from carlitz.cyclotomic import (Character, CycElem, galois_images,
                                 gauss_thakur, project_vector, sigma_act)
+from carlitz.laurent import LaurentSeries
 from carlitz.polynomials import Poly, RatFunc
 
 # object entries such as RatFunc: field operations are their operators
@@ -71,6 +73,27 @@ def idempotent_project(chi, x):
         chi.cyc, [c or None for c in x.coords], lambda v, m: v * m))
     return CycElem(x.cyc, F, [Poly.zero(F) if v is None else v
                               for v in proj])
+
+
+def special_point_coords(cyc, m, table, field):
+    """lambda-coordinates of L_m = sum_sigma sigma(lambda)^m T_sigma as
+    Laurent series over `field` (F_q or F), every product taken there:
+    the projection oracles' route to the e_chi L_m that verify_cnf
+    computes over F_q."""
+    prec = table.prec
+    coords = [None] * cyc.L
+    for sigma in cyc.units():
+        c = table.class_total(sigma)
+        if c.is_zero():
+            continue
+        cF = c.map_coeffs(field, lambda x: x)
+        for i, p in enumerate(cyc.sigma_power(sigma, m)):
+            if p.is_zero():
+                continue
+            pl = LaurentSeries.from_poly(p, prec + int(p.degree) + 2, field)
+            term = cF * pl
+            coords[i] = term if coords[i] is None else coords[i] + term
+    return coords
 
 
 def normal_basis_eta(cyc):

@@ -23,7 +23,7 @@ def kernel_charpolys(cyc, f):
     for i in range(L):
         for j in range(m):
             col = []
-            for r in cyc.sigma_powers(g)[i]:
+            for r in cyc.sigma_power(g, i):
                 cs = [] if r.is_zero() else list((r.shift(j) % f).coeffs)
                 col.extend(cs + [0] * (m - len(cs)))
             cols.append(col)

@@ -74,5 +74,5 @@ def coords_by_elimination(cyc, values, emb):
 def embed_infty(x, prec):
     """Images of a CycElem at the infinite places.  Returns dict
     place-rep -> RamifiedElem."""
-    emb = x.cyc.infty_embedding(x.field, prec)
+    emb = x.cyc.infty_embedding(prec)
     return {b: emb.embed_coords(x.coords, b) for b in emb.reps}

@@ -11,7 +11,10 @@ import pytest
 from carlitz.cli import build_parser, main, make_config
 from carlitz import cli, lvalues, special_points
 from carlitz.cyclotomic import CycField, InftyEmbedding
+from carlitz.fields import make_field
 from carlitz.lvalues import ClassSumTable
+from carlitz.polynomials import parse_poly
+from bc_oracle import hr_scan
 
 
 def _run(capsys, *argv):
@@ -39,6 +42,30 @@ def test_bc_scan_regular_prime_empty(capsys):
                      "--format", "json")
     doc = json.loads(out)
     assert doc["suite_results"][0]["params"]["irregular"] == "[]"
+
+
+@pytest.mark.parametrize("max_n", [3, 7, 10])
+def test_bc_scan_window_below_the_largest_tap(capsys, max_n):
+    # at (3, T^3+2T+1) the taps are s_1 = 1 and s_2 = 4: the windows
+    # K = max_n // 2 of 3 and 7 stop short of s_2, that of 10 reaches the
+    # irregular index 10
+    P = parse_poly("T^3+2*T+1", make_field(3))
+    code, out = _run(capsys, "bc-scan", "--q", "3", "--P", "T^3+2*T+1",
+                     "--max-n", str(max_n), "--format", "json")
+    assert code == 0
+    want = [n for n in hr_scan(P, mode="exact-small") if n <= max_n]
+    params = json.loads(out)["suite_results"][0]["params"]
+    assert params["irregular"] == str(want)
+
+
+def test_bc_scan_high_degree_small_window(capsys):
+    # the padding once reached the largest tap (2^40 - 1 entries here),
+    # and validating P once trial-divided by 2^20 monics
+    code, out = _run(capsys, "bc-scan", "--q", "2", "--P", "T^41+T^3+1",
+                     "--max-n", "10", "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["suite_results"][0]["checks"]
+    assert [c["status"] for c in checks] == ["pass"] * 9
 
 
 def test_l_values_padic_odd_rows_zero(capsys):

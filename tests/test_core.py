@@ -357,7 +357,7 @@ def _bc_stream_oracle(P, n_max):
     return out
 
 
-STREAM_PRIMES = [(3, "T^2+1"), (2, "T^3+T+1"),
+STREAM_PRIMES = [(3, "T^2+1"), (2, "T^3+T+1"), (3, "T^3+2*T+1"),
                  (3, "T^9+2*T^6+2*T^4+2*T^3+2*T^2+1"), (2, "T^14+T^10+T^6+T+1")]
 
 

@@ -216,7 +216,7 @@ def test_coordinates_stay_polynomials(s, F):
         _assert_poly_coords(tau.frobq())
         _assert_poly_coords(sigma_act(cyc, cyc.L, tau))
         _assert_poly_coords(idempotent_project(chi, tau + CycElem.one(cyc, cyc.F)))
-    emb = InftyEmbedding(cyc, cyc.Fq, 14)
+    emb = InftyEmbedding(cyc, 14)
     coords = [Poly.zero(cyc.Fq)] * cyc.L
     coords[-1] = parse_poly("T+1", cyc.Fq)
     u = recognize_integral(cyc, {b: emb.embed_coords(coords, b)
@@ -392,7 +392,7 @@ def test_embed_infty_kills_psi():
     # a genuine root
     for s, F, prec in [("T^2+T+1", F2, 14), ("T^2+1", F3, 10)]:
         cyc = cyc_of(s, F)
-        emb = InftyEmbedding(cyc, cyc.Fq, prec)
+        emb = InftyEmbedding(cyc, prec)
         for bb in emb.reps:
             pows = emb.lambda_powers(bb)
             lamv = pows[1]

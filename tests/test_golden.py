@@ -3,9 +3,9 @@
 bench/golden.json maps each command to the SHA-256 that
 bench/check_report.py computes for its JSON report (timing removed, keys
 sorted).  Each command runs in process with --out to a temporary file,
-and the checker must find no problem and the recorded digest.  The cnf
-reports at two cubic desk pairs, which the benchmark does not run, are
-pinned the same way below.
+and the checker must find no problem and the recorded digest.  Reports
+at the cubic desk pairs, which the benchmark does not run, are pinned
+the same way below.
 """
 
 import hashlib
@@ -52,14 +52,34 @@ CNF_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("pair", sorted(CNF_DIGESTS))
-def test_cnf_report_digest(tmp_path, pair):
-    q, P = pair.split()
+def _status_and_digest(tmp_path, argv):
     path = tmp_path / "report.json"
-    status = main(["verify", "--q", q, "--P", P, "--suites", "cnf",
-                   "--format", "json", "--out", str(path)])
+    status = main(argv + ["--format", "json", "--out", str(path)])
     doc = json.loads(path.read_text())
     doc.pop("timing_ms")
     text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    assert (status, hashlib.sha256(text.encode()).hexdigest()) == \
-        CNF_DIGESTS[pair]
+    return status, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("pair", sorted(CNF_DIGESTS))
+def test_cnf_report_digest(tmp_path, pair):
+    q, P = pair.split()
+    argv = ["verify", "--q", q, "--P", P, "--suites", "cnf"]
+    assert _status_and_digest(tmp_path, argv) == CNF_DIGESTS[pair]
+
+
+# The special points at (3, T^3+2T+1), digested the same way: anderson
+# (L_1 .. L_5 at both places) and cnf at depth 24 (the Galois images of
+# each L_{m*}, every index certified).
+SPECIAL_POINT_DIGESTS = {
+    "verify --q 3 --P T^3+2*T+1 --suites anderson": (
+        0, "13f879136687c779a76bd25fc9802c3a787b45fedd3bf509cbeb173d09aa7669"),
+    "verify --q 3 --P T^3+2*T+1 --suites cnf --depth 24": (
+        0, "9d54e13af1e806ffc7e813e402c12f43de4da16471023725daeca214e96efbc2"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SPECIAL_POINT_DIGESTS))
+def test_special_point_report_digest(tmp_path, command):
+    assert _status_and_digest(tmp_path, command.split()) == \
+        SPECIAL_POINT_DIGESTS[command]

@@ -349,7 +349,7 @@ def test_euler_factor_charpoly_rejects_a_non_invariant_image(monkeypatch):
     zero, one = Poly.zero(F3), Poly.one(F3)
     identity = [[one if k == i else zero for k in range(cyc.L)]
                 for i in range(cyc.L)]
-    monkeypatch.setattr(cyc, "sigma_powers", lambda b: identity)
+    monkeypatch.setattr(cyc, "sigma_power", lambda b, m: identity[m])
     monkeypatch.setattr(lvalues, "gauss_thakur", lambda chi: _lambda(cyc))
     with pytest.raises(ArithmeticError, match="does not preserve"):
         euler_factor_charpoly(cyc, Character(cyc, 0), parse_poly("T+1", F3))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from carlitz import fields
 from carlitz.fields import make_field, residue_field
 from carlitz.polynomials import (MINUS_INF, Poly, RatFunc, format_poly,
                                  monic_irreducibles, monic_polys, parse_poly,
@@ -29,13 +30,37 @@ def test_parse_and_format_roundtrip():
         F = F2 if "2" not in s else F3
         p = parse_poly(s, F)
         assert parse_poly(format_poly(p), F) == p
+    # every a*T + b over F_9 (where X has order 4, not 8), F_8 and the
+    # residue field of T^2+1 over F_3 (where theta has order 4)
+    for F in (make_field(3, 2), make_field(2, 3),
+              residue_field(parse_poly("T^2+1", F3))):
+        for a in F.elements():
+            for b in F.elements():
+                p = Poly(F, [b, a])
+                assert parse_poly(format_poly(p), F) == p, (F, a, b)
+
+
+def _least_primitive(F):
+    return next(c for c in F.units() if F.mult_order(c) == F.order - 1)
 
 
 def test_parse_extension_coeffs():
+    # g is the least primitive element, as format_poly prints it; over F_9
+    # that is not the class X of the modulus variable
     F9 = make_field(3, 2)
     p = parse_poly("g^2*T+g", F9)
-    g = F9.gen()
+    g = _least_primitive(F9)
+    assert g != F9.gen()
     assert p.coeffs == (g, F9.pow(g, 2))
+    assert format_poly(p) == "g^2*T+g^1"
+
+
+def test_parse_g_needs_tables(monkeypatch):
+    monkeypatch.setattr(fields, "TABLE_LIMIT", 4)
+    F = fields.FiniteField.extension(F3, (1, 0, 1))
+    assert F._exp is None
+    with pytest.raises(ValueError, match="no power table names g"):
+        parse_poly("g*T+1", F)
 
 
 def test_parse_minus():
@@ -159,10 +184,42 @@ def test_monic_irreducibles_count():
     assert [len(by_deg[d]) for d in (1, 2, 3, 4)] == [2, 1, 2, 3]
 
 
+def _is_irreducible_by_trial_division(f):
+    """Slow oracle: no monic of degree <= deg/2 divides f."""
+    deg = f.degree
+    if deg is MINUS_INF or deg == 0:
+        return False
+    return not any((f % den).is_zero() for d in range(1, int(deg) // 2 + 1)
+                   for den in monic_polys(f.field, d))
+
+
 def _irreducibles_by_trial_division(Fq, max_deg):
-    """Slow oracle: every monic filtered by Poly.is_irreducible."""
+    """Slow oracle: every monic filtered by trial division."""
     return [f for d in range(1, max_deg + 1) for f in monic_polys(Fq, d)
-            if f.is_irreducible()]
+            if _is_irreducible_by_trial_division(f)]
+
+
+@pytest.mark.parametrize("p,e,max_deg", [(2, 1, 8), (3, 1, 5), (5, 1, 3),
+                                         (3, 2, 3)])
+def test_is_irreducible_matches_trial_division(p, e, max_deg):
+    # Rabin's test on every polynomial of degree <= max_deg, monic and
+    # (odd p) scaled by 2, against trial division
+    F = make_field(p, e)
+    for d in range(max_deg + 1):
+        for f in monic_polys(F, d):
+            want = _is_irreducible_by_trial_division(f)
+            assert f.is_irreducible() == want, f
+            assert f.scale(p - 1).is_irreducible() == want, f
+    assert not Poly.zero(F).is_irreducible()
+
+
+def test_is_irreducible_at_degree_41():
+    # trial division would try 2^20 divisors; Rabin's test takes 41
+    # Frobenius steps
+    P = parse_poly("T^41+T^3+1", F2)
+    assert P.is_irreducible()
+    assert not (P * parse_poly("T^2+T+1", F2)).is_irreducible()
+    assert not parse_poly("T^41+T^3", F2).is_irreducible()
 
 
 @pytest.mark.parametrize("q,max_deg", [(2, 10), (3, 6), (5, 4), (17, 3),

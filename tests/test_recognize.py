@@ -52,7 +52,7 @@ def test_oracle_pivots_by_least_valuation():
 def test_coords_match_elimination(q, Pstr, depth):
     Fq = make_field(q)
     cyc = CycField(parse_poly(Pstr, Fq))
-    emb = cyc.infty_embedding(Fq, depth)
+    emb = cyc.infty_embedding(depth)
     for m in range(1, 6):
         vals = _exps(cyc, m, depth)
         elim = coords_by_elimination(cyc, vals, emb)
@@ -70,8 +70,8 @@ def test_coords_precision_sound(q, Pstr):
     Fq = make_field(q)
     cyc = CycField(parse_poly(Pstr, Fq))
     for depth in (2, 4, 8):
-        lo_emb = cyc.infty_embedding(Fq, depth)
-        hi_emb = cyc.infty_embedding(Fq, 2 * depth)
+        lo_emb = cyc.infty_embedding(depth)
+        hi_emb = cyc.infty_embedding(2 * depth)
         for m in range(1, 6):
             lo = lo_emb.coords_of(_exps(cyc, m, depth))
             hi = hi_emb.coords_of(_exps(cyc, m, 2 * depth))

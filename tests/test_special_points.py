@@ -1,7 +1,7 @@
 import pytest
 
 from carlitz.core import exp_eval
-from carlitz.cyclotomic import (Character, CycField, InftyEmbedding,
+from carlitz.cyclotomic import (Character, CycElem, CycField, InftyEmbedding,
                                 _sigma_coords, all_characters, b1,
                                 galois_images, gauss_thakur, project_vector)
 from carlitz.fields import make_field
@@ -9,8 +9,7 @@ from carlitz.laurent import LaurentSeries
 from carlitz.lvalues import ClassSumTable, padic_block_valuation
 from carlitz.polynomials import Poly, RatFunc, parse_poly
 from carlitz import special_points
-from carlitz.special_points import (_laurent_ratio_to_tau,
-                                    _special_point_coords, coprime_l_inf,
+from carlitz.special_points import (_laurent_ratio_to_tau, coprime_l_inf,
                                     hr_dual_check, odd_fitting_report,
                                     padic_ledger, PrecisionShortfall,
                                     recognize_integral,
@@ -19,6 +18,7 @@ from carlitz.special_points import (_laurent_ratio_to_tau,
                                     VerificationReport, verify_cnf,
                                     verify_congruence)
 from bc_oracle import hr_scan
+from galois_oracle import special_point_coords
 from enumeration import brute_blocks
 from recognize_oracle import comps
 
@@ -31,14 +31,28 @@ def _cyc(Pstr, Fq):
 
 
 def test_sigma_power_extends_table():
-    cyc = _cyc("T^2+1", F3)
-    for b in cyc.units():
-        pows = cyc.sigma_powers(b)
-        for m in range(cyc.L):
-            assert cyc.sigma_power(b, m) == pows[m]
-        # one step past the cached table: multiply by sigma(lambda) again
-        want = cyc.mul_coords_A(list(pows[cyc.L - 1]), list(pows[1]))
-        assert list(cyc.sigma_power(b, cyc.L)) == list(want)
+    # the power list of each unit, below L and past it, against repeated
+    # CycElem products of sigma_b(lambda) over F_q
+    for Pstr, Fq in [("T^2+1", F3), ("T^2+T+1", F2)]:
+        cyc = _cyc(Pstr, Fq)
+        for b in cyc.units():
+            slam = CycElem(cyc, Fq, cyc.sigma_lambda(b))
+            x = CycElem.one(cyc, Fq)
+            for m in range(2 * cyc.L + 2):
+                assert cyc.sigma_power(b, m) == x.coords, (Pstr, b, m)
+                x = x * slam
+
+
+def test_special_points_build_only_the_powers_they_read(monkeypatch):
+    # L_1 .. L_5 read (sigma lambda)^m for m <= 5: six entries per unit,
+    # not the L = 26 of the Galois action
+    monkeypatch.setattr(CycField, "_instances", {})
+    cyc = _cyc("T^3+2*T+1", F3)
+    for m in range(1, 6):
+        special_point_inf(cyc, m, 8)
+    lists = {k[1]: v for k, v in cyc._cache.items() if k[0] == "sigma_power"}
+    assert sorted(lists) == list(cyc.units())
+    assert {len(v) for v in lists.values()} == {6}
 
 
 def test_special_point_zero_is_scalar():
@@ -67,7 +81,7 @@ def test_special_point_inf_precision_sound():
 
 def test_recognize_round_trip_basis_power():
     cyc = _cyc("T^3+T+1", F2)
-    emb = InftyEmbedding(cyc, F2, 14)
+    emb = InftyEmbedding(cyc, 14)
     coords = [Poly.zero(F2)] * cyc.L
     coords[3] = Poly.one(F2)
     vals = {b: emb.embed_coords(coords, b) for b in emb.reps}
@@ -77,7 +91,7 @@ def test_recognize_round_trip_basis_power():
 
 def test_recognize_round_trip_scalar_coefficient():
     cyc = _cyc("T^2+1", F3)
-    emb = InftyEmbedding(cyc, F3, 14)
+    emb = InftyEmbedding(cyc, 14)
     t = Poly.x(F3)
     coords = [Poly.zero(F3), t] + [Poly.zero(F3)] * (cyc.L - 2)
     vals = {b: emb.embed_coords(coords, b) for b in emb.reps}
@@ -88,7 +102,7 @@ def test_recognize_round_trip_scalar_coefficient():
 
 def test_recognize_rejects_perturbed_input():
     cyc = _cyc("T^2+T+1", F2)
-    emb = InftyEmbedding(cyc, F2, 14)
+    emb = InftyEmbedding(cyc, 14)
     coords = [Poly.zero(F2)] * cyc.L
     coords[1] = Poly.one(F2)
     vals = {b: emb.embed_coords(coords, b) for b in emb.reps}
@@ -105,11 +119,11 @@ def test_recognize_rejects_singular_system():
     # a stub embedding whose places all repeat the lambda-powers of the
     # first one: its dual basis pairs wrongly, and the residual shows it
     cyc = _cyc("T^3+T+1", F2)
-    emb = InftyEmbedding(cyc, F2, 14)
+    emb = InftyEmbedding(cyc, 14)
     coords = [Poly.one(F2)] + [Poly.zero(F2)] * (cyc.L - 1)
     vals = {b: emb.embed_coords(coords, b) for b in emb.reps}
     pows = emb.lambda_powers(emb.reps[0])
-    stub = InftyEmbedding(cyc, F2, 14)
+    stub = InftyEmbedding(cyc, 14)
     stub.lambda_powers = lambda b: pows
     with pytest.raises(ValueError, match="recognition residual w=.* below guard"):
         recognize_integral(cyc, vals, stub)
@@ -119,7 +133,7 @@ def test_exp_of_special_point_is_integral():
     # full pipeline: class sums -> L_2 -> exp -> exact O_K element
     cyc = _cyc("T^2+T+1", F2)
     depth = 20
-    emb = cyc.infty_embedding(F2, depth)
+    emb = cyc.infty_embedding(depth)
     exps = {b: exp_eval(v, v.wprec())
             for b, v in special_point_inf(cyc, 2, depth).items()}
     u = recognize_integral(cyc, exps, emb)
@@ -142,7 +156,7 @@ def test_special_point_identity_all_characters_all_powers():
             lval = coprime_l_inf(cyc, chi, table)
             for m in range(cyc.L):
                 c = cyc.tau_dual()[m][chi.n]
-                coords = _special_point_coords(cyc, m, table, F)
+                coords = special_point_coords(cyc, m, table, F)
 
                 def mul_poly(v, p, _F=F):
                     return v * LaurentSeries.from_poly(
@@ -197,7 +211,7 @@ def test_cnf_indices_match_per_character_projection(monkeypatch, Pstr, Fq):
         return v * LaurentSeries.from_poly(p, v.prec + int(p.degree) + 2, F)
     for chi in all_characters(cyc):
         mstar = next(m for m in range(cyc.L) if not dual[m][chi.n].is_zero())
-        coords = _special_point_coords(cyc, mstar, table, F)
+        coords = special_point_coords(cyc, mstar, table, F)
         proj = _project_vector_oracle(chi, coords, mul_poly)
         analytic = _laurent_ratio_to_tau(cyc, proj, gauss_thakur(chi),
                                          table.prec)
@@ -297,7 +311,7 @@ def test_residual_short_of_the_guard_is_retried():
     # at depth 8 the residual of exp(L_m), m <= 4, is known only to w < 6,
     # below the guard: a shortfall, retried, and certified at depth 16
     cyc = _cyc("T^3+T+1", F2)
-    emb = cyc.infty_embedding(F2, 8)
+    emb = cyc.infty_embedding(8)
     for m in range(1, 5):
         exps = {b: exp_eval(v, v.wprec())
                 for b, v in special_point_inf(cyc, m, 8).items()}
