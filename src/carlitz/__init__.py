@@ -5,8 +5,8 @@ Anderson special points, with machine verification of the identities
 tying them together at desk scale.
 """
 
-from .core import (CarlitzTables, bc_exact, bc_stream_mod_P, carlitz_act,
-                   carlitz_poly, exp_eval, padic_exp, padic_log)
+from .core import (CarlitzTables, bc_stream_mod_P, carlitz_act, carlitz_poly,
+                   exp_eval, padic_exp, padic_log)
 from .cyclotomic import (Character, CycElem, CycField, InftyEmbedding,
                          all_characters, b1, embed_padic, gauss_thakur)
 from .fields import make_field, residue_field
@@ -25,8 +25,8 @@ from .special_points import (VerificationReport, hr_dual_check,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CarlitzTables", "bc_exact", "bc_stream_mod_P", "carlitz_act",
-    "carlitz_poly", "exp_eval", "padic_exp", "padic_log",
+    "CarlitzTables", "bc_stream_mod_P", "carlitz_act", "carlitz_poly",
+    "exp_eval", "padic_exp", "padic_log",
     "Character", "CycElem", "CycField", "InftyEmbedding", "all_characters",
     "b1", "embed_padic", "gauss_thakur",
     "make_field", "residue_field",

@@ -21,7 +21,8 @@ from .core import bc_stream_mod_P, padic_exp, padic_log
 from .cyclotomic import CycField, all_characters
 from .fields import make_field, residue_field
 from .lvalues import euler_factor_charpoly, euler_product, l_inf, l_padic
-from .polynomials import Poly, format_poly, parse_poly
+from .padics import MuElem
+from .polynomials import format_poly, parse_poly
 from .special_points import (VerificationReport, odd_fitting_report,
                              padic_ledger, verify_anderson, verify_b1_formula,
                              verify_cnf, verify_congruence)
@@ -186,9 +187,14 @@ def make_config(args):
 # -- suites wrapping the library verifiers ----------------------------------------
 
 
+def _report(name, cfg, P, **params):
+    """An empty report whose params lead with q and P as format_poly
+    prints it, however --P spells it (the config block keeps that)."""
+    return VerificationReport(name, dict(q=cfg.q, P=format_poly(P), **params))
+
+
 def _suite_anderson(cyc, cfg):
-    rep = VerificationReport("anderson", {"q": cfg.q, "P": cfg.P_text,
-                                          "N": cfg.N, "depth": cfg.depth})
+    rep = _report("anderson", cfg, cyc.P, N=cfg.N, depth=cfg.depth)
     for m in range(1, 6):
         sub = verify_anderson(cyc, m, cfg.N, cfg.depth, guard=cfg.guard)
         rep.checks.extend(sub.checks)
@@ -196,8 +202,7 @@ def _suite_anderson(cyc, cfg):
 
 
 def _suite_b1(cyc, cfg):
-    rep = VerificationReport("b1", {"q": cfg.q, "P": cfg.P_text,
-                                    "depth": cfg.depth})
+    rep = _report("b1", cfg, cyc.P, depth=cfg.depth)
     for chi in all_characters(cyc):
         if not chi.is_odd():
             continue
@@ -208,8 +213,7 @@ def _suite_b1(cyc, cfg):
 
 def _suite_euler(cyc, cfg):
     B = min(cfg.depth, 8)
-    rep = VerificationReport("euler", {"q": cfg.q, "P": cfg.P_text,
-                                       "window": B})
+    rep = _report("euler", cfg, cyc.P, window=B)
     table = cyc.class_table(B)
     for chi in all_characters(cyc):
         direct = l_inf(cyc, chi, table)
@@ -221,8 +225,7 @@ def _suite_euler(cyc, cfg):
 
 
 def _suite_charpoly(cyc, cfg):
-    rep = VerificationReport("charpoly", {"q": cfg.q, "P": cfg.P_text,
-                                          "max_deg_f": cfg.max_deg_f})
+    rep = _report("charpoly", cfg, cyc.P, max_deg_f=cfg.max_deg_f)
     F = cyc.F
     for f in cyc.irreducibles(cfg.max_deg_f):
         fbar = f.evaluate(F.theta, target=F)
@@ -235,23 +238,20 @@ def _suite_charpoly(cyc, cfg):
     return rep
 
 
-def _suite_padic_explog(cyc, cfg, count=50, seed=2026):
-    rep = VerificationReport("padic-explog", {"q": cfg.q, "P": cfg.P_text,
-                                              "N": cfg.N, "count": count})
-    rng = random.Random(seed)
+def _suite_padic_explog(cyc, cfg):
+    """log(exp(z)) = z and v_m(exp(z)) = v_m(z) on 50 seeded random z in
+    m^2 inside O_{K,P} mod P^N: L N mu-digits, digits 0 and 1 zero."""
+    count = 50
+    rep = _report("padic-explog", cfg, cyc.P, N=cfg.N, count=count)
+    rng = random.Random(2026)
     N = max(cfg.N, 3)
     ring = cyc.padic_ring(N)
-    Fq = cyc.Fq
+    order = ring.F.order
     ok_round, ok_val = True, True
     for _ in range(count):
-        coords = [_random_poly(rng, Fq, ring.d * N) for _ in range(cyc.L)]
-        # force membership in m^2: lambda-coordinate i needs v_P >= the
-        # ceiling of (2 - i)/L, so only the first two coordinates move
-        coords[0] = coords[0] * ring.P * ring.P
-        if cyc.L > 1:
-            coords[1] = coords[1] * ring.P
-        z = ring.elem(coords, N)
-        if z.vm() is None or z.vm() < 2:
+        z = MuElem(ring, [0, 0] + [rng.randrange(order)
+                                   for _ in range(ring.L * N - 2)], N)
+        if z.vm() is None:
             continue
         e = padic_exp(z)
         back = padic_log(e)
@@ -262,10 +262,6 @@ def _suite_padic_explog(cyc, cfg, count=50, seed=2026):
     rep.add("log(exp(z)) = z on m^2 sample", ok_round)
     rep.add("v_m(exp(z)) = v_m(z) on m^2 sample", ok_val)
     return rep
-
-
-def _random_poly(rng, Fq, deg_lt):
-    return Poly(Fq, [rng.randrange(Fq.order) for _ in range(deg_lt)])
 
 
 def run_suites(cfg):
@@ -301,8 +297,7 @@ def cmd_bc_scan(cfg):
     ns = _scan_indices(q, d, cfg.max_n)
     n_hi = ns.stop - 1
     stream = bc_stream_mod_P(P, n_hi)
-    rep = VerificationReport("bc-scan", {"q": q, "P": cfg.P_text,
-                                         "max_n": n_hi})
+    rep = _report("bc-scan", cfg, P, max_n=n_hi)
     rep.add_passed(("n=%d" % n for n in ns),
                    residue_zero=(stream[n] == 0 for n in ns),
                    character_exponent=((1 - n) % L for n in ns))
@@ -313,8 +308,7 @@ def cmd_bc_scan(cfg):
 def cmd_l_values(cfg, place):
     Fq, P = cfg.build()
     cyc = CycField(P)
-    rep = VerificationReport("l-values", {"q": cfg.q, "P": cfg.P_text,
-                                          "place": place})
+    rep = _report("l-values", cfg, P, place=place)
     if place == "inf":
         table = cyc.class_table(cfg.depth)
         for chi in all_characters(cyc):
@@ -338,8 +332,7 @@ def cmd_l_values(cfg, place):
 def cmd_fitting(cfg):
     Fq, P = cfg.build()
     cyc = CycField(P)
-    rep = VerificationReport("fitting", {"q": cfg.q, "P": cfg.P_text,
-                                         "N": cfg.N})
+    rep = _report("fitting", cfg, P, N=cfg.N)
     for r in odd_fitting_report(cyc, N=max(cfg.N, 4)):
         rep.add("odd chi=%d" % r["chi_n"], True, case=r["case"],
                 generator=r["generator"], vP_B1=r["vP_B1"],

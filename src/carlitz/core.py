@@ -149,7 +149,12 @@ class CarlitzTables:
             self._bc.append((acc, tuple(tgt)))
 
     def bc_prime(self, n):
-        """BC'_n, the coefficient of X^n in X/exp_C(X), as a RatFunc."""
+        """BC'_n, the coefficient of X^n in X/exp_C(X), as a RatFunc, by
+        the exact recurrence from exp_C's defining identity.  Coefficient
+        growth is unchecked: a work limit of 512 guards the index rather
+        than the arithmetic."""
+        if n > 512:
+            raise ValueError("index %d beyond work limit 512" % n)
         self._bc_extend(n)
         num, evec = self._bc[n]
         if num.is_zero():
@@ -303,29 +308,6 @@ def _padic_orbit_sum(z, kind):
 # -- Bernoulli-Carlitz numbers -------------------------------------------------
 
 
-class BCValue:
-    """Bernoulli-Carlitz data at index n: BC'_n from X/exp_C(X) and
-    BC_n = BC'_n * Pi(n)."""
-
-    def __init__(self, n, bc_prime, bc):
-        self.n, self.bc_prime, self.bc = n, bc_prime, bc
-
-    def is_zero(self):
-        return self.bc_prime.is_zero()
-
-
-def bc_exact(n, field):
-    """BCValue at index n by the exact recurrence from exp_C's defining
-    identity.  Coefficient growth is unchecked; a work limit of 512
-    guards the index rather than the arithmetic."""
-    if n > 512:
-        raise ValueError("index %d beyond work limit 512" % n)
-    tab = CarlitzTables(field)
-    bcp = tab.bc_prime(n)
-    pi_n = tab.factorial(n)
-    return BCValue(n, bcp, bcp * RatFunc.from_poly(pi_n))
-
-
 def bc_stream_mod_P(P, n_max):
     """Residues of BC'_0..BC'_{n_max} in A/PA, for n_max <= q^d - 2, by
     BC'_n = sum_{0<i<d} (-1/D_i) BC'_{n - (q^i - 1)}: the D_i with i < d
@@ -343,10 +325,10 @@ def bc_stream_mod_P(P, n_max):
     if n_max > M - 1:
         raise ValueError("streaming recurrence needs n_max <= q^d - 2")
     K = n_max // (q - 1)
-    # a tap past K would read only the zero padding: dropped, the
-    # padding stays within the window
-    shifts = ((q ** i - 1) // (q - 1) for i in range(d))
-    steps = [(s, c) for s, c in zip(shifts, d_inverses_mod_P(P)) if 0 < s <= K]
+    # a tap past K would read only the zero padding: dropped, with its
+    # 1/D_i never computed, and the padding stays within the window
+    shifts = [s for s in ((q ** i - 1) // (q - 1) for i in range(d)) if s <= K]
+    steps = list(zip(shifts, d_inverses_mod_P(P, len(shifts))))[1:]
     pad = max((s for s, _ in steps), default=0)  # k - s_i >= -pad
     log, exp, zech = F._log, F._exp, F._zech
     if log is None:
@@ -391,17 +373,20 @@ def bc_stream_mod_P(P, n_max):
     return out
 
 
-def d_inverses_mod_P(P):
-    """1/D_i in A/PA for i < d = deg P, where D_i is a P-unit:
-    D_i mod P = prod_{j<i} (theta^{q^i} - theta^{q^j})."""
+def d_inverses_mod_P(P, count=None):
+    """1/D_i in A/PA for i < count (default d = deg P; count <= d), where
+    D_i is a P-unit: D_i mod P = prod_{j<i} (theta^{q^i} - theta^{q^j}).
+    Entry i costs i products, an inverse and a q-th power: over a residue
+    field without tables (degree 41 over F_2, say) all d of them take
+    most of a second, so a stream asks only for the taps in its window."""
     F = residue_field(P)
     q = P.field.order
-    d = int(P.degree)
+    count = int(P.degree) if count is None else count
     theta_pows = [F.theta]
-    for _ in range(d):
+    for _ in range(1, count):
         theta_pows.append(F.pow(theta_pows[-1], q))
     dinv = [1]
-    for i in range(1, d):
+    for i in range(1, count):
         val = 1
         for j in range(i):
             val = F.mul(val, F.sub(theta_pows[i], theta_pows[j]))

@@ -51,6 +51,7 @@ class FiniteField:
       order    number of elements
       base     base field (None for prime fields)
       modulus  tuple of base-field ints, monic, length deg+1 (None for prime)
+      theta    extensions only: the class of the modulus variable, gen()
     """
 
     def __init__(self, p):
@@ -92,6 +93,7 @@ class FiniteField:
         self._zech = None
         if self.order <= TABLE_LIMIT:
             self._build_tables()
+        self.theta = self.gen()
         return self
 
     # -- element encoding -------------------------------------------------
@@ -405,10 +407,7 @@ def residue_field(P):
         raise ValueError("P must be monic")
     if not P.is_irreducible():
         raise ValueError("P must be irreducible")
-    F = FiniteField.extension(P.field, P.coeffs)
-    F.theta = F.gen()
-    F.P = P
-    return F
+    return FiniteField.extension(P.field, P.coeffs)
 
 
 def residue_rep(P, x):

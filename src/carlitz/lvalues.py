@@ -73,10 +73,11 @@ def _last(keep):
     return k
 
 
-def class_blocks(P, n, classes, modulus=None):
+def class_blocks(P, n, classes):
     """For each sigma in `classes` (residues mod P), with a0 in A its
     representative of degree < d = deg P, the sum of 1/a over monic a of
-    degree n with a = a0 mod P, as a pair (num, den) in A.
+    degree n with a = a0 mod P, as an exact pair (num, den) in A: the
+    one source both places read (module docstring).
 
     For n < d the class holds a0 alone when a0 is monic of degree n, and
     nothing otherwise.  For n = d + m, a = a0 + P b with b monic of degree
@@ -85,9 +86,7 @@ def class_blocks(P, n, classes, modulus=None):
         num = (-1)^m (D_m/L_m) P^{q^m - 1} = c_0 P^{q^m - 1},
         den = D_m P^{q^m} + sum_i c_i a0^{q^i} P^{q^m - q^i},
 
-    with e_m(x) = sum_i c_i x^{q^i}; a0 = 0 gives (-1)^m / (L_m P).  With
-    `modulus`, factors are reduced by it before they are raised to
-    powers, and the pairs hold mod `modulus` only.
+    with e_m(x) = sum_i c_i x^{q^i}; a0 = 0 gives (-1)^m / (L_m P).
     """
     Fq = P.field
     m = n - int(P.degree)
@@ -97,20 +96,17 @@ def class_blocks(P, n, classes, modulus=None):
                 else (Poly.zero(Fq), Poly.one(Fq)) for a0 in reps]
     tab = CarlitzTables(Fq)
     q, c = tab.q, tab.e_coeffs(m)
-
-    def red(f):
-        return f if modulus is None else f % modulus
     pq = [Poly.one(Fq)]  # pq[k] = P^{q^k - 1} = pq[k-1]^q P^{q-1}
     for _ in range(m):
-        pq.append(red(pq[-1].frob_power(q) * P ** (q - 1)))
-    num, den0 = red(c[0] * pq[m]), red(tab.D(m) * pq[m] * P)
+        pq.append(pq[-1].frob_power(q) * P ** (q - 1))
+    num, den0 = c[0] * pq[m], tab.D(m) * pq[m] * P
     pairs = []
     for a0 in reps:
         den = den0
         if a0:
             for i, ci in enumerate(c):
-                den = den + ci * red(a0 * pq[m - i]).frob_power(q ** i)
-        pairs.append((num, red(den)))
+                den = den + ci * (a0 * pq[m - i]).frob_power(q ** i)
+        pairs.append((num, den))
     return pairs
 
 
@@ -160,7 +156,8 @@ class PadicClassSumTable:
     """P-adic class sums over unit classes as u-series mod u^N in A_P =
     F[[u]] (padics.MuRing; the ring is the one of CycField(P) at N), from
     the closed form for blocks n <= n_max, the last degree whose block
-    valuation is below N."""
+    valuation is below N: each block is num(X(u)) / den(X(u)) for the
+    exact pair of class_blocks, which MuRing.expand reduces mod P^N."""
 
     def __init__(self, P, N):
         self.P = P
@@ -180,8 +177,8 @@ class PadicClassSumTable:
         at_P = self.ring.expand
         return {sigma: at_P(num) * at_P(den).inv() if num
                 else LaurentSeries.zero(self.ring.F, self.N)
-                for sigma, (num, den) in zip(
-                    units, class_blocks(self.P, n, units, self.P ** self.N))}
+                for sigma, (num, den) in zip(units,
+                                             class_blocks(self.P, n, units))}
 
     def class_total(self, sigma):
         """Sum over all degrees of the class sums at a unit sigma."""

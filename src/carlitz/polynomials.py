@@ -474,12 +474,13 @@ class RatFunc:
 
 
 def rat_reduce_mod_P(r, F):
-    """Image of r in the residue field F = A/PA (T -> theta).
+    """Image of r in the residue field F = A/PA (T -> theta), P being
+    F's modulus.
 
     Common powers of P are cleared from num and den first, so any
     P-integral rational function reduces; a genuine pole at P raises.
     """
-    P = F.P
+    P = Poly(F.base, F.modulus)
     num, den = r.num, r.den
     while True:
         qn, rn = divmod(num, P)
@@ -504,7 +505,8 @@ _TERM_RE = re.compile(r"^(?:(?P<coef>[^*]+)\*)?(?:T(?:\^(?P<exp>\d+))?)?$")
 def _parse_coef(tok, field):
     tok = tok.strip()
     if re.fullmatch(r"\d+", tok):
-        return int(tok) % field.p
+        # an int code of the base field, as FiniteField.fmt prints it
+        return int(tok) % (field.base or field).order
     m = re.fullmatch(r"g(?:\^(\d+))?", tok)
     if m and field.base is not None:
         # g is the least primitive element, as FiniteField.fmt prints it

@@ -22,7 +22,7 @@ closed form L(1,1) = pi_bar/(T^2+T) refers to the inclusive value.
 import random
 from itertools import islice
 
-from .core import (CarlitzTables, bc_exact, bc_stream_mod_P, carlitz_act,
+from .core import (CarlitzTables, bc_stream_mod_P, carlitz_act,
                    d_inverses_mod_P, exp_eval, padic_exp)
 from .cyclotomic import (Character, CycElem, all_characters, b1, embed_padic,
                          galois_images, gauss_thakur, project_vector)
@@ -394,25 +394,23 @@ def _overlap_reason(agree, overlap, need):
 # -- congruences and scans --------------------------------------------------------
 
 
-def congruence_rows(cyc):
+def verify_congruence(cyc):
     """B_{1,omega^{-n}} = Pi(q^d-1-n)/Pi(q^d-n) BC_{q^d-n} mod P, for
-    0 < n <= q^d-1, n != 1.  Yields (n, lhs residue, rhs residue)."""
+    1 < n <= q^d - 1.  With k = q^d - n, BC_k = BC'_k Pi(k), so Pi(k)
+    cancels and the right side is Pi(q^d-1-n) BC'_k.  Both factors are
+    P-integral: Pi(q^d-1-n) and the denominator of BC'_k (k < q^d - 1,
+    so its D_i have q^i - 1 <= k, that is i < d) are products of D_i with
+    i < d, which are P-units, so each factor reduces mod P on its own."""
     F = cyc.F
     tab = CarlitzTables(cyc.Fq)
-    qd = cyc.q ** cyc.d
-    for n in range(2, cyc.L + 1):
-        lhs = rat_reduce_mod_P(b1(Character(cyc, -n)), F)
-        k = qd - n
-        ratio = RatFunc(tab.factorial(cyc.L - n), tab.factorial(k))
-        rhs = rat_reduce_mod_P(ratio * bc_exact(k, cyc.Fq).bc, F)
-        yield n, lhs, rhs
-
-
-def verify_congruence(cyc):
     report = VerificationReport("cong", {"q": cyc.q, "P": format_poly(cyc.P)})
-    for n, lhs, rhs in congruence_rows(cyc):
-        report.add("B_1(omega^-%d) vs BC_%d" % (n, cyc.q ** cyc.d - n),
-                   lhs == rhs, lhs_res=lhs, rhs_res=rhs)
+    for n in range(2, cyc.L + 1):
+        k = cyc.L + 1 - n
+        lhs = rat_reduce_mod_P(b1(Character(cyc, -n)), F)
+        rhs = F.mul(tab.factorial(cyc.L - n).evaluate(F.theta, target=F),
+                    rat_reduce_mod_P(tab.bc_prime(k), F))
+        report.add("B_1(omega^-%d) vs BC_%d" % (n, k), lhs == rhs,
+                   lhs_res=lhs, rhs_res=rhs)
     return report
 
 
@@ -451,10 +449,9 @@ def hr_dual_check(P):
     window = list(range(2, min(96, L - 1) + 1))
     wsample = sorted(rng.sample(window, min(4, len(window))))
     exact_ok = True
+    tab = CarlitzTables(Fq)
     for n in wsample:
-        bcp = bc_exact(n, Fq).bc_prime
-        res = 0 if bcp.is_zero() else rat_reduce_mod_P(bcp, F)
-        if res != stream[n]:
+        if rat_reduce_mod_P(tab.bc_prime(n), F) != stream[n]:
             exact_ok = False
             break
     return {"identity_sample": len(sample), "identity_ok": identity_ok,

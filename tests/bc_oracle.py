@@ -2,7 +2,7 @@
 streaming residues mod P (as bc-scan reads them) or off the exact
 Bernoulli-Carlitz numbers, the oracle of the stream at small P."""
 
-from carlitz.core import bc_exact, bc_stream_mod_P
+from carlitz.core import CarlitzTables, bc_stream_mod_P
 from carlitz.fields import residue_field
 from carlitz.polynomials import rat_reduce_mod_P
 
@@ -19,11 +19,6 @@ def hr_scan(P, mode="streaming"):
         stream = bc_stream_mod_P(P, L - 1)
         return [n for n in ns if stream[n] == 0]
     if mode == "exact-small":
-        F = residue_field(P)
-        out = []
-        for n in ns:
-            bcp = bc_exact(n, Fq).bc_prime
-            if bcp.is_zero() or rat_reduce_mod_P(bcp, F) == 0:
-                out.append(n)
-        return out
+        F, tab = residue_field(P), CarlitzTables(Fq)
+        return [n for n in ns if rat_reduce_mod_P(tab.bc_prime(n), F) == 0]
     raise ValueError("unknown scan mode %r" % mode)

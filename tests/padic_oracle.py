@@ -114,10 +114,9 @@ def class_totals(ctx, n_max):
     units = residue_field(ctx.P).units()
     totals = dict.fromkeys(units, Poly.zero(ctx.field))
     for n in range(n_max + 1):
-        for sigma, (num, den) in zip(units,
-                                     class_blocks(ctx.P, n, units, PN)):
-            totals[sigma] = (totals[sigma]
-                             + num * ctx.unit_inv(den, ctx.N)) % PN
+        for sigma, (num, den) in zip(units, class_blocks(ctx.P, n, units)):
+            totals[sigma] = (totals[sigma] + (num % PN)
+                             * ctx.unit_inv(den % PN, ctx.N)) % PN
     return totals
 
 

@@ -6,14 +6,17 @@ module, or renames or moves a site, would otherwise surface only in a
 traced benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def _tracer():
@@ -41,7 +44,7 @@ def test_tracer_hook_sites_exist():
 
 def test_cli_import_loads_every_tracer_layer():
     # a fresh interpreter: this process has imported more than the CLI does
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, carlitz.cli\n"
@@ -53,3 +56,18 @@ def test_cli_import_loads_every_tracer_layer():
     missing = [layer for layer in _tracer().LAYERS
                if "carlitz." + layer not in loaded]
     assert not missing, missing
+
+
+def test_bench_dual_check_passes():
+    # bench/run.py counts a failed hr_dual_check against its run: its own
+    # DUAL_CHECK program, read from the file, must report ok
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text())
+    code = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["DUAL_CHECK"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code, "3", "T^3+2*T+1"],
+                         env=env, check=True, capture_output=True, text=True,
+                         timeout=120).stdout
+    assert json.loads(out)["ok"]

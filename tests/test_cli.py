@@ -175,6 +175,32 @@ def test_euler_builds_its_class_table_once(capsys, monkeypatch):
     assert builds[0].memo(("euler_symmetric", 8, 9), lambda: None)
 
 
+def test_params_spell_P_as_format_poly_prints_it(capsys):
+    # every suite and command prints P canonically; the config block
+    # keeps the text of --P
+    for argv in (["verify", "--suites", "all"], ["bc-scan"], ["l-values"],
+                 ["l-values", "--place", "P"], ["fitting"]):
+        main(argv + ["--q", "3", "--P", "T^2 + 1", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["config"]["P"] == "T^2 + 1"
+        assert [r["params"]["P"] for r in doc["suite_results"]] == \
+            ["T^2+1"] * len(doc["suite_results"]), argv
+
+
+@pytest.mark.parametrize("name,mutant,broken", [
+    ("padic_log", lambda z: z, "log(exp(z)) = z on m^2 sample"),
+    ("padic_exp", lambda z: z * z, "v_m(exp(z)) = v_m(z) on m^2 sample")])
+def test_padic_explog_sample_catches_mutants(capsys, monkeypatch, name,
+                                             mutant, broken):
+    # log as the identity breaks the round trip, exp as squaring the
+    # valuation: the sample in m^2 must see both
+    monkeypatch.setattr(cli, name, mutant)
+    assert main(["verify", "--q", "3", "--P", "T^3+2*T+1",
+                 "--suites", "padic-explog", "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["suite_results"][0]["checks"]
+    assert {c["id"]: c["status"] for c in checks}[broken] == "fail"
+
+
 def test_fitting_report(capsys):
     code, out = _run(capsys, "fitting", "--q", "2", "--P", "T^2+T+1",
                      "--format", "json")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from carlitz import core, fields
-from carlitz.core import (CarlitzTables, bc_exact, bc_stream_mod_P,
+from carlitz.core import (CarlitzTables, bc_stream_mod_P,
                           carlitz_act, carlitz_poly, d_inverses_mod_P,
                           exp_eval, padic_exp, padic_log)
 from carlitz.cyclotomic import lambda_power_rows
@@ -300,22 +300,27 @@ def _bc_prime_series_oracle(field, n_max):
     return inv
 
 
-def test_bc_exact_matches_series_oracle():
+def test_bc_prime_matches_series_oracle():
     for F in (F2, F3):
         oracle = _bc_prime_series_oracle(F, 15)
         for n in range(16):
-            got = bc_exact(n, F)
-            assert got.bc_prime == oracle[n], (F, n)
+            assert CarlitzTables(F).bc_prime(n) == oracle[n], (F, n)
+
+
+def test_bc_prime_work_limit():
+    tab = CarlitzTables(F2)
+    with pytest.raises(ValueError, match="beyond work limit 512"):
+        tab.bc_prime(513)
 
 
 def test_bc_zero_pattern():
     for n in range(1, 30):
-        v = bc_exact(n, F3)
+        v = CarlitzTables(F3).bc_prime(n)
         if n % 2 != 0:
-            assert v.bc_prime.is_zero(), n
+            assert v.is_zero(), n
         # nonvanishing of the even ones in this window
         if n % 2 == 0 and n < 27:
-            assert not v.bc_prime.is_zero(), n
+            assert not v.is_zero(), n
 
 
 def test_bc_stream_matches_exact_reduction():
@@ -323,8 +328,7 @@ def test_bc_stream_matches_exact_reduction():
     F = residue_field(P)
     stream = bc_stream_mod_P(P, 7)
     for n in range(8):
-        exact = bc_exact(n, F3).bc_prime
-        want = rat_reduce_mod_P(exact, F) if not exact.is_zero() else 0
+        want = rat_reduce_mod_P(CarlitzTables(F3).bc_prime(n), F)
         assert stream[n] == want, n
 
 
@@ -333,8 +337,7 @@ def test_bc_stream_degree3():
     F = residue_field(P)
     stream = bc_stream_mod_P(P, 6)
     for n in range(7):
-        exact = bc_exact(n, F2).bc_prime
-        want = rat_reduce_mod_P(exact, F) if not exact.is_zero() else 0
+        want = rat_reduce_mod_P(CarlitzTables(F2).bc_prime(n), F)
         assert stream[n] == want, n
 
 
@@ -401,6 +404,23 @@ def test_bc_stream_makes_no_field_calls(monkeypatch, q, Pstr):
         calls.clear()
         bc_stream_mod_P(P, n_max)
         assert len(calls) <= dinv_calls, n_max
+
+
+def test_bc_stream_inverts_only_window_taps(monkeypatch):
+    # over T^41+T^3+1 (no tables: 2^41 elements) a window n <= 10 reads
+    # the taps s_i = 2^i - 1 <= 10, i = 1, 2, 3: one inverse each, none of
+    # the other 37 D_i
+    P = parse_poly("T^41+T^3+1", F2)
+    F = residue_field(P)  # built (and cached) before counting
+    inverted = []
+    inv = fields.FiniteField.inv
+    monkeypatch.setattr(fields.FiniteField, "inv", lambda E, x: (
+        E is F and inverted.append(x)) or inv(E, x))
+    stream = bc_stream_mod_P(P, 10)
+    assert len(inverted) == 3
+    monkeypatch.undo()
+    tab = CarlitzTables(F2)
+    assert stream == [rat_reduce_mod_P(tab.bc_prime(n), F) for n in range(11)]
 
 
 def test_bc_stream_without_tables(monkeypatch):

@@ -83,3 +83,23 @@ SPECIAL_POINT_DIGESTS = {
 def test_special_point_report_digest(tmp_path, command):
     assert _status_and_digest(tmp_path, command.split()) == \
         SPECIAL_POINT_DIGESTS[command]
+
+
+# The congruence, the P-adic exp/log sample and the P-adic class sums at
+# (3, T^3+2T+1), N = 12, digested the same way: cong reads BC'_k, the
+# sample is drawn in O_{K,P}, and both P-adic commands expand the exact
+# class-sum pairs.
+PADIC_DIGESTS = {
+    "verify --q 3 --P T^3+2*T+1 --suites cong,padic-explog --N 12": (
+        0, "a2e26c6f584b4bb269bec4050f4d16445111ec1ce723afe43ed6e6d467bdaf48"),
+    "l-values --q 3 --P T^3+2*T+1 --place P --N 12": (
+        0, "9b88a4dfa35211a290e0e60dfd10234342b84b2b4a18fb19d837caa37b4c2bdc"),
+    "fitting --q 3 --P T^3+2*T+1 --N 12": (
+        0, "7dc7f2d390b6f4ff290dc45ea8fa222f8b4e083bb21cbc6555a8f680ed25aee3"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PADIC_DIGESTS))
+def test_padic_report_digest(tmp_path, command):
+    assert _status_and_digest(tmp_path, command.split()) == \
+        PADIC_DIGESTS[command]

@@ -30,10 +30,15 @@ def test_parse_and_format_roundtrip():
         F = F2 if "2" not in s else F3
         p = parse_poly(s, F)
         assert parse_poly(format_poly(p), F) == p
-    # every a*T + b over F_9 (where X has order 4, not 8), F_8 and the
-    # residue field of T^2+1 over F_3 (where theta has order 4)
-    for F in (make_field(3, 2), make_field(2, 3),
-              residue_field(parse_poly("T^2+1", F3))):
+    # every a*T + b over F_9 (where X has order 4, not 8), F_8, the
+    # residue field of T^2+1 over F_3 (where theta has order 4) and a
+    # tower: A/PA for the first irreducible quadratic P over F_9, whose
+    # base-field digits print as int codes up to 8
+    F9 = make_field(3, 2)
+    tower = residue_field(next(p for p in monic_polys(F9, 2)
+                               if p.is_irreducible()))
+    for F in (F9, make_field(2, 3), residue_field(parse_poly("T^2+1", F3)),
+              tower):
         for a in F.elements():
             for b in F.elements():
                 p = Poly(F, [b, a])

@@ -1,13 +1,13 @@
 import pytest
 
-from carlitz.core import exp_eval
+from carlitz.core import CarlitzTables, exp_eval
 from carlitz.cyclotomic import (Character, CycElem, CycField, InftyEmbedding,
                                 _sigma_coords, all_characters, b1,
                                 galois_images, gauss_thakur, project_vector)
 from carlitz.fields import make_field
 from carlitz.laurent import LaurentSeries
 from carlitz.lvalues import ClassSumTable, padic_block_valuation
-from carlitz.polynomials import Poly, RatFunc, parse_poly
+from carlitz.polynomials import Poly, RatFunc, parse_poly, rat_reduce_mod_P
 from carlitz import special_points
 from carlitz.special_points import (_laurent_ratio_to_tau, coprime_l_inf,
                                     hr_dual_check, odd_fitting_report,
@@ -399,6 +399,24 @@ def test_congruence_suite():
     for Pstr, Fq in [("T^2+T+1", F2), ("T^2+1", F3), ("T^3+T+1", F2)]:
         rep = verify_congruence(_cyc(Pstr, Fq))
         assert rep.passed(), Pstr
+
+
+@pytest.mark.parametrize("Pstr,Fq", [("T^2+T+1", F2), ("T^2+1", F3),
+                                     ("T^3+T+1", F2), ("T^2+2", make_field(5))])
+def test_congruence_rhs_is_the_bc_route(Pstr, Fq):
+    # the right side by the route through BC_k = BC'_k Pi(k): the ratio
+    # Pi(L - n)/Pi(k) times BC_k as reduced RatFuncs, then mod P
+    cyc = _cyc(Pstr, Fq)
+    tab = CarlitzTables(Fq)
+    checks = verify_congruence(cyc).checks
+    assert len(checks) == cyc.L - 1
+    for n, check in zip(range(2, cyc.L + 1), checks):
+        k = cyc.L + 1 - n
+        bc = tab.bc_prime(k) * RatFunc.from_poly(tab.factorial(k))
+        ratio = RatFunc(tab.factorial(cyc.L - n), tab.factorial(k))
+        assert check["id"] == "B_1(omega^-%d) vs BC_%d" % (n, k)
+        assert check["detail"]["rhs_res"] == str(
+            rat_reduce_mod_P(ratio * bc, cyc.F)), (Pstr, n)
 
 
 def test_hr_scan_modes_agree():
