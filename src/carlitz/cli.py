@@ -12,6 +12,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -347,29 +348,60 @@ def cmd_fitting(cfg):
 # -- serialization ----------------------------------------------------------------
 
 
+def _checks_json(rep):
+    """The JSON text of rep's checks, a bulk block encoded with no dict
+    per row: through one template, json.dumps of a row whose values are
+    a sentinel, so that keys, order and separators are the encoder's own
+    bytes, with each value put in by encode_basestring_ascii, as
+    json.dumps would."""
+    sep, mark = json.JSONEncoder.item_separator, json.dumps("\0")
+    encode = json.encoder.encode_basestring_ascii
+    parts = [json.dumps(rep.checks)[1:-1]] if rep.checks else []
+    for ids, columns in rep.bulk:
+        skeleton = json.dumps(rep.row("\0", dict.fromkeys(columns, "\0")))
+        template = "%s".join(s.replace("%", "%%")
+                             for s in skeleton.split(mark))
+        cells = zip(map(encode, ids), *(map(encode, map(str, column))
+                                        for column in columns.values()))
+        parts.append(sep.join(map(template.__mod__, cells)))
+    return "[%s]" % sep.join(filter(None, parts))
+
+
 def render(cfg, reports, elapsed_ms):
-    doc = {"config": cfg.as_dict(),
-           "suite_results": [r.as_dict() for r in reports],
-           "timing_ms": elapsed_ms}
-    if cfg.format == "json":  # a fresh tree: no cycle to check for
-        return json.dumps(doc, check_circular=False) + "\n"
-    results = doc["suite_results"]
+    """The run's document in cfg.format, as one str.  In JSON, each
+    report's checks are NaN in the document, and _checks_json's text is
+    spliced in there: no string or int encodes to `"checks": NaN`, as a
+    quote inside a string is escaped."""
+    config, results = cfg.as_dict(), [r.as_dict() for r in reports]
+    if cfg.format == "json":
+        for res in results:
+            res["checks"] = math.nan
+        doc = {"config": config, "suite_results": results,
+               "timing_ms": elapsed_ms}
+        key = json.dumps("checks") + json.JSONEncoder.key_separator
+        # a fresh tree: no cycle to check for
+        head, *tails = json.dumps(doc, check_circular=False).split(
+            key + json.dumps(math.nan))
+        parts = [head]
+        for r, tail in zip(reports, tails):
+            parts += [key, _checks_json(r), tail]
+        return "".join(parts + ["\n"])
     if cfg.format == "csv":
         import csv  # only CSV runs pay for the import
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["suite", "check", "status", "lhs_precision",
                     "rhs_precision", "detail"])
-        for r in results:
-            for c in r["checks"]:
-                w.writerow([r["name"], c["id"], c["status"],
+        for r in reports:
+            for c in r.rows():
+                w.writerow([r.suite, c["id"], c["status"],
                             c["lhs_precision"], c["rhs_precision"],
                             json.dumps(c["detail"], sort_keys=True)])
         return buf.getvalue()
-    lines = ["# carlitz run (digest %s)" % doc["config"]["digest"]]
-    for r in results:
-        lines.append("[%s] %s" % (r["name"], json.dumps(r["params"])))
-        for c in r["checks"]:
+    lines = ["# carlitz run (digest %s)" % config["digest"]]
+    for r, res in zip(reports, results):
+        lines.append("[%s] %s" % (r.suite, json.dumps(res["params"])))
+        for c in r.rows():
             extra = " ".join("%s=%s" % kv for kv in c["detail"].items())
             lines.append("  %-12s %s %s" % (c["status"], c["id"], extra))
     lines.append("timing %d ms" % elapsed_ms)

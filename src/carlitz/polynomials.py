@@ -507,6 +507,9 @@ def _parse_coef(tok, field):
     if re.fullmatch(r"\d+", tok):
         # an int code of the base field, as FiniteField.fmt prints it
         return int(tok) % (field.base or field).order
+    if re.fullmatch(r"#\d+", tok) and int(tok[1:]) < field.order:
+        # an int code, as FiniteField.fmt prints it over a field without tables
+        return int(tok[1:])
     m = re.fullmatch(r"g(?:\^(\d+))?", tok)
     if m and field.base is not None:
         # g is the least primitive element, as FiniteField.fmt prints it
@@ -520,10 +523,9 @@ def _parse_coef(tok, field):
 def parse_poly(s, field):
     """Parse `c*T^k` terms joined by + and -.
 
-    Coefficients are nonnegative ints, or `g^j` over an extension field
-    with tables, where g is the least primitive element: format_poly's
-    reading of g.  Examples:
-    `T^2+T+1`, `2*T^3+1`, `g^2*T+g`.
+    Coefficients as format_poly prints them: nonnegative ints, `g^j`
+    over a field with tables (g the least primitive element), `#code`
+    over one without.  Examples: `T^2+T+1`, `g^2*T+g`, `T+#2`.
     """
     s = s.replace(" ", "")
     if not s:

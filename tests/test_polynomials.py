@@ -45,6 +45,20 @@ def test_parse_and_format_roundtrip():
                 assert parse_poly(format_poly(p), F) == p, (F, a, b)
 
 
+def test_parse_reads_codes_of_a_field_without_tables():
+    # A/PA for a degree-41 P over F_2 keeps no log table, so format_poly
+    # prints a coefficient outside F_2 as its int code
+    F = residue_field(parse_poly("T^41+T^3+1", F2))
+    assert F._log is None
+    p = Poly(F, [F.theta, 1])
+    assert format_poly(p) == "T+#2"
+    for c in (F.theta, F.order - 1, 5 ** 17, F.mul(F.theta, 3 ** 20)):
+        for q in (Poly(F, [c, 1]), Poly(F, [1, 0, c]), Poly(F, [c, c])):
+            assert parse_poly(format_poly(q), F) == q, format_poly(q)
+    with pytest.raises(ValueError, match="cannot parse coefficient"):
+        parse_poly("T+#%d" % F.order, F)
+
+
 def _least_primitive(F):
     return next(c for c in F.units() if F.mult_order(c) == F.order - 1)
 

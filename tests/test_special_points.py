@@ -385,13 +385,13 @@ def test_bulk_rows_are_the_rows_of_add():
     for i, z, e in zip(ids, zero, expo):
         one.add(i, True, residue_zero=z, character_exponent=e)
     bulk.add_passed(ids, residue_zero=zero, character_exponent=expo)
-    assert len(bulk.checks) == len(ids)
-    for a, b in zip(one.checks, bulk.checks):
+    assert len(list(bulk.rows())) == len(ids)
+    for a, b in zip(one.rows(), bulk.rows()):
         assert list(a.items()) == list(b.items())
         assert list(a["detail"].items()) == list(b["detail"].items())
     empty = VerificationReport("s", {})
     empty.add_passed(["a", "b"])
-    assert [c["detail"] for c in empty.checks] == [{}, {}]
+    assert [c["detail"] for c in empty.rows()] == [{}, {}]
     assert empty.passed()
 
 
