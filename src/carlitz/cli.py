@@ -17,6 +17,7 @@ import os
 import random
 import sys
 import time
+import types
 
 from .core import bc_stream_mod_P, padic_exp, padic_log
 from .cyclotomic import CycField, all_characters
@@ -31,42 +32,55 @@ from .special_points import (VerificationReport, odd_fitting_report,
 SUITES = ("cnf", "anderson", "b1", "cong", "euler", "charpoly",
           "padic-explog")
 FORMATS = ("json", "csv", "text")
+COMMAND_HELP = (("bc-scan", "Bernoulli-Carlitz irregular indices"),
+                ("l-values", "per-character L-value table"),
+                ("verify", "run verification suites"),
+                ("fitting", "Fitting generators and P-adic ledger"))
+COMMANDS = tuple(command for command, _ in COMMAND_HELP)
+
+# Each setting once: its --config key, its flag, its default, its least
+# value if it is an integer (None: text) and the commands whose flag sets
+# it.  A flag and a config file both give text, which make_config checks
+# alike.
+SETTINGS = (
+    ("q", "--q", None, 2, COMMANDS),
+    ("P_text", "--P", None, None, COMMANDS),
+    ("depth", "--depth", 16, 1, COMMANDS),
+    ("N", "--N", 6, 1, COMMANDS),
+    ("guard", "--guard", 6, 1, COMMANDS),
+    ("format", "--format", "text", None, COMMANDS),
+    ("out", "--out", None, None, COMMANDS),
+    ("suites", "--suites", "all", None, ("verify",)),
+    ("max_deg_f", "--max-deg-f", 3, 1, ("verify",)),
+    # bc-scan starts at n = 2, so a smaller max_n scans nothing for any P
+    ("max_n", "--max-n", None, 2, ("bc-scan",)),
+)
+KEYS = tuple(s[0] for s in SETTINGS)
 
 
-class RunConfig:
-    KEYS = ("q", "P_text", "depth", "N", "guard", "format", "out", "suites",
-            "max_deg_f", "max_n")
-
-    def __init__(self, q, P_text, depth=16, N=6, guard=6, format="text",
-                 out=None, suites="all", max_deg_f=3, max_n=None):
-        self.q, self.P_text, self.depth, self.N = q, P_text, depth, N
-        self.guard, self.format, self.out = guard, format, out
-        self.suites, self.max_deg_f, self.max_n = suites, max_deg_f, max_n
+class RunConfig(types.SimpleNamespace):
+    """The run's settings, one attribute per key of SETTINGS, and P, the
+    monic irreducible over F_q that P_text spells, which make_config
+    parses once."""
 
     def as_dict(self):
-        # "threads" is a constant left from a removed option: reports and
-        # their config digest stay byte-identical to earlier runs, whose
-        # digests bench/golden.json holds
-        d = {"q": self.q, "P": self.P_text, "depth": self.depth,
-             "N": self.N, "guard": self.guard, "threads": 1,
-             "format": self.format, "suites": self.suites,
-             "max_deg_f": self.max_deg_f, "max_n": self.max_n}
+        # every setting but out, P as --P spelled it, and "threads", a
+        # constant left from a removed option: reports and their config
+        # digest stay byte-identical to earlier runs, whose digests
+        # bench/golden.json holds
+        d = {}
+        for k in KEYS:
+            if k == "format":
+                d["threads"] = 1
+            if k != "out":
+                d["P" if k == "P_text" else k] = getattr(self, k)
         canon = json.dumps(d, sort_keys=True)
         d["digest"] = hashlib.sha256(canon.encode()).hexdigest()[:16]
         return d
 
-    def build(self):
-        """F_q and P; raises ValueError unless q is prime and P is a monic
-        irreducible polynomial over F_q."""
-        Fq = make_field(self.q)
-        P = parse_poly(self.P_text, Fq)
-        residue_field(P)
-        return Fq, P
-
 
 def _read_config_file(path):
-    """key = value lines, '#' comments; the keys are RunConfig's fields."""
-    keys = RunConfig.KEYS
+    """key = value lines, '#' comments; the keys are those of SETTINGS."""
     out = {}
     try:
         with open(path) as fh:
@@ -79,43 +93,33 @@ def _read_config_file(path):
             continue
         k, _, v = line.partition("=")
         k = k.strip().replace("-", "_")
-        if k not in keys:
+        if k not in KEYS:
             _usage_error("unknown key %r in %s (valid: %s)"
-                         % (k, path, ", ".join(keys)))
+                         % (k, path, ", ".join(KEYS)))
         out[k] = v.strip()
     return out
 
 
-def _add_common(sp):
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--P", dest="P_text")
-    sp.add_argument("--depth", type=int)
-    sp.add_argument("--N", type=int)
-    sp.add_argument("--guard", type=int)
-    sp.add_argument("--format", choices=FORMATS)
-    sp.add_argument("--out")
-    sp.add_argument("--config", help="key=value defaults file")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse's own errors (an unknown flag, no command, a bad
+        # --place) are bad input like any other
+        _usage_error(message)
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="carlitz")
+    """The commands and their flags, which hold text as given: make_config
+    checks it, as it checks a config file's values."""
+    ap = _Parser(prog="carlitz")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bc-scan", help="Bernoulli-Carlitz irregular indices")
-    _add_common(p)
-    p.add_argument("--max-n", dest="max_n", type=int)
-
-    p = sub.add_parser("l-values", help="per-character L-value table")
-    _add_common(p)
-    p.add_argument("--place", choices=("inf", "P"), default="inf")
-
-    p = sub.add_parser("verify", help="run verification suites")
-    _add_common(p)
-    p.add_argument("--suites")
-    p.add_argument("--max-deg-f", dest="max_deg_f", type=int)
-
-    p = sub.add_parser("fitting", help="Fitting generators and P-adic ledger")
-    _add_common(p)
+    for command, help in COMMAND_HELP:
+        p = sub.add_parser(command, help=help)
+        for key, flag, _, _, commands in SETTINGS:
+            if command in commands:
+                p.add_argument(flag, dest=key)
+        p.add_argument("--config", help="key=value defaults file")
+        if command == "l-values":
+            p.add_argument("--place", choices=("inf", "P"), default="inf")
     return ap
 
 
@@ -127,44 +131,40 @@ def _usage_error(msg):
 
 
 def _suite_names(text):
+    """The suites a --suites list names, "all" standing for every one.
+    A name that is neither, or a list that names nothing (whose run would
+    pass vacuously), is bad input."""
     names = [s.strip() for s in text.split(",") if s.strip()]
+    for n in names or [text]:
+        if n not in SUITES and n != "all":
+            _usage_error("unknown suite %r (have: %s, all)"
+                         % (n, ", ".join(SUITES)))
     return list(SUITES) if "all" in names else names
 
 
 def make_config(args):
     """The run's configuration from flags over config-file defaults; all
-    input is validated here."""
-    vals = {}
-    if getattr(args, "config", None):
-        vals.update(_read_config_file(args.config))
-    for k in RunConfig.KEYS:
-        v = getattr(args, k, None)
-        if v is not None:
-            vals[k] = v
-    ints = ("q", "depth", "N", "guard", "max_deg_f", "max_n")
-    for k in ints:
-        if k in vals and vals[k] is not None:
-            try:
-                vals[k] = int(vals[k])
-            except ValueError:
-                _usage_error("%s must be an integer, got %r" % (k, vals[k]))
-    if "q" not in vals or "P_text" not in vals:
-        _usage_error("--q and --P are required (flag or config file)")
+    input is validated here, a flag's value as a config file's."""
+    vals = _read_config_file(args.config) if args.config else {}
+    vals.update((k, v) for k, v in vars(args).items()
+                if k in KEYS and v is not None)
+    for key, _, default, least, _ in SETTINGS:
+        v = vals.setdefault(key, default)
+        if least is None or v is None:
+            continue
+        try:
+            v = vals[key] = int(v)
+        except ValueError:
+            _usage_error("%s must be an integer, got %r" % (key, v))
+        if v < least:
+            _usage_error("%s must be >= %d, got %d" % (key, least, v))
     cfg = RunConfig(**vals)
-    # bc-scan starts at n = 2, so a smaller max_n scans nothing for any P
-    for k, least in (("depth", 1), ("N", 1), ("guard", 1), ("max_deg_f", 1),
-                     ("max_n", 2)):
-        v = getattr(cfg, k)
-        if v is not None and v < least:
-            _usage_error("%s must be >= %d, got %d" % (k, least, v))
+    if cfg.q is None or cfg.P_text is None:
+        _usage_error("--q and --P are required (flag or config file)")
     if cfg.format not in FORMATS:
         _usage_error("format must be one of %s, got %r"
                      % (", ".join(FORMATS), cfg.format))
-    # a list that names no suite would pass vacuously: it is unknown
-    for n in _suite_names(cfg.suites) or [cfg.suites]:
-        if n not in SUITES:
-            _usage_error("unknown suite %r (have: %s, all)"
-                         % (n, ", ".join(SUITES)))
+    _suite_names(cfg.suites)
     # the report is written after every suite has run: a path that cannot
     # be opened is bad input before any of them starts
     if cfg.out and os.path.isdir(cfg.out):
@@ -172,11 +172,12 @@ def make_config(args):
     if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
         _usage_error("--out %s: %s" % (cfg.out, os.strerror(errno.ENOENT)))
     try:
-        _, P = cfg.build()
+        cfg.P = parse_poly(cfg.P_text, make_field(cfg.q))
+        residue_field(cfg.P)
     except ValueError as exc:
         _usage_error("--q %s --P %r: %s" % (cfg.q, cfg.P_text, exc))
     if args.command == "bc-scan":
-        ns = _scan_indices(cfg.q, int(P.degree), cfg.max_n)
+        ns = _scan_indices(cfg.q, int(cfg.P.degree), cfg.max_n)
         if not ns:
             # a scan of no index would pass vacuously
             _usage_error("--q %s --P %r: nothing to scan, no multiple of %d "
@@ -188,14 +189,15 @@ def make_config(args):
 # -- suites wrapping the library verifiers ----------------------------------------
 
 
-def _report(name, cfg, P, **params):
+def _report(name, cfg, **params):
     """An empty report whose params lead with q and P as format_poly
     prints it, however --P spells it (the config block keeps that)."""
-    return VerificationReport(name, dict(q=cfg.q, P=format_poly(P), **params))
+    return VerificationReport(name, dict(q=cfg.q, P=format_poly(cfg.P),
+                                         **params))
 
 
 def _suite_anderson(cyc, cfg):
-    rep = _report("anderson", cfg, cyc.P, N=cfg.N, depth=cfg.depth)
+    rep = _report("anderson", cfg, N=cfg.N, depth=cfg.depth)
     for m in range(1, 6):
         sub = verify_anderson(cyc, m, cfg.N, cfg.depth, guard=cfg.guard)
         rep.checks.extend(sub.checks)
@@ -203,7 +205,7 @@ def _suite_anderson(cyc, cfg):
 
 
 def _suite_b1(cyc, cfg):
-    rep = _report("b1", cfg, cyc.P, depth=cfg.depth)
+    rep = _report("b1", cfg, depth=cfg.depth)
     for chi in all_characters(cyc):
         if not chi.is_odd():
             continue
@@ -214,7 +216,7 @@ def _suite_b1(cyc, cfg):
 
 def _suite_euler(cyc, cfg):
     B = min(cfg.depth, 8)
-    rep = _report("euler", cfg, cyc.P, window=B)
+    rep = _report("euler", cfg, window=B)
     table = cyc.class_table(B)
     for chi in all_characters(cyc):
         direct = l_inf(cyc, chi, table)
@@ -226,7 +228,7 @@ def _suite_euler(cyc, cfg):
 
 
 def _suite_charpoly(cyc, cfg):
-    rep = _report("charpoly", cfg, cyc.P, max_deg_f=cfg.max_deg_f)
+    rep = _report("charpoly", cfg, max_deg_f=cfg.max_deg_f)
     F = cyc.F
     for f in cyc.irreducibles(cfg.max_deg_f):
         fbar = f.evaluate(F.theta, target=F)
@@ -241,11 +243,11 @@ def _suite_charpoly(cyc, cfg):
 
 def _suite_padic_explog(cyc, cfg):
     """log(exp(z)) = z and v_m(exp(z)) = v_m(z) on 50 seeded random z in
-    m^2 inside O_{K,P} mod P^N: L N mu-digits, digits 0 and 1 zero."""
-    count = 50
-    rep = _report("padic-explog", cfg, cyc.P, N=cfg.N, count=count)
+    m^2 inside O_{K,P} mod P^N: L N mu-digits, digits 0 and 1 zero, at
+    N = max(--N, 3), which the params print."""
+    count, N = 50, max(cfg.N, 3)
+    rep = _report("padic-explog", cfg, N=N, count=count)
     rng = random.Random(2026)
-    N = max(cfg.N, 3)
     ring = cyc.padic_ring(N)
     order = ring.F.order
     ok_round, ok_val = True, True
@@ -266,8 +268,7 @@ def _suite_padic_explog(cyc, cfg):
 
 
 def run_suites(cfg):
-    Fq, P = cfg.build()
-    cyc = CycField(P)
+    cyc = CycField(cfg.P)
     runners = {
         "cnf": lambda: verify_cnf(cyc, cfg.depth),
         "anderson": lambda: _suite_anderson(cyc, cfg),
@@ -292,13 +293,12 @@ def _scan_indices(q, d, max_n):
 
 
 def cmd_bc_scan(cfg):
-    Fq, P = cfg.build()
-    q, d = cfg.q, int(P.degree)
+    q, d = cfg.q, int(cfg.P.degree)
     L = q ** d - 1
     ns = _scan_indices(q, d, cfg.max_n)
     n_hi = ns.stop - 1
-    stream = bc_stream_mod_P(P, n_hi)
-    rep = _report("bc-scan", cfg, P, max_n=n_hi)
+    stream = bc_stream_mod_P(cfg.P, n_hi)
+    rep = _report("bc-scan", cfg, max_n=n_hi)
     rep.add_passed(("n=%d" % n for n in ns),
                    residue_zero=(stream[n] == 0 for n in ns),
                    character_exponent=((1 - n) % L for n in ns))
@@ -307,9 +307,8 @@ def cmd_bc_scan(cfg):
 
 
 def cmd_l_values(cfg, place):
-    Fq, P = cfg.build()
-    cyc = CycField(P)
-    rep = _report("l-values", cfg, P, place=place)
+    cyc = CycField(cfg.P)
+    rep = _report("l-values", cfg, place=place)
     if place == "inf":
         table = cyc.class_table(cfg.depth)
         for chi in all_characters(cyc):
@@ -331,9 +330,8 @@ def cmd_l_values(cfg, place):
 
 
 def cmd_fitting(cfg):
-    Fq, P = cfg.build()
-    cyc = CycField(P)
-    rep = _report("fitting", cfg, P, N=cfg.N)
+    cyc = CycField(cfg.P)
+    rep = _report("fitting", cfg, N=cfg.N)
     for r in odd_fitting_report(cyc, N=max(cfg.N, 4)):
         rep.add("odd chi=%d" % r["chi_n"], True, case=r["case"],
                 generator=r["generator"], vP_B1=r["vP_B1"],

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -307,9 +308,13 @@ def test_out_of_range_integers_exit_2(capsys, argv, why):
     (["--suites", ""], ""),
     (["--suites", ","], ""),
     ([], "suites =\n"),
-], ids=["flag-empty", "flag-comma", "config-empty"])
+    (["--suites", "all,bogus"], ""),
+    ([], "suites = bogus, all\n"),
+], ids=["flag-empty", "flag-comma", "config-empty", "flag-all-bogus",
+        "config-all-bogus"])
 def test_empty_suite_list_exits_2(tmp_path, capsys, flags, cfgtext):
-    # a run of no suite would pass vacuously
+    # a run of no suite would pass vacuously; "all" names every suite and
+    # does not excuse a name that is none
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("q = 3\nP_text = T^2+1\n" + cfgtext)
     with pytest.raises(SystemExit) as exc:
@@ -317,6 +322,75 @@ def test_empty_suite_list_exits_2(tmp_path, capsys, flags, cfgtext):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unknown suite" in err and err.count("\n") == 1
+
+
+_PAIR = ["--q", "3", "--P", "T^2+1"]
+
+
+@pytest.mark.parametrize("argv, why", [
+    (["verify", *_PAIR, "--depth", "x"], "depth must be an integer, got 'x'"),
+    (["verify", *_PAIR, "--q", "x"], "q must be an integer, got 'x'"),
+    (["verify", *_PAIR, "--q", "1"], "q must be >= 2, got 1"),
+    (["verify", *_PAIR, "--format", "xml"],
+     "format must be one of json, csv, text, got 'xml'"),
+    (["l-values", *_PAIR, "--place", "Q"],
+     "argument --place: invalid choice: 'Q'"),
+    (["verify", *_PAIR, "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    # a flag of another command
+    (["verify", *_PAIR, "--max-n", "9"], "unrecognized arguments: --max-n 9"),
+    (["verify", *_PAIR, "--depth"], "argument --depth: expected one argument"),
+    ([], "the following arguments are required: command"),
+], ids=["depth", "q", "q-bound", "format", "place", "unknown-flag",
+        "foreign-flag", "no-value", "no-command"])
+def test_malformed_flags_exit_2_in_one_line(capsys, argv, why):
+    # a flag's value is checked as a config file's is, and argparse's own
+    # errors are one line too, with no usage block
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("carlitz: error: ") and err.count("\n") == 1
+    assert why in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: carlitz")
+
+
+def test_config_only_settings_reach_the_config_block(tmp_path, capsys):
+    # max_n and guard are not flags of verify, and cong reads neither: the
+    # file's values are still the run's, and its digest covers them
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("q = 3\nP_text = T^2+1\nmax_n = 9\nguard = 3\n")
+    code, out = _run(capsys, "verify", "--config", str(cfgfile),
+                     "--suites", "cong", "--format", "json")
+    assert code == 0
+    config = json.loads(out)["config"]
+    want = {"q": 3, "P": "T^2+1", "depth": 16, "N": 6, "guard": 3,
+            "threads": 1, "format": "json", "suites": "cong",
+            "max_deg_f": 3, "max_n": 9}
+    digest = config.pop("digest")
+    assert list(config.items()) == list(want.items())
+    canon = json.dumps(want, sort_keys=True).encode()
+    assert digest == hashlib.sha256(canon).hexdigest()[:16]
+    assert digest == "f070c2daaaaf199c"
+
+
+def test_padic_explog_prints_the_N_it_samples_at(capsys):
+    # the sample is drawn mod P^max(N, 3): at --N 2 it is the run at --N 3
+    results = {}
+    for N in ("2", "3"):
+        code, out = _run(capsys, "verify", "--q", "2", "--P", "T^2+T+1",
+                         "--N", N, "--suites", "padic-explog",
+                         "--format", "json")
+        assert code == 0
+        results[N] = json.loads(out)["suite_results"]
+    assert results["2"][0]["params"]["N"] == "3"
+    assert results["2"] == results["3"]
 
 
 def _formats(capsys, argv):
