@@ -9,8 +9,8 @@ if every check in it is "pass", else 1 (and 2 for bad input).
 
 import argparse
 import errno
-import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -18,6 +18,16 @@ import random
 import sys
 import time
 import types
+
+# the digest needs SHA-256 alone: CPython's built-in module has it, and
+# hashlib would map OpenSSL's libcrypto, 3.4 MB of resident memory
+try:
+    from _sha256 import sha256  # CPython 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 from .core import bc_stream_mod_P, padic_exp, padic_log
 from .cyclotomic import CycField, all_characters
@@ -57,6 +67,12 @@ SETTINGS = (
 )
 KEYS = tuple(s[0] for s in SETTINGS)
 
+# a JSON report's bulk rows are joined BATCH at a time, and every report
+# is written SLICE characters at a time: no list holds a str per row, and
+# the encoder never holds a copy of the whole report
+BATCH = 1024
+SLICE = 1 << 16
+
 
 class RunConfig(types.SimpleNamespace):
     """The run's settings, one attribute per key of SETTINGS, and P, the
@@ -75,7 +91,7 @@ class RunConfig(types.SimpleNamespace):
             if k != "out":
                 d["P" if k == "P_text" else k] = getattr(self, k)
         canon = json.dumps(d, sort_keys=True)
-        d["digest"] = hashlib.sha256(canon.encode()).hexdigest()[:16]
+        d["digest"] = sha256(canon.encode()).hexdigest()[:16]
         return d
 
 
@@ -347,22 +363,31 @@ def cmd_fitting(cfg):
 
 
 def _checks_json(rep):
-    """The JSON text of rep's checks, a bulk block encoded with no dict
-    per row: through one template, json.dumps of a row whose values are
-    a sentinel, so that keys, order and separators are the encoder's own
-    bytes, with each value put in by encode_basestring_ascii, as
-    json.dumps would."""
+    """The JSON text of rep's checks, in pieces whose concatenation it
+    is.  A bulk block is encoded with no dict per row: through one
+    template, json.dumps of a row whose values are a sentinel, so that
+    keys, order and separators are the encoder's own bytes, with each
+    value put in by encode_basestring_ascii, as json.dumps would; its
+    rows are joined BATCH at a time."""
     sep, mark = json.JSONEncoder.item_separator, json.dumps("\0")
     encode = json.encoder.encode_basestring_ascii
-    parts = [json.dumps(rep.checks)[1:-1]] if rep.checks else []
+    yield "["
+    lead = ""
+    if rep.checks:
+        yield json.dumps(rep.checks)[1:-1]
+        lead = sep
     for ids, columns in rep.bulk:
         skeleton = json.dumps(rep.row("\0", dict.fromkeys(columns, "\0")))
         template = "%s".join(s.replace("%", "%%")
                              for s in skeleton.split(mark))
         cells = zip(map(encode, ids), *(map(encode, map(str, column))
                                         for column in columns.values()))
-        parts.append(sep.join(map(template.__mod__, cells)))
-    return "[%s]" % sep.join(filter(None, parts))
+        rows = map(template.__mod__, cells)
+        while batch := sep.join(itertools.islice(rows, BATCH)):
+            yield lead
+            yield batch
+            lead = sep
+    yield "]"
 
 
 def render(cfg, reports, elapsed_ms):
@@ -382,8 +407,11 @@ def render(cfg, reports, elapsed_ms):
             key + json.dumps(math.nan))
         parts = [head]
         for r, tail in zip(reports, tails):
-            parts += [key, _checks_json(r), tail]
-        return "".join(parts + ["\n"])
+            parts.append(key)
+            parts.extend(_checks_json(r))
+            parts.append(tail)
+        parts.append("\n")
+        return "".join(parts)
     if cfg.format == "csv":
         import csv  # only CSV runs pay for the import
         buf = io.StringIO()
@@ -406,28 +434,46 @@ def render(cfg, reports, elapsed_ms):
     return "\n".join(lines) + "\n"
 
 
+def _write(text, fh):
+    """Write text to fh SLICE characters at a time, so that encoding it
+    holds one slice's bytes, not a copy of the whole report."""
+    for i in range(0, len(text), SLICE):
+        fh.write(text[i:i + SLICE])
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     cfg = make_config(args)
     t0 = time.monotonic()
-    if args.command == "bc-scan":
-        reports = [cmd_bc_scan(cfg)]
-    elif args.command == "l-values":
-        reports = [cmd_l_values(cfg, args.place)]
-    elif args.command == "verify":
-        reports = run_suites(cfg)
-    else:
-        reports = [cmd_fitting(cfg)]
-    elapsed = int((time.monotonic() - t0) * 1000)
-    text = render(cfg, reports, elapsed)
+    try:
+        if args.command == "bc-scan":
+            reports = [cmd_bc_scan(cfg)]
+        elif args.command == "l-values":
+            reports = [cmd_l_values(cfg, args.place)]
+        elif args.command == "verify":
+            reports = run_suites(cfg)
+        else:
+            reports = [cmd_fitting(cfg)]
+        elapsed = int((time.monotonic() - t0) * 1000)
+        text = render(cfg, reports, elapsed)
+    except MemoryError:
+        # an input whose tables or report do not fit in memory
+        _usage_error("%s --q %s --P %r: out of memory"
+                     % (args.command, cfg.q, cfg.P_text))
     if cfg.out:
         try:
             with open(cfg.out, "w") as fh:
-                fh.write(text)
+                _write(text, fh)
         except OSError as exc:
             _usage_error("--out %s: %s" % (cfg.out, exc.strerror))
     else:
-        sys.stdout.write(text)
+        try:
+            _write(text, sys.stdout)
+        except BrokenPipeError:
+            # the reader stopped reading (`| head`) and wants no more of
+            # the report; stdout goes to devnull, so that flushing it at
+            # exit does not fail too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if all(r.passed() for r in reports) else 1
 
 

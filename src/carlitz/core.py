@@ -8,8 +8,6 @@ logarithm ones, Pi(n) = prod D_i^{n_i} the Carlitz factorial over the
 base-q digits of n.
 """
 
-from __future__ import annotations
-
 from .fields import residue_field
 from .laurent import LaurentSeries, inv_coeffs
 from .polynomials import Poly, RatFunc

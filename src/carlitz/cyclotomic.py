@@ -13,8 +13,6 @@ F[T].  Rational functions appear only for the scalars that really are
 rational: the dual basis of the Gauss-Thakur sums and B_{1,chi}.
 """
 
-from __future__ import annotations
-
 from .core import carlitz_poly, exp_eval
 from .fields import residue_field, residue_rep
 from .laurent import LaurentSeries, RamifiedElem, pi_bar

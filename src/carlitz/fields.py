@@ -33,8 +33,6 @@ Odd extensions above ``TABLE_LIMIT`` add digit by digit through the
 base field (``_add_digits``), which is also the tests' oracle.
 """
 
-from __future__ import annotations
-
 import functools
 
 from .polynomials import Poly, _trial_factor, monic_polys

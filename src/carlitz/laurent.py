@@ -16,8 +16,6 @@ in 1/T enter by the digit map T^{-n} = (-1)^n Y^{-(q-1)n}, and
 RamifiedElem.trace reads the trace down to k_inf back as a series in 1/T.
 """
 
-from __future__ import annotations
-
 import operator
 
 from .polynomials import Poly, mul_coeffs

@@ -36,8 +36,6 @@ digits needs only k < prec and deg f < prec, and one e_k table over F_q
 serves every character.
 """
 
-from __future__ import annotations
-
 import operator
 
 from .core import CarlitzTables

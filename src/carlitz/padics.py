@@ -29,8 +29,6 @@ are built on the first element that needs them, for the largest
 precision asked so far.
 """
 
-from __future__ import annotations
-
 from .fields import residue_field, residue_rep
 from .laurent import LaurentSeries
 from .polynomials import Poly, mul_coeffs

@@ -17,8 +17,6 @@ The bound is exact, so no width is tuned and no slot can carry into the
 next, for any p and any lengths.  Extension fields multiply schoolbook.
 """
 
-from __future__ import annotations
-
 import re
 import sys
 from array import array

@@ -453,6 +453,17 @@ def test_bc_scan_prints_one_document_in_every_format(capsys):
     assert {r[3] for r in rows} == {""}
 
 
+def _first_difference(a, b):
+    """None if a == b, else where they part, with a little of each: a
+    failing == on long reports would have pytest diff them line by line,
+    which takes minutes."""
+    if a == b:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+             min(len(a), len(b)))
+    return i, a[max(i - 40, 0):i + 40], b[max(i - 40, 0):i + 40]
+
+
 def _dict_render(cfg, reports, elapsed_ms):
     # the oracle: every check materialised as its dict, and one
     # json.dumps of the whole document
@@ -492,12 +503,34 @@ def test_bulk_json_is_the_json_of_the_dict_rows():
     lists.add_passed(["n=0", "n=1", "n=2"], residue_zero=[False, True, False])
     assert cli.render(cfg, [once], 7) == _dict_render(cfg, [lists], 7)
     assert list(once.rows()) == []
+    # bulk rows are joined BATCH at a time: a block of k rows around a
+    # batch boundary, alone, between add rows and beside a second block
+    B = cli.BATCH
+
+    def block(rep, k):
+        rep.add_passed(["n=%d" % i for i in range(k)],
+                       text=['v%%d"%d' % i for i in range(k)],
+                       flag=[i % 3 == 0 for i in range(k)])
+    for k in (0, 1, B - 1, B, B + 1, 2 * B + 1):
+        alone, mixed = VerificationReport("alone", {}), \
+            VerificationReport("mixed", {"k": k})
+        block(alone, k)
+        mixed.add("first", True, lhs_prec=2)
+        block(mixed, k)
+        mixed.add("after", False, reason="added after the block")
+        block(mixed, B + 1 - k % B)
+        for reports in ([alone], [mixed], [alone, mixed, plain]):
+            assert _first_difference(cli.render(cfg, reports, 7),
+                                     _dict_render(cfg, reports, 7)) is None
+        assert len(list(mixed.rows())) == 2 + k + B + 1 - k % B
 
 
-def test_bc_scan_report_peak_memory():
+def test_bc_scan_report_peak_memory(tmp_path):
     # the peak of building and encoding the scan, as a multiple of the
-    # report's length: 2.4 with bulk rows encoded through one template,
-    # 5.4 when each check was a dict encoded by json.dumps
+    # report's length: 2.06 with bulk rows joined BATCH at a time into
+    # pieces that are joined once (the pieces, then the report), 2.42
+    # with a str per row, a joined block and its bracketed copy, and 5.4
+    # when each check was a dict encoded by json.dumps
     cfg = make_config(build_parser().parse_args(
         ["bc-scan", "--q", "2", "--P", "T^14+T^10+T^6+T+1", "--format",
          "json"]))
@@ -508,7 +541,90 @@ def test_bc_scan_report_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(text) > 2 * 10 ** 6
-    assert peak < 4 * len(text), peak / len(text)
+    assert peak < 2.25 * len(text), peak / len(text)
+    # writing it holds one slice and its encoding beyond the text, not an
+    # encoded copy of the whole report
+    path = tmp_path / "report.json"
+    with open(path, "w") as fh:
+        tracemalloc.start()
+        try:
+            cli._write(text, fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert _first_difference(path.read_text(), text) is None
+    assert peak < 2.5 * cli.SLICE, peak / cli.SLICE
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_out_file_and_stdout_are_one_writer(tmp_path, capsysbinary,
+                                            monkeypatch, fmt):
+    # stdout and --out get the same bytes, written a slice at a time: the
+    # report spans several slices in every format
+    real = cli.render
+    monkeypatch.setattr(cli, "render",
+                        lambda cfg, reports, ms: real(cfg, reports, 0))
+    argv = ["bc-scan", "--q", "2", "--P", "T^11+T^2+1", "--format", fmt]
+    assert main(argv) == 0
+    out = capsysbinary.readouterr().out
+    path = tmp_path / "report"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert _first_difference(path.read_bytes(), out) is None
+    assert len(out) > cli.SLICE
+
+
+def test_stdout_closed_early_is_quiet():
+    # a reader that stops after a few bytes (`| head -c 10`) gets them,
+    # and the run ends with its own status and nothing on stderr, as when
+    # the report was written in one piece
+    src = str(pathlib.Path(lvalues.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "carlitz.cli", "bc-scan", "--q", "2", "--P",
+         "T^11+T^2+1", "--format", "json"], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head == b'{"config":'
+    assert (proc.returncode, err) == (0, b"")
+
+
+def test_out_failing_while_writing_exits_2(tmp_path, capsys, monkeypatch):
+    # a write that fails after the file opened (a full disk) is bad input
+    # too: one stderr line, exit 2, no traceback
+    class Full(io.StringIO):
+        def write(self, text):
+            if self.tell():
+                raise OSError(28, "No space left on device")
+            return super().write(text)
+    monkeypatch.setattr(cli, "open", lambda path, mode: Full(),
+                        raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["bc-scan", "--q", "2", "--P", "T^11+T^2+1", "--out",
+              str(tmp_path / "report.txt")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "carlitz: error: --out %s: No space left on device\n" % (
+        tmp_path / "report.txt")
+
+
+@pytest.mark.parametrize("site", ["cmd_bc_scan", "render"])
+def test_memory_error_exits_2_in_one_line(capsys, monkeypatch, site):
+    # an input beyond the machine's memory is reported in one line; the
+    # error is raised here, never provoked by exhausting memory
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setattr(cli, site, exhausted)
+    with pytest.raises(SystemExit) as exc:
+        main(["bc-scan", "--q", "2", "--P", "T^3+T+1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("carlitz: error: bc-scan --q 2 --P 'T^3+T+1': "
+                            "out of memory\n")
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -567,6 +683,25 @@ def test_cli_import_skips_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == ["False", "False"]
+
+
+def test_cli_run_skips_hashlib_and_future():
+    # the config digest takes SHA-256 from CPython's built-in module, not
+    # from hashlib (which maps OpenSSL's libcrypto), and no module imports
+    # __future__: a fresh interpreter running bc-scan loads none of them
+    src = str(pathlib.Path(lvalues.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import contextlib, io, sys\n"
+            "from carlitz.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(['bc-scan', '--q', '3', '--P', 'T^2+1',\n"
+            "                   '--format', 'json'])\n"
+            "print(status, *(m in sys.modules\n"
+            "                for m in ('hashlib', '_hashlib', '__future__')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split() == ["0", "False", "False", "False"]
 
 
 def test_cli_import_skips_csv():
