@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import os
-import random
 import sys
 import time
 import types
@@ -29,15 +28,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .core import bc_stream_mod_P, padic_exp, padic_log
-from .cyclotomic import CycField, all_characters
-from .fields import make_field, residue_field
-from .lvalues import euler_factor_charpoly, euler_product, l_inf, l_padic
-from .padics import MuElem
-from .polynomials import format_poly, parse_poly
-from .special_points import (VerificationReport, odd_fitting_report,
-                             padic_ledger, verify_anderson, verify_b1_formula,
-                             verify_cnf, verify_congruence)
+from . import (core, cyclotomic, fields, lvalues, padics, polynomials,
+               special_points)
+from .report import VerificationReport
 
 SUITES = ("cnf", "anderson", "b1", "cong", "euler", "charpoly",
           "padic-explog")
@@ -67,8 +60,8 @@ SETTINGS = (
 )
 KEYS = tuple(s[0] for s in SETTINGS)
 
-# a JSON report's bulk rows are joined BATCH at a time, and every report
-# is written SLICE characters at a time: no list holds a str per row, and
+# a report's rows are joined BATCH at a time, and every report is
+# written SLICE characters at a time: no list holds a str per row, and
 # the encoder never holds a copy of the whole report
 BATCH = 1024
 SLICE = 1 << 16
@@ -188,8 +181,8 @@ def make_config(args):
     if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
         _usage_error("--out %s: %s" % (cfg.out, os.strerror(errno.ENOENT)))
     try:
-        cfg.P = parse_poly(cfg.P_text, make_field(cfg.q))
-        residue_field(cfg.P)
+        cfg.P = polynomials.parse_poly(cfg.P_text, fields.make_field(cfg.q))
+        fields.residue_field(cfg.P)
     except ValueError as exc:
         _usage_error("--q %s --P %r: %s" % (cfg.q, cfg.P_text, exc))
     if args.command == "bc-scan":
@@ -208,24 +201,25 @@ def make_config(args):
 def _report(name, cfg, **params):
     """An empty report whose params lead with q and P as format_poly
     prints it, however --P spells it (the config block keeps that)."""
-    return VerificationReport(name, dict(q=cfg.q, P=format_poly(cfg.P),
-                                         **params))
+    return VerificationReport(
+        name, dict(q=cfg.q, P=polynomials.format_poly(cfg.P), **params))
 
 
 def _suite_anderson(cyc, cfg):
     rep = _report("anderson", cfg, N=cfg.N, depth=cfg.depth)
     for m in range(1, 6):
-        sub = verify_anderson(cyc, m, cfg.N, cfg.depth, guard=cfg.guard)
+        sub = special_points.verify_anderson(cyc, m, cfg.N, cfg.depth,
+                                             guard=cfg.guard)
         rep.checks.extend(sub.checks)
     return rep
 
 
 def _suite_b1(cyc, cfg):
     rep = _report("b1", cfg, depth=cfg.depth)
-    for chi in all_characters(cyc):
+    for chi in cyclotomic.all_characters(cyc):
         if not chi.is_odd():
             continue
-        sub = verify_b1_formula(cyc, chi, cfg.depth)
+        sub = special_points.verify_b1_formula(cyc, chi, cfg.depth)
         rep.checks.extend(sub.checks)
     return rep
 
@@ -234,9 +228,9 @@ def _suite_euler(cyc, cfg):
     B = min(cfg.depth, 8)
     rep = _report("euler", cfg, window=B)
     table = cyc.class_table(B)
-    for chi in all_characters(cyc):
-        direct = l_inf(cyc, chi, table)
-        euler = euler_product(cyc, chi, B, B + 1)
+    for chi in cyclotomic.all_characters(cyc):
+        direct = lvalues.l_inf(cyc, chi, table)
+        euler = lvalues.euler_product(cyc, chi, B, B + 1)
         rep.add("euler-product chi=%d" % chi.n,
                 euler.agrees_with(direct, upto=B + 1),
                 lhs_prec=euler.prec, rhs_prec=direct.prec)
@@ -248,12 +242,12 @@ def _suite_charpoly(cyc, cfg):
     F = cyc.F
     for f in cyc.irreducibles(cfg.max_deg_f):
         fbar = f.evaluate(F.theta, target=F)
-        for chi in all_characters(cyc):
-            got = euler_factor_charpoly(cyc, chi, f)
+        for chi in cyclotomic.all_characters(cyc):
+            got = lvalues.euler_factor_charpoly(cyc, chi, f)
             want = list(f.coeffs)
             want[0] = F.sub(want[0], chi(fbar))
-            rep.add("charpoly f=%s chi=%d" % (format_poly(f), chi.n),
-                    got == want)
+            rep.add("charpoly f=%s chi=%d"
+                    % (polynomials.format_poly(f), chi.n), got == want)
     return rep
 
 
@@ -263,17 +257,18 @@ def _suite_padic_explog(cyc, cfg):
     N = max(--N, 3), which the params print."""
     count, N = 50, max(cfg.N, 3)
     rep = _report("padic-explog", cfg, N=N, count=count)
+    import random  # only this sampler draws at random
     rng = random.Random(2026)
     ring = cyc.padic_ring(N)
     order = ring.F.order
     ok_round, ok_val = True, True
     for _ in range(count):
-        z = MuElem(ring, [0, 0] + [rng.randrange(order)
-                                   for _ in range(ring.L * N - 2)], N)
+        z = padics.MuElem(ring, [0, 0] + [rng.randrange(order)
+                                          for _ in range(ring.L * N - 2)], N)
         if z.vm() is None:
             continue
-        e = padic_exp(z)
-        back = padic_log(e)
+        e = core.padic_exp(z)
+        back = core.padic_log(e)
         if not back.agrees_with(z.truncate(back.prec)):
             ok_round = False
         if e.vm() != z.vm():
@@ -284,12 +279,12 @@ def _suite_padic_explog(cyc, cfg):
 
 
 def run_suites(cfg):
-    cyc = CycField(cfg.P)
+    cyc = cyclotomic.CycField(cfg.P)
     runners = {
-        "cnf": lambda: verify_cnf(cyc, cfg.depth),
+        "cnf": lambda: special_points.verify_cnf(cyc, cfg.depth),
         "anderson": lambda: _suite_anderson(cyc, cfg),
         "b1": lambda: _suite_b1(cyc, cfg),
-        "cong": lambda: verify_congruence(cyc),
+        "cong": lambda: special_points.verify_congruence(cyc),
         "euler": lambda: _suite_euler(cyc, cfg),
         "charpoly": lambda: _suite_charpoly(cyc, cfg),
         "padic-explog": lambda: _suite_padic_explog(cyc, cfg),
@@ -313,7 +308,7 @@ def cmd_bc_scan(cfg):
     L = q ** d - 1
     ns = _scan_indices(q, d, cfg.max_n)
     n_hi = ns.stop - 1
-    stream = bc_stream_mod_P(cfg.P, n_hi)
+    stream = core.bc_stream_mod_P(cfg.P, n_hi)
     rep = _report("bc-scan", cfg, max_n=n_hi)
     rep.add_passed(("n=%d" % n for n in ns),
                    residue_zero=(stream[n] == 0 for n in ns),
@@ -323,12 +318,12 @@ def cmd_bc_scan(cfg):
 
 
 def cmd_l_values(cfg, place):
-    cyc = CycField(cfg.P)
+    cyc = cyclotomic.CycField(cfg.P)
     rep = _report("l-values", cfg, place=place)
     if place == "inf":
         table = cyc.class_table(cfg.depth)
-        for chi in all_characters(cyc):
-            v = l_inf(cyc, chi, table)
+        for chi in cyclotomic.all_characters(cyc):
+            v = lvalues.l_inf(cyc, chi, table)
             window = ["%d:%s" % (n, v.coeff(n))
                       for n in range(v.val, min(v.prec, v.val + 8))]
             rep.add("chi=%d" % chi.n, True,
@@ -336,23 +331,23 @@ def cmd_l_values(cfg, place):
                     leading=window)
     else:
         table = cyc.padic_table(cfg.N)
-        for chi in all_characters(cyc):
-            v = l_padic(cyc, chi, table)
+        for chi in cyclotomic.all_characters(cyc):
+            v = lvalues.l_padic(cyc, chi, table)
             rep.add("chi=%d" % chi.n, True, lhs_prec=cfg.N,
                     parity="odd" if chi.is_odd() else "even",
-                    value=format_poly(table.ring.to_poly(v)),
+                    value=polynomials.format_poly(table.ring.to_poly(v)),
                     vP=v.valuation())
     return rep
 
 
 def cmd_fitting(cfg):
-    cyc = CycField(cfg.P)
+    cyc = cyclotomic.CycField(cfg.P)
     rep = _report("fitting", cfg, N=cfg.N)
-    for r in odd_fitting_report(cyc, N=max(cfg.N, 4)):
+    for r in special_points.odd_fitting_report(cyc, N=max(cfg.N, 4)):
         rep.add("odd chi=%d" % r["chi_n"], True, case=r["case"],
                 generator=r["generator"], vP_B1=r["vP_B1"],
                 length=r["length"])
-    for r in padic_ledger(cyc, cfg.N):
+    for r in special_points.padic_ledger(cyc, cfg.N):
         rep.add("even chi=%d" % r["chi_n"], not r["indeterminate"],
                 indeterminate=r["indeterminate"], vP_LP=r["vP"],
                 note=r["note"], reason="L_P(1,chi) vanishes mod P^N")
@@ -360,6 +355,13 @@ def cmd_fitting(cfg):
 
 
 # -- serialization ----------------------------------------------------------------
+
+
+def _batches(sep, rows):
+    """rows joined by sep BATCH at a time, while the rows last (a row is
+    never empty)."""
+    while batch := sep.join(itertools.islice(rows, BATCH)):
+        yield batch
 
 
 def _checks_json(rep):
@@ -382,56 +384,73 @@ def _checks_json(rep):
                              for s in skeleton.split(mark))
         cells = zip(map(encode, ids), *(map(encode, map(str, column))
                                         for column in columns.values()))
-        rows = map(template.__mod__, cells)
-        while batch := sep.join(itertools.islice(rows, BATCH)):
+        for batch in _batches(sep, map(template.__mod__, cells)):
             yield lead
             yield batch
             lead = sep
     yield "]"
 
 
-def render(cfg, reports, elapsed_ms):
-    """The run's document in cfg.format, as one str.  In JSON, each
-    report's checks are NaN in the document, and _checks_json's text is
-    spliced in there: no string or int encodes to `"checks": NaN`, as a
-    quote inside a string is escaped."""
-    config, results = cfg.as_dict(), [r.as_dict() for r in reports]
-    if cfg.format == "json":
-        for res in results:
-            res["checks"] = math.nan
-        doc = {"config": config, "suite_results": results,
-               "timing_ms": elapsed_ms}
-        key = json.dumps("checks") + json.JSONEncoder.key_separator
-        # a fresh tree: no cycle to check for
-        head, *tails = json.dumps(doc, check_circular=False).split(
-            key + json.dumps(math.nan))
-        parts = [head]
-        for r, tail in zip(reports, tails):
-            parts.append(key)
-            parts.extend(_checks_json(r))
-            parts.append(tail)
-        parts.append("\n")
-        return "".join(parts)
-    if cfg.format == "csv":
-        import csv  # only CSV runs pay for the import
+def _json_pieces(reports, config, results, elapsed_ms):
+    """The JSON document.  Each report's checks are NaN in it, and
+    _checks_json's text is spliced in there: no string or int encodes
+    to `"checks": NaN`, as a quote inside a string is escaped."""
+    for res in results:
+        res["checks"] = math.nan
+    doc = {"config": config, "suite_results": results,
+           "timing_ms": elapsed_ms}
+    key = json.dumps("checks") + json.JSONEncoder.key_separator
+    # a fresh tree: no cycle to check for
+    head, *tails = json.dumps(doc, check_circular=False).split(
+        key + json.dumps(math.nan))
+    yield head
+    for r, tail in zip(reports, tails):
+        yield key
+        yield from _checks_json(r)
+        yield tail
+    yield "\n"
+
+
+def _csv_pieces(reports):
+    """The CSV table, a header and one row per check, BATCH rows to a
+    piece."""
+    import csv  # only CSV runs pay for the import
+    rows = itertools.chain(
+        [("suite", "check", "status", "lhs_precision", "rhs_precision",
+          "detail")],
+        ((r.suite, c["id"], c["status"], c["lhs_precision"],
+          c["rhs_precision"], json.dumps(c["detail"], sort_keys=True))
+         for r in reports for c in r.rows()))
+    while True:
         buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["suite", "check", "status", "lhs_precision",
-                    "rhs_precision", "detail"])
-        for r in reports:
-            for c in r.rows():
-                w.writerow([r.suite, c["id"], c["status"],
-                            c["lhs_precision"], c["rhs_precision"],
-                            json.dumps(c["detail"], sort_keys=True)])
-        return buf.getvalue()
-    lines = ["# carlitz run (digest %s)" % config["digest"]]
+        csv.writer(buf).writerows(itertools.islice(rows, BATCH))
+        if not buf.tell():
+            return
+        yield buf.getvalue()
+
+
+def _text_lines(reports, config, results, elapsed_ms):
+    yield "# carlitz run (digest %s)\n" % config["digest"]
     for r, res in zip(reports, results):
-        lines.append("[%s] %s" % (r.suite, json.dumps(res["params"])))
+        yield "[%s] %s\n" % (r.suite, json.dumps(res["params"]))
         for c in r.rows():
             extra = " ".join("%s=%s" % kv for kv in c["detail"].items())
-            lines.append("  %-12s %s %s" % (c["status"], c["id"], extra))
-    lines.append("timing %d ms" % elapsed_ms)
-    return "\n".join(lines) + "\n"
+            yield "  %-12s %s %s\n" % (c["status"], c["id"], extra)
+    yield "timing %d ms\n" % elapsed_ms
+
+
+def render(cfg, reports, elapsed_ms):
+    """The run's document in cfg.format, as one str joined once from
+    pieces of at most BATCH rows: no list holds a str per row."""
+    config, results = cfg.as_dict(), [r.as_dict() for r in reports]
+    if cfg.format == "json":
+        pieces = _json_pieces(reports, config, results, elapsed_ms)
+    elif cfg.format == "csv":
+        pieces = _csv_pieces(reports)
+    else:
+        pieces = _batches("", _text_lines(reports, config, results,
+                                          elapsed_ms))
+    return "".join(pieces)
 
 
 def _write(text, fh):

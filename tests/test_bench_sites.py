@@ -15,6 +15,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACER = ROOT / "bench" / "tracer.py"
 
@@ -56,6 +58,29 @@ def test_cli_import_loads_every_tracer_layer():
     missing = [layer for layer in _tracer().LAYERS
                if "carlitz." + layer not in loaded]
     assert not missing, missing
+
+
+@pytest.mark.parametrize("argv", [
+    ["bc-scan", "--q", "2", "--P", "T^3+T+1"],
+    ["verify", "--q", "2", "--P", "T^3+T+1", "--N", "4"]])
+def test_tracer_wraps_the_lazy_layers(tmp_path, argv):
+    # import carlitz registers the layers as lazy modules, and the
+    # tracer's vars(mod) runs each before patching it: a traced run of a
+    # command that never reads a layer still wraps every binding site,
+    # hooks every counter and prints the report of the untraced run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    argv = argv + ["--format", "json"]
+    trace = tmp_path / "trace.json"
+    docs = [json.loads(subprocess.run(
+        [sys.executable, *prefix, *argv], env=env, check=True,
+        capture_output=True, text=True, timeout=300).stdout)
+        for prefix in ([str(TRACER), str(trace)], ["-m", "carlitz.cli"])]
+    got = json.loads(trace.read_text())
+    assert (got["unpatched"], got["unhooked"]) == ([], [])
+    for doc in docs:
+        del doc["timing_ms"]
+    assert docs[0] == docs[1]
 
 
 def test_bench_dual_check_passes():

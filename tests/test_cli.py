@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from carlitz.cli import build_parser, main, make_config
-from carlitz import cli, lvalues, special_points
+from carlitz import cli, core, lvalues, special_points
 from carlitz.cyclotomic import CycField, InftyEmbedding
 from carlitz.fields import make_field
 from carlitz.lvalues import ClassSumTable
@@ -196,8 +196,9 @@ def test_params_spell_P_as_format_poly_prints_it(capsys):
 def test_padic_explog_sample_catches_mutants(capsys, monkeypatch, name,
                                              mutant, broken):
     # log as the identity breaks the round trip, exp as squaring the
-    # valuation: the sample in m^2 must see both
-    monkeypatch.setattr(cli, name, mutant)
+    # valuation: the sample in m^2 must see both; cli calls them through
+    # core
+    monkeypatch.setattr(core, name, mutant)
     assert main(["verify", "--q", "3", "--P", "T^3+2*T+1",
                  "--suites", "padic-explog", "--format", "json"]) == 1
     checks = json.loads(capsys.readouterr().out)["suite_results"][0]["checks"]
@@ -556,6 +557,67 @@ def test_bc_scan_report_peak_memory(tmp_path):
     assert peak < 2.5 * cli.SLICE, peak / cli.SLICE
 
 
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_bc_scan_csv_and_text_peak_memory(fmt):
+    # CSV and text are joined once from pieces of BATCH rows, as JSON
+    # is: about 2.1 times the report's length, 2.87 (CSV) and 3.99 (text)
+    # with a str per row before one join
+    cfg = make_config(build_parser().parse_args(
+        ["bc-scan", "--q", "2", "--P", "T^14+T^10+T^6+T+1", "--format",
+         fmt]))
+    tracemalloc.start()
+    try:
+        text = cli.render(cfg, [cli.cmd_bc_scan(cfg)], 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 10 ** 6
+    assert peak < 2.25 * len(text), peak / len(text)
+
+
+def _row_render(cfg, reports, elapsed_ms):
+    # the oracle for CSV and text: a str per row, joined once
+    if cfg.format == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf)
+        w.writerow(["suite", "check", "status", "lhs_precision",
+                    "rhs_precision", "detail"])
+        for r in reports:
+            for c in r.rows():
+                w.writerow([r.suite, c["id"], c["status"],
+                            c["lhs_precision"], c["rhs_precision"],
+                            json.dumps(c["detail"], sort_keys=True)])
+        return buf.getvalue()
+    lines = ["# carlitz run (digest %s)" % cfg.as_dict()["digest"]]
+    for r in reports:
+        lines.append("[%s] %s" % (r.suite, json.dumps(r.as_dict()["params"])))
+        for c in r.rows():
+            extra = " ".join("%s=%s" % kv for kv in c["detail"].items())
+            lines.append("  %-12s %s %s" % (c["status"], c["id"], extra))
+    lines.append("timing %d ms" % elapsed_ms)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_csv_and_text_batches_are_the_rows(fmt):
+    # a block of k rows around a batch boundary (the CSV header is a row
+    # of the first batch), after an add row and beside a second report
+    cfg = make_config(build_parser().parse_args(
+        ["bc-scan", "--q", "3", "--P", "T^2+1", "--format", fmt]))
+    B = cli.BATCH
+    for k in (0, 1, B - 2, B - 1, B, B + 1, 2 * B + 1):
+        rep = VerificationReport("scan", {"k": k})
+        rep.add("first", True, lhs_prec=2, value='a,"b"')
+        rep.add_passed(["n=%d" % i for i in range(k)],
+                       text=['v,"%d\n' % i for i in range(k)],
+                       flag=[i % 3 == 0 for i in range(k)])
+        other = VerificationReport("other", {})
+        other.add("last", False, reason="added after the block")
+        for reports in ([rep], [rep, other], [other]):
+            assert _first_difference(cli.render(cfg, reports, 7),
+                                     _row_render(cfg, reports, 7)) is None
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_out_file_and_stdout_are_one_writer(tmp_path, capsysbinary,
                                             monkeypatch, fmt):
@@ -715,3 +777,37 @@ def test_cli_import_skips_csv():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out.split() == ["False"]
+
+
+@pytest.mark.parametrize("argv,random_loaded,lazy", [
+    (["bc-scan"], False,
+     ["cyclotomic", "equivariant", "lvalues", "padics", "special_points"]),
+    (["verify", "--N", "4"], True, [])])
+def test_each_command_runs_only_its_layers(argv, random_loaded, lazy):
+    # import carlitz registers every module lazily: each is in sys.modules
+    # from the start, and its type tells whether it has run.  bc-scan
+    # runs none of the cyclotomic and P-adic layers and does not import
+    # random (the padic-explog sampler's); verify runs every layer.  -S:
+    # a site hook may import random itself
+    src = str(pathlib.Path(lvalues.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import contextlib, io, sys, types\n"
+            "from carlitz.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = main(sys.argv[1:])\n"
+            "mods = {m[8:]: type(v) for m, v in sys.modules.items()\n"
+            "        if m.startswith('carlitz.')}\n"
+            "print(status, 'random' in sys.modules)\n"
+            "print(*sorted(mods))\n"
+            "print(*sorted(m for m, t in mods.items()\n"
+            "              if t is not types.ModuleType))\n")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv, "--q", "2", "--P",
+         "T^3+T+1"], env=env, check=True, capture_output=True, text=True,
+        timeout=120).stdout.split("\n")
+    assert out[0].split() == ["0", str(random_loaded)]
+    assert out[1].split() == [
+        "cli", "core", "cyclotomic", "equivariant", "fields", "laurent",
+        "lvalues", "padics", "polynomials", "report", "special_points"]
+    assert out[2].split() == lazy

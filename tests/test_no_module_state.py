@@ -6,6 +6,8 @@ each name in it resolves."""
 import ast
 import pathlib
 
+import pytest
+
 import carlitz
 
 SRC = pathlib.Path(carlitz.__file__).parent
@@ -45,3 +47,17 @@ def test_all_names_resolve():
     missing = [name for name in carlitz.__all__
                if not hasattr(carlitz, name)]
     assert not missing, "carlitz.__all__ names no attribute: %s" % missing
+
+
+def test_public_names_are_one_object_in_every_module():
+    # the package reads a public name from the first of its modules that
+    # binds it: each module that binds it binds the same object
+    mods = [m for name, m in list(vars(carlitz).items())
+            if getattr(m, "__name__", "") == "carlitz." + name]
+    assert len(mods) >= 10
+    for name in carlitz.__all__:
+        found = {id(vars(m)[name]) for m in mods if name in vars(m)}
+        assert found == {id(getattr(carlitz, name))}, name
+    # names outside __all__ are not read through the package
+    with pytest.raises(AttributeError):
+        carlitz.d_inverses_mod_P
