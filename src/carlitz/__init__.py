@@ -7,8 +7,8 @@ tying them together at desk scale.
 Importing the package registers each module below as a lazy module: it
 is in sys.modules and on the package from the start, and is compiled
 and run when one of its attributes is first read.  A command then pays
-only for the layers it calls (bc-scan never runs cyclotomic, lvalues,
-padics, equivariant or special_points).  The public names are read
+only for the layers it calls (bc-scan never runs laurent, cyclotomic,
+lvalues, padics, equivariant or special_points).  The public names are read
 from their modules on first use, through __getattr__.
 """
 

@@ -29,8 +29,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import (core, cyclotomic, fields, lvalues, padics, polynomials,
-               special_points)
-from .report import VerificationReport
+               report, special_points)
 
 SUITES = ("cnf", "anderson", "b1", "cong", "euler", "charpoly",
           "padic-explog")
@@ -201,7 +200,7 @@ def make_config(args):
 def _report(name, cfg, **params):
     """An empty report whose params lead with q and P as format_poly
     prints it, however --P spells it (the config block keeps that)."""
-    return VerificationReport(
+    return report.VerificationReport(
         name, dict(q=cfg.q, P=polynomials.format_poly(cfg.P), **params))
 
 
@@ -309,11 +308,13 @@ def cmd_bc_scan(cfg):
     ns = _scan_indices(q, d, cfg.max_n)
     n_hi = ns.stop - 1
     stream = core.bc_stream_mod_P(cfg.P, n_hi)
+    zero = [not v for v in itertools.islice(stream, ns.start, ns.stop,
+                                            ns.step)]
     rep = _report("bc-scan", cfg, max_n=n_hi)
-    rep.add_passed(("n=%d" % n for n in ns),
-                   residue_zero=(stream[n] == 0 for n in ns),
-                   character_exponent=((1 - n) % L for n in ns))
-    rep.params["irregular"] = [n for n in ns if stream[n] == 0]
+    # the exponent (1 - n) mod L is L + 1 - n, as 2 <= n < L
+    rep.add_passed("n=%d", ns, residue_zero=zero, character_exponent=range(
+        L + 1 - ns.start, L + 1 - ns.stop, -ns.step))
+    rep.params["irregular"] = list(itertools.compress(ns, zero))
     return rep
 
 
@@ -341,13 +342,16 @@ def cmd_l_values(cfg, place):
 
 
 def cmd_fitting(cfg):
+    """Both parts run at N = max(--N, 4), which the params print: at
+    --N 2 the report is the one at --N 4."""
     cyc = cyclotomic.CycField(cfg.P)
-    rep = _report("fitting", cfg, N=cfg.N)
-    for r in special_points.odd_fitting_report(cyc, N=max(cfg.N, 4)):
+    N = max(cfg.N, 4)
+    rep = _report("fitting", cfg, N=N)
+    for r in special_points.odd_fitting_report(cyc, N=N):
         rep.add("odd chi=%d" % r["chi_n"], True, case=r["case"],
                 generator=r["generator"], vP_B1=r["vP_B1"],
                 length=r["length"])
-    for r in special_points.padic_ledger(cyc, cfg.N):
+    for r in special_points.padic_ledger(cyc, N):
         rep.add("even chi=%d" % r["chi_n"], not r["indeterminate"],
                 indeterminate=r["indeterminate"], vP_LP=r["vP"],
                 note=r["note"], reason="L_P(1,chi) vanishes mod P^N")
@@ -366,24 +370,29 @@ def _batches(sep, rows):
 
 def _checks_json(rep):
     """The JSON text of rep's checks, in pieces whose concatenation it
-    is.  A bulk block is encoded with no dict per row: through one
-    template, json.dumps of a row whose values are a sentinel, so that
-    keys, order and separators are the encoder's own bytes, with each
-    value put in by encode_basestring_ascii, as json.dumps would; its
-    rows are joined BATCH at a time."""
+    is.  A bulk block is encoded with no dict per row, through one
+    template: json.dumps of a row whose values are a sentinel, so that
+    keys, order and separators are the encoder's own bytes, with the
+    JSON of the id format in the id's place and, in each cell's, "%d"
+    for ints or %s for truth values, which go in as their labels,
+    encoded once.  Each row is one % of the template: an int's digits
+    need no escaping, and no other text goes in.  The rows are joined
+    BATCH at a time."""
     sep, mark = json.JSONEncoder.item_separator, json.dumps("\0")
-    encode = json.encoder.encode_basestring_ascii
+    labels = tuple(map(json.dumps, report.TRUTH))
     yield "["
     lead = ""
     if rep.checks:
         yield json.dumps(rep.checks)[1:-1]
         lead = sep
-    for ids, columns in rep.bulk:
+    for fmt, keys, columns in rep.blocks():
         skeleton = json.dumps(rep.row("\0", dict.fromkeys(columns, "\0")))
-        template = "%s".join(s.replace("%", "%%")
-                             for s in skeleton.split(mark))
-        cells = zip(map(encode, ids), *(map(encode, map(str, column))
-                                        for column in columns.values()))
+        slots = [json.dumps(fmt)] + ["%s" if truth else '"%d"'
+                                     for truth, _ in columns.values()] + [""]
+        template = "".join(s.replace("%", "%%") + slot for s, slot in
+                           zip(skeleton.split(mark), slots))
+        cells = zip(keys, *(map(labels.__getitem__, values) if truth
+                            else values for truth, values in columns.values()))
         for batch in _batches(sep, map(template.__mod__, cells)):
             yield lead
             yield batch

@@ -8,8 +8,10 @@ logarithm ones, Pi(n) = prod D_i^{n_i} the Carlitz factorial over the
 base-q digits of n.
 """
 
+# laurent as a module, compiled when exp_eval or d_inverse first reads
+# it: a scan, which calls neither, never compiles it
+from . import laurent
 from .fields import residue_field
-from .laurent import LaurentSeries, inv_coeffs
 from .polynomials import Poly, RatFunc
 
 
@@ -67,10 +69,10 @@ class CarlitzTables:
     def d_inverse(self, i, width):
         """The first `width` digits of 1/D_i over F_q, from T^{-deg D_i}
         on: a prefix of the widest inverse asked for so far, which is the
-        narrower inverse (inv_coeffs)."""
+        narrower inverse (laurent.inv_coeffs)."""
         have = self._dinv.get(i, ())
         if len(have) < width:
-            have = self._dinv[i] = inv_coeffs(
+            have = self._dinv[i] = laurent.inv_coeffs(
                 self.field, self.D(i).coeffs[::-1], width)
         return have[:width]
 
@@ -237,7 +239,7 @@ def exp_eval(z, wtarget):
             # 1/D_i over F_q, whose ints z.field holds unchanged
             deg = int(tab.D(i).degree)
             width = window + 2 * deg + 4
-            term = cur.mul_laurent(LaurentSeries(
+            term = cur.mul_laurent(laurent.LaurentSeries(
                 z.field, deg, tab.d_inverse(i, width), deg + width))
         acc = term if acc is None else acc + term
         cur = cur.frobq()
@@ -310,11 +312,23 @@ def bc_stream_mod_P(P, n_max):
     """Residues of BC'_0..BC'_{n_max} in A/PA, for n_max <= q^d - 2, by
     BC'_n = sum_{0<i<d} (-1/D_i) BC'_{n - (q^i - 1)}: the D_i with i < d
     are P-units.  z/e_C(z) is a series in z^{q-1}, so the stream visits
-    only k = n/(q - 1), with taps s_i = (q^i - 1)/(q - 1).  With tables it
-    keeps logarithms and makes no field call beyond d_inverses_mod_P: odd
-    fields add through the Zech table (None for log 0); characteristic 2
-    XORs exp[log + tap] into the sum, with log 0 = 2(q^d - 1) pointing
-    into a run of zeros appended to exp.  Without tables: F.add, F.mul.
+    only k = n/(q - 1), with taps s_i = (q^i - 1)/(q - 1).
+
+    Every q-th step is a Frobenius, not a tap sum:
+    BC'_{(q-1)qk} = (BC'_{(q-1)k})^q.  Proof: with x = z^{q-1},
+    z/e_C(z) = 1/Q(x) for Q = sum_i x^{s_i}/D_i = 1 + x U(x^q), as
+    s_i = 1 (mod q) for i > 0.  Then 1/Q = Q^{q-1} (1/Q)^q, where
+    (1/Q)^q = sum_k BC'^q_{(q-1)k} x^{qk}, and the only term of
+    Q^{q-1} = sum_j binom(q-1, j) x^j U^j whose exponent is 0 mod q is
+    its constant 1.  So the tap sum runs at the k prime to q alone: half
+    the steps at q = 2, two thirds at q = 3.
+
+    With tables the stream keeps logarithms, where the Frobenius is
+    log -> q log mod (q^d - 1) and a zero stays zero, and makes no field
+    call beyond d_inverses_mod_P: odd fields add through the Zech table
+    (None for log 0); characteristic 2 XORs exp[log + tap] into the sum,
+    with log 0 = 2(q^d - 1) pointing into a run of zeros appended to exp.
+    Without tables: F.add, F.mul and F.pow.
     """
     F = residue_field(P)
     q = P.field.order
@@ -327,44 +341,59 @@ def bc_stream_mod_P(P, n_max):
     # 1/D_i never computed, and the padding stays within the window
     shifts = [s for s in ((q ** i - 1) // (q - 1) for i in range(d)) if s <= K]
     steps = list(zip(shifts, d_inverses_mod_P(P, len(shifts))))[1:]
-    pad = max((s for s, _ in steps), default=0)  # k - s_i >= -pad
+    # step k sits at pad + k, after pad zeros: its tap s_i reads step
+    # k - s_i at k + (pad - s_i), and its Frobenius step k // q
+    pad = max((s for s, _ in steps), default=0)
     log, exp, zech = F._log, F._exp, F._zech
     if log is None:
         vals = [0] * pad + [1]
-        for k in range(pad + 1, pad + K + 1):
-            acc = 0
-            for s, c in steps:
-                acc = F.add(acc, F.mul(vals[k - s], c))
-            vals.append(F.neg(acc))
+        for k in range(1, K + 1):
+            if k % q:
+                acc = 0
+                for s, c in steps:
+                    acc = F.add(acc, F.mul(vals[k + pad - s], c))
+                vals.append(F.neg(acc))
+            else:
+                vals.append(F.pow(vals[k // q + pad], q))
     else:
         # log(-1/D_i); -1 = g^(M/2) in odd characteristic
-        taps = [(s, (log[c] + (M // 2 if F.p != 2 else 0)) % M)
+        taps = [(pad - s, (log[c] + (M // 2 if F.p != 2 else 0)) % M)
                 for s, c in steps]
         if F.p == 2:
             zero = 2 * M
             ex, lz = exp * 2 + [0] * M, log[:]
             lz[0] = zero
             lg = [zero] * pad + [0]
-            for k in range(pad + 1, pad + K + 1):
-                acc = 0
-                for s, t in taps:
-                    acc ^= ex[lg[k - s] + t]
-                lg.append(lz[acc])
+            for k in range(1, K + 1):
+                if k % q:
+                    acc = 0
+                    for o, t in taps:
+                        acc ^= ex[lg[k + o] + t]
+                    lg.append(lz[acc])
+                else:
+                    # q log, read back from the tables: no int per step
+                    # outlives it
+                    l = lg[k // q + pad]
+                    lg.append(zero if l == zero else lz[ex[l * q % M]])
             vals = [ex[l] for l in lg]
         else:
             lg = [None] * pad + [0]
-            for k in range(pad + 1, pad + K + 1):
-                acc = None
-                for s, t in taps:
-                    l = lg[k - s]
-                    if l is not None:
-                        l += t
-                        if acc is None:
-                            acc = l
-                        else:
-                            z = zech[(l - acc) % M]
-                            acc = None if z is None else acc + z
-                lg.append(None if acc is None else acc % M)
+            for k in range(1, K + 1):
+                if k % q:
+                    acc = None
+                    for o, t in taps:
+                        l = lg[k + o]
+                        if l is not None:
+                            l += t
+                            if acc is None:
+                                acc = l
+                            else:
+                                z = zech[(l - acc) % M]
+                                acc = None if z is None else acc + z
+                    lg.append(None if acc is None else acc % M)
+                else:
+                    l = lg[k // q + pad]
+                    lg.append(None if l is None else l * q % M)
             vals = [0 if l is None else exp[l] for l in lg]
     out = [0] * (n_max + 1)
     out[::q - 1] = vals[pad:]

@@ -13,10 +13,12 @@ F[T].  Rational functions appear only for the scalars that really are
 rational: the dual basis of the Gauss-Thakur sums and B_{1,chi}.
 """
 
+# padics as a module, compiled when padic_ring first reads it: a run at
+# the infinite place never compiles it
+from . import padics
 from .core import carlitz_poly, exp_eval
 from .fields import residue_field, residue_rep
 from .laurent import LaurentSeries, RamifiedElem, pi_bar
-from .padics import MuRing
 from .polynomials import Poly, RatFunc, monic_irreducibles
 
 
@@ -194,7 +196,7 @@ class CycField:
         """O_{K,P} mod P^N in the uniformizer model, with A_P = F[[u]]
         inside it."""
         return self.memo(("padic_ring", N),
-                         lambda: MuRing(self.P, N, self.phi_coeffs))
+                         lambda: padics.MuRing(self.P, N, self.phi_coeffs))
 
     def irreducibles(self, max_deg):
         """Monic irreducibles of F_q[T] of degree 1..max_deg, ascending: a

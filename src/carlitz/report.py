@@ -1,6 +1,11 @@
 """The report a suite or command fills with checks, which cli.render
 prints in every format and the exit status reads."""
 
+import itertools
+
+# a truth value's text in a check's detail, indexed by the value
+TRUTH = ("False", "True")
+
 
 class VerificationReport:
     """A suite's checks, each printed as the dict `row` makes.  `add`
@@ -30,19 +35,47 @@ class VerificationReport:
             check_id, {k: str(v) for k, v in detail.items()}, status,
             lhs_prec, rhs_prec))
 
-    def add_passed(self, ids, **columns):
-        """Record passed checks after those of `add`: check k is the row
-        add(ids[k], True, **{name: column[k]}) makes.  The iterables are
-        kept, and read (values str()-ed) each time the rows are: bc-scan's
-        iterators give theirs once, at 2 MB less peak RSS than lists."""
-        self.bulk.append((ids, columns))
+    def add_passed(self, fmt, keys, **columns):
+        """Record passed checks after those of `add`: check j is the row
+        add(fmt % keys[j], True, **{name: column[j]}) makes.  fmt holds
+        one %d (and %% for a percent sign) and the keys are ints; a
+        column holds ints or truth values (bools), as its first value
+        shows, and any other value raises TypeError when the rows are
+        read.  The iterables are kept, and read each time the rows are:
+        an iterator gives its rows once."""
+        rest = fmt.replace("%%", "")
+        if rest.count("%") != 1 or "%d" not in rest:
+            raise ValueError("id format %r needs exactly one %%d" % fmt)
+        if "\0" in columns:
+            # cli's JSON template marks each cell with the text "\0"
+            raise ValueError("a column may not be named '\\0'")
+        self.bulk.append((fmt, keys, columns))
+
+    def blocks(self):
+        """Each bulk block as (fmt, keys, columns), columns mapping each
+        name to (truth, values): whether the column holds truth values
+        rather than ints, as its first value shows, and the column from
+        that value on."""
+        for fmt, keys, columns in self.bulk:
+            kinds = {}
+            for name, column in columns.items():
+                values = iter(column)
+                head = list(itertools.islice(values, 1))
+                if head and not isinstance(head[0], int):
+                    raise TypeError("column %r holds %s, not ints or truth "
+                                    "values" % (name, type(head[0]).__name__))
+                kinds[name] = (bool(head) and type(head[0]) is bool,
+                               itertools.chain(head, values))
+            yield fmt, keys, kinds
 
     def rows(self):
         yield from self.checks
-        for ids, columns in self.bulk:
-            values = (map(str, column) for column in columns.values())
-            for check_id, *row in zip(ids, *values):
-                yield self.row(check_id, dict(zip(columns, row)))
+        for fmt, keys, columns in self.blocks():
+            cells = (map(TRUTH.__getitem__, values) if truth
+                     else map("%d".__mod__, values)
+                     for truth, values in columns.values())
+            for key, *row in zip(keys, *cells):
+                yield self.row(fmt % key, dict(zip(columns, row)))
 
     def passed(self):
         # bulk checks all passed

@@ -21,6 +21,9 @@ closed form L(1,1) = pi_bar/(T^2+T) refers to the inclusive value.
 
 import random
 
+# padics as a module, read by special_point_padic alone: the suites at
+# the infinite place never compile it
+from . import padics
 from .core import (CarlitzTables, bc_stream_mod_P, carlitz_act,
                    d_inverses_mod_P, exp_eval, padic_exp)
 from .cyclotomic import (Character, CycElem, all_characters, b1, embed_padic,
@@ -29,7 +32,6 @@ from .equivariant import descends
 from .fields import residue_field
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import l_inf, l_padic
-from .padics import MuElem
 from .polynomials import Poly, RatFunc, format_poly, rat_reduce_mod_P
 from .report import VerificationReport
 
@@ -66,7 +68,7 @@ def special_point_padic(cyc, m, N):
             s = S[i % L]
             for k in range(i, L * N, L):
                 digits[k] = F.add(digits[k], F.mul(li, s[k - i]))
-    value = MuElem(ring, digits, N)
+    value = padics.MuElem(ring, digits, N)
     vm = value.vm()
     if vm is not None and vm < 2:
         raise ArithmeticError(

@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from carlitz.cli import build_parser, main, make_config
+from carlitz.cli import FORMATS, build_parser, main, make_config
 from carlitz import cli, core, lvalues, special_points
 from carlitz.cyclotomic import CycField, InftyEmbedding
 from carlitz.fields import make_field
@@ -394,6 +394,19 @@ def test_padic_explog_prints_the_N_it_samples_at(capsys):
     assert results["2"] == results["3"]
 
 
+def test_fitting_prints_the_N_it_runs_at(capsys):
+    # the odd part and the even ledger both run at max(N, 4): at --N 2
+    # the report is the run at --N 4
+    results = {}
+    for N in ("2", "4"):
+        code, out = _run(capsys, "fitting", "--q", "3", "--P", "T^2+1",
+                         "--N", N, "--format", "json")
+        assert code == 0
+        results[N] = json.loads(out)["suite_results"]
+    assert results["2"][0]["params"]["N"] == "4"
+    assert results["2"] == results["4"]
+
+
 def _formats(capsys, argv):
     """The exit status and checks of one run in each format, each check
     as (suite, id, status, lhs_precision, rhs_precision, detail) in the
@@ -476,32 +489,43 @@ def _dict_render(cfg, reports, elapsed_ms):
 def test_bulk_json_is_the_json_of_the_dict_rows():
     cfg = make_config(build_parser().parse_args(
         ["bc-scan", "--q", "3", "--P", "T^2+1", "--format", "json"]))
-    odd = ['a"b', "back\\slash", "50%", "%s%%d", "tab\tbell\x07nul\x00",
-           "\u00e9\u03bb\u2202", "\U0001f600", "", "NaN"]
+    # id formats with quotes, backslashes, percent signs, control and
+    # non-ASCII characters, over negative, zero and large keys
+    odd = ['a"b %d', "back\\slash=%d", "50%% of %d", "%%s%%d%d",
+           "tab\tbell\x07nul\x00%d", "éλ∂ %d",
+           "\U0001f600%d", "%d", "NaN%d"]
+    keys = [-5, -1, 0, 7, 10 ** 20]
     mixed = VerificationReport("mixed", {"note": '"checks": NaN', "x": 1})
     mixed.add("first", True, lhs_prec=3, value="v")
-    mixed.add_passed(["n=%d" % i for i in range(len(odd))], text=odd,
-                     number=range(len(odd)), flag=[i % 2 == 0 for i in
-                                                  range(len(odd))])
-    mixed.add_passed(odd, **{"50%": odd[::-1], "%s": [None] * len(odd)})
+    for fmt in odd:
+        mixed.add_passed(fmt, keys, number=range(5),
+                         signed=[-3, 0, 2, -10 ** 30, 1],
+                         flag=[i % 2 == 0 for i in range(5)])
+    mixed.add_passed("k=%d", [-3, 4], **{"50%": [True, False],
+                                         "%s": [-1, 2],
+                                         'q"\\é': [0, 1]})
     mixed.add("last", False, reason='why "not"')
     bare = VerificationReport("bare", {})
-    bare.add_passed(["a", "b"])
+    bare.add_passed("a%d", [1, 2])
     empty = VerificationReport("empty", {"checks": "NaN"})
-    empty.add_passed([])
-    empty.add_passed([], residue_zero=[])
+    empty.add_passed("n=%d", [])
+    empty.add_passed("n=%d", [], residue_zero=[])
     plain = VerificationReport("plain", {})
     plain.add("only", True, detail="\x01")
     cases = [[mixed], [bare], [empty], [plain], [mixed, plain, bare, empty],
              [empty, bare]]
     for reports in cases:
         assert cli.render(cfg, reports, 7) == _dict_render(cfg, reports, 7)
-    assert [len(list(r.rows())) for r in (mixed, bare, empty)] == [20, 2, 0]
-    # iterators, as bc-scan passes them, give their rows once
+    assert [len(list(r.rows())) for r in (mixed, bare, empty)] == [49, 2, 0]
+    assert [c["id"] for c in mixed.rows()][2:7] == [
+        'a"b -5', 'a"b -1', 'a"b 0', 'a"b 7', 'a"b %d' % 10 ** 20]
+    # iterators, as a caller may pass them, give their rows once
     once, lists = VerificationReport("s", {}), VerificationReport("s", {})
-    once.add_passed(("n=%d" % n for n in range(3)),
-                    residue_zero=(n == 1 for n in range(3)))
-    lists.add_passed(["n=0", "n=1", "n=2"], residue_zero=[False, True, False])
+    once.add_passed("n=%d", iter(range(3)),
+                    residue_zero=(n == 1 for n in range(3)),
+                    character_exponent=(n * n for n in range(3)))
+    lists.add_passed("n=%d", [0, 1, 2], residue_zero=[False, True, False],
+                     character_exponent=[0, 1, 4])
     assert cli.render(cfg, [once], 7) == _dict_render(cfg, [lists], 7)
     assert list(once.rows()) == []
     # bulk rows are joined BATCH at a time: a block of k rows around a
@@ -509,8 +533,7 @@ def test_bulk_json_is_the_json_of_the_dict_rows():
     B = cli.BATCH
 
     def block(rep, k):
-        rep.add_passed(["n=%d" % i for i in range(k)],
-                       text=['v%%d"%d' % i for i in range(k)],
+        rep.add_passed('v%%d"\\%d', range(-k, 0), value=range(k),
                        flag=[i % 3 == 0 for i in range(k)])
     for k in (0, 1, B - 1, B, B + 1, 2 * B + 1):
         alone, mixed = VerificationReport("alone", {}), \
@@ -524,6 +547,40 @@ def test_bulk_json_is_the_json_of_the_dict_rows():
             assert _first_difference(cli.render(cfg, reports, 7),
                                      _dict_render(cfg, reports, 7)) is None
         assert len(list(mixed.rows())) == 2 + k + B + 1 - k % B
+
+
+@pytest.mark.parametrize("fmt", ["%s", "n=%d %d", "50%", "n", "%%d", "%5d",
+                                 "%(n)d", "%d%"])
+def test_bulk_id_format_needs_one_int_conversion(fmt):
+    # an id format holds one %d and otherwise only %% escapes, so that
+    # the JSON of the format is the format of the JSON ids
+    with pytest.raises(ValueError, match="exactly one"):
+        VerificationReport("s", {}).add_passed(fmt, [1])
+
+
+def test_bulk_column_name_is_not_the_template_mark():
+    # the JSON template marks each cell with the text "\0": a column of
+    # that name would shift the cells, and is refused
+    with pytest.raises(ValueError, match="named"):
+        VerificationReport("s", {}).add_passed("n=%d", [1], **{"\0": [1]})
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("column", [["x", "y"], [True, "y"], [1, "y"],
+                                    [1.5, 2], [None, None]])
+def test_bulk_cell_of_another_kind_raises(capsys, monkeypatch, fmt, column):
+    # a column holds ints or truth values: a str (first or later), a
+    # float or None raises TypeError when the report is rendered, and
+    # nothing is printed
+    def scan(cfg):
+        rep = cli._report("bc-scan", cfg)
+        rep.add_passed("n=%d", [2, 4], residue_zero=[False, True],
+                       value=column)
+        return rep
+    monkeypatch.setattr(cli, "cmd_bc_scan", scan)
+    with pytest.raises(TypeError):
+        main(["bc-scan", "--q", "3", "--P", "T^2+1", "--format", fmt])
+    assert capsys.readouterr().out == ""
 
 
 def test_bc_scan_report_peak_memory(tmp_path):
@@ -608,8 +665,7 @@ def test_csv_and_text_batches_are_the_rows(fmt):
     for k in (0, 1, B - 2, B - 1, B, B + 1, 2 * B + 1):
         rep = VerificationReport("scan", {"k": k})
         rep.add("first", True, lhs_prec=2, value='a,"b"')
-        rep.add_passed(["n=%d" % i for i in range(k)],
-                       text=['v,"%d\n' % i for i in range(k)],
+        rep.add_passed('n,"%d\n', range(k), value=range(-k, 0),
                        flag=[i % 3 == 0 for i in range(k)])
         other = VerificationReport("other", {})
         other.add("last", False, reason="added after the block")
@@ -781,14 +837,19 @@ def test_cli_import_skips_csv():
 
 @pytest.mark.parametrize("argv,random_loaded,lazy", [
     (["bc-scan"], False,
-     ["cyclotomic", "equivariant", "lvalues", "padics", "special_points"]),
-    (["verify", "--N", "4"], True, [])])
+     ["cyclotomic", "equivariant", "laurent", "lvalues", "padics",
+      "special_points"]),
+    (["verify", "--N", "4"], True, []),
+    (["l-values", "--place", "inf"], False,
+     ["equivariant", "padics", "special_points"]),
+    (["verify", "--suites", "cnf,b1,euler,charpoly,cong"], True, ["padics"])])
 def test_each_command_runs_only_its_layers(argv, random_loaded, lazy):
     # import carlitz registers every module lazily: each is in sys.modules
     # from the start, and its type tells whether it has run.  bc-scan
-    # runs none of the cyclotomic and P-adic layers and does not import
-    # random (the padic-explog sampler's); verify runs every layer.  -S:
-    # a site hook may import random itself
+    # runs none of the Laurent, cyclotomic and P-adic layers and does not
+    # import random (the padic-explog sampler's); the infinite place runs
+    # no padics; verify with every suite runs every layer.  -S: a site
+    # hook may import random itself
     src = str(pathlib.Path(lvalues.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

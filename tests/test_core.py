@@ -11,6 +11,7 @@ from carlitz.cyclotomic import lambda_power_rows
 from carlitz.fields import make_field, residue_field
 from carlitz.laurent import LaurentSeries, pi_bar
 from carlitz.polynomials import Poly, RatFunc, parse_poly, rat_reduce_mod_P
+from bc_oracle import bc_stream_taps
 from padic_oracle import CycPadicRing, PadicContext
 
 F2 = make_field(2)
@@ -444,3 +445,49 @@ def test_bc_stream_range_guard():
     P = parse_poly("T^2+1", F3)
     with pytest.raises(ValueError):
         bc_stream_mod_P(P, 8)  # q^d - 2 = 7 is the ceiling
+
+
+# the stream fills every q-th step by the Frobenius; bc_stream_taps runs
+# the tap sum there too
+FROBENIUS_PRIMES = STREAM_PRIMES + [
+    (2, "T^5+T^2+1"), (2, "T^8+T^4+T^3+T^2+1"),
+    (5, "T^2+2"), (5, "T^3+T+1"), (5, "T^4+2"), (5, "T^5+4*T+1"),
+    (7, "T^2+1"), (7, "T^3+2"), (7, "T^4+T+1")]
+
+
+@pytest.mark.parametrize("q,Pstr", FROBENIUS_PRIMES)
+def test_bc_stream_frobenius_steps_match_tap_recurrence(q, Pstr):
+    # the full window, and windows cut at the first Frobenius step k = q,
+    # at each tap s_i, one step either side of it and between it and the
+    # next: the last step is a Frobenius step at some cuts and a tap sum
+    # at others
+    P = parse_poly(Pstr, make_field(q))
+    d = int(P.degree)
+    top = q ** d - 2
+    assert bc_stream_mod_P(P, top) == bc_stream_taps(P, top)
+    taps = [(q ** i - 1) // (q - 1) for i in range(1, d + 1)]
+    ks = {q} | {k for s, nxt in zip(taps, taps[1:])
+                for k in (s - 1, s, s + 1, (s + nxt) // 2)}
+    cuts = sorted({n for k in ks for n in ((q - 1) * k, (q - 1) * k + q - 2)
+                   if 2 <= n <= top})
+    for n_max in cuts:
+        assert bc_stream_mod_P(P, n_max) == bc_stream_taps(P, n_max), n_max
+
+
+def test_bc_stream_frobenius_steps_without_tables():
+    # T^41+T^3+1 over F_2 has no tables: the Frobenius steps square with
+    # F.pow, at every window up to n = 10
+    P = parse_poly("T^41+T^3+1", F2)
+    assert residue_field(P)._log is None
+    for n_max in range(2, 11):
+        assert bc_stream_mod_P(P, n_max) == bc_stream_taps(P, n_max), n_max
+
+
+@pytest.mark.parametrize("q,n_top", [(2, 24), (3, 18), (5, 10)])
+def test_bc_prime_frobenius_identity(q, n_top):
+    # BC'_{qn} = (BC'_n)^q exactly over F_q(T), the identity behind the
+    # stream's Frobenius steps (both sides vanish unless (q - 1) | n)
+    tab = CarlitzTables(make_field(q))
+    for n in range(n_top + 1):
+        v = tab.bc_prime(n)
+        assert tab.bc_prime(q * n) == RatFunc(v.num ** q, v.den ** q), n

@@ -3,15 +3,16 @@
 bench/golden.json maps each command to the SHA-256 that
 bench/check_report.py computes for its JSON report (timing removed, keys
 sorted).  Each command runs in process with --out to a temporary file,
-and the checker must find no problem and the recorded digest.  Reports
-at the cubic desk pairs, which the benchmark does not run, are pinned
-the same way below.
+and the checker must find no problem and the recorded digest.  The CSV
+and text reports of the two benchmark scans, and reports at the cubic
+desk pairs, which the benchmark does not run, are pinned below.
 """
 
 import hashlib
 import importlib.util
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -36,6 +37,31 @@ def test_golden_report_digest(tmp_path, command):
     problem, digest = _check_report()(str(path))
     assert problem is None
     assert digest == GOLDEN[command]
+
+
+# The benchmark's scans in the formats it does not read: SHA-256 of the
+# report's bytes, its text report's timing line read as 0 ms.
+_SCANS = ("bc-scan --q 2 --P T^14+T^10+T^6+T+1",
+          "bc-scan --q 3 --P T^9+2*T^6+2*T^4+2*T^3+2*T^2+1")
+SCAN_DIGESTS = {
+    _SCANS[0] + " --format csv":
+        "03546b7c4e817eb8b1ceb3d5243f85e0a02f0af1bd162083f5b8c74c8149875c",
+    _SCANS[1] + " --format csv":
+        "cc4282b22fe2ea8df53173001ac720464597cc8dff4e4e35b0e4ab41f8b96082",
+    _SCANS[0] + " --format text":
+        "9592592eea656f8c3969fbfabd099c579529639a35d6202265bb754f885ce3a8",
+    _SCANS[1] + " --format text":
+        "a3e7e2ab14f9e3083aac109b08d1df6d2ad7dc82709e13871bb6ca7a608ae118",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCAN_DIGESTS))
+def test_scan_csv_and_text_digest(tmp_path, command):
+    path = tmp_path / "report"
+    assert main(command.split() + ["--out", str(path)]) == 0
+    data = re.sub(rb"(?m)^timing \d+ ms$", b"timing 0 ms",
+                  path.read_bytes())
+    assert hashlib.sha256(data).hexdigest() == SCAN_DIGESTS[command]
 
 
 # `verify --suites cnf` at default flags where bench/golden.json does not

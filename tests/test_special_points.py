@@ -378,19 +378,20 @@ def test_indeterminate_check_states_its_reason():
 
 
 def test_bulk_rows_are_the_rows_of_add():
-    ids = ["n=%d" % n for n in range(2, 40, 2)]
-    zero = [n % 6 == 0 for n in range(2, 40, 2)]
-    expo = [(1 - n) % 80 for n in range(2, 40, 2)]
+    ns = range(2, 40, 2)
+    zero = [n % 6 == 0 for n in ns]
+    expo = [(1 - n) % 80 - 40 for n in ns]
     one, bulk = VerificationReport("s", {}), VerificationReport("s", {})
-    for i, z, e in zip(ids, zero, expo):
-        one.add(i, True, residue_zero=z, character_exponent=e)
-    bulk.add_passed(ids, residue_zero=zero, character_exponent=expo)
-    assert len(list(bulk.rows())) == len(ids)
+    fmt = 'n="%d"%%é'
+    for n, z, e in zip(ns, zero, expo):
+        one.add(fmt % n, True, residue_zero=z, character_exponent=e)
+    bulk.add_passed(fmt, ns, residue_zero=zero, character_exponent=expo)
+    assert len(list(bulk.rows())) == len(ns)
     for a, b in zip(one.rows(), bulk.rows()):
         assert list(a.items()) == list(b.items())
         assert list(a["detail"].items()) == list(b["detail"].items())
     empty = VerificationReport("s", {})
-    empty.add_passed(["a", "b"])
+    empty.add_passed("a%d", [1, 2])
     assert [c["detail"] for c in empty.rows()] == [{}, {}]
     assert empty.passed()
 
