@@ -1,8 +1,6 @@
 """The report a suite or command fills with checks, which cli.render
 prints in every format and the exit status reads."""
 
-import itertools
-
 # a truth value's text in a check's detail, indexed by the value
 TRUTH = ("False", "True")
 
@@ -39,10 +37,10 @@ class VerificationReport:
         """Record passed checks after those of `add`: check j is the row
         add(fmt % keys[j], True, **{name: column[j]}) makes.  fmt holds
         one %d (and %% for a percent sign) and the keys are ints; a
-        column holds ints or truth values (bools), as its first value
-        shows, and any other value raises TypeError when the rows are
-        read.  The iterables are kept, and read each time the rows are:
-        an iterator gives its rows once."""
+        column holds ints alone or truth values (bools) alone, and any
+        other column raises TypeError when the rows are read.  The
+        iterables are kept, and read each time the rows are: an iterator
+        gives its rows once."""
         rest = fmt.replace("%%", "")
         if rest.count("%") != 1 or "%d" not in rest:
             raise ValueError("id format %r needs exactly one %%d" % fmt)
@@ -54,18 +52,24 @@ class VerificationReport:
     def blocks(self):
         """Each bulk block as (fmt, keys, columns), columns mapping each
         name to (truth, values): whether the column holds truth values
-        rather than ints, as its first value shows, and the column from
-        that value on."""
+        rather than ints, and its values.  Every cell is checked, with
+        one set of the column's types (a range holds ints), before any
+        row is read."""
         for fmt, keys, columns in self.bulk:
             kinds = {}
             for name, column in columns.items():
-                values = iter(column)
-                head = list(itertools.islice(values, 1))
-                if head and not isinstance(head[0], int):
-                    raise TypeError("column %r holds %s, not ints or truth "
-                                    "values" % (name, type(head[0]).__name__))
-                kinds[name] = (bool(head) and type(head[0]) is bool,
-                               itertools.chain(head, values))
+                if isinstance(column, range):
+                    held = {int}
+                else:
+                    if not isinstance(column, (list, tuple)):
+                        column = list(column)
+                    held = set(map(type, column))
+                if held - {int} and held - {bool}:
+                    raise TypeError(
+                        "column %r holds %s: a column holds ints alone or "
+                        "truth values alone" % (name, " and ".join(
+                            sorted(t.__name__ for t in held))))
+                kinds[name] = (held == {bool}, column)
             yield fmt, keys, kinds
 
     def rows(self):

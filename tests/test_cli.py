@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from carlitz.cli import FORMATS, build_parser, main, make_config
+from carlitz.cli import FORMATS, main, make_config, parse_args
 from carlitz import cli, core, lvalues, special_points
 from carlitz.cyclotomic import CycField, InftyEmbedding
 from carlitz.fields import make_field
@@ -235,8 +235,8 @@ def test_out_file(tmp_path, capsys):
 def test_config_file_defaults(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("q = 3\nP_text = T+1\ndepth = 9  # comment\n")
-    args = build_parser().parse_args(["verify", "--config", str(cfgfile),
-                                      "--suites", "cong"])
+    args = parse_args(["verify", "--config", str(cfgfile), "--suites",
+                       "cong"])
     cfg = make_config(args)
     assert cfg.q == 3 and cfg.P_text == "T+1" and cfg.depth == 9
 
@@ -244,14 +244,14 @@ def test_config_file_defaults(tmp_path):
 def test_flag_overrides_config_file(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("q = 3\nP_text = T+1\ndepth = 9\n")
-    args = build_parser().parse_args(["verify", "--config", str(cfgfile),
-                                      "--depth", "12"])
+    args = parse_args(["verify", "--config", str(cfgfile), "--depth",
+                       "12"])
     cfg = make_config(args)
     assert cfg.depth == 12
 
 
 def test_missing_required_flags():
-    args = build_parser().parse_args(["bc-scan"])
+    args = parse_args(["bc-scan"])
     with pytest.raises(SystemExit) as exc:
         make_config(args)
     assert exc.value.code == 2
@@ -260,10 +260,10 @@ def test_missing_required_flags():
 def test_config_file_suites_take_effect(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("q = 2\nP_text = T^2+T+1\nsuites = cong\n")
-    args = build_parser().parse_args(["verify", "--config", str(cfgfile)])
+    args = parse_args(["verify", "--config", str(cfgfile)])
     assert make_config(args).suites == "cong"
-    args = build_parser().parse_args(["verify", "--config", str(cfgfile),
-                                      "--suites", "euler"])
+    args = parse_args(["verify", "--config", str(cfgfile), "--suites",
+                       "euler"])
     assert make_config(args).suites == "euler"
 
 
@@ -344,7 +344,7 @@ _PAIR = ["--q", "3", "--P", "T^2+1"]
 ], ids=["depth", "q", "q-bound", "format", "place", "unknown-flag",
         "foreign-flag", "no-value", "no-command"])
 def test_malformed_flags_exit_2_in_one_line(capsys, argv, why):
-    # a flag's value is checked as a config file's is, and argparse's own
+    # a flag's value is checked as a config file's is, and parse_args's
     # errors are one line too, with no usage block
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -487,7 +487,7 @@ def _dict_render(cfg, reports, elapsed_ms):
 
 
 def test_bulk_json_is_the_json_of_the_dict_rows():
-    cfg = make_config(build_parser().parse_args(
+    cfg = make_config(parse_args(
         ["bc-scan", "--q", "3", "--P", "T^2+1", "--format", "json"]))
     # id formats with quotes, backslashes, percent signs, control and
     # non-ASCII characters, over negative, zero and large keys
@@ -567,11 +567,13 @@ def test_bulk_column_name_is_not_the_template_mark():
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("column", [["x", "y"], [True, "y"], [1, "y"],
-                                    [1.5, 2], [None, None]])
+                                    [1.5, 2], [None, None], [3, True],
+                                    [True, 5]])
 def test_bulk_cell_of_another_kind_raises(capsys, monkeypatch, fmt, column):
-    # a column holds ints or truth values: a str (first or later), a
-    # float or None raises TypeError when the report is rendered, and
-    # nothing is printed
+    # a column holds ints alone or truth values alone: a str (first or
+    # later), a float, None, or ints mixed with truth values in either
+    # order raise TypeError when the report is rendered, and nothing is
+    # printed
     def scan(cfg):
         rep = cli._report("bc-scan", cfg)
         rep.add_passed("n=%d", [2, 4], residue_zero=[False, True],
@@ -589,7 +591,7 @@ def test_bc_scan_report_peak_memory(tmp_path):
     # pieces that are joined once (the pieces, then the report), 2.42
     # with a str per row, a joined block and its bracketed copy, and 5.4
     # when each check was a dict encoded by json.dumps
-    cfg = make_config(build_parser().parse_args(
+    cfg = make_config(parse_args(
         ["bc-scan", "--q", "2", "--P", "T^14+T^10+T^6+T+1", "--format",
          "json"]))
     tracemalloc.start()
@@ -619,7 +621,7 @@ def test_bc_scan_csv_and_text_peak_memory(fmt):
     # CSV and text are joined once from pieces of BATCH rows, as JSON
     # is: about 2.1 times the report's length, 2.87 (CSV) and 3.99 (text)
     # with a str per row before one join
-    cfg = make_config(build_parser().parse_args(
+    cfg = make_config(parse_args(
         ["bc-scan", "--q", "2", "--P", "T^14+T^10+T^6+T+1", "--format",
          fmt]))
     tracemalloc.start()
@@ -659,7 +661,7 @@ def _row_render(cfg, reports, elapsed_ms):
 def test_csv_and_text_batches_are_the_rows(fmt):
     # a block of k rows around a batch boundary (the CSV header is a row
     # of the first batch), after an add row and beside a second report
-    cfg = make_config(build_parser().parse_args(
+    cfg = make_config(parse_args(
         ["bc-scan", "--q", "3", "--P", "T^2+1", "--format", fmt]))
     B = cli.BATCH
     for k in (0, 1, B - 2, B - 1, B, B + 1, 2 * B + 1):
@@ -805,8 +807,10 @@ def test_cli_import_skips_dataclasses():
 
 def test_cli_run_skips_hashlib_and_future():
     # the config digest takes SHA-256 from CPython's built-in module, not
-    # from hashlib (which maps OpenSSL's libcrypto), and no module imports
-    # __future__: a fresh interpreter running bc-scan loads none of them
+    # from hashlib (which maps OpenSSL's libcrypto), no module imports
+    # __future__, and parse_args needs neither argparse nor the gettext
+    # it imports: a fresh interpreter importing carlitz.cli and running
+    # bc-scan loads none of them
     src = str(pathlib.Path(lvalues.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -816,10 +820,11 @@ def test_cli_run_skips_hashlib_and_future():
             "    status = main(['bc-scan', '--q', '3', '--P', 'T^2+1',\n"
             "                   '--format', 'json'])\n"
             "print(status, *(m in sys.modules\n"
-            "                for m in ('hashlib', '_hashlib', '__future__')))\n")
+            "                for m in ('hashlib', '_hashlib', '__future__',\n"
+            "                          'argparse', 'gettext')))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.split() == ["0", "False", "False", "False"]
+    assert out.split() == ["0"] + ["False"] * 5
 
 
 def test_cli_import_skips_csv():
@@ -842,14 +847,17 @@ def test_cli_import_skips_csv():
     (["verify", "--N", "4"], True, []),
     (["l-values", "--place", "inf"], False,
      ["equivariant", "padics", "special_points"]),
-    (["verify", "--suites", "cnf,b1,euler,charpoly,cong"], True, ["padics"])])
+    (["verify", "--suites", "cnf,b1,euler,charpoly,cong"], False,
+     ["padics"]),
+    (["fitting"], False, ["equivariant"])])
 def test_each_command_runs_only_its_layers(argv, random_loaded, lazy):
     # import carlitz registers every module lazily: each is in sys.modules
     # from the start, and its type tells whether it has run.  bc-scan
-    # runs none of the Laurent, cyclotomic and P-adic layers and does not
-    # import random (the padic-explog sampler's); the infinite place runs
-    # no padics; verify with every suite runs every layer.  -S: a site
-    # hook may import random itself
+    # runs none of the Laurent, cyclotomic and P-adic layers; the
+    # infinite place runs no padics; the P-adic side runs no equivariant
+    # (cnf's descent check); verify with every suite runs every layer.
+    # Only the padic-explog sampler imports random.  -S: a site hook may
+    # import random itself
     src = str(pathlib.Path(lvalues.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -200,8 +200,8 @@ def test_cnf_indices_match_per_character_projection(monkeypatch, Pstr, Fq):
     cyc = _cyc(Pstr, Fq)
     F, depth = cyc.F, 16
     family = {}
-    descends = special_points.descends
-    monkeypatch.setattr(special_points, "descends",
+    descends = special_points.equivariant.descends
+    monkeypatch.setattr(special_points.equivariant, "descends",
                         lambda c, fam: family.update(fam) or descends(c, fam))
     report = verify_cnf(cyc, depth)
     assert len(family) == cyc.L
