@@ -1,17 +1,14 @@
 """Command-line surface: scans, L-value tables, verification suites,
 Fitting reports.
 
-A run builds one document, {config, suite_results: [{name, params,
-checks: [...]}], timing_ms}: JSON prints it, CSV flattens its checks to
-rows, text is for eyeballs.  The exit status reads it too: 0 if and only
-if every check in it is "pass", else 1 (and 2 for bad input).
+A run builds one document of reports, which report.pieces prints in
+the chosen format.  The exit status reads it too: 0 if and only if
+every check in it is "pass", else 1 (and 2 for bad input).
 """
 
 import errno
-import io
 import itertools
 import json
-import math
 import os
 import re
 import sys
@@ -59,10 +56,8 @@ SETTINGS = (
 )
 KEYS = tuple(s[0] for s in SETTINGS)
 
-# a report's rows are joined BATCH at a time, and every report is
-# written SLICE characters at a time: no list holds a str per row, and
-# the encoder never holds a copy of the whole report
-BATCH = 1024
+# every report is written SLICE characters at a time: the encoder never
+# holds a copy of the whole report
 SLICE = 1 << 16
 
 
@@ -294,15 +289,8 @@ def make_config(args):
 # -- suites wrapping the library verifiers ----------------------------------------
 
 
-def _report(name, cfg, **params):
-    """An empty report whose params lead with q and P as format_poly
-    prints it, however --P spells it (the config block keeps that)."""
-    return report.VerificationReport(
-        name, dict(q=cfg.q, P=polynomials.format_poly(cfg.P), **params))
-
-
 def _suite_anderson(cyc, cfg):
-    rep = _report("anderson", cfg, N=cfg.N, depth=cfg.depth)
+    rep = report.for_prime("anderson", cfg.P, N=cfg.N, depth=cfg.depth)
     for m in range(1, 6):
         sub = special_points.verify_anderson(cyc, m, cfg.N, cfg.depth,
                                              guard=cfg.guard)
@@ -311,7 +299,7 @@ def _suite_anderson(cyc, cfg):
 
 
 def _suite_b1(cyc, cfg):
-    rep = _report("b1", cfg, depth=cfg.depth)
+    rep = report.for_prime("b1", cfg.P, depth=cfg.depth)
     for chi in cyclotomic.all_characters(cyc):
         if not chi.is_odd():
             continue
@@ -322,19 +310,18 @@ def _suite_b1(cyc, cfg):
 
 def _suite_euler(cyc, cfg):
     B = min(cfg.depth, 8)
-    rep = _report("euler", cfg, window=B)
+    rep = report.for_prime("euler", cfg.P, window=B)
     table = cyc.class_table(B)
     for chi in cyclotomic.all_characters(cyc):
         direct = lvalues.l_inf(cyc, chi, table)
         euler = lvalues.euler_product(cyc, chi, B, B + 1)
-        rep.add("euler-product chi=%d" % chi.n,
-                euler.agrees_with(direct, upto=B + 1),
-                lhs_prec=euler.prec, rhs_prec=direct.prec)
+        # both sides hold B + 1 digits, so agreeing on them passes
+        rep.compare("euler-product chi=%d" % chi.n, euler, direct, 0)
     return rep
 
 
 def _suite_charpoly(cyc, cfg):
-    rep = _report("charpoly", cfg, max_deg_f=cfg.max_deg_f)
+    rep = report.for_prime("charpoly", cfg.P, max_deg_f=cfg.max_deg_f)
     F = cyc.F
     for f in cyc.irreducibles(cfg.max_deg_f):
         fbar = f.evaluate(F.theta, target=F)
@@ -352,7 +339,7 @@ def _suite_padic_explog(cyc, cfg):
     m^2 inside O_{K,P} mod P^N: L N mu-digits, digits 0 and 1 zero, at
     N = max(--N, 3), which the params print."""
     count, N = 50, max(cfg.N, 3)
-    rep = _report("padic-explog", cfg, N=N, count=count)
+    rep = report.for_prime("padic-explog", cfg.P, N=N, count=count)
     import random  # only this sampler draws at random
     rng = random.Random(2026)
     ring = cyc.padic_ring(N)
@@ -407,7 +394,7 @@ def cmd_bc_scan(cfg):
     stream = core.bc_stream_mod_P(cfg.P, n_hi)
     zero = [not v for v in itertools.islice(stream, ns.start, ns.stop,
                                             ns.step)]
-    rep = _report("bc-scan", cfg, max_n=n_hi)
+    rep = report.for_prime("bc-scan", cfg.P, max_n=n_hi)
     # the exponent (1 - n) mod L is L + 1 - n, as 2 <= n < L
     rep.add_passed("n=%d", ns, residue_zero=zero, character_exponent=range(
         L + 1 - ns.start, L + 1 - ns.stop, -ns.step))
@@ -417,7 +404,7 @@ def cmd_bc_scan(cfg):
 
 def cmd_l_values(cfg, place):
     cyc = cyclotomic.CycField(cfg.P)
-    rep = _report("l-values", cfg, place=place)
+    rep = report.for_prime("l-values", cfg.P, place=place)
     if place == "inf":
         table = cyc.class_table(cfg.depth)
         for chi in cyclotomic.all_characters(cyc):
@@ -443,7 +430,7 @@ def cmd_fitting(cfg):
     --N 2 the report is the one at --N 4."""
     cyc = cyclotomic.CycField(cfg.P)
     N = max(cfg.N, 4)
-    rep = _report("fitting", cfg, N=N)
+    rep = report.for_prime("fitting", cfg.P, N=N)
     for r in special_points.odd_fitting_report(cyc, N=N):
         rep.add("odd chi=%d" % r["chi_n"], True, case=r["case"],
                 generator=r["generator"], vP_B1=r["vP_B1"],
@@ -458,105 +445,11 @@ def cmd_fitting(cfg):
 # -- serialization ----------------------------------------------------------------
 
 
-def _batches(sep, rows):
-    """rows joined by sep BATCH at a time, while the rows last (a row is
-    never empty)."""
-    while batch := sep.join(itertools.islice(rows, BATCH)):
-        yield batch
-
-
-def _checks_json(rep):
-    """The JSON text of rep's checks, in pieces whose concatenation it
-    is.  A bulk block is encoded with no dict per row, through one
-    template: json.dumps of a row whose values are a sentinel, so that
-    keys, order and separators are the encoder's own bytes, with the
-    JSON of the id format in the id's place and, in each cell's, "%d"
-    for ints or %s for truth values, which go in as their labels,
-    encoded once.  Each row is one % of the template: an int's digits
-    need no escaping, and no other text goes in.  The rows are joined
-    BATCH at a time."""
-    sep, mark = json.JSONEncoder.item_separator, json.dumps("\0")
-    labels = tuple(map(json.dumps, report.TRUTH))
-    yield "["
-    lead = ""
-    if rep.checks:
-        yield json.dumps(rep.checks)[1:-1]
-        lead = sep
-    for fmt, keys, columns in rep.blocks():
-        skeleton = json.dumps(rep.row("\0", dict.fromkeys(columns, "\0")))
-        slots = [json.dumps(fmt)] + ["%s" if truth else '"%d"'
-                                     for truth, _ in columns.values()] + [""]
-        template = "".join(s.replace("%", "%%") + slot for s, slot in
-                           zip(skeleton.split(mark), slots))
-        cells = zip(keys, *(map(labels.__getitem__, values) if truth
-                            else values for truth, values in columns.values()))
-        for batch in _batches(sep, map(template.__mod__, cells)):
-            yield lead
-            yield batch
-            lead = sep
-    yield "]"
-
-
-def _json_pieces(reports, config, results, elapsed_ms):
-    """The JSON document.  Each report's checks are NaN in it, and
-    _checks_json's text is spliced in there: no string or int encodes
-    to `"checks": NaN`, as a quote inside a string is escaped."""
-    for res in results:
-        res["checks"] = math.nan
-    doc = {"config": config, "suite_results": results,
-           "timing_ms": elapsed_ms}
-    key = json.dumps("checks") + json.JSONEncoder.key_separator
-    # a fresh tree: no cycle to check for
-    head, *tails = json.dumps(doc, check_circular=False).split(
-        key + json.dumps(math.nan))
-    yield head
-    for r, tail in zip(reports, tails):
-        yield key
-        yield from _checks_json(r)
-        yield tail
-    yield "\n"
-
-
-def _csv_pieces(reports):
-    """The CSV table, a header and one row per check, BATCH rows to a
-    piece."""
-    import csv  # only CSV runs pay for the import
-    rows = itertools.chain(
-        [("suite", "check", "status", "lhs_precision", "rhs_precision",
-          "detail")],
-        ((r.suite, c["id"], c["status"], c["lhs_precision"],
-          c["rhs_precision"], json.dumps(c["detail"], sort_keys=True))
-         for r in reports for c in r.rows()))
-    while True:
-        buf = io.StringIO()
-        csv.writer(buf).writerows(itertools.islice(rows, BATCH))
-        if not buf.tell():
-            return
-        yield buf.getvalue()
-
-
-def _text_lines(reports, config, results, elapsed_ms):
-    yield "# carlitz run (digest %s)\n" % config["digest"]
-    for r, res in zip(reports, results):
-        yield "[%s] %s\n" % (r.suite, json.dumps(res["params"]))
-        for c in r.rows():
-            extra = " ".join("%s=%s" % kv for kv in c["detail"].items())
-            yield "  %-12s %s %s\n" % (c["status"], c["id"], extra)
-    yield "timing %d ms\n" % elapsed_ms
-
-
 def render(cfg, reports, elapsed_ms):
     """The run's document in cfg.format, as one str joined once from
-    pieces of at most BATCH rows: no list holds a str per row."""
-    config, results = cfg.as_dict(), [r.as_dict() for r in reports]
-    if cfg.format == "json":
-        pieces = _json_pieces(reports, config, results, elapsed_ms)
-    elif cfg.format == "csv":
-        pieces = _csv_pieces(reports)
-    else:
-        pieces = _batches("", _text_lines(reports, config, results,
-                                          elapsed_ms))
-    return "".join(pieces)
+    report.pieces: no list holds a str per row."""
+    return "".join(report.pieces(cfg.format, reports, cfg.as_dict(),
+                                 elapsed_ms))
 
 
 def _write(text, fh):

@@ -30,8 +30,8 @@ from .cyclotomic import (Character, CycElem, all_characters, b1, embed_padic,
 from .fields import residue_field
 from .laurent import LaurentSeries, RamifiedElem
 from .lvalues import l_inf, l_padic
-from .polynomials import Poly, RatFunc, format_poly, rat_reduce_mod_P
-from .report import VerificationReport
+from .polynomials import Poly, RatFunc, rat_reduce_mod_P
+from .report import for_prime
 
 
 # -- the points -------------------------------------------------------------------
@@ -126,8 +126,7 @@ def verify_anderson(cyc, m, N, depth, guard=6):
     integral point; m = 1 goes through the phi_P-multiplied variant."""
     if m < 1:
         raise ValueError("Anderson identity needs m >= 1")
-    report = VerificationReport(
-        "anderson", {"q": cyc.q, "P": format_poly(cyc.P), "m": m, "N": N, "depth": depth})
+    report = for_prime("anderson", cyc.P, m=m, N=N, depth=depth)
     q = cyc.q
     for attempt in range(ANDERSON_ATTEMPTS):
         attempt_depth = depth << attempt
@@ -228,8 +227,7 @@ def verify_cnf(cyc, depth, min_coeffs=10):
     CycField.tau_dual; agreement of the analytic index with the L-value;
     and Frobenius descent of the assembled index family.
     """
-    report = VerificationReport("cnf", {"q": cyc.q, "P": format_poly(cyc.P),
-                                        "depth": depth})
+    report = for_prime("cnf", cyc.P, depth=depth)
     F = cyc.F
     table = cyc.class_table(depth)
     dual = cyc.tau_dual()
@@ -276,13 +274,8 @@ def verify_cnf(cyc, depth, min_coeffs=10):
         analytic = _laurent_ratio_to_tau(cyc, proj, tau, prec)
         cl = LaurentSeries.from_ratfunc(cstar, prec + cyc.d + 2, field=F)
         index = analytic * cl.inv()
-        target = coprime_l_inf(cyc, chi, table)
-        overlap = min(index.prec, target.prec)
-        agree = (index - target).is_zero()
-        report.add("index chi=%d" % chi.n, agree and overlap >= min_coeffs,
-                   lhs_prec=index.prec, rhs_prec=target.prec,
-                   indeterminate=agree and overlap < min_coeffs,
-                   reason=_overlap_reason(agree, overlap, min_coeffs))
+        report.compare("index chi=%d" % chi.n, index,
+                       coprime_l_inf(cyc, chi, table), min_coeffs)
         index_family[chi.n] = index
     if len(index_family) == cyc.L:
         report.add("index-descends",
@@ -302,8 +295,7 @@ def verify_b1_formula(cyc, chi, depth, min_coeffs=12):
         raise ValueError("the B_1 formula applies to odd characters only")
     F = cyc.F
     q = cyc.q
-    report = VerificationReport("b1-formula", {"q": q, "P": format_poly(cyc.P),
-                                               "chi": chi.n, "depth": depth})
+    report = for_prime("b1-formula", cyc.P, chi=chi.n, depth=depth)
     lhs_scalar = l_inf(cyc, chi, cyc.class_table(depth))
     lhs = RamifiedElem.from_laurent(lhs_scalar, q)
     emb = cyc.infty_embedding(depth)
@@ -320,24 +312,9 @@ def verify_b1_formula(cyc, chi, depth, min_coeffs=12):
         bl = LaurentSeries.from_ratfunc(bval, depth + cyc.d + 3, field=F)
         rhs = (tauv * emb.pib_over_P).mul_laurent(bl)
         check_id = "L(1,chi) = (pi_bar/P) B_1 tau"
-    diff = lhs - rhs
-    wneed = (q - 1) * min_coeffs
-    overlap = min(lhs.wprec(), rhs.wprec())
-    wv = diff.wval()
-    agree = wv is None or wv >= overlap
-    report.add(check_id, agree and overlap >= wneed,
-               lhs_prec=lhs.wprec(), rhs_prec=rhs.wprec(),
-               indeterminate=agree and overlap < wneed,
-               reason=_overlap_reason(agree, overlap, wneed))
+    # in 1/Y-digits, as both sides are
+    report.compare(check_id, lhs.s, rhs.s, (q - 1) * min_coeffs)
     return report
-
-
-def _overlap_reason(agree, overlap, need):
-    """Why an overlap comparison did not pass."""
-    if not agree:
-        return "the sides differ below their common precision %d" % overlap
-    return ("the sides agree to precision %d, %d needed; raise the depth"
-            % (overlap, need))
 
 
 # -- congruences and scans --------------------------------------------------------
@@ -352,7 +329,7 @@ def verify_congruence(cyc):
     i < d, which are P-units, so each factor reduces mod P on its own."""
     F = cyc.F
     tab = CarlitzTables(cyc.Fq)
-    report = VerificationReport("cong", {"q": cyc.q, "P": format_poly(cyc.P)})
+    report = for_prime("cong", cyc.P)
     for n in range(2, cyc.L + 1):
         k = cyc.L + 1 - n
         lhs = rat_reduce_mod_P(b1(Character(cyc, -n)), F)

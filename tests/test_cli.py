@@ -11,12 +11,12 @@ import tracemalloc
 import pytest
 
 from carlitz.cli import FORMATS, main, make_config, parse_args
-from carlitz import cli, core, lvalues, special_points
+from carlitz import cli, core, lvalues, report, special_points
 from carlitz.cyclotomic import CycField, InftyEmbedding
 from carlitz.fields import make_field
 from carlitz.lvalues import ClassSumTable
 from carlitz.polynomials import parse_poly
-from carlitz.special_points import VerificationReport
+from carlitz.report import VerificationReport
 from bc_oracle import hr_scan
 
 
@@ -519,7 +519,8 @@ def test_bulk_json_is_the_json_of_the_dict_rows():
     assert [len(list(r.rows())) for r in (mixed, bare, empty)] == [49, 2, 0]
     assert [c["id"] for c in mixed.rows()][2:7] == [
         'a"b -5', 'a"b -1', 'a"b 0', 'a"b 7', 'a"b %d' % 10 ** 20]
-    # iterators, as a caller may pass them, give their rows once
+    # iterators, as a caller may pass them, are read when the block is
+    # added: the report reads the same rows every time
     once, lists = VerificationReport("s", {}), VerificationReport("s", {})
     once.add_passed("n=%d", iter(range(3)),
                     residue_zero=(n == 1 for n in range(3)),
@@ -527,10 +528,10 @@ def test_bulk_json_is_the_json_of_the_dict_rows():
     lists.add_passed("n=%d", [0, 1, 2], residue_zero=[False, True, False],
                      character_exponent=[0, 1, 4])
     assert cli.render(cfg, [once], 7) == _dict_render(cfg, [lists], 7)
-    assert list(once.rows()) == []
+    assert list(once.rows()) == list(lists.rows())
     # bulk rows are joined BATCH at a time: a block of k rows around a
     # batch boundary, alone, between add rows and beside a second block
-    B = cli.BATCH
+    B = report.BATCH
 
     def block(rep, k):
         rep.add_passed('v%%d"\\%d', range(-k, 0), value=range(k),
@@ -565,18 +566,28 @@ def test_bulk_column_name_is_not_the_template_mark():
         VerificationReport("s", {}).add_passed("n=%d", [1], **{"\0": [1]})
 
 
+_COLUMNS = [["x", "y"], [True, "y"], [1, "y"], [1.5, 2], [None, None],
+            [3, True], [True, 5]]
+_KEYS = [[2.5, True, 3], [2.5, 4, 6], [True, False, True], [2, True, 6],
+         ["2", 4, 6], (2.0, 4.0, 6.0)]
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("column", [["x", "y"], [True, "y"], [1, "y"],
-                                    [1.5, 2], [None, None], [3, True],
-                                    [True, 5]])
-def test_bulk_cell_of_another_kind_raises(capsys, monkeypatch, fmt, column):
+@pytest.mark.parametrize(
+    "keys,column",
+    [([2, 4], c) for c in _COLUMNS] + [(k, [1, 2, 3]) for k in _KEYS],
+    ids=["column%d" % i for i in range(len(_COLUMNS))]
+    + ["keys%d" % i for i in range(len(_KEYS))])
+def test_bulk_cell_of_another_kind_raises(capsys, monkeypatch, fmt, keys,
+                                          column):
     # a column holds ints alone or truth values alone: a str (first or
     # later), a float, None, or ints mixed with truth values in either
-    # order raise TypeError when the report is rendered, and nothing is
-    # printed
+    # order raise TypeError when the block is added, and nothing is
+    # printed.  The keys are ints alone: a float, a truth value or a str
+    # among them, or truth values alone, raise too
     def scan(cfg):
-        rep = cli._report("bc-scan", cfg)
-        rep.add_passed("n=%d", [2, 4], residue_zero=[False, True],
+        rep = report.for_prime("bc-scan", cfg.P)
+        rep.add_passed("n=%d", keys, residue_zero=[False, True, False],
                        value=column)
         return rep
     monkeypatch.setattr(cli, "cmd_bc_scan", scan)
@@ -663,7 +674,7 @@ def test_csv_and_text_batches_are_the_rows(fmt):
     # of the first batch), after an add row and beside a second report
     cfg = make_config(parse_args(
         ["bc-scan", "--q", "3", "--P", "T^2+1", "--format", fmt]))
-    B = cli.BATCH
+    B = report.BATCH
     for k in (0, 1, B - 2, B - 1, B, B + 1, 2 * B + 1):
         rep = VerificationReport("scan", {"k": k})
         rep.add("first", True, lhs_prec=2, value='a,"b"')

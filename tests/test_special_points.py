@@ -8,6 +8,7 @@ from carlitz.fields import make_field
 from carlitz.laurent import LaurentSeries
 from carlitz.lvalues import ClassSumTable, padic_block_valuation
 from carlitz.polynomials import Poly, RatFunc, parse_poly, rat_reduce_mod_P
+from carlitz.report import VerificationReport
 from carlitz import special_points
 from carlitz.special_points import (_laurent_ratio_to_tau, coprime_l_inf,
                                     hr_dual_check, odd_fitting_report,
@@ -15,8 +16,7 @@ from carlitz.special_points import (_laurent_ratio_to_tau, coprime_l_inf,
                                     recognize_integral,
                                     special_point_inf, special_point_padic,
                                     verify_anderson, verify_b1_formula,
-                                    VerificationReport, verify_cnf,
-                                    verify_congruence)
+                                    verify_cnf, verify_congruence)
 from bc_oracle import hr_scan
 from galois_oracle import special_point_coords
 from enumeration import brute_blocks
@@ -375,6 +375,37 @@ def test_indeterminate_check_states_its_reason():
         rep.add("c", False, indeterminate=True)
     rep.add("c", True, reason="unused")
     assert rep.checks[-1]["detail"] == {}
+    # b1 compares 1/Y-digits, (q - 1) per coefficient asked for
+    overlap = min(check["lhs_precision"], check["rhs_precision"])
+    assert check["detail"] == {"reason": "the sides agree to precision %d, "
+                               "80 needed; raise the depth" % overlap}
+    # cnf compares 1/T-digits, min_coeffs of them
+    cnf = verify_cnf(cyc, 8, min_coeffs=40).checks
+    index = [c for c in cnf if c["id"].startswith("index chi=")]
+    assert index and {c["status"] for c in index} == {"indeterminate"}
+    for c in index:
+        overlap = min(c["lhs_precision"], c["rhs_precision"])
+        assert c["detail"] == {"reason": "the sides agree to precision %d, "
+                               "40 needed; raise the depth" % overlap}
+    # euler's pairs need no digit: a pair that differs fails with its
+    # reason, and one that agrees passes on any window
+    def series(coeffs, prec):
+        return LaurentSeries(F3, 0, coeffs, prec)
+    rep = VerificationReport("euler", {})
+    for prec in range(4):
+        for a, b in [([1, 2, 0], [1, 2, 0]), ([1, 2, 0], [1, 2, 1]),
+                     ([0, 1], [2, 1]), ([], [])]:
+            lhs, rhs = series(a, prec), series(b, prec + 1)
+            rep.compare("euler-product", lhs, rhs, 0)
+            c = rep.checks[-1]
+            assert c["status"] == ("pass" if lhs.agrees_with(rhs, prec + 1)
+                                   else "fail"), (prec, a, b)
+            assert (c["lhs_precision"], c["rhs_precision"]) == (prec,
+                                                                prec + 1)
+            if c["status"] == "fail":
+                assert c["detail"] == {"reason": "the sides differ below "
+                                       "their common precision %d" % prec}
+    assert {c["status"] for c in rep.checks} == {"pass", "fail"}
 
 
 def test_bulk_rows_are_the_rows_of_add():
