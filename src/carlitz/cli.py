@@ -10,7 +10,6 @@ import errno
 import itertools
 import json
 import os
-import re
 import sys
 import time
 import types
@@ -103,124 +102,63 @@ def _read_config_file(path):
     return out
 
 
-def _option(arg, flags):
-    """What arg is among a parser's option strings `flags` (each mapped
-    to its key), read as argparse reads it: None for a value, else (key,
-    flag, the text after '=' or None), key None for an unknown option.
-    A long option may be any prefix that names only it."""
-    if not arg.startswith("-"):
-        return None
-    if arg in flags:
-        return flags[arg], arg, None
-    if len(arg) == 1:
-        return None
-    name, eq, value = arg.partition("=")
-    if eq and name in flags:
-        return flags[name], name, value
-    if arg[1] == "-":
-        hits = [(flags[f], f, value if eq else None) for f in flags
-                if f.startswith(name)]
-    else:
-        # -h joined to more text
-        hits = [(flags[arg[:2]], arg[:2], arg[2:])] if arg[:2] in flags \
-            else []
-    if len(hits) > 1:
-        _usage_error("ambiguous option: %s could match %s"
-                     % (arg, ", ".join(h[1] for h in hits)))
-    if hits:
-        return hits[0]
-    # a negative number or text with a space is a value
-    if " " in arg or re.match(r"-\d+$|-\d*\.\d+$", arg):
-        return None
-    return None, arg, None
-
-
-def _help(command, flag, extra):
-    """-h/--help: the usage text of the command (None: of carlitz) on
-    stdout and exit status 0.  Text after '=' is an error, and so is
-    text joined to -h, unless it is more h's."""
-    if flag == "-h" and extra:
-        extra = extra.lstrip("h") or None
-    if extra is not None:
-        _usage_error("argument -h/--help: ignored explicit argument %r"
-                     % extra)
-    if command is None:
-        text = "usage: carlitz [-h] {%s} ...\n\ncommands:\n" % ",".join(
-            COMMANDS) + "".join("  %-10s %s\n" % ch for ch in COMMAND_HELP)
-    else:
-        lines = [(name, key.upper(), ("integer >= %d" % least if least
-                                      else "text")
-                  + ("" if default is None else ", default %s" % default))
-                 for key, name, default, least, commands in SETTINGS
-                 if command in commands]
-        lines.append(("--config", "CONFIG", "key = value defaults file"))
-        if command == "l-values":
-            lines.append(("--place", "{inf,P}", "default inf"))
-        text = "usage: carlitz %s [-h] %s\n\noptions:\n" % (
-            command, " ".join("[%s %s]" % line[:2] for line in lines)) + \
-            "".join("  %-22s %s\n" % ("%s %s" % line[:2], line[2])
-                    for line in lines)
-    sys.stdout.write(text)
-    raise SystemExit(0)
-
-
 def parse_args(argv=None):
     """The command and its flags, as text: one attribute per key of the
     command's flags (None when not given), config, and place for
     l-values.  make_config checks the values, as it checks a config
-    file's.  Flags take `--flag value` or `--flag=value` and any unique
-    prefix; a repeated flag keeps its last value.  Input is read as
-    argparse reads it, and each error is argparse's, in one line."""
+    file's.  The canonical argv is read here: the command, then its
+    flags in full as `--flag value` or `--flag=value`, no value starting
+    with '-', a repeated flag keeping its last value.  Any other argv
+    (a prefix, -h, '--', bad input) goes to argparse (_parser)."""
     args = sys.argv[1:] if argv is None else list(argv)
-    extras, top, command = [], {"-h": "help", "--help": "help"}, None
-    for i, arg in enumerate(args):
-        opt = None if arg == "--" else _option(arg, top)
-        if opt is None:
-            # the command, which a '--' before it would be, as in argparse
-            if args[i:] != ["--"]:
-                command, rest = arg, args[i + 1:]
-            break
-        if opt[0] is None:
-            extras.append(arg)
+    command = args[0] if args else None
+    if command in COMMANDS:
+        flags = {flag: key for key, flag, _, _, commands in SETTINGS
+                 if command in commands}
+        flags["--config"] = "config"
+        ns = dict.fromkeys(flags.values())
+        if command == "l-values":
+            flags["--place"], ns["place"] = "place", "inf"
+        i = 1
+        while i < len(args):
+            flag, eq, value = args[i].partition("=")
+            if not eq:
+                i += 1
+                # a flag with no value after it is not canonical
+                value = args[i] if i < len(args) else "-"
+            if flag not in flags or value.startswith("-") or \
+                    flag == "--place" and value not in ("inf", "P"):
+                break
+            ns[flags[flag]] = value
+            i += 1
         else:
-            _help(None, *opt[1:])
-    if command is None:
-        _usage_error("the following arguments are required: command")
-    if command not in COMMANDS:
-        _usage_error("argument command: invalid choice: %r (choose from %s)"
-                     % (command, ", ".join(map(repr, COMMANDS))))
-    own = [(flag, key) for key, flag, _, _, commands in SETTINGS
-           if command in commands] + [("--config", "config")]
-    ns = {key: None for _, key in own}
-    if command == "l-values":
-        own.append(("--place", "place"))
-        ns["place"] = "inf"
-    flags = dict(top, **dict(own))
-    # every option is read before any is taken, as argparse does: an
-    # ambiguous prefix is the first error
-    end = rest.index("--") if "--" in rest else len(rest)
-    opts = [_option(arg, flags) for arg in rest[:end]]
-    i = 0
-    while i < end:
-        opt, i = opts[i], i + 1
-        if opt is None or opt[0] is None:
-            extras.append(rest[i - 1])
-            continue
-        key, flag, value = opt
-        if key == "help":
-            _help(command, flag, value)
-        if value is None:
-            if i == end or opts[i] is not None:
-                _usage_error("argument %s: expected one argument" % flag)
-            value, i = rest[i], i + 1
-        if key == "place" and value not in ("inf", "P"):
-            _usage_error("argument --place: invalid choice: %r (choose "
-                         "from 'inf', 'P')" % value)
-        ns[key] = value
-    extras += rest[end:]
-    if extras:
-        _usage_error("unrecognized arguments: %s" % " ".join(extras))
-    return types.SimpleNamespace(command=command, **ns)
+            return types.SimpleNamespace(command=command, **ns)
+    return _parser().parse_args(args)
+
+
+def _parser():
+    """The argparse parser of the commands and their flags; -h lists each
+    flag with its bound and default.  Its errors are one line each."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            _usage_error(message)
+
+    ap = Parser(prog="carlitz")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for command, help in COMMAND_HELP:
+        p = sub.add_parser(command, help=help)
+        for key, flag, default, least, commands in SETTINGS:
+            if command in commands:
+                p.add_argument(flag, dest=key, help=(
+                    "integer >= %d" % least if least else "text") + (
+                    "" if default is None else ", default %s" % default))
+        p.add_argument("--config", help="key = value defaults file")
+        if command == "l-values":
+            p.add_argument("--place", choices=("inf", "P"), default="inf",
+                           help="default inf")
+    return ap
 
 
 def _usage_error(msg):
@@ -231,10 +169,11 @@ def _usage_error(msg):
 
 
 def _suite_names(text):
-    """The suites a --suites list names, "all" standing for every one.
-    A name that is neither, or a list that names nothing (whose run would
-    pass vacuously), is bad input."""
-    names = [s.strip() for s in text.split(",") if s.strip()]
+    """The suites a --suites list names, each once in first-named order,
+    "all" standing for every one.  A name that is neither, or a list
+    that names nothing (whose run would pass vacuously), is bad input."""
+    names = list(dict.fromkeys(s.strip() for s in text.split(",")
+                               if s.strip()))
     for n in names or [text]:
         if n not in SUITES and n != "all":
             _usage_error("unknown suite %r (have: %s, all)"

@@ -30,7 +30,7 @@ precision asked so far.
 """
 
 from .fields import residue_field, residue_rep
-from .laurent import LaurentSeries
+from .laurent import LaurentSeries, inv_coeffs
 from .polynomials import Poly, mul_coeffs
 
 
@@ -90,8 +90,8 @@ class MuRing:
                 k = min(2 * k, n)
                 val = _poly_at(F, P.coeffs, X, k)
                 val[1] = F.sub(val[1], 1)  # P(X) - u
-                inv = LaurentSeries(F, 0, _poly_at(F, dP, X, k), k).inv()
-                X = list(map(F.sub, _pad(X, k), _times(F, val, inv.coeffs, k)))
+                inv = inv_coeffs(F, _poly_at(F, dP, X, k), k)
+                X = list(map(F.sub, _pad(X, k), _times(F, val, inv, k)))
             if _poly_at(F, P.coeffs, X, n) != _pad([0, 1], n):
                 raise ArithmeticError("X(u) fails P(X) = u mod u^%d" % n)
             pows = [_pad([1], n)]
@@ -133,9 +133,9 @@ class MuRing:
             ahat = self._u_series(a, prec + v)
             if any(ahat[:v]) or not ahat[v]:
                 raise ArithmeticError("v_P of the divisor is not %d" % v)
-            inv = LaurentSeries(self.F, 0, ahat[v:], prec).inv()
+            inv = inv_coeffs(self.F, ahat[v:], prec)
             # P^v = (-mu^L)^v
-            self._unit_series[key] = self._mu(_pad(inv.coeffs, prec), v)
+            self._unit_series[key] = self._mu(inv, v)
         return self._unit_series[key]
 
     def _frobq(self, x):

@@ -1,5 +1,6 @@
-"""The argparse parser that carlitz.cli used before cli.parse_args, kept
-as the oracle that parse_args is compared with: the same namespace for
+"""A plain argparse parser of the carlitz commands, kept as the oracle
+that cli.parse_args is compared with, both its fast path for the
+canonical argv and cli._parser for every other: the same namespace for
 every argv it accepts, the same one-line error and exit status for every
 argv it refuses."""
 

@@ -103,6 +103,17 @@ def test_verify_selected_suites_exit_zero(capsys):
                for r in doc["suite_results"] for c in r["checks"])
 
 
+def test_verify_repeated_suite_runs_once(capsys):
+    code, out = _run(capsys, "verify", "--q", "2", "--P", "T^2+T+1",
+                     "--suites", "cong,euler,cong", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [r["name"] for r in doc["suite_results"]] == ["cong", "euler"]
+    assert doc["config"]["suites"] == "cong,euler,cong"
+    assert cli._suite_names("cong,cong,all") == list(cli.SUITES)
+    assert cli._suite_names("cong,all,cong") == list(cli.SUITES)
+
+
 def test_verify_unknown_suite_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--q", "2", "--P", "T^2+T+1", "--suites", "bogus"])
@@ -819,23 +830,31 @@ def test_cli_import_skips_dataclasses():
 def test_cli_run_skips_hashlib_and_future():
     # the config digest takes SHA-256 from CPython's built-in module, not
     # from hashlib (which maps OpenSSL's libcrypto), no module imports
-    # __future__, and parse_args needs neither argparse nor the gettext
-    # it imports: a fresh interpreter importing carlitz.cli and running
-    # bc-scan loads none of them
+    # __future__, and parse_args reads the canonical argv of every
+    # benchmarked command without argparse or the gettext it imports: a
+    # fresh interpreter importing carlitz.cli and running them all loads
+    # none of them
     src = str(pathlib.Path(lvalues.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import contextlib, io, sys\n"
             "from carlitz.cli import main\n"
+            "pad = ['--q', '2', '--P', 'T^3+T+1', '--N', '4']\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    status = main(['bc-scan', '--q', '3', '--P', 'T^2+1',\n"
-            "                   '--format', 'json'])\n"
-            "print(status, *(m in sys.modules\n"
-            "                for m in ('hashlib', '_hashlib', '__future__',\n"
-            "                          'argparse', 'gettext')))\n")
+            "    status = [main(argv) for argv in (\n"
+            "        ['bc-scan', '--q', '3', '--P', 'T^2+1',\n"
+            "         '--format', 'json'],\n"
+            "        ['verify', '--q', '3', '--P', 'T^2+1',\n"
+            "         '--suites', 'cnf,b1,euler,charpoly,cong'],\n"
+            "        ['verify', *pad, '--suites', 'anderson,padic-explog'],\n"
+            "        ['l-values', *pad, '--place', 'P'],\n"
+            "        ['fitting', *pad])]\n"
+            "print(*status, *(m in sys.modules\n"
+            "                 for m in ('hashlib', '_hashlib', '__future__',\n"
+            "                           'argparse', 'gettext')))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.split() == ["0"] + ["False"] * 5
+    assert out.split() == ["0"] * 5 + ["False"] * 5
 
 
 def test_cli_import_skips_csv():
